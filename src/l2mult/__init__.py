@@ -4,8 +4,7 @@ experiments along chains of finite quotients."""
 
 from .finite_groups import (CharacterTable, FiniteGroup, FiniteSubgroup,
                             GroupHom, OrdinaryCharacter, abelian_group,
-                            centralizer_index, character_table,
-                            conjugacy_classes, cyclic_group, dihedral_group,
+                            character_table, cyclic_group, dihedral_group,
                             frobenius_check, from_generators,
                             hom_from_generator_images, induce_ordinary,
                             multiplicity, restrict_ordinary,
@@ -20,7 +19,7 @@ from .characters import (BisetCharacter, FiniteCharacter, LimitCharacterSpec,
                          biset_character, convergence_report, i_finite,
                          ind_finite, induce_via, limit_value, perm_character,
                          regular_character, trivial_character)
-from .spectral import (LuckReport, PermutationRep, SpectralMeasure,
+from .spectral import (LuckReport, MonomialRep, SpectralMeasure,
                        UnitaryRep, WordPermRep, character_of, fk_det,
                        induced_rep, irreducible_rep, luck_bound_check,
                        moments_check, operator_matrix, phi_betti,
@@ -28,10 +27,9 @@ from .spectral import (LuckReport, PermutationRep, SpectralMeasure,
                        rep_from_action, spectral_measure)
 from .complexes import (EquivariantCWData, FiniteChainComplex,
                         HomologyReport, OrbitCell, QuotientComplex,
-                        action_trace, builtin_line_Dinf, builtin_line_Z,
-                        builtin_rose_free, builtin_tree_free_by_finite,
-                        cw_from_json, cw_to_json, export_boundaries_csv,
-                        finite_group_crosscheck, homology, multiplicities,
+                        builtin_line_Dinf, builtin_line_Z, builtin_rose_free,
+                        builtin_tree_free_by_finite, cw_from_json, cw_to_json,
+                        export_boundaries_csv, finite_group_crosscheck,
                         quotient_complex)
 from .runner import (ExperimentConfig, LevelRecord, centralizer_growth, emit,
                      farber_diagnostic, rel_farber_diagnostic, run)

@@ -19,6 +19,29 @@ import numpy as np
 SparseCol = dict[int, Fraction]
 
 
+def axpy(acc: SparseCol, scale, col: SparseCol) -> None:
+    """acc += scale * col in place; entries that cancel are dropped."""
+    get = acc.get
+    for r, v in col.items():
+        nv = get(r, 0) + scale * v
+        if nv:
+            acc[r] = nv
+        else:
+            acc.pop(r, None)
+
+
+def apply_columns(op_cols: list[SparseCol],
+                  vecs: list[SparseCol]) -> list[SparseCol]:
+    """Sparse columns of op @ V, with op and V given by their columns."""
+    out = []
+    for v in vecs:
+        acc: SparseCol = {}
+        for idx, c in v.items():
+            axpy(acc, c, op_cols[idx])
+        out.append(acc)
+    return out
+
+
 class ColumnReduction:
     """Sparse column elimination that remembers, for every input column, its
     expansion over the selected pivot columns.
@@ -57,13 +80,8 @@ class ColumnReduction:
             if hit_k is None:
                 return c, comb
             lam = c[self.pivot_rows[hit_k]]
-            comb[hit_k] = comb.get(hit_k, Fraction(0)) + lam
-            for r, v in self._cols[hit_k].items():
-                nv = c.get(r, Fraction(0)) - lam * v
-                if nv:
-                    c[r] = nv
-                else:
-                    c.pop(r, None)
+            comb[hit_k] = comb.get(hit_k, 0) + lam
+            axpy(c, -lam, self._cols[hit_k])
 
     def add_column(self, col_id: int, col: SparseCol) -> bool:
         """Feed one column; returns True when it enlarged the rank."""
@@ -72,12 +90,7 @@ class ColumnReduction:
             if self.want_expr:
                 expr: SparseCol = {}
                 for k, lam in comb.items():
-                    for t, v in self._expr[k].items():
-                        nv = expr.get(t, Fraction(0)) + lam * v
-                        if nv:
-                            expr[t] = nv
-                        else:
-                            expr.pop(t, None)
+                    axpy(expr, lam, self._expr[k])
                 self.col_expr[col_id] = expr
             return False
         pivot_row = min(residual)
@@ -88,12 +101,7 @@ class ColumnReduction:
         if self.want_expr:
             expr_new = {k_new: inv}
             for k, lam in comb.items():
-                for t, v in self._expr[k].items():
-                    nv = expr_new.get(t, Fraction(0)) - inv * lam * v
-                    if nv:
-                        expr_new[t] = nv
-                    else:
-                        expr_new.pop(t, None)
+                axpy(expr_new, -inv * lam, self._expr[k])
         self._cols.append(unit)
         self._expr.append(expr_new)
         self._row_to_k[pivot_row] = k_new

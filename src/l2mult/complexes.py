@@ -18,12 +18,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._linalg import ColumnReduction, SparseCol, column_reduce
+from ._linalg import ColumnReduction, SparseCol, apply_columns, column_reduce
 from .finite_groups import (CharacterTable, FiniteGroup, FiniteSubgroup,
                             NotIntegral)
 from .characters import (CrossCheckFailed, HNotNormalizing,
                          UnsupportedFamily, finite_word_subgroup)
-from .spectral import (PermutationRep, induced_rep, irreducible_rep,
+from .spectral import (MonomialRep, induced_rep, irreducible_rep,
                        operator_columns_exact, phi_betti)
 from .word_groups import (BuiltinGroup, FiniteAlgebraMatrix,
                           FiniteIndexSubgroup, FreeAbelianGroup, FreeGroup,
@@ -291,17 +291,8 @@ class FiniteChainComplex:
             upper = self.boundaries.get(p + 1)
             if upper is None:
                 continue
-            for col in upper[1]:
-                acc: SparseCol = {}
-                for idx, c in col.items():
-                    for r, v in cols[idx].items():
-                        nv = acc.get(r, Fraction(0)) + c * v
-                        if nv:
-                            acc[r] = nv
-                        else:
-                            acc.pop(r, None)
-                if acc:
-                    raise NotAComplex(f"d_{p} . d_{p + 1} != 0")
+            if any(apply_columns(cols, upper[1])):
+                raise NotAComplex(f"d_{p} . d_{p + 1} != 0")
         # symmetry: signed permutations commuting with the boundaries
         for (h, p), (perm, signs) in self.actions.items():
             if sorted(perm.tolist()) != list(range(self.n_cells[p])):
@@ -586,18 +577,6 @@ def quotient_complex(cw: EquivariantCWData, gamma: FiniteIndexSubgroup,
                            boundaries=boundaries, actions=actions)
 
 
-def homology(qc: FiniteChainComplex) -> dict[int, int]:
-    return qc.betti_numbers()
-
-
-def action_trace(qc: FiniteChainComplex, h: int, p: int) -> Fraction:
-    return qc.action_trace(h, p)
-
-
-def multiplicities(qc: FiniteChainComplex, table: CharacterTable) -> HomologyReport:
-    return qc.multiplicities(table)
-
-
 def export_boundaries_csv(qc: FiniteChainComplex, directory):
     """Dense CSV dumps of the boundary matrices, one file per degree."""
     import csv
@@ -620,9 +599,11 @@ def export_boundaries_csv(qc: FiniteChainComplex, directory):
 # Finite-group cross-check
 # ---------------------------------------------------------------------------
 
-def _left_regular_rep(group: FiniteGroup) -> PermutationRep:
-    return PermutationRep(group, lambda g, y: group.mul(group.inv(g), y),
-                          group.order)
+def _left_regular_rep(group: FiniteGroup) -> MonomialRep:
+    """rho(g) e_y = e_{gy}."""
+    n = group.order
+    return MonomialRep(group, n, lambda g: (
+        np.array([group.mul(g, y) for y in range(n)], dtype=np.int64), None))
 
 
 def materialize_regular(group: FiniteGroup,

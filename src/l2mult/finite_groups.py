@@ -484,14 +484,6 @@ class CharacterTable:
         return float(np.max(np.abs(gram - expect)))
 
 
-def conjugacy_classes(group: FiniteGroup) -> ConjugacyData:
-    return group.conjugacy_classes()
-
-
-def centralizer_index(group: FiniteGroup, h: int) -> int:
-    return group.conjugacy_class_size(h)
-
-
 def character_table(group: FiniteGroup, max_order: int = 2000,
                     tol: float = 1e-8, attempts: int = 12) -> CharacterTable:
     """Numeric class-sum eigenvector method (Burnside/Dixon style).

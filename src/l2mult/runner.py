@@ -9,6 +9,7 @@ limits, and attaches Farber / relative-Farber diagnostics.  Levels that fail
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -524,10 +525,13 @@ def run(config: ExperimentConfig, levels: int | None = None,
     if levels is not None:
         n_levels = min(n_levels, levels)
     indices = list(range(n_levels))
-    if parallel > 1:
+    # the pool starts all its workers at once: more than one per level or
+    # per CPU only costs processes
+    workers = min(parallel, len(indices), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         payload = json.dumps(config.to_json())
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             raw = list(pool.map(_level_worker, [(payload, n) for n in indices]))
         records = [LevelRecord.from_json(r) for r in raw]
     else:

@@ -3,9 +3,13 @@ operator matrices, atomic spectral measures, Fuglede-Kadison determinants,
 moment checks, the determinant lower bound, and twisted Betti numbers of
 compressed chain complexes.
 
-Exact rational elimination is used whenever the representation and the
-coefficients allow it; everything else falls back to dense numerics with
-thresholds tied to the coefficient sup-norm bound of the matrix.
+Two representation classes: ``MonomialRep`` (permutation reps, degree-1
+characters and everything induced or pulled back from them) and the dense
+``UnitaryRep`` (irreducibles of degree >= 2 and what is induced or pulled
+back from them).  Exact rational elimination is used whenever the
+representation is rational, i.e. monomial with +-1 coefficients; everything
+else falls back to dense numerics with thresholds tied to the coefficient
+sup-norm bound of the matrix.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._linalg import SparseCol, charpoly_trailing, column_reduce, sparse_rank
+from ._linalg import (SparseCol, apply_columns, axpy, charpoly_trailing,
+                      column_reduce, sparse_rank)
 from .finite_groups import (FiniteGroup, FiniteSubgroup, GroupHom,
                             OrdinaryCharacter, induce_ordinary)
 from .word_groups import (FiniteAlgebraMatrix, FreeAbelianGroup, FreeGroup,
@@ -68,64 +73,68 @@ def euler_phi(n: int) -> int:
 # Representations
 # ---------------------------------------------------------------------------
 
-class PermutationRep:
-    """Unitary representation of a finite group on functions over a finite
-    right G-set: rho(g) e_y = e_{y.g^-1}."""
+class MonomialRep:
+    """Unitary representation in which every element acts monomially:
+    rho(g) e_y = coef[y] e_{dest[y]}.
 
-    def __init__(self, group: FiniteGroup, act, n_points: int):
+    ``pair(g)`` returns the lazily cached arrays ``(dest, coef)``; ``coef``
+    is None for a permutation and otherwise holds +-1 or roots of unity.
+    ``is_rational`` is true exactly when every coefficient is +-1; the exact
+    routes take those representations.
+    """
+
+    def __init__(self, group, dim: int, pair_of, is_rational: bool = True):
         self.group = group
-        self.dim = n_points
-        self.is_rational = True
-        self.arithmetic_degree = 1
-        self._act = act
-        self._dest: dict[int, np.ndarray] = {}
+        self.dim = dim
+        self.is_rational = is_rational
+        self._pair_of = pair_of
+        self._pairs: dict = {}
 
-    def dest(self, elem: int) -> np.ndarray:
-        cached = self._dest.get(elem)
+    def pair(self, elem) -> tuple[np.ndarray, np.ndarray | None]:
+        cached = self._pairs.get(elem)
         if cached is None:
-            ginv = self.group.inv(elem)
-            cached = np.array([self._act(ginv, y) for y in range(self.dim)],
-                              dtype=np.int64)
-            self._dest[elem] = cached
+            cached = self._pair_of(elem)
+            self._pairs[elem] = cached
         return cached
 
-    def matrix(self, elem: int) -> np.ndarray:
+    def entry(self, elem, y: int):
+        """Row and coefficient of the one nonzero entry in column y of
+        rho(elem), as Python numbers."""
+        dest, coef = self.pair(elem)
+        return int(dest[y]), 1 if coef is None else coef[y].item()
+
+    def matrix(self, elem) -> np.ndarray:
+        dest, coef = self.pair(elem)
         m = np.zeros((self.dim, self.dim), dtype=complex)
-        m[self.dest(elem), np.arange(self.dim)] = 1.0
+        m[dest, np.arange(self.dim)] = 1.0 if coef is None else coef
         return m
 
-    def trace(self, elem: int) -> complex:
-        d = self.dest(elem)
-        return float(np.count_nonzero(d == np.arange(self.dim)))
+    def trace(self, elem) -> complex:
+        dest, coef = self.pair(elem)
+        fixed = dest == np.arange(self.dim)
+        if coef is None:
+            return float(np.count_nonzero(fixed))
+        return complex(np.sum(coef[fixed]))
 
 
 class UnitaryRep:
-    """Dense unitary representation generated from generator images."""
+    """Dense unitary representation generated from generator images: the
+    numeric class for irreducibles of degree >= 2 and for what is induced
+    from or pulled back to them."""
+
+    is_rational = False
 
     def __init__(self, group: FiniteGroup, gen_matrices: dict[int, np.ndarray],
-                 exact_gen_matrices=None, arithmetic_degree: int | None = None,
-                 tol: float = 1e-9, dim: int | None = None):
+                 tol: float = 1e-9):
+        if not gen_matrices:
+            raise SpectralError("generator images required")
         self.group = group
-        if gen_matrices:
-            self.dim = next(iter(gen_matrices.values())).shape[0]
-        elif dim is not None:
-            self.dim = dim
-        else:
-            raise SpectralError("dimension required without generators")
-        self.is_rational = exact_gen_matrices is not None
-        self.arithmetic_degree = (arithmetic_degree if arithmetic_degree
-                                  else euler_phi(group.order))
+        self.dim = next(iter(gen_matrices.values())).shape[0]
         self._mats: dict[int, np.ndarray] = {0: np.eye(self.dim, dtype=complex)}
-        self._exact: dict[int, list] | None = None
         for g, m in gen_matrices.items():
             if np.max(np.abs(m.conj().T @ m - np.eye(self.dim))) > tol:
                 raise SpectralError("generator image is not unitary")
         self._fill(gen_matrices)
-        if exact_gen_matrices is not None:
-            ident = [[Fraction(int(i == j)) for j in range(self.dim)]
-                     for i in range(self.dim)]
-            self._exact = {0: ident}
-            self._fill_exact(exact_gen_matrices)
 
     def _fill(self, gen_matrices):
         group = self.group
@@ -144,123 +153,63 @@ class UnitaryRep:
         if len(self._mats) != group.order:
             raise SpectralError("generator images do not generate the group")
 
-    def _fill_exact(self, exact_gens):
-        group = self.group
-
-        def mat_mul(a, b):
-            n = self.dim
-            return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-                    for i in range(n)]
-
-        def mat_inv_orth(a):
-            # inverse of a signed-permutation/orthogonal rational matrix = transpose
-            n = self.dim
-            return [[a[j][i] for j in range(n)] for i in range(n)]
-
-        frontier = [0]
-        while frontier:
-            x = frontier.pop()
-            for g, mg in exact_gens.items():
-                for y, my in ((group.mul(x, g), mat_mul(self._exact[x], mg)),
-                              (group.mul(x, group.inv(g)),
-                               mat_mul(self._exact[x], mat_inv_orth(mg)))):
-                    if y not in self._exact:
-                        self._exact[y] = my
-                        frontier.append(y)
-
     def matrix(self, elem: int) -> np.ndarray:
         return self._mats[elem]
-
-    def exact_matrix(self, elem: int):
-        if self._exact is None:
-            raise SpectralError("representation has no exact form")
-        return self._exact[elem]
 
     def trace(self, elem: int) -> complex:
         return complex(np.trace(self._mats[elem]))
 
 
-class PullbackRep:
-    """Composition of a representation with a group homomorphism."""
-
-    def __init__(self, hom: GroupHom, rho):
-        self.hom = hom
-        self.rho = rho
-        self.group = hom.source
-        self.dim = rho.dim
-        self.is_rational = rho.is_rational
-        self.arithmetic_degree = rho.arithmetic_degree
-        if hasattr(rho, "dest"):
-            self.dest = lambda elem: rho.dest(hom(elem))
-        if hasattr(rho, "exact_matrix"):
-            self.exact_matrix = lambda elem: rho.exact_matrix(hom(elem))
-
-    def matrix(self, elem):
-        return self.rho.matrix(self.hom(elem))
-
-    def trace(self, elem):
-        return self.rho.trace(self.hom(elem))
+def _action_rep(group: FiniteGroup, act, n_points: int) -> MonomialRep:
+    """Permutation representation on a finite right G-set:
+    rho(g) e_y = e_{y.g^-1}."""
+    def pair_of(g):
+        ginv = group.inv(g)
+        return np.array([act(ginv, y) for y in range(n_points)],
+                        dtype=np.int64), None
+    return MonomialRep(group, n_points, pair_of)
 
 
-class WordPermRep:
+def WordPermRep(group, letter_perms) -> MonomialRep:
     """Permutation representation of a free or free-abelian group, given by
-    one permutation per generator letter (x -> x.a_i)."""
+    one permutation per generator letter (x -> x.a_i): rho(w) e_y = e_{y.w^-1}.
+    """
+    if not isinstance(group, (FreeGroup, FreeAbelianGroup)):
+        raise SpectralError("word permutation reps cover free families only")
+    perms = [np.asarray(p, dtype=np.int64) for p in letter_perms]
+    if len(perms) != group.n_letters:
+        raise SpectralError("one permutation per generator required")
+    dim = len(perms[0])
+    for p in perms:
+        if sorted(p.tolist()) != list(range(dim)):
+            raise SpectralError("letter images must be bijections")
+    if isinstance(group, FreeAbelianGroup):
+        for i in range(len(perms)):
+            for j in range(i + 1, len(perms)):
+                a, b = perms[i], perms[j]
+                if not np.array_equal(a[b], b[a]):
+                    raise SpectralError("letter permutations must commute")
+    inverses = [np.argsort(p) for p in perms]
 
-    def __init__(self, group, letter_perms):
-        if not isinstance(group, (FreeGroup, FreeAbelianGroup)):
-            raise SpectralError("word permutation reps cover free families only")
-        self.group = group
-        self.perms = [np.asarray(p, dtype=np.int64) for p in letter_perms]
-        if len(self.perms) != group.n_letters:
-            raise SpectralError("one permutation per generator required")
-        self.dim = len(self.perms[0])
-        for p in self.perms:
-            if sorted(p.tolist()) != list(range(self.dim)):
-                raise SpectralError("letter images must be bijections")
-        if isinstance(group, FreeAbelianGroup):
-            for i in range(len(self.perms)):
-                for j in range(i + 1, len(self.perms)):
-                    a, b = self.perms[i], self.perms[j]
-                    if not np.array_equal(a[b], b[a]):
-                        raise SpectralError("letter permutations must commute")
-        self.is_rational = True
-        self.arithmetic_degree = 1
-        self._inv = [np.argsort(p) for p in self.perms]
-        self._cache: dict = {}
-
-    def dest(self, word: Word) -> np.ndarray:
-        """Index map of rho(w): e_y -> e_{y.w^-1}."""
-        cached = self._cache.get(word)
-        if cached is None:
-            out = np.arange(self.dim)
-            for i, e in word.inverse().letters():
-                p = self.perms[i] if e > 0 else self._inv[i]
-                out = p[out]
-            self._cache[word] = out
-            cached = out
-        return cached
-
-    def matrix(self, word: Word) -> np.ndarray:
-        m = np.zeros((self.dim, self.dim), dtype=complex)
-        m[self.dest(word), np.arange(self.dim)] = 1.0
-        return m
-
-    def trace(self, word: Word) -> complex:
-        d = self.dest(word)
-        return float(np.count_nonzero(d == np.arange(self.dim)))
+    def pair_of(word: Word):
+        out = np.arange(dim)
+        for i, e in word.inverse().letters():
+            out = (perms[i] if e > 0 else inverses[i])[out]
+        return out, None
+    return MonomialRep(group, dim, pair_of)
 
 
-def rep_from_action(group: FiniteGroup, act, n_points: int) -> PermutationRep:
+def rep_from_action(group: FiniteGroup, act, n_points: int) -> MonomialRep:
     from .characters import check_action
     check_action(group, act, n_points)
-    return PermutationRep(group, act, n_points)
+    return _action_rep(group, act, n_points)
 
 
-def regular_rep(group: FiniteGroup) -> PermutationRep:
-    return PermutationRep(group, lambda g, x: group.mul(x, g), group.order)
+def regular_rep(group: FiniteGroup) -> MonomialRep:
+    return _action_rep(group, lambda g, x: group.mul(x, g), group.order)
 
 
-def coset_rep(group: FiniteGroup, subgroup: FiniteSubgroup) -> PermutationRep:
+def coset_rep(group: FiniteGroup, subgroup: FiniteSubgroup) -> MonomialRep:
     """Permutation representation on right cosets H\\Q."""
     mem = set(subgroup.members)
     reps = []
@@ -272,8 +221,8 @@ def coset_rep(group: FiniteGroup, subgroup: FiniteSubgroup) -> PermutationRep:
         reps.append(g)
         for h in mem:
             coset_of[group.mul(h, g)] = idx
-    return PermutationRep(group, lambda g, x: coset_of[group.mul(reps[x], g)],
-                          len(reps))
+    return _action_rep(group, lambda g, x: coset_of[group.mul(reps[x], g)],
+                       len(reps))
 
 
 def character_of(rho) -> OrdinaryCharacter:
@@ -283,26 +232,27 @@ def character_of(rho) -> OrdinaryCharacter:
 
 
 def irreducible_rep(group: FiniteGroup, chi: OrdinaryCharacter,
-                    attempts: int = 10) -> UnitaryRep:
+                    attempts: int = 10) -> MonomialRep | UnitaryRep:
     """A unitary representation affording the irreducible character chi.
 
-    Degree-1 characters are realized directly (exactly when rational); higher
-    degrees are cut out of the regular representation by the isotypic
-    projector and a random commutant operator.
+    Degree-1 characters are realized directly as 1x1 monomial reps (rational
+    when every value is +-1); higher degrees are cut out of the regular
+    representation by the isotypic projector and a random commutant operator.
     """
     if chi.group is not group:
         raise SpectralError("character of a different group")
     if chi.degree == 1:
-        gens = {g: np.array([[chi.value(g)]]) for g in group.generators}
-        exact = None
-        if all(abs(chi.value(g).imag) < 1e-12 and
-               abs(chi.value(g).real - round(chi.value(g).real)) < 1e-12
-               for g in range(group.order)):
-            exact = {g: [[Fraction(int(round(chi.value(g).real)))]]
-                     for g in group.generators}
-        return UnitaryRep(group, gens, exact_gen_matrices=exact,
-                          arithmetic_degree=1 if exact is not None else None,
-                          dim=1)
+        values = chi.values
+        if np.max(np.abs(np.abs(values) - 1)) > 1e-9:
+            raise SpectralError("character value is not unitary")
+        rational = bool(np.all(np.abs(values.imag) < 1e-12) and
+                        np.all(np.abs(values.real - np.round(values.real))
+                               < 1e-12))
+        coefs = np.round(values.real).astype(np.int64) if rational else values
+        dest = np.zeros(1, dtype=np.int64)
+        return MonomialRep(
+            group, 1,
+            lambda g: (dest, coefs[[group.class_of_element(g)]]), rational)
     reg = regular_rep(group)
     n = group.order
     d = chi.degree
@@ -340,9 +290,14 @@ def irreducible_rep(group: FiniteGroup, chi: OrdinaryCharacter,
 
 
 def induced_rep(q_group: FiniteGroup, h_sub: FiniteSubgroup, rho_h,
-                tol: float = 1e-8) -> UnitaryRep:
-    """Block-monomial induced representation along H <= Q; the character is
-    cross-checked against ordinary character induction."""
+                tol: float = 1e-8) -> MonomialRep | UnitaryRep:
+    """Representation induced along H <= Q on the left cosets t_j H; the
+    character is cross-checked against ordinary character induction.
+
+    With g t_j = t_i h, block (i, j) of rho(g) is rho_h(h).  A monomial
+    rho_h induces a monomial rep, each element's pair read off directly; a
+    dense one induces a dense rep from the generators' block matrices.
+    """
     h_abs, to_local = h_sub.abstract_group()
     if rho_h.group is not h_abs:
         raise SpectralError("rho_h must live on the abstract subgroup")
@@ -358,42 +313,48 @@ def induced_rep(q_group: FiniteGroup, h_sub: FiniteSubgroup, rho_h,
             coset_of[q_group.mul(g, h)] = idx   # left cosets tH
     k = len(reps)
     d = rho_h.dim
-    exact_ok = rho_h.is_rational
 
-    def block_matrix(g, exact=False):
-        if exact:
-            out = [[Fraction(0)] * (k * d) for _ in range(k * d)]
-        else:
-            out = np.zeros((k * d, k * d), dtype=complex)
-        for j in range(k):
-            u = q_group.mul(g, reps[j])
+    def blocks(g):
+        """(i, h) with g t_j = t_i h, for j = 0..k-1."""
+        out = []
+        for t in reps:
+            u = q_group.mul(g, t)
             i = coset_of[u]
-            h = q_group.mul(q_group.inv(reps[i]), u)
-            if exact:
-                sub = (rho_h.exact_matrix(to_local[h]) if hasattr(rho_h, "exact_matrix")
-                       else [[Fraction(int(round(x.real))) for x in row]
-                             for row in rho_h.matrix(to_local[h])])
-                for a in range(d):
-                    for b in range(d):
-                        out[i * d + a][j * d + b] = sub[a][b]
-            else:
-                out[i * d:(i + 1) * d, j * d:(j + 1) * d] = \
-                    rho_h.matrix(to_local[h])
+            out.append((i, to_local[q_group.mul(q_group.inv(reps[i]), u)]))
         return out
 
-    gens = {g: block_matrix(g) for g in q_group.generators}
-    exact = {g: block_matrix(g, exact=True) for g in q_group.generators} \
-        if exact_ok else None
-    rep = UnitaryRep(q_group, gens, exact_gen_matrices=exact,
-                     arithmetic_degree=rho_h.arithmetic_degree, dim=k * d)
+    if isinstance(rho_h, MonomialRep):
+        def pair_of(g):
+            dest = np.empty(k * d, dtype=np.int64)
+            coefs = []
+            for j, (i, h) in enumerate(blocks(g)):
+                dest_h, coef_h = rho_h.pair(h)
+                dest[j * d:(j + 1) * d] = i * d + dest_h
+                coefs.append(coef_h)
+            return dest, None if coefs[0] is None else np.concatenate(coefs)
+        rep = MonomialRep(q_group, k * d, pair_of, rho_h.is_rational)
+    else:
+        gens = {}
+        for g in q_group.generators:
+            m = np.zeros((k * d, k * d), dtype=complex)
+            for j, (i, h) in enumerate(blocks(g)):
+                m[i * d:(i + 1) * d, j * d:(j + 1) * d] = rho_h.matrix(h)
+            gens[g] = m
+        rep = UnitaryRep(q_group, gens)
     induced_char = induce_ordinary(h_sub, character_of(rho_h))
     if np.max(np.abs(character_of(rep).values - induced_char.values)) > tol:
         raise CharacterMismatch("induced character does not match the formula")
     return rep
 
 
-def pullback_rep(hom: GroupHom, rho) -> PullbackRep:
-    return PullbackRep(hom, rho)
+def pullback_rep(hom: GroupHom, rho) -> MonomialRep | UnitaryRep:
+    """Composition of a representation with a group homomorphism."""
+    if isinstance(rho, MonomialRep):
+        return MonomialRep(hom.source, rho.dim, lambda g: rho.pair(hom(g)),
+                           rho.is_rational)
+    # the trivial group has no generators; its identity generates it
+    return UnitaryRep(hom.source, {g: rho.matrix(hom(g))
+                                   for g in hom.source.generators or [0]})
 
 
 # ---------------------------------------------------------------------------
@@ -401,32 +362,34 @@ def pullback_rep(hom: GroupHom, rho) -> PullbackRep:
 # ---------------------------------------------------------------------------
 
 def _pairs(a):
-    if isinstance(a, FiniteAlgebraMatrix):
-        return a.entries.items()
-    if isinstance(a, GroupRingMatrix):
+    if isinstance(a, (FiniteAlgebraMatrix, GroupRingMatrix)):
         return a.entries.items()
     raise SpectralError(f"unsupported matrix type {type(a).__name__}")
 
 
 def _check_compat(a, rho):
-    if isinstance(a, FiniteAlgebraMatrix):
-        if getattr(rho, "group", None) is not a.group:
-            raise SpectralError("matrix and representation group differ")
-    elif isinstance(a, GroupRingMatrix):
-        if not isinstance(rho, WordPermRep) or rho.group is not a.group:
-            raise SpectralError("group-ring matrices need a word permutation rep")
+    if isinstance(a, GroupRingMatrix) and not isinstance(rho, MonomialRep):
+        raise SpectralError("group-ring matrices need a word permutation rep")
+    if isinstance(a, (FiniteAlgebraMatrix, GroupRingMatrix)) and \
+            rho.group is not a.group:
+        raise SpectralError("matrix and representation group differ")
 
 
 def operator_matrix(a, rho) -> np.ndarray:
-    """Dense block operator of the left-multiplication action in rho."""
+    """Dense block operator of the left-multiplication action in rho.  A
+    monomial rep scatters its coefficients instead of forming d x d
+    matrices."""
     _check_compat(a, rho)
     d = rho.dim
+    arange = np.arange(d)
     out = np.zeros((a.rows * d, a.cols * d), dtype=complex)
     for (i, j), terms in _pairs(a):
         block = np.zeros((d, d), dtype=complex)
         for elem, c in terms.items():
-            if hasattr(rho, "dest"):
-                block[rho.dest(elem), np.arange(d)] += complex(c)
+            if isinstance(rho, MonomialRep):
+                dest, coef = rho.pair(elem)
+                block[dest, arange] += complex(c) if coef is None \
+                    else complex(c) * coef
             else:
                 block += complex(c) * rho.matrix(elem)
         out[i * d:(i + 1) * d, j * d:(j + 1) * d] = block
@@ -443,27 +406,9 @@ def operator_columns_exact(a, rho) -> tuple[int, list[SparseCol]]:
     for (i, j), terms in _pairs(a):
         for elem, c in terms.items():
             c = Fraction(c)
-            if hasattr(rho, "dest"):
-                dest = rho.dest(elem)
-                for y in range(d):
-                    col = cols[j * d + y]
-                    r = i * d + int(dest[y])
-                    nv = col.get(r, Fraction(0)) + c
-                    if nv:
-                        col[r] = nv
-                    else:
-                        col.pop(r, None)
-            else:
-                mat = rho.exact_matrix(elem)
-                for y in range(d):
-                    col = cols[j * d + y]
-                    for r in range(d):
-                        if mat[r][y]:
-                            nv = col.get(i * d + r, Fraction(0)) + c * mat[r][y]
-                            if nv:
-                                col[i * d + r] = nv
-                            else:
-                                col.pop(i * d + r, None)
+            for y in range(d):
+                r, s = rho.entry(elem, y)
+                axpy(cols[j * d + y], c, {i * d + r: s})
     return a.rows * d, cols
 
 
@@ -476,10 +421,6 @@ def operator_trace(a, rho) -> complex:
         for elem, c in terms.items():
             total += complex(c) * rho.trace(elem)
     return total
-
-
-def _is_exact_pair(a, rho) -> bool:
-    return rho.is_rational
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +498,7 @@ def rank_nullity(a, rho, svd_tol: float = 1e-8):
 
     Returns exact Fractions on the rational path, floats otherwise.
     """
-    if _is_exact_pair(a, rho):
+    if rho.is_rational:
         _, cols = operator_columns_exact(a, rho)
         op_rank = sparse_rank(cols)
         nullity = Fraction(a.cols * rho.dim - op_rank, rho.dim)
@@ -664,46 +605,13 @@ def _idempotent_columns(rho, summands, n_modules) -> tuple[list[SparseCol], int]
         cols: list[SparseCol] = [dict() for _ in range(d)]
         w = Fraction(1, len(elems))
         for elem, sign in zip(elems, signs):
-            if hasattr(rho, "dest"):
-                dest = rho.dest(elem)
-                for y in range(d):
-                    col = cols[y]
-                    r = int(dest[y])
-                    nv = col.get(r, Fraction(0)) + sign * w
-                    if nv:
-                        col[r] = nv
-                    else:
-                        col.pop(r, None)
-            else:
-                mat = rho.exact_matrix(elem)
-                for y in range(d):
-                    col = cols[y]
-                    for r in range(d):
-                        if mat[r][y]:
-                            nv = col.get(r, Fraction(0)) + sign * w * mat[r][y]
-                            if nv:
-                                col[r] = nv
-                            else:
-                                col.pop(r, None)
+            for y in range(d):
+                r, s = rho.entry(elem, y)
+                axpy(cols[y], sign * w, {r: s})
         red = column_reduce(cols, want_expr=False)
         for k in red.pivot_cols:
             basis.append({j * d + r: v for r, v in cols[k].items()})
     return basis, d * n_modules
-
-
-def _apply_columns(op_cols: list[SparseCol], vecs: list[SparseCol]) -> list[SparseCol]:
-    out = []
-    for v in vecs:
-        acc: SparseCol = {}
-        for idx, c in v.items():
-            for r, w in op_cols[idx].items():
-                nv = acc.get(r, Fraction(0)) + c * w
-                if nv:
-                    acc[r] = nv
-                else:
-                    acc.pop(r, None)
-        out.append(acc)
-    return out
 
 
 def _project_columns(rho, summands, n_modules, vecs: list[SparseCol]):
@@ -718,32 +626,13 @@ def _project_columns(rho, summands, n_modules, vecs: list[SparseCol]):
             j, y = divmod(idx, d)
             stab = summands[j]
             if stab is None or len(stab[0]) <= 1:
-                nv = acc.get(idx, Fraction(0)) + c
-                if nv:
-                    acc[idx] = nv
-                else:
-                    acc.pop(idx, None)
+                axpy(acc, c, {idx: 1})
                 continue
             elems, signs = stab
             w = Fraction(1, len(elems))
             for elem, sign in zip(elems, signs):
-                if hasattr(rho, "dest"):
-                    r = j * d + int(rho.dest(elem)[y])
-                    nv = acc.get(r, Fraction(0)) + sign * w * c
-                    if nv:
-                        acc[r] = nv
-                    else:
-                        acc.pop(r, None)
-                else:
-                    mat = rho.exact_matrix(elem)
-                    for r in range(d):
-                        if mat[r][y]:
-                            key = j * d + r
-                            nv = acc.get(key, Fraction(0)) + sign * w * c * mat[r][y]
-                            if nv:
-                                acc[key] = nv
-                            else:
-                                acc.pop(key, None)
+                r, s = rho.entry(elem, y)
+                axpy(acc, sign * w * c, {j * d + r: s})
         out.append(acc)
     return out
 
@@ -807,7 +696,7 @@ def phi_betti(boundary_p, boundary_p1, rho, stabilizers=None,
         if boundary_p is not None:
             _, cols_p = operator_columns_exact(boundary_p, rho)
             mapped = _project_columns(rho, stabs[0], n_pm1,
-                                      _apply_columns(cols_p, basis_p))
+                                      apply_columns(cols_p, basis_p))
             rank_p = column_reduce(mapped, want_expr=False).rank
         else:
             rank_p = 0
@@ -816,10 +705,10 @@ def phi_betti(boundary_p, boundary_p1, rho, stabilizers=None,
             basis_p1, _ = _idempotent_columns(rho, stabs[2], boundary_p1.cols)
             _, cols_p1 = operator_columns_exact(boundary_p1, rho)
             image = _project_columns(rho, stabs[1], n_p,
-                                     _apply_columns(cols_p1, basis_p1))
+                                     apply_columns(cols_p1, basis_p1))
             if boundary_p is not None:
                 composite = _project_columns(rho, stabs[0], n_pm1,
-                                             _apply_columns(cols_p, image))
+                                             apply_columns(cols_p, image))
                 if any(composite):
                     raise NotAComplex("d_p . d_{p+1} != 0 on the compression")
             rank_p1 = column_reduce(image, want_expr=False).rank

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from l2mult import (abelian_group, centralizer_index, character_table,
-                    conjugacy_classes, cyclic_group, dihedral_group,
-                    frobenius_check, from_generators, induce_ordinary,
-                    multiplicity, restrict_ordinary, symmetric_group,
-                    trivial_group)
+from l2mult import (abelian_group, character_table, cyclic_group,
+                    dihedral_group, frobenius_check, from_generators,
+                    induce_ordinary, multiplicity, restrict_ordinary,
+                    symmetric_group, trivial_group)
 from l2mult.finite_groups import (ClosureTooLarge, GroupError, GroupHom,
                                   NotIntegral, hom_from_generator_images)
 
@@ -43,7 +42,7 @@ def test_from_generators_rejects_non_bijection():
 
 def test_conjugacy_classes_s3():
     g = from_generators(S3_GENS)
-    classes = conjugacy_classes(g)
+    classes = g.conjugacy_classes()
     assert sorted(classes.sizes) == [1, 2, 3]
     assert classes.representatives[0] == 0
     # representatives are minimal per class
@@ -52,27 +51,27 @@ def test_conjugacy_classes_s3():
 
 
 def test_conjugacy_classes_cyclic5():
-    classes = conjugacy_classes(cyclic_group(5))
+    classes = cyclic_group(5).conjugacy_classes()
     assert classes.sizes == [1] * 5
 
 
 def test_conjugacy_classes_trivial():
-    assert len(conjugacy_classes(trivial_group()).sizes) == 1
+    assert len(trivial_group().conjugacy_classes().sizes) == 1
 
 
 def test_centralizer_index():
     g = from_generators(S3_GENS)
-    assert centralizer_index(g, 0) == 1
+    assert g.conjugacy_class_size(0) == 1
     transposition = g.index_of((1, 0, 2))
-    assert centralizer_index(g, transposition) == 3
+    assert g.conjugacy_class_size(transposition) == 3
     c6 = cyclic_group(6)
-    assert all(centralizer_index(c6, x) == 1 for x in range(6))
+    assert all(c6.conjugacy_class_size(x) == 1 for x in range(6))
 
 
 def test_centralizer_index_times_centralizer_is_order():
     for g in (from_generators(S3_GENS), dihedral_group(4), cyclic_group(8)):
         for x in range(g.order):
-            size = centralizer_index(g, x)
+            size = g.conjugacy_class_size(x)
             centralizer = sum(1 for y in range(g.order)
                               if g.mul(y, x) == g.mul(x, y))
             assert size * centralizer == g.order
@@ -156,7 +155,7 @@ def test_induce_from_order_two_subgroup_matches_coset_count():
             reps.append(x)
             for h in mem:
                 coset_of[g.mul(h, x)] = idx
-    classes = conjugacy_classes(g)
+    classes = g.conjugacy_classes()
     for c, rep in enumerate(classes.representatives):
         fixed = sum(1 for i, r in enumerate(reps)
                     if coset_of[g.mul(r, rep)] == i)

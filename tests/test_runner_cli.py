@@ -203,6 +203,39 @@ def test_run_levels_cap_and_parallel():
         [strip_timing(r) for r in records_seq]
 
 
+def test_parallel_workers_capped(monkeypatch):
+    import concurrent.futures
+    import os
+
+    requested = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    records, _ = run(dinf_config(), parallel=5000)       # 3 levels
+    assert requested == [3] and len(records) == 3
+    run(dinf_config(), levels=2, parallel=5000)
+    assert requested == [3, 2]
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    run(dinf_config(), parallel=5000)
+    assert requested == [3, 2, 2]
+    run(dinf_config(), levels=1, parallel=5000)          # one level: no pool
+    assert requested == [3, 2, 2]
+
+
 def test_level_record_json_round_trip():
     records, _ = run(dinf_config(), levels=1)
     again = LevelRecord.from_json(records[0].to_json())

@@ -13,7 +13,8 @@ from l2mult import (FreeAbelianGroup, FreeGroup, GroupRingMatrix,
                     spectral_measure)
 from l2mult.finite_groups import hom_from_generator_images, induce_ordinary
 from l2mult.spectral import (NotAComplex, NotHermitian, SpectralMeasure,
-                             SpectralError, WordPermRep, coset_rep, euler_phi)
+                             SpectralError, WordPermRep, coset_rep, euler_phi,
+                             operator_columns_exact)
 from l2mult.word_groups import FiniteAlgebraMatrix
 
 from conftest import make_rng
@@ -379,6 +380,105 @@ def test_pullback_measure_compatibility():
     mu_pushed = spectral_measure(pushed4, rho4)
     mu_pulled = spectral_measure(pushed8, pullback_rep(hom, rho4))
     assert mu_pushed.atoms == mu_pulled.atoms
+
+
+def _dense_columns(nrows, cols):
+    out = np.zeros((nrows, len(cols)))
+    for j, col in enumerate(cols):
+        for r, v in col.items():
+            out[r, j] = v
+    return out
+
+
+def _monomial_cases():
+    """(name, rep, rational) for each monomial constructor on a finite
+    group."""
+    d4 = dihedral_group(4)
+    refl = d4.subgroup_generated([d4.index_of((0, 1))])
+    refl_abs, _ = refl.abstract_group()
+    sign = irreducible_rep(refl_abs, character_table(refl_abs).irreducibles[1])
+    s3 = from_generators(S3_GENS)
+    c3 = s3.subgroup_generated([s3.index_of((1, 2, 0))])
+    c3_abs, _ = c3.abstract_group()
+    omega = [ch for ch in character_table(c3_abs).irreducibles
+             if np.max(np.abs(ch.values.imag)) > 0.1][0]
+    c8, c4 = cyclic_group(8), cyclic_group(4)
+    hom = hom_from_generator_images(c8, c4, {1: 1})
+    return [
+        ("regular", regular_rep(d4), True),
+        ("coset", coset_rep(s3, s3.subgroup_generated(
+            [s3.index_of((1, 0, 2))])), True),
+        ("induced sign", induced_rep(d4, refl, sign), True),
+        ("induced complex", induced_rep(s3, c3,
+                                        irreducible_rep(c3_abs, omega)), False),
+        ("pullback", pullback_rep(hom, regular_rep(c4)), True),
+    ]
+
+
+def test_monomial_reps_multiply_and_match_exact_columns():
+    for name, rho, rational in _monomial_cases():
+        g = rho.group
+        assert rho.is_rational == rational, name
+        mats = [rho.matrix(x) for x in range(g.order)]
+        for x in range(g.order):
+            for y in range(g.order):
+                assert np.max(np.abs(mats[x] @ mats[y]
+                                     - mats[g.mul(x, y)])) < 1e-12, name
+        if not rational:
+            continue
+        # mixed signs, so that coefficients cancel inside blocks
+        a = FiniteAlgebraMatrix(g, 2, 2, {
+            (i, j): {x: Fraction((7 * x + 3 * i + j) % 5 - 2)
+                     for x in range(g.order)}
+            for i in range(2) for j in range(2)})
+        dense = _dense_columns(*operator_columns_exact(a, rho))
+        assert np.max(np.abs(dense - operator_matrix(a, rho))) < 1e-12, name
+
+
+def test_word_perm_rep_multiplies_and_matches_exact_columns():
+    rng = make_rng(43)
+    f2 = FreeGroup(2)
+    rho = WordPermRep(f2, [rng.sample(range(7), 7) for _ in range(2)])
+    words = [f2.word(w) for w in ("1", "a", "a'", "b", "b'", "ab", "ba'",
+                                  "b'b'", "a'ba")]
+    for x in words:
+        for y in words:
+            assert np.array_equal(rho.matrix(x) @ rho.matrix(y),
+                                  rho.matrix(x * y))
+    a = GroupRingMatrix(f2, 2, 2, {
+        (0, 0): {words[1]: Fraction(1), words[5]: Fraction(-1)},
+        (0, 1): {words[2]: Fraction(2), words[3]: Fraction(1)},
+        (1, 1): {words[0]: Fraction(3), words[8]: Fraction(-1),
+                 words[6]: Fraction(-1)}})
+    dense = _dense_columns(*operator_columns_exact(a, rho))
+    assert np.array_equal(dense, operator_matrix(a, rho))
+
+
+def test_pullback_dense_rep_measure_compatibility():
+    # the degree-2 irreducible of D3 pulled back along D6 -> D3
+    d6, d3 = dihedral_group(6), dihedral_group(3)
+    hom = hom_from_generator_images(
+        d6, d3, {d6.index_of((1, 0)): d3.index_of((1, 0)),
+                 d6.index_of((0, 1)): d3.index_of((0, 1))})
+    chi2 = [ch for ch in character_table(d3).irreducibles if ch.degree == 2][0]
+    rho3 = irreducible_rep(d3, chi2)
+    r, s = d6.index_of((1, 0)), d6.index_of((0, 1))
+    a = FiniteAlgebraMatrix(d6, 2, 2, {
+        (0, 0): {0: Fraction(2), r: Fraction(-1)},
+        (0, 1): {s: Fraction(1), d6.mul(r, s): Fraction(1)},
+        (1, 1): {d6.mul(r, r): Fraction(1), d6.index_of((3, 0)): Fraction(-2)}})
+    gram = a.adjoint() @ a
+    pushed_entries = {}
+    for key, terms in gram.entries.items():
+        out = pushed_entries.setdefault(key, {})
+        for g, c in terms.items():
+            out[hom(g)] = out.get(hom(g), Fraction(0)) + c
+    pushed = FiniteAlgebraMatrix(d3, 2, 2, pushed_entries)
+    mu_pushed = spectral_measure(pushed, rho3)
+    mu_pulled = spectral_measure(gram, pullback_rep(hom, rho3))
+    assert [m for _, m in mu_pushed.atoms] == [m for _, m in mu_pulled.atoms]
+    assert max(abs(v1 - v2) for (v1, _), (v2, _)
+               in zip(mu_pushed.atoms, mu_pulled.atoms)) < 1e-9
 
 
 def test_induced_rep_character_mismatch_guard():
