@@ -1,9 +1,12 @@
 """Exact linear algebra kernels: sparse rational elimination and integer
 characteristic polynomials.
 
-Matrices are handled column-wise as ``dict[row_index, Fraction]`` so that the
-boundary matrices of quotient complexes (a handful of entries per column) and
-operator matrices of permutation representations stay cheap.  Characteristic
+Matrices are handled column-wise as ``dict[row_index, int | Fraction]`` so
+that the boundary matrices of quotient complexes (a handful of entries per
+column) and operator matrices of permutation representations stay cheap.
+Integral entries are Python ``int``: elimination turns them into ints when a
+column enters and divides only by pivots other than +-1, so a Fraction appears
+only after such a pivot, and results stay exact either way.  Characteristic
 polynomials of integer matrices are computed exactly by Hessenberg reduction
 modulo a batch of word-sized primes followed by CRT reconstruction; only the
 trailing nonzero coefficient needs a reconstruction bound, which the callers
@@ -16,7 +19,13 @@ from fractions import Fraction
 
 import numpy as np
 
-SparseCol = dict[int, Fraction]
+SparseCol = dict[int, "int | Fraction"]
+
+
+def int_entries(col: SparseCol) -> SparseCol:
+    """Copy of ``col`` with each integral entry as an int."""
+    return {r: v.numerator if v.denominator == 1 else v
+            for r, v in col.items()}
 
 
 def axpy(acc: SparseCol, scale, col: SparseCol) -> None:
@@ -68,9 +77,9 @@ class ColumnReduction:
     def rank(self) -> int:
         return len(self.pivot_rows)
 
-    def _reduce(self, col: SparseCol) -> tuple[SparseCol, dict[int, Fraction]]:
-        c = dict(col)
-        comb: dict[int, Fraction] = {}
+    def _reduce(self, col: SparseCol) -> tuple[SparseCol, SparseCol]:
+        c = int_entries(col)
+        comb: SparseCol = {}
         while True:
             hit_k = None
             for r in c:
@@ -94,7 +103,9 @@ class ColumnReduction:
                 self.col_expr[col_id] = expr
             return False
         pivot_row = min(residual)
-        inv = Fraction(1) / residual[pivot_row]
+        piv = residual[pivot_row]
+        # a +-1 pivot is its own inverse and keeps int columns int
+        inv = piv if piv == 1 or piv == -1 else Fraction(1) / piv
         unit = {r: v * inv for r, v in residual.items()}
         k_new = len(self._cols)
         expr_new: SparseCol = {}
@@ -108,7 +119,7 @@ class ColumnReduction:
         self.pivot_rows.append(pivot_row)
         self.pivot_cols.append(col_id)
         if self.want_expr:
-            self.col_expr[col_id] = {k_new: Fraction(1)}
+            self.col_expr[col_id] = {k_new: 1}
         return True
 
 
@@ -179,7 +190,8 @@ def _hessenberg_mod(mat: np.ndarray, p: int) -> np.ndarray:
         inv = pow(int(h[j + 1, j]), p - 2, p)
         mult = (h[j + 2:, j] * inv) % p
         if mult.any():
-            h[j + 2:, :] = (h[j + 2:, :] - np.outer(mult, h[j + 1, :])) % p
+            # row j + 1 is zero left of column j
+            h[j + 2:, j:] = (h[j + 2:, j:] - np.outer(mult, h[j + 1, j:])) % p
             h[:, j + 1] = (h[:, j + 1] + h[:, j + 2:] @ mult) % p
     return h
 
@@ -192,22 +204,20 @@ def _charpoly_mod(mat: np.ndarray, p: int) -> np.ndarray:
     h = _hessenberg_mod(mat, p)
     polys = np.zeros((n + 1, n + 1), dtype=np.int64)
     polys[0, 0] = 1
+    # prods[i - 1] = h[m-1, m-2] * ... * h[m-i, m-i-1] mod p, for i < m
+    prods = np.zeros(0, dtype=np.int64)
     for m in range(1, n + 1):
         prev = polys[m - 1]
         cur = np.zeros(n + 1, dtype=np.int64)
         cur[1:] = prev[:-1]
         cur = (cur - (int(h[m - 1, m - 1]) * prev) % p) % p
         if m >= 2:
-            coefs = np.zeros(m - 1, dtype=np.int64)
-            prod = 1
-            for i in range(1, m):
-                prod = (prod * int(h[m - i, m - i - 1])) % p
-                if prod == 0:
-                    break
-                coefs[i - 1] = (int(h[m - 1 - i, m - 1]) * prod) % p
+            prods = (int(h[m - 1, m - 2]) * np.concatenate(([1], prods))) % p
+            coefs = (h[m - 2::-1, m - 1] * prods) % p
             if coefs.any():
-                acc = (coefs[np.newaxis, :] @ polys[m - 2::-1][: m - 1]) % p
-                cur = (cur - acc[0]) % p
+                # polys[m - 1 - i] has degree m - 1 - i < m - 1
+                acc = (coefs @ polys[m - 2::-1, : m - 1]) % p
+                cur[: m - 1] = (cur[: m - 1] - acc) % p
         polys[m] = cur
     return polys[n]
 

@@ -18,7 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._linalg import ColumnReduction, SparseCol, apply_columns, column_reduce
+from ._linalg import (ColumnReduction, SparseCol, apply_columns,
+                      column_reduce, int_entries)
 from .finite_groups import (CharacterTable, FiniteGroup, FiniteSubgroup,
                             NotIntegral)
 from .characters import (CrossCheckFailed, HNotNormalizing,
@@ -525,19 +526,20 @@ def quotient_complex(cw: EquivariantCWData, gamma: FiniteIndexSubgroup,
 
     boundaries: dict[int, tuple[int, list[SparseCol]]] = {}
     for p, mat in cw.boundaries.items():
-        # push entries through the quotient map, collecting coefficients
-        collected: dict[tuple[int, int], dict[int, Fraction]] = {}
+        # push entries through the quotient map, collecting coefficients;
+        # integral ones become ints, so integer boundaries stay in ints
+        collected: dict[tuple[int, int], SparseCol] = {}
         for (i, j), terms in mat.entries.items():
-            target: dict[int, Fraction] = {}
+            target: SparseCol = {}
             for w, c in terms.items():
                 g = qmap.evaluate(w)
-                nv = target.get(g, Fraction(0)) + Fraction(c)
+                nv = target.get(g, 0) + c
                 if nv:
                     target[g] = nv
                 else:
                     target.pop(g, None)
             if target:
-                collected[(i, j)] = target
+                collected[(i, j)] = int_entries(target)
         cols: list[SparseCol] = []
         for j, src_orbit in enumerate(orbits[p]):
             for u in src_orbit.cell_reps:
@@ -550,7 +552,7 @@ def quotient_complex(cw: EquivariantCWData, gamma: FiniteIndexSubgroup,
                         v = q.mul(g, u)
                         cell_id, sgn = tgt_orbit.dec[v]
                         r = tgt_orbit.offset + cell_id
-                        nv = col.get(r, Fraction(0)) + sgn * c
+                        nv = col.get(r, 0) + sgn * c
                         if nv:
                             col[r] = nv
                         else:
@@ -589,7 +591,7 @@ def export_boundaries_csv(qc: FiniteChainComplex, directory):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             for r in range(nrows):
-                writer.writerow([str(cols[j].get(r, Fraction(0)))
+                writer.writerow([str(cols[j].get(r, 0))
                                  for j in range(len(cols))])
         paths.append(path)
     return paths

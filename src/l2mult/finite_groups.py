@@ -395,10 +395,17 @@ def semidirect_vector_group(moduli, h_group: FiniteGroup,
     vec_elems = list(itertools.product(*[range(m) for m in moduli]))
     elems = [(v, h) for h in range(h_group.order) for v in vec_elems]
 
+    # one entry per (h, v), i.e. at most |G|, filled as products ask for them
+    acted: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
+
     def act(h, v):
-        m = mats[h]
-        return tuple(sum(m[i][j] * v[j] for j in range(r)) % moduli[i]
-                     for i in range(r))
+        w = acted.get((h, v))
+        if w is None:
+            m = mats[h]
+            w = acted[(h, v)] = tuple(
+                sum(m[i][j] * v[j] for j in range(r)) % moduli[i]
+                for i in range(r))
+        return w
 
     def mul(a, b):
         v1, h1 = a

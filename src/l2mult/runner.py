@@ -531,8 +531,10 @@ def run(config: ExperimentConfig, levels: int | None = None,
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         payload = json.dumps(config.to_json())
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(_level_worker, [(payload, n) for n in indices]))
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=_init_worker,
+                                 initargs=(payload,)) as pool:
+            raw = list(pool.map(_level_worker, indices))
         records = [LevelRecord.from_json(r) for r in raw]
     else:
         records = [ctx.run_level(n) for n in indices]
@@ -540,11 +542,18 @@ def run(config: ExperimentConfig, levels: int | None = None,
     return records, report
 
 
-def _level_worker(args):
-    payload, n = args
-    config = ExperimentConfig.from_json(json.loads(payload))
-    ctx = ExperimentContext(config)
-    return ctx.run_level(n).to_json()
+# the context of a pool worker, built once by _init_worker for all its levels
+_worker_ctx: ExperimentContext | None = None
+
+
+def _init_worker(payload: str):
+    global _worker_ctx
+    _worker_ctx = ExperimentContext(
+        ExperimentConfig.from_json(json.loads(payload)))
+
+
+def _level_worker(n: int):
+    return _worker_ctx.run_level(n).to_json()
 
 
 def assemble_report(ctx: ExperimentContext, records: list[LevelRecord]) -> dict:

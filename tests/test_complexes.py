@@ -298,3 +298,17 @@ def test_finite_group_crosscheck_three_term_cyclic():
     table = character_table(h_abs)
     out = finite_group_crosscheck(g, sub, {1: d1, 2: d2}, table)
     assert out
+
+
+def test_quotient_boundaries_and_elimination_stay_in_ints():
+    from suites import _dinf_quotient, _tree_quotient
+    for qc in (_dinf_quotient(8), _tree_quotient(2)):
+        for _, cols in qc.boundaries.values():
+            assert {type(v) for col in cols for v in col.values()} == {int}
+        report = qc.multiplicities(character_table(qc.sym_group))
+        for p in qc.boundaries:
+            elim = qc._elim(p)
+            assert {type(v) for col in elim._cols for v in col.values()} \
+                == {int}
+        # the traces stay exact Fractions
+        assert all(type(t) is Fraction for t in report.traces.values())

@@ -2,19 +2,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from l2mult._linalg import (charpoly_exact, charpoly_trailing, column_reduce,
-                            sparse_rank)
+from l2mult._linalg import (_charpoly_mod, _primes, charpoly_exact,
+                            charpoly_trailing, column_reduce, sparse_rank)
 
 from conftest import make_rng
 
 
-def _random_matrix(rng, nrows, ncols, density=0.6):
+def _random_matrix(rng, nrows, ncols, density=0.6, span=3):
     cols = []
     for _ in range(ncols):
         col = {}
         for r in range(nrows):
             if rng.random() < density:
-                col[r] = Fraction(rng.randint(-3, 3))
+                col[r] = Fraction(rng.randint(-span, span))
         cols.append({r: v for r, v in col.items() if v})
     return cols
 
@@ -43,16 +43,20 @@ def test_column_expansion_reconstructs_columns():
         nrows = rng.randint(2, 6)
         ncols = rng.randint(2, 8)
         cols = _random_matrix(rng, nrows, ncols)
-        red = column_reduce(cols)
-        pivots = [cols[j] for j in red.pivot_cols]
-        for j, col in enumerate(cols):
-            expr = red.col_expr[j]
-            rebuilt = {}
-            for t, lam in expr.items():
-                for r, v in pivots[t].items():
-                    rebuilt[r] = rebuilt.get(r, Fraction(0)) + lam * v
-            rebuilt = {r: v for r, v in rebuilt.items() if v}
-            assert rebuilt == col
+        _assert_expansions_rebuild(cols, column_reduce(cols))
+
+
+def _assert_expansions_rebuild(cols, red):
+    """Each input column equals sum_t col_expr[j][t] * cols[pivot_cols[t]]."""
+    pivots = [cols[j] for j in red.pivot_cols]
+    for j, col in enumerate(cols):
+        expr = red.col_expr[j]
+        rebuilt = {}
+        for t, lam in expr.items():
+            for r, v in pivots[t].items():
+                rebuilt[r] = rebuilt.get(r, Fraction(0)) + lam * v
+        rebuilt = {r: v for r, v in rebuilt.items() if v}
+        assert rebuilt == col
 
 
 def test_pivot_columns_expand_to_units():
@@ -100,3 +104,65 @@ def test_charpoly_trailing_large_symmetric():
         rank, coeff = charpoly_trailing(mat, 4 ** n)
         assert rank == n - 1
         assert abs(coeff) == n * n
+
+
+def _entry_types(cols):
+    return {type(v) for col in cols for v in col.values()}
+
+
+def test_mixed_int_fraction_elimination_matches_oracles():
+    # entries in -2..2, so some pivots are +-2 and their columns divide
+    rng = make_rng(6)
+    saw_fraction = False
+    for trial in range(60):
+        nrows = rng.randint(1, 9)
+        cols = _random_matrix(rng, nrows, rng.randint(1, 9), density=0.4,
+                              span=2)
+        red = column_reduce(cols)
+        assert red.rank == np.linalg.matrix_rank(_dense(cols, nrows), tol=1e-9)
+        _assert_expansions_rebuild(cols, red)
+        types = _entry_types(red._cols) | _entry_types(red._expr)
+        assert types <= {int, Fraction}
+        saw_fraction |= Fraction in types
+    assert saw_fraction
+
+
+def test_unit_pivot_elimination_stays_in_ints():
+    # incidence matrices of graphs are totally unimodular: every pivot is +-1
+    rng = make_rng(7)
+    for trial in range(30):
+        n = rng.randint(2, 12)
+        cols = []
+        for _ in range(rng.randint(1, 2 * n)):
+            u, v = rng.sample(range(n), 2)
+            cols.append({u: Fraction(1), v: Fraction(-1)})
+        red = column_reduce(cols)
+        assert red.rank == np.linalg.matrix_rank(_dense(cols, n))
+        assert _entry_types(red._cols) == {int}
+        assert _entry_types(red._expr) <= {int}
+        assert _entry_types(red.col_expr.values()) == {int}
+
+
+def _charpoly_cases(rng):
+    for n in range(1, 9):
+        yield [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        # singular: a rank-one matrix
+        u = [rng.randint(-2, 2) for _ in range(n)]
+        yield [[a * b for b in reversed(u)] for a in u]
+        # upper triangular: every subdiagonal entry of the Hessenberg form is 0
+        yield [[rng.randint(-3, 3) if j >= i else 0 for j in range(n)]
+               for i in range(n)]
+        # a zero subdiagonal between two full blocks
+        k = n // 2
+        yield [[rng.randint(-3, 3) if (i < k) == (j < k) else 0
+                for j in range(n)] for i in range(n)]
+
+
+def test_charpoly_mod_matches_exact_residues():
+    rng = make_rng(8)
+    primes = (2, 3, 5, 7) + tuple(_primes(2))
+    for mat in _charpoly_cases(rng):
+        exact = charpoly_exact([[Fraction(x) for x in row] for row in mat])
+        for p in primes:
+            residues = _charpoly_mod(np.array(mat, dtype=np.int64), p)
+            assert residues.tolist() == [int(c) % p for c in exact]

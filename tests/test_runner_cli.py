@@ -207,11 +207,18 @@ def test_parallel_workers_capped(monkeypatch):
     import concurrent.futures
     import os
 
+    from l2mult import runner
+
     requested = []
+    contexts = []
 
     class InProcessPool:
-        def __init__(self, max_workers):
+        """One in-process worker: runs the initializer once, then maps."""
+
+        def __init__(self, max_workers, initializer=None, initargs=()):
             requested.append(max_workers)
+            if initializer is not None:
+                initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -222,11 +229,22 @@ def test_parallel_workers_capped(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
+    class CountingContext(runner.ExperimentContext):
+        def __init__(self, config):
+            contexts.append(config)
+            super().__init__(config)
+
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         InProcessPool)
+    monkeypatch.setattr(runner, "ExperimentContext", CountingContext)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     records, _ = run(dinf_config(), parallel=5000)       # 3 levels
     assert requested == [3] and len(records) == 3
+    # the parent's context plus one per worker, not one per level
+    assert len(contexts) < 4
+    serial, _ = run(dinf_config())
+    assert [r.to_json() | {"seconds": 0} for r in records] == \
+        [r.to_json() | {"seconds": 0} for r in serial]
     run(dinf_config(), levels=2, parallel=5000)
     assert requested == [3, 2]
     monkeypatch.setattr(os, "cpu_count", lambda: 2)

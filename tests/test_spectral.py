@@ -13,8 +13,8 @@ from l2mult import (FreeAbelianGroup, FreeGroup, GroupRingMatrix,
                     spectral_measure)
 from l2mult.finite_groups import hom_from_generator_images, induce_ordinary
 from l2mult.spectral import (NotAComplex, NotHermitian, SpectralMeasure,
-                             SpectralError, WordPermRep, coset_rep, euler_phi,
-                             operator_columns_exact)
+                             SpectralError, UnitaryRep, WordPermRep, coset_rep,
+                             euler_phi, operator_columns_exact)
 from l2mult.word_groups import FiniteAlgebraMatrix
 
 from conftest import make_rng
@@ -484,3 +484,16 @@ def test_pullback_dense_rep_measure_compatibility():
 def test_induced_rep_character_mismatch_guard():
     # sanity: euler_phi used for declared arithmetic degrees
     assert [euler_phi(n) for n in (1, 2, 6, 8, 12)] == [1, 1, 2, 4, 4]
+
+
+def test_unitary_rep_rejects_non_unitary_generator():
+    g = cyclic_group(4)
+    gen = g.generators[0]
+    rot = np.array([[0, -1], [1, 0]], dtype=complex)
+    assert UnitaryRep(g, {gen: rot}).dim == 2
+    # S rot S^-1 with S = [[1, 1], [0, 1]] also has order 4, so it defines a
+    # representation of C4; only the unitarity check rejects it
+    skew = np.array([[1, -2], [1, -1]], dtype=complex)
+    assert np.allclose(np.linalg.matrix_power(skew, 4), np.eye(2))
+    with pytest.raises(SpectralError, match="not unitary"):
+        UnitaryRep(g, {gen: skew})
