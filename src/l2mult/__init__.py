@@ -3,9 +3,9 @@ quotient complexes, with spectral measures, determinants and approximation
 experiments along chains of finite quotients."""
 
 from .finite_groups import (CharacterTable, FiniteGroup, FiniteSubgroup,
-                            GroupHom, OrdinaryCharacter, abelian_group,
-                            character_table, cyclic_group, dihedral_group,
-                            frobenius_check, from_generators,
+                            GroupHom, L2MultError, OrdinaryCharacter,
+                            abelian_group, character_table, cyclic_group,
+                            dihedral_group, frobenius_check, from_generators,
                             hom_from_generator_images, induce_ordinary,
                             multiplicity, restrict_ordinary,
                             semidirect_vector_group, symmetric_group,

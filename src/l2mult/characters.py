@@ -15,13 +15,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .finite_groups import (FiniteGroup, FiniteSubgroup, OrdinaryCharacter,
-                            induce_ordinary)
+from .finite_groups import (FiniteGroup, FiniteSubgroup, L2MultError,
+                            OrdinaryCharacter, induce_ordinary)
 from .word_groups import (BuiltinGroup, FreeGroup, FreeAbelianGroup,
                           InfiniteDihedralGroup, Word, FiniteIndexSubgroup)
 
 
-class CharacterError(Exception):
+class CharacterError(L2MultError):
     pass
 
 

@@ -15,14 +15,13 @@ import argparse
 import json
 import sys
 
-from .finite_groups import GroupError, character_table
+from .finite_groups import L2MultError, character_table
 from .runner import (ConfigInvalid, ExperimentConfig, ExperimentContext,
                      emit, farber_diagnostic, finite_group_from_spec,
                      rel_farber_diagnostic, run)
 from .spectral import fk_det, moments_check, regular_rep, spectral_measure
 from .word_groups import (FreeAbelianGroup, GroupRingMatrix,
-                          InfiniteDihedralGroup, QuotientMap, WordGroupError,
-                          push_matrix)
+                          InfiniteDihedralGroup, QuotientMap, push_matrix)
 
 
 def _cmd_table(args) -> int:
@@ -107,7 +106,7 @@ def _cmd_farber(args) -> int:
 
 def _cmd_run(args) -> int:
     config = _load_config(args.config)
-    records, report = run(config, levels=args.levels, parallel=args.parallel)
+    records, report = run(config, levels=args.levels)
     out_dir = args.out or config.out or "."
     fmt = args.format or config.format
     paths = emit(records, report, out_dir, fmt)
@@ -140,15 +139,13 @@ def main(argv=None) -> int:
     p_run.add_argument("--out", default=None)
     p_run.add_argument("--format", choices=["csv", "json", "both"], default=None)
     p_run.add_argument("--levels", type=int, default=None)
-    p_run.add_argument("--parallel", type=int, default=1)
 
     args = parser.parse_args(argv)
     handlers = {"table": _cmd_table, "spectral": _cmd_spectral,
                 "farber": _cmd_farber, "run": _cmd_run}
     try:
         return handlers[args.command](args)
-    except (ConfigInvalid, WordGroupError, GroupError, OSError,
-            json.JSONDecodeError) as exc:
+    except (L2MultError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,29 +18,25 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._linalg import (ColumnReduction, SparseCol, apply_columns,
+from ._linalg import (ColumnReduction, SparseCol, apply_columns, axpy,
                       column_reduce, int_entries)
 from .finite_groups import (CharacterTable, FiniteGroup, FiniteSubgroup,
-                            NotIntegral)
+                            L2MultError, NotIntegral)
 from .characters import (CrossCheckFailed, HNotNormalizing,
                          UnsupportedFamily, finite_word_subgroup)
-from .spectral import (MonomialRep, induced_rep, irreducible_rep,
-                       operator_columns_exact, phi_betti)
+from .spectral import (MonomialRep, NotAComplex, induced_rep,
+                       irreducible_rep, operator_columns_exact, phi_betti)
 from .word_groups import (BuiltinGroup, FiniteAlgebraMatrix,
                           FiniteIndexSubgroup, FreeAbelianGroup, FreeGroup,
                           FreeByFiniteGroup, GroupRingMatrix,
                           InfiniteDihedralGroup, Word, format_ring_sum)
 
 
-class ComplexError(Exception):
+class ComplexError(L2MultError):
     pass
 
 
 class NotFree(ComplexError):
-    pass
-
-
-class NotAComplex(ComplexError):
     pass
 
 
@@ -69,22 +65,15 @@ class OrbitCell:
 def _ring_mul(t1: dict[Word, Fraction], t2: dict[Word, Fraction]):
     out: dict[Word, Fraction] = {}
     for w1, c1 in t1.items():
-        for w2, c2 in t2.items():
-            w = w1 * w2
-            nv = out.get(w, Fraction(0)) + c1 * c2
-            if nv:
-                out[w] = nv
-            else:
-                out.pop(w, None)
+        # w -> w1 * w is injective, so each shifted copy of t2 is a plain dict
+        axpy(out, c1, {w1 * w2: c2 for w2, c2 in t2.items()})
     return out
 
 
 def _averaging(cell: OrbitCell) -> dict[Word, Fraction]:
+    # validate() has rejected duplicate stabilizer words before this runs
     n = len(cell.stabilizer)
-    out: dict[Word, Fraction] = {}
-    for w, s in zip(cell.stabilizer, cell.signs):
-        out[w] = out.get(w, Fraction(0)) + Fraction(s, n)
-    return out
+    return {w: Fraction(s, n) for w, s in zip(cell.stabilizer, cell.signs)}
 
 
 class EquivariantCWData:
@@ -148,78 +137,77 @@ def _free_cell(group: BuiltinGroup, label: str) -> OrbitCell:
     return OrbitCell((group.identity(),), (1,), label)
 
 
-def builtin_line_Z() -> EquivariantCWData:
+def builtin_line_Z(group: FreeAbelianGroup) -> EquivariantCWData:
     """The real line as a Z-complex: one free vertex, one free edge."""
-    g = FreeAbelianGroup(1)
-    a = g.generator(0)
-    boundary = GroupRingMatrix(g, 1, 1, {(0, 0): {g.identity(): Fraction(1),
-                                                  a: Fraction(-1)}})
-    return EquivariantCWData(g, {0: [_free_cell(g, "v")],
-                                 1: [_free_cell(g, "e")]}, {1: boundary})
+    ident, a = group.identity(), group.generator(0)
+    boundary = GroupRingMatrix(group, 1, 1, {(0, 0): {ident: Fraction(1),
+                                                      a: Fraction(-1)}})
+    return EquivariantCWData(group, {0: [_free_cell(group, "v")],
+                                     1: [_free_cell(group, "e")]},
+                             {1: boundary})
 
 
-def builtin_line_Dinf() -> EquivariantCWData:
+def builtin_line_Dinf(group: InfiniteDihedralGroup) -> EquivariantCWData:
     """The real line as a D_inf-complex: vertex orbits at the two reflection
     points, one free edge orbit."""
-    g = InfiniteDihedralGroup()
-    ident = g.identity()
-    s = g.word("b")
-    ts = g.word("ab")
+    ident = group.identity()
+    s = group.word("b")
+    ts = group.word("ab")
     cells0 = [OrbitCell((ident, s), (1, 1), "v0"),
               OrbitCell((ident, ts), (1, 1), "v1")]
-    boundary = GroupRingMatrix(g, 2, 1, {(0, 0): {ident: Fraction(-1)},
-                                         (1, 0): {ident: Fraction(1)}})
-    return EquivariantCWData(g, {0: cells0, 1: [_free_cell(g, "e")]},
+    boundary = GroupRingMatrix(group, 2, 1, {(0, 0): {ident: Fraction(-1)},
+                                             (1, 0): {ident: Fraction(1)}})
+    return EquivariantCWData(group, {0: cells0, 1: [_free_cell(group, "e")]},
                              {1: boundary})
 
 
-def builtin_rose_free(rank: int) -> EquivariantCWData:
+def builtin_rose_free(group: FreeGroup) -> EquivariantCWData:
     """Universal cover of the rose: the tree of the free group."""
-    g = FreeGroup(rank)
     entries = {}
-    for i in range(rank):
-        entries[(0, i)] = {g.identity(): Fraction(1),
-                           g.generator(i): Fraction(-1)}
-    boundary = GroupRingMatrix(g, 1, rank, entries)
-    cells1 = [_free_cell(g, f"e_{chr(97 + i)}") for i in range(rank)]
-    return EquivariantCWData(g, {0: [_free_cell(g, "v")], 1: cells1},
+    for i in range(group.rank):
+        entries[(0, i)] = {group.identity(): Fraction(1),
+                           group.generator(i): Fraction(-1)}
+    boundary = GroupRingMatrix(group, 1, group.rank, entries)
+    cells1 = [_free_cell(group, f"e_{chr(97 + i)}")
+              for i in range(group.rank)]
+    return EquivariantCWData(group, {0: [_free_cell(group, "v")], 1: cells1},
                              {1: boundary})
 
 
-def builtin_tree_free_by_finite(rank: int, h_group: FiniteGroup,
-                                action: dict) -> EquivariantCWData:
+def builtin_tree_free_by_finite(group: FreeByFiniteGroup) -> EquivariantCWData:
     """The free-group tree as a complex over F_rank : H.
 
     Requires a monomial-diagonal action (every h sends each generator to
     itself or its inverse); edge orbits pick up order-2 stabilizers with the
     flip acting by -1.
     """
-    g = FreeByFiniteGroup(rank, h_group, action)
-    ident = g.identity()
-    h_words = [Word(g, ((), h)) for h in range(h_group.order)]
-    vertex = OrbitCell(tuple(h_words), tuple([1] * h_group.order), "v")
+    ident = group.identity()
+    order = group.h_group.order
+    h_words = [Word(group, ((), h)) for h in range(order)]
+    vertex = OrbitCell(tuple(h_words), tuple([1] * order), "v")
     cells1 = []
     entries = {}
-    for i in range(rank):
+    for i in range(group.rank):
         gen_free = ((i, 1),)
         stab = [ident]
         signs = [1]
-        for h in range(1, h_group.order):
-            img = g.apply_aut(h, gen_free)
+        for h in range(1, order):
+            img = group.apply_aut(h, gen_free)
             if img == gen_free:
-                stab.append(Word(g, ((), h)))
+                stab.append(Word(group, ((), h)))
                 signs.append(1)
             elif img == ((i, -1),):
-                stab.append(Word(g, (((i, -1),), h)))
+                stab.append(Word(group, (((i, -1),), h)))
                 signs.append(-1)
             else:
                 raise UnsupportedFamily(
                     "tree complex needs a monomial-diagonal action on the "
                     "free generators")
         cells1.append(OrbitCell(tuple(stab), tuple(signs), f"e_{chr(97 + i)}"))
-        entries[(0, i)] = {ident: Fraction(1), g.generator(i): Fraction(-1)}
-    boundary = GroupRingMatrix(g, 1, rank, entries)
-    return EquivariantCWData(g, {0: [vertex], 1: cells1}, {1: boundary})
+        entries[(0, i)] = {ident: Fraction(1),
+                           group.generator(i): Fraction(-1)}
+    boundary = GroupRingMatrix(group, 1, group.rank, entries)
+    return EquivariantCWData(group, {0: [vertex], 1: cells1}, {1: boundary})
 
 
 def cw_from_json(group: BuiltinGroup, data: dict) -> EquivariantCWData:

@@ -13,7 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class GroupError(Exception):
+class L2MultError(Exception):
+    """Root of the package's errors: bad input and failed checks."""
+
+
+class GroupError(L2MultError):
     pass
 
 

@@ -9,30 +9,28 @@ limits, and attaches Farber / relative-Farber diagnostics.  Levels that fail
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .finite_groups import (FiniteGroup, FiniteSubgroup, abelian_group,
-                            character_table, cyclic_group, dihedral_group,
-                            hom_from_generator_images,
+from .finite_groups import (FiniteGroup, FiniteSubgroup, L2MultError,
+                            abelian_group, character_table, cyclic_group,
+                            dihedral_group, hom_from_generator_images,
                             semidirect_vector_group)
-from .characters import (ind_finite, UnsupportedFamily, builtin_conjugate,
-                         builtin_centralizer_index, finite_word_subgroup)
-from .complexes import (EquivariantCWData, NotFree, ComplexError,
-                        builtin_line_Dinf, builtin_line_Z, builtin_rose_free,
+from .characters import (HNotNormalizing, UnsupportedFamily, ind_finite,
+                         builtin_conjugate, builtin_centralizer_index,
+                         finite_word_subgroup)
+from .complexes import (EquivariantCWData, ComplexError, builtin_line_Dinf,
+                        builtin_line_Z, builtin_rose_free,
                         builtin_tree_free_by_finite, cw_from_json,
                         quotient_complex)
 from .word_groups import (BuiltinGroup, FiniteIndexSubgroup, FreeAbelianGroup,
                           FreeGroup, FreeByFiniteGroup, InfiniteDihedralGroup,
                           QuotientChain, QuotientMap, Word, WordGroupError,
                           intersection_heuristic, validate_chain)
-from .finite_groups import NotIntegral
-from .characters import HNotNormalizing
 
 
-class ConfigInvalid(Exception):
+class ConfigInvalid(L2MultError):
     pass
 
 
@@ -145,44 +143,20 @@ def build_complex(spec, group: BuiltinGroup) -> EquivariantCWData:
     if spec == "line_z":
         if not isinstance(group, FreeAbelianGroup):
             raise ConfigInvalid("line_z needs the free abelian group")
-        return builtin_line_Z()
+        return builtin_line_Z(group)
     if spec == "line_dinf":
         if not isinstance(group, InfiniteDihedralGroup):
             raise ConfigInvalid("line_dinf needs the infinite dihedral group")
-        return builtin_line_Dinf()
+        return builtin_line_Dinf(group)
     if spec == "rose":
         if not isinstance(group, FreeGroup):
             raise ConfigInvalid("rose needs a free group")
-        return builtin_rose_free(group.rank)
+        return builtin_rose_free(group)
     if spec == "tree_semidirect":
         if not isinstance(group, FreeByFiniteGroup):
             raise ConfigInvalid("tree_semidirect needs a free-by-finite group")
-        action = {g: [str(Word(group.free, img)) for img in group._aut[g]]
-                  for g in group.h_group.generators}
-        return builtin_tree_free_by_finite(group.rank, group.h_group, action)
+        return builtin_tree_free_by_finite(group)
     raise ConfigInvalid(f"unknown complex spec {spec!r}")
-
-
-def _build_complex_on(group, spec):
-    cw = build_complex(spec, group)
-    if cw.group is group:
-        return cw
-    # builders create their own group instance; rebuild words on ours
-    return _rebase_cw(cw, group)
-
-
-def _rebase_cw(cw: EquivariantCWData, group: BuiltinGroup) -> EquivariantCWData:
-    from .complexes import OrbitCell
-    from .word_groups import GroupRingMatrix
-    cells = {p: [OrbitCell(tuple(group.word(str(w)) for w in c.stabilizer),
-                           c.signs, c.label) for c in lst]
-             for p, lst in cw.cells.items()}
-    boundaries = {}
-    for p, mat in cw.boundaries.items():
-        entries = {key: {group.word(str(w)): c for w, c in terms.items()}
-                   for key, terms in mat.entries.items()}
-        boundaries[p] = GroupRingMatrix(group, mat.rows, mat.cols, entries)
-    return EquivariantCWData(group, cells, boundaries)
 
 
 def build_chain(spec: dict, group: BuiltinGroup) -> QuotientChain:
@@ -455,7 +429,7 @@ class ExperimentContext:
         self.config = config
         try:
             self.group = build_group(config.group)
-            self.cw = _build_complex_on(self.group, config.complex)
+            self.cw = build_complex(config.complex, self.group)
             self.chain = build_chain(config.chain, self.group)
         except (WordGroupError, ComplexError) as exc:
             raise ConfigInvalid(str(exc)) from exc
@@ -511,49 +485,20 @@ class ExperimentContext:
                     record.normalized[(p, c)] = Fraction(m, record.norm_index)
                 for h in range(self.h_abs.order):
                     record.traces[(p, h)] = report.traces[(p, h)]
-        except (NotFree, HNotNormalizing, ComplexError, NotIntegral) as exc:
+        except L2MultError as exc:
             record.error = f"{type(exc).__name__}: {exc}"
         record.seconds = time.perf_counter() - start
         return record
 
 
-def run(config: ExperimentConfig, levels: int | None = None,
-        parallel: int = 1):
+def run(config: ExperimentConfig, levels: int | None = None):
     """Execute an experiment; returns (records, report_dict)."""
     ctx = ExperimentContext(config)
     n_levels = len(ctx.chain.levels)
     if levels is not None:
         n_levels = min(n_levels, levels)
-    indices = list(range(n_levels))
-    # the pool starts all its workers at once: more than one per level or
-    # per CPU only costs processes
-    workers = min(parallel, len(indices), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        payload = json.dumps(config.to_json())
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=_init_worker,
-                                 initargs=(payload,)) as pool:
-            raw = list(pool.map(_level_worker, indices))
-        records = [LevelRecord.from_json(r) for r in raw]
-    else:
-        records = [ctx.run_level(n) for n in indices]
-    report = assemble_report(ctx, records)
-    return records, report
-
-
-# the context of a pool worker, built once by _init_worker for all its levels
-_worker_ctx: ExperimentContext | None = None
-
-
-def _init_worker(payload: str):
-    global _worker_ctx
-    _worker_ctx = ExperimentContext(
-        ExperimentConfig.from_json(json.loads(payload)))
-
-
-def _level_worker(n: int):
-    return _worker_ctx.run_level(n).to_json()
+    records = [ctx.run_level(n) for n in range(n_levels)]
+    return records, assemble_report(ctx, records)
 
 
 def assemble_report(ctx: ExperimentContext, records: list[LevelRecord]) -> dict:

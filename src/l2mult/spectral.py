@@ -23,12 +23,12 @@ import numpy as np
 from ._linalg import (SparseCol, apply_columns, axpy, charpoly_trailing,
                       column_reduce, sparse_rank)
 from .finite_groups import (FiniteGroup, FiniteSubgroup, GroupHom,
-                            OrdinaryCharacter, induce_ordinary)
+                            L2MultError, OrdinaryCharacter, induce_ordinary)
 from .word_groups import (FiniteAlgebraMatrix, FreeAbelianGroup, FreeGroup,
                           GroupRingMatrix, Word)
 
 
-class SpectralError(Exception):
+class SpectralError(L2MultError):
     pass
 
 

@@ -17,10 +17,10 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .finite_groups import FiniteGroup, FiniteSubgroup
+from .finite_groups import FiniteGroup, FiniteSubgroup, L2MultError
 
 
-class WordGroupError(Exception):
+class WordGroupError(L2MultError):
     pass
 
 

@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from l2mult import (FiniteIndexSubgroup, QuotientMap, abelian_group,
-                    builtin_line_Dinf, builtin_line_Z, builtin_rose_free,
+from l2mult import (FiniteIndexSubgroup, FreeAbelianGroup, FreeByFiniteGroup,
+                    FreeGroup, InfiniteDihedralGroup, QuotientMap,
+                    abelian_group, builtin_line_Dinf, builtin_line_Z,
+                    builtin_rose_free,
                     builtin_tree_free_by_finite, character_table,
                     cyclic_group, dihedral_group, frobenius_check,
                     from_generators, irreducible_rep, moments_check,
@@ -145,7 +147,7 @@ def suite_pullback_measures(cases=200) -> int:
 
 
 def _dinf_quotient(m, reflection="b"):
-    cw = builtin_line_Dinf()
+    cw = builtin_line_Dinf(InfiniteDihedralGroup())
     d = cw.group
     target = dihedral_group(m)
     q = QuotientMap(d, target,
@@ -157,7 +159,8 @@ def _dinf_quotient(m, reflection="b"):
 
 def _tree_quotient(n):
     c2 = cyclic_group(2)
-    cw = builtin_tree_free_by_finite(2, c2, {1: ["a'", "b'"]})
+    cw = builtin_tree_free_by_finite(
+        FreeByFiniteGroup(2, c2, {1: ["a'", "b'"]}))
     g = cw.group
     mod = 2 ** n
     target = semidirect_vector_group([mod] * 2, c2, {1: [[-1, 0], [0, -1]]})
@@ -250,7 +253,7 @@ def suite_orbifold_euler(cases=200) -> int:
         builders.append(("tree", n))
     for kind, param in builders:
         if kind == "line_z":
-            cw = builtin_line_Z()
+            cw = builtin_line_Z(FreeAbelianGroup(1))
             target = cyclic_group(param)
             level = FiniteIndexSubgroup(
                 QuotientMap(cw.group, target, [1 % param]),
@@ -258,9 +261,9 @@ def suite_orbifold_euler(cases=200) -> int:
             qc = quotient_complex(cw, level)
         elif kind == "line_dinf":
             qc = _dinf_quotient(param)
-            cw = builtin_line_Dinf()
+            cw = builtin_line_Dinf(InfiniteDihedralGroup())
         elif kind == "rose":
-            cw = builtin_rose_free(2)
+            cw = builtin_rose_free(FreeGroup(2))
             target = abelian_group(list(param))
             units = [target.index_of((1 % param[0], 0)),
                      target.index_of((0, 1 % param[1]))]
@@ -270,7 +273,8 @@ def suite_orbifold_euler(cases=200) -> int:
         else:
             qc = _tree_quotient(param)
             c2 = cyclic_group(2)
-            cw = builtin_tree_free_by_finite(2, c2, {1: ["a'", "b'"]})
+            cw = builtin_tree_free_by_finite(
+                FreeByFiniteGroup(2, c2, {1: ["a'", "b'"]}))
         lhs = sum((-1) ** p * qc.n_cells[p] for p in qc.dims())
         rhs = Fraction(0)
         for p in cw.dims():

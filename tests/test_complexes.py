@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from l2mult import (EquivariantCWData, FiniteIndexSubgroup, FreeAbelianGroup,
-                    GroupRingMatrix, InfiniteDihedralGroup, OrbitCell,
+                    FreeByFiniteGroup, FreeGroup, GroupRingMatrix,
+                    InfiniteDihedralGroup, OrbitCell,
                     QuotientMap, abelian_group, builtin_line_Dinf,
                     builtin_line_Z, builtin_rose_free,
                     builtin_tree_free_by_finite, character_table,
@@ -11,21 +12,22 @@ from l2mult import (EquivariantCWData, FiniteIndexSubgroup, FreeAbelianGroup,
                     export_boundaries_csv, finite_group_crosscheck,
                     from_generators, quotient_complex)
 from l2mult.characters import UnsupportedFamily
-from l2mult.complexes import ComplexError, NotFree
+from l2mult.complexes import ComplexError, FiniteChainComplex, NotFree
+from l2mult.spectral import NotAComplex
 from l2mult.word_groups import FiniteAlgebraMatrix
 
 S3_GENS = [(1, 0, 2), (0, 2, 1)]
 
 
 def line_z_level(n):
-    cw = builtin_line_Z()
+    cw = builtin_line_Z(FreeAbelianGroup(1))
     target = cyclic_group(n)
     q = QuotientMap(cw.group, target, [1 % n])
     return cw, FiniteIndexSubgroup(q, target.subgroup([0]))
 
 
 def dinf_level(m, reflection=False):
-    cw = builtin_line_Dinf()
+    cw = builtin_line_Dinf(InfiniteDihedralGroup())
     target = dihedral_group(m)
     q = QuotientMap(cw.group, target,
                     [target.index_of((1 % m, 0)), target.index_of((0, 1))])
@@ -58,7 +60,7 @@ def test_line_dinf_reflection_fiber_not_free():
 
 
 def test_rose_quotient_euler_characteristic():
-    cw = builtin_rose_free(2)
+    cw = builtin_rose_free(FreeGroup(2))
     for moduli in ((2, 2), (4, 2), (4, 4)):
         target = abelian_group(moduli)
         units = []
@@ -127,7 +129,8 @@ def test_orbifold_euler_characteristic():
 
 def test_tree_free_by_finite_quotients():
     c2 = cyclic_group(2)
-    cw = builtin_tree_free_by_finite(2, c2, {1: ["a'", "b'"]})
+    cw = builtin_tree_free_by_finite(
+        FreeByFiniteGroup(2, c2, {1: ["a'", "b'"]}))
     g = cw.group
     from l2mult import semidirect_vector_group
     for n in (1, 2):
@@ -156,8 +159,9 @@ def test_tree_rejects_non_monomial_action():
     s3 = from_generators(S3_GENS)
     # an order-2 automorphism of F_2 swapping the generators is monomial but
     # not diagonal; the built-in tree requires the diagonal form
-    with pytest.raises((UnsupportedFamily, Exception)):
-        builtin_tree_free_by_finite(2, cyclic_group(2), {1: ["b", "a"]})
+    group = FreeByFiniteGroup(2, cyclic_group(2), {1: ["b", "a"]})
+    with pytest.raises(UnsupportedFamily):
+        builtin_tree_free_by_finite(group)
 
 
 def test_invariance_check_rejects_bad_boundary():
@@ -213,7 +217,7 @@ def test_user_supplied_torus_complex():
 
 
 def test_cw_json_round_trip():
-    cw = builtin_line_Dinf()
+    cw = builtin_line_Dinf(InfiniteDihedralGroup())
     data = cw_to_json(cw)
     again = cw_from_json(cw.group, data)
     assert cw_to_json(again) == data
@@ -235,7 +239,6 @@ def test_action_commutes_validation():
     cw, level = dinf_level(4)
     d = cw.group
     qc = quotient_complex(cw, level, h_words=[d.identity(), d.word("b")])
-    from l2mult.complexes import FiniteChainComplex
     actions = dict(qc.actions)
     perm, signs = actions[(1, 1)]
     bad_signs = signs.copy()
@@ -243,6 +246,13 @@ def test_action_commutes_validation():
     actions[(1, 1)] = (perm, bad_signs)
     with pytest.raises(ComplexError):
         FiniteChainComplex(qc.n_cells, qc.boundaries, qc.sym_group, actions)
+
+
+def test_chain_complex_rejects_nonzero_dd():
+    # d_1 = d_2 = [1] on one cell per degree: d_1 . d_2 = [1] != 0
+    with pytest.raises(NotAComplex):
+        FiniteChainComplex({0: 1, 1: 1, 2: 1},
+                           {1: (1, [{0: 1}]), 2: (1, [{0: 1}])})
 
 
 def _free_complex(group, columns):

@@ -188,70 +188,9 @@ def test_run_partial_failure_records_errors():
     assert all("NotFree" in r.error for r in records)
 
 
-def test_run_levels_cap_and_parallel():
+def test_run_levels_cap():
     records, _ = run(dinf_config(), levels=2)
     assert len(records) == 2
-    records_par, report_par = run(dinf_config(), parallel=2)
-    records_seq, report_seq = run(dinf_config())
-
-    def strip_timing(rec):
-        data = rec.to_json()
-        data.pop("seconds")
-        return data
-
-    assert [strip_timing(r) for r in records_par] == \
-        [strip_timing(r) for r in records_seq]
-
-
-def test_parallel_workers_capped(monkeypatch):
-    import concurrent.futures
-    import os
-
-    from l2mult import runner
-
-    requested = []
-    contexts = []
-
-    class InProcessPool:
-        """One in-process worker: runs the initializer once, then maps."""
-
-        def __init__(self, max_workers, initializer=None, initargs=()):
-            requested.append(max_workers)
-            if initializer is not None:
-                initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    class CountingContext(runner.ExperimentContext):
-        def __init__(self, config):
-            contexts.append(config)
-            super().__init__(config)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        InProcessPool)
-    monkeypatch.setattr(runner, "ExperimentContext", CountingContext)
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    records, _ = run(dinf_config(), parallel=5000)       # 3 levels
-    assert requested == [3] and len(records) == 3
-    # the parent's context plus one per worker, not one per level
-    assert len(contexts) < 4
-    serial, _ = run(dinf_config())
-    assert [r.to_json() | {"seconds": 0} for r in records] == \
-        [r.to_json() | {"seconds": 0} for r in serial]
-    run(dinf_config(), levels=2, parallel=5000)
-    assert requested == [3, 2]
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    run(dinf_config(), parallel=5000)
-    assert requested == [3, 2, 2]
-    run(dinf_config(), levels=1, parallel=5000)          # one level: no pool
-    assert requested == [3, 2, 2]
 
 
 def test_level_record_json_round_trip():
@@ -309,3 +248,24 @@ def test_cli_commands(tmp_path, capsys):
     fail_path.write_text(json.dumps(failing.to_json()))
     assert cli_main(["run", str(fail_path), "--out",
                      str(tmp_path / "out2")]) == 2
+
+
+def test_cli_run_bad_configs_print_errors(tmp_path, capsys):
+    # failures past config parsing: the H closure and the tree builder
+    bad_configs = {
+        "h_closure": dinf_config(h_words=["a"]).to_json(),
+        "tree_action": {
+            "group": {"family": "free_by_finite", "rank": 2,
+                      "h": "cyclic:2", "action": {"0": ["b", "a"]}},
+            "complex": "tree_semidirect",
+            "chain": {"template": "semidirect_mod", "base": 2, "depth": 2},
+        },
+    }
+    for name, data in bad_configs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        assert cli_main(["run", str(path), "--out",
+                         str(tmp_path / name)]) == 1, name
+        err = capsys.readouterr().err
+        assert err.startswith("error:"), name
+        assert "Traceback" not in err, name
