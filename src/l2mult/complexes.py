@@ -1,18 +1,25 @@
 """Equivariant CW chain data over the built-in groups, finite quotient
 complexes with residual symmetry, exact homology, traces and multiplicities.
 
-A quotient complex stores exact rational boundary columns; homology traces
-are computed without kernel bases through
+A quotient complex stores exact rational boundary columns, and its symmetry
+group H permutes cells up to sign.  Multiplicities are dimensions of rational
+isotypic blocks.  For a Galois orbit [chi] of irreducibles of H, the integer
+weights t = sum of chi' over [chi] give E = sum_h t(h^-1) h, a nonzero
+multiple of the central idempotent e_[chi], and
 
-    Tr(h | H_p) = Tr(h | C_p) - Tr(h | im d_p) - Tr(h | im d_{p+1}),
+    dim e_[chi] H_p = dim e_[chi] C_p - rank(d_p on e_[chi] C_p)
+                      - rank(d_{p+1} on e_[chi] C_{p+1}).
 
-where the trace on an image is read off from the column expansion recorded
-during elimination (the symmetry permutes boundary columns up to sign).
-A floating Hodge-projector route is kept alongside as an independent oracle.
+Each block is spanned orbit by orbit by the columns E c; a block rank is the
+exact elimination of d applied to that basis, restricted to the pivot rows of
+the target block, onto which the block projects injectively.  Every chi in
+[chi] occurs dim e_[chi] H_p / (chi(1) |[chi]|) times, and the traces are
+Tr(h | H_p) = sum_chi m_chi chi(h).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,7 +28,8 @@ import numpy as np
 from ._linalg import (ColumnReduction, SparseCol, apply_columns, axpy,
                       column_reduce, int_entries)
 from .finite_groups import (CharacterTable, FiniteGroup, FiniteSubgroup,
-                            L2MultError, NotIntegral)
+                            L2MultError, NotIntegral, NumericalDegeneracy,
+                            character_table)
 from .characters import (CrossCheckFailed, HNotNormalizing,
                          UnsupportedFamily, finite_word_subgroup)
 from .spectral import (MonomialRep, NotAComplex, induced_rep,
@@ -251,6 +259,99 @@ class HomologyReport:
     traces: dict[tuple[int, int], Fraction]
 
 
+def galois_orbits(table: CharacterTable) -> list[tuple[list[int], list[int]]]:
+    """Galois orbits of the irreducibles, each as (member indices, integer
+    weights per conjugacy class): t = sum of chi' over the orbit.
+
+    The conjugates of chi are h -> chi(h^k) for k prime to |H|.
+    """
+    group, classes = table.group, table.classes
+    n = group.order
+    powers = []
+    for rep in classes.representatives:
+        row, x = [0], 0
+        for _ in range(1, n):
+            x = group.mul(x, rep)
+            row.append(x)
+        powers.append(row)
+    # conj[k][c] = class of rep_c^k
+    conj = np.array([[classes.class_of[row[k % n]] for row in powers]
+                     for k in range(1, n + 1) if math.gcd(k, n) == 1])
+    vals = np.array([ch.values for ch in table.irreducibles])
+    out, seen = [], set()
+    for i in range(len(vals)):
+        if i in seen:
+            continue
+        dist = np.abs(vals[:, None, :] - vals[i][conj][None]).max(axis=2)
+        members = sorted(set(dist.argmin(axis=0).tolist()))
+        if dist.min(axis=0).max() > 1e-6:
+            raise NumericalDegeneracy(f"a conjugate of irreducible {i} is "
+                                      f"missing from the table")
+        seen.update(members)
+        total = vals[members].sum(axis=0)
+        weights = np.rint(total.real)
+        if np.max(np.abs(total - weights)) > 1e-6:
+            raise NotIntegral(f"orbit weights {total} of irreducible {i} are "
+                              f"not integers")
+        out.append((members, [int(w) for w in weights]))
+    return out
+
+
+def _isotypic_basis(perms: np.ndarray, signs: np.ndarray, t: list[int],
+                    degree: int) -> tuple[list[SparseCol], dict[int, int]]:
+    """Basis of E C for E = sum_h t(h) h = sum_h t(h^-1) h (t is rational),
+    where h e_c = signs[h, c] e_{perms[h, c]} and chi(1) = ``degree``, and
+    a scale for each of its pivot rows.
+
+    Orbit by orbit, columns E e_c (c in the H-orbit O) enter one elimination
+    until they span E span(O), of dimension chi(1)/|H| sum_h t(h) Tr(h|O).
+    Orbits have disjoint supports, so the projection onto the pivot rows is
+    injective on E C.  The columns of an orbit are signed permutations of
+    each other, so integral vectors of E C are divisible at a pivot row by
+    their content: that is the row's scale.
+    """
+    n = perms.shape[1]
+    lead = perms.min(axis=0)    # the orbit of c, by its least cell
+    fixed = np.where(perms == np.arange(n), signs, 0)
+    traces = np.bincount(lead, weights=np.array(t) @ fixed, minlength=n)
+    need, rest = np.divmod(degree * np.rint(traces).astype(np.int64), len(t))
+    if rest.any():
+        raise NotIntegral("isotypic block of an orbit has no integral "
+                          "dimension")
+    need, lead_of = need.tolist(), lead.tolist()
+    cell_perms, cell_signs = perms.T.tolist(), signs.T.tolist()
+    red = ColumnReduction()
+    basis: list[SparseCol] = []
+    scale: dict[int, int] = {}
+    for c in np.argsort(lead, kind="stable").tolist():
+        o = lead_of[c]
+        if not need[o]:
+            continue
+        col: SparseCol = {}
+        for w, r, sign in zip(t, cell_perms[c], cell_signs[c]):
+            if w:
+                axpy(col, w * sign, {r: 1})
+        if red.add_column(c, col):
+            need[o] -= 1
+            basis.append(col)
+            scale[red.pivot_rows[-1]] = math.gcd(*col.values())
+    if any(need):
+        raise ComplexError("the symmetry does not act as a group")
+    return basis, scale
+
+
+def _block_elim(cols: list[SparseCol], basis: list[SparseCol],
+                row_scale: dict[int, int]) -> ColumnReduction:
+    """Elimination of d on one block: d of the block's basis, restricted to
+    the target block's pivot rows and divided by their scales.  A vertex u
+    fixed by an involution has E u = 2u in the trivial block; without the
+    division its row would give pivots of 2 and Fractions."""
+    return column_reduce(
+        [{r: v if row_scale[r] == 1 else Fraction(v, row_scale[r])
+          for r, v in col.items() if r in row_scale}
+         for col in apply_columns(cols, basis)])
+
+
 class FiniteChainComplex:
     """Rational chain complex with a signed permutation action of a finite
     symmetry group; boundaries are stored as exact sparse columns."""
@@ -265,6 +366,8 @@ class FiniteChainComplex:
         self.sym_group = sym_group
         self.actions = actions or {}
         self._elims: dict[int, ColumnReduction | None] = {}
+        # (degree, Galois orbit) -> elimination of the last multiplicities()
+        self._block_elims: dict[tuple[int, int], ColumnReduction] = {}
         self._validate()
 
     def dims(self):
@@ -321,18 +424,6 @@ class FiniteChainComplex:
     def betti_numbers(self) -> dict[int, int]:
         return {p: self.betti(p) for p in self.dims()}
 
-    def _image_trace(self, h: int, p: int) -> Fraction:
-        """Trace of the symmetry on im(d_p), from the recorded expansions."""
-        elim = self._elim(p)
-        if elim is None or elim.rank == 0:
-            return Fraction(0)
-        perm, signs = self.actions[(h, p)]
-        total = Fraction(0)
-        for t, j in enumerate(elim.pivot_cols):
-            expr = elim.col_expr.get(int(perm[j]), {})
-            total += int(signs[j]) * expr.get(t, Fraction(0))
-        return total
-
     def cell_trace(self, h: int, p: int) -> Fraction:
         perm, signs = self.actions[(h, p)]
         fixed = perm == np.arange(self.n_cells[p])
@@ -341,71 +432,56 @@ class FiniteChainComplex:
     def action_trace(self, h: int, p: int) -> Fraction:
         if self.sym_group is None:
             raise ComplexError("complex carries no symmetry action")
-        if h == 0:
-            return Fraction(self.betti(p))
-        return (self.cell_trace(h, p) - self._image_trace(h, p)
-                - self._image_trace(h, p + 1))
+        table = character_table(self.sym_group)
+        return self.multiplicities(table).traces[(p, h)]
 
-    def multiplicities(self, table: CharacterTable,
-                       tol: float = 1e-6) -> HomologyReport:
+    def multiplicities(self, table: CharacterTable) -> HomologyReport:
+        """Betti numbers, multiplicities of the irreducibles of ``table`` and
+        traces of the symmetry on homology, from the isotypic block ranks."""
         if self.sym_group is None or table.group is not self.sym_group:
             raise ComplexError("character table of a different group")
-        classes = table.classes
-        betti = self.betti_numbers()
-        traces = {(p, h): self.action_trace(h, p)
-                  for p in self.dims() for h in range(self.sym_group.order)}
-        mult = {}
         order = self.sym_group.order
-        for p in self.dims():
-            for chi_idx, chi in enumerate(table.irreducibles):
-                total = 0j
-                for h in range(order):
-                    total += np.conj(chi.values[classes.class_of[h]]) * \
-                        float(traces[(p, h)])
-                total /= order
-                m = int(round(total.real))
-                if abs(total - m) > tol:
+        class_of = table.classes.class_of
+        dims = self.dims()
+        orbits = galois_orbits(table)
+        # h e_c = signs[q][h, c] e_{perms[q][h, c]}
+        perms = {q: np.array([self.actions[(h, q)][0] for h in range(order)])
+                 for q in dims}
+        signs = {q: np.array([self.actions[(h, q)][1] for h in range(order)])
+                 for q in dims}
+        self._block_elims = {}
+        block_dim = dict.fromkeys(dims, 0)
+        betti = dict.fromkeys(dims, 0)
+        mult, trace = {}, {(p, h): 0 for p in dims for h in range(order)}
+        for o, (members, weights) in enumerate(orbits):
+            t = [weights[class_of[h]] for h in range(order)]
+            degree = table.irreducibles[members[0]].degree
+            blocks = {q: _isotypic_basis(perms[q], signs[q], t, degree)
+                      for q in dims}
+            rank = {}
+            for q, (_, cols) in self.boundaries.items():
+                elim = _block_elim(cols, blocks[q][0], blocks[q - 1][1])
+                self._block_elims[(q, o)] = elim
+                rank[q] = elim.rank
+            for p in dims:
+                block_dim[p] += len(blocks[p][0])
+                dim_h = (len(blocks[p][0]) - rank.get(p, 0)
+                         - rank.get(p + 1, 0))
+                size = degree * len(members)
+                m, rest = divmod(dim_h, size)
+                if rest:
                     raise NotIntegral(
-                        f"multiplicity {total} of irreducible {chi_idx} in "
-                        f"H_{p} is not integral")
-                mult[(p, chi_idx)] = m
-            total_dim = sum(table.irreducibles[i].degree * mult[(p, i)]
-                            for i in range(len(table.irreducibles)))
-            if total_dim != betti[p]:
+                        f"multiplicity {Fraction(dim_h, size)} of irreducible "
+                        f"{members[0]} in H_{p} is not integral")
+                betti[p] += dim_h
+                mult.update(((p, i), m) for i in members)
+                for h in range(order):
+                    trace[(p, h)] += m * t[h]
+        for p in dims:
+            if block_dim[p] != self.n_cells[p]:
                 raise ComplexError(f"sum rule fails in degree {p}")
-        return HomologyReport(betti, mult, traces)
-
-    # numeric oracle ------------------------------------------------------
-
-    def _dense_boundary(self, p: int) -> np.ndarray | None:
-        bnd = self.boundaries.get(p)
-        if bnd is None:
-            return None
-        nrows, cols = bnd
-        out = np.zeros((nrows, len(cols)))
-        for j, col in enumerate(cols):
-            for r, v in col.items():
-                out[r, j] = float(v)
-        return out
-
-    def hodge_trace(self, h: int, p: int) -> float:
-        """Floating trace of the symmetry on harmonic p-chains; independent
-        of the exact elimination route."""
-        n = self.n_cells[p]
-        proj = np.eye(n)
-        for q, sign in ((p, 0), (p + 1, 1)):
-            mat = self._dense_boundary(q)
-            if mat is None:
-                continue
-            m = mat if sign else mat.T
-            # projection onto the image of m
-            u, s, _ = np.linalg.svd(m, full_matrices=False)
-            cols = u[:, s > 1e-9 * max(1.0, s[0] if len(s) else 1.0)]
-            proj -= cols @ cols.T
-        perm, signs = self.actions[(h, p)]
-        act = np.zeros((n, n))
-        act[perm, np.arange(n)] = signs
-        return float(np.trace(act @ proj))
+        return HomologyReport(betti, dict(sorted(mult.items())),
+                              {k: Fraction(v) for k, v in trace.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -428,13 +504,6 @@ class QuotientComplex(FiniteChainComplex):
         self.orbits = orbits
         self.h_images = h_images
         super().__init__(sym_group=h_group, **kw)
-
-    def cell_labels(self, p: int) -> list[str]:
-        out = []
-        for orbit in self.orbits[p]:
-            for rep in orbit.cell_reps:
-                out.append(f"{orbit.label}@{rep}")
-        return out
 
 
 def quotient_complex(cw: EquivariantCWData, gamma: FiniteIndexSubgroup,
@@ -612,7 +681,7 @@ def materialize_regular(group: FiniteGroup,
     cols = {}
     for p, mat in boundaries.items():
         nrows, columns = operator_columns_exact(mat, rho)
-        cols[p] = (nrows, columns)
+        cols[p] = (nrows, [int_entries(col) for col in columns])
     h_abs, to_local = h_sub.abstract_group()
     order = group.order
     actions = {}

@@ -87,27 +87,6 @@ class FiniteGroup:
         """g x g^-1."""
         return self.mul(self.mul(g, x), self.inv(g))
 
-    def is_abelian(self) -> bool:
-        gens = self.generators
-        return all(self.mul(a, b) == self.mul(b, a)
-                   for a in gens for b in gens)
-
-    def check_axioms(self):
-        """Exhaustive associativity/identity scan; intended for small orders."""
-        n = self.order
-        for i in range(n):
-            if self.mul(0, i) != i or self.mul(i, 0) != i:
-                raise GroupError("identity axiom fails")
-            j = self.inv(i)
-            if self.mul(i, j) != 0 or self.mul(j, i) != 0:
-                raise GroupError("inverse axiom fails")
-        for a in range(n):
-            for b in range(n):
-                ab = self.mul(a, b)
-                for c in range(n):
-                    if self.mul(ab, c) != self.mul(a, self.mul(b, c)):
-                        raise GroupError("associativity fails")
-
     # -- conjugacy ---------------------------------------------------------
 
     def conjugacy_classes(self) -> ConjugacyData:

@@ -96,23 +96,36 @@ class ExperimentConfig:
         return out
 
 
+def _int(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"{what} must be an integer, got {value!r}") \
+            from exc
+
+
 def build_group(spec: dict) -> BuiltinGroup:
     family = spec.get("family")
     if family == "free":
-        return FreeGroup(int(spec.get("rank", 2)))
+        return FreeGroup(_int(spec.get("rank", 2), "rank"))
     if family == "free_abelian":
-        return FreeAbelianGroup(int(spec.get("rank", 1)))
+        return FreeAbelianGroup(_int(spec.get("rank", 1), "rank"))
     if family == "dihedral_infinite":
         return InfiniteDihedralGroup()
     if family == "free_by_finite":
         h_spec = spec.get("h", "cyclic:2")
         h_group = finite_group_from_spec(h_spec)
-        rank = int(spec.get("rank", 2))
+        rank = _int(spec.get("rank", 2), "rank")
         raw_action = spec.get("action")
         if raw_action is None:
             raise ConfigInvalid("free_by_finite needs an action")
-        action = {h_group.generators[int(k)]: v
-                  for k, v in raw_action.items()}
+        gens = h_group.generators
+        action = {}
+        for k, v in raw_action.items():
+            i = _int(k, "action key")
+            if not 0 <= i < len(gens):
+                raise ConfigInvalid(f"H has no generator {i}")
+            action[gens[i]] = v
         return FreeByFiniteGroup(rank, h_group, action)
     raise ConfigInvalid(f"unknown group family {family!r}")
 
@@ -120,14 +133,15 @@ def build_group(spec: dict) -> BuiltinGroup:
 def finite_group_from_spec(spec) -> FiniteGroup:
     if isinstance(spec, str):
         if spec.startswith("cyclic:"):
-            return cyclic_group(int(spec.split(":")[1]))
+            return cyclic_group(_int(spec.split(":")[1], "order"))
         if spec.startswith("dihedral:"):
-            return dihedral_group(int(spec.split(":")[1]))
+            return dihedral_group(_int(spec.split(":")[1], "order"))
         if spec.startswith("abelian:"):
-            return abelian_group([int(x) for x in spec.split(":")[1].split(",")])
+            return abelian_group([_int(x, "modulus")
+                                  for x in spec.split(":")[1].split(",")])
         if spec.startswith("sym:"):
             from .finite_groups import symmetric_group
-            return symmetric_group(int(spec.split(":")[1]))
+            return symmetric_group(_int(spec.split(":")[1], "degree"))
         if spec.startswith("perm:"):
             from .finite_groups import from_generators
             return from_generators(json.loads(spec.split(":", 1)[1]))
@@ -162,18 +176,18 @@ def build_complex(spec, group: BuiltinGroup) -> EquivariantCWData:
 def build_chain(spec: dict, group: BuiltinGroup) -> QuotientChain:
     template = spec.get("template")
     if template == "cyclic_mod":
-        return _chain_cyclic(group, int(spec.get("base", 2)),
-                             int(spec.get("depth", 5)))
+        return _chain_cyclic(group, _int(spec.get("base", 2), "base"),
+                             _int(spec.get("depth", 5), "depth"))
     if template == "abelianized_mod":
-        return _chain_abelianized(group, int(spec.get("base", 2)),
-                                  int(spec.get("depth", 3)))
+        return _chain_abelianized(group, _int(spec.get("base", 2), "base"),
+                                  _int(spec.get("depth", 3), "depth"))
     if template in ("dihedral", "dihedral_reflection"):
-        orders = [int(m) for m in spec.get("orders", [2, 4, 8, 16])]
+        orders = [_int(m, "order") for m in spec.get("orders", [2, 4, 8, 16])]
         return _chain_dihedral(group, orders,
                                reflection=template == "dihedral_reflection")
     if template == "semidirect_mod":
-        return _chain_semidirect(group, int(spec.get("base", 2)),
-                                 int(spec.get("depth", 3)))
+        return _chain_semidirect(group, _int(spec.get("base", 2), "base"),
+                                 _int(spec.get("depth", 3), "depth"))
     raise ConfigInvalid(f"unknown chain template {template!r}")
 
 
@@ -440,7 +454,8 @@ class ExperimentContext:
         if config.irreducibles == "all":
             self.chi_indices = list(range(len(self.table.irreducibles)))
         else:
-            self.chi_indices = [int(i) for i in config.irreducibles]
+            self.chi_indices = [_int(i, "irreducible")
+                               for i in config.irreducibles]
             for i in self.chi_indices:
                 if not 0 <= i < len(self.table.irreducibles):
                     raise ConfigInvalid(f"no irreducible {i}")

@@ -608,7 +608,7 @@ def _idempotent_columns(rho, summands, n_modules) -> tuple[list[SparseCol], int]
             for y in range(d):
                 r, s = rho.entry(elem, y)
                 axpy(cols[y], sign * w, {r: s})
-        red = column_reduce(cols, want_expr=False)
+        red = column_reduce(cols)
         for k in red.pivot_cols:
             basis.append({j * d + r: v for r, v in cols[k].items()})
     return basis, d * n_modules
@@ -697,7 +697,7 @@ def phi_betti(boundary_p, boundary_p1, rho, stabilizers=None,
             _, cols_p = operator_columns_exact(boundary_p, rho)
             mapped = _project_columns(rho, stabs[0], n_pm1,
                                       apply_columns(cols_p, basis_p))
-            rank_p = column_reduce(mapped, want_expr=False).rank
+            rank_p = sparse_rank(mapped)
         else:
             rank_p = 0
         rank_p1 = 0
@@ -711,7 +711,7 @@ def phi_betti(boundary_p, boundary_p1, rho, stabilizers=None,
                                              apply_columns(cols_p, image))
                 if any(composite):
                     raise NotAComplex("d_p . d_{p+1} != 0 on the compression")
-            rank_p1 = column_reduce(image, want_expr=False).rank
+            rank_p1 = sparse_rank(image)
         return Fraction(dim_wp - rank_p, rho.dim) - Fraction(rank_p1, rho.dim)
     basis_p = _numeric_idempotent_basis(rho, stabs[1], n_p)
     thr = svd_tol * max(1.0, float((boundary_p or boundary_p1).sup_norm_bound()))

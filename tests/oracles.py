@@ -1,0 +1,160 @@
+"""Independent oracles for the exact routes of the library.
+
+None of them is used by the library itself.  Each recomputes a number by a
+different method: a floating harmonic projector, union-find on a graph,
+Hessenberg reduction over Fractions, or an exhaustive scan of a group law.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+
+from l2mult.finite_groups import GroupError
+
+
+def check_axioms(group):
+    """Exhaustive associativity/identity scan; intended for small orders."""
+    n = group.order
+    for i in range(n):
+        if group.mul(0, i) != i or group.mul(i, 0) != i:
+            raise GroupError("identity axiom fails")
+        j = group.inv(i)
+        if group.mul(i, j) != 0 or group.mul(j, i) != 0:
+            raise GroupError("inverse axiom fails")
+    for a in range(n):
+        for b in range(n):
+            ab = group.mul(a, b)
+            for c in range(n):
+                if group.mul(ab, c) != group.mul(a, group.mul(b, c)):
+                    raise GroupError("associativity fails")
+
+
+def _dense_boundary(qc, p):
+    bnd = qc.boundaries.get(p)
+    if bnd is None:
+        return None
+    nrows, cols = bnd
+    out = np.zeros((nrows, len(cols)))
+    for j, col in enumerate(cols):
+        for r, v in col.items():
+            out[r, j] = float(v)
+    return out
+
+
+def hodge_trace(qc, h, p):
+    """Floating trace of the symmetry h on harmonic p-chains of a finite
+    chain complex, by dense SVD projectors; O(n^3)."""
+    n = qc.n_cells[p]
+    proj = np.eye(n)
+    for q, sign in ((p, 0), (p + 1, 1)):
+        mat = _dense_boundary(qc, q)
+        if mat is None:
+            continue
+        m = mat if sign else mat.T
+        # projection onto the image of m
+        u, s, _ = np.linalg.svd(m, full_matrices=False)
+        cols = u[:, s > 1e-9 * max(1.0, s[0] if len(s) else 1.0)]
+        proj -= cols @ cols.T
+    perm, signs = qc.actions[(h, p)]
+    act = np.zeros((n, n))
+    act[perm, np.arange(n)] = signs
+    return float(np.trace(act @ proj))
+
+
+def graph_homology_oracle(qc, table):
+    """(betti, multiplicities, traces) of a 1-dimensional complex with its
+    symmetry, without elimination.
+
+    The complex must have cells in degrees 0 and 1 only, vertex signs +1,
+    and edge columns +-(u - w) or 0.  Union-find gives the components, so
+    b_0 and Tr(h|H_0), the number of components that h maps to themselves.
+    The Lefschetz fixed-point theorem gives Tr(h|H_1) = Tr(h|H_0) - L(h)
+    with L(h) the signed count of fixed cells, and the character inner
+    product gives the multiplicities.  Raises ValueError on any other
+    complex.
+    """
+    if sorted(qc.n_cells) != [0, 1] or set(qc.boundaries) != {1}:
+        raise ValueError("not a 1-dimensional complex")
+    order = qc.sym_group.order
+    if any(np.any(qc.actions[(h, 0)][1] != 1) for h in range(order)):
+        raise ValueError("vertex signs must be +1")
+    parent = list(range(qc.n_cells[0]))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for col in qc.boundaries[1][1]:
+        if not col:
+            continue
+        if len(col) != 2 or sorted(col.values()) != [-1, 1]:
+            raise ValueError(f"edge column {col} is not +-(u - w)")
+        u, w = col
+        parent[find(u)] = find(w)
+    roots = {find(v) for v in parent}
+    betti = {0: len(roots), 1: qc.n_cells[1] - qc.n_cells[0] + len(roots)}
+    traces = {}
+    for h in range(order):
+        perm = qc.actions[(h, 0)][0]
+        fixed = sum(1 for r in roots if find(int(perm[r])) == r)
+        lefschetz = qc.cell_trace(h, 0) - qc.cell_trace(h, 1)
+        traces[(0, h)] = Fraction(fixed)
+        traces[(1, h)] = fixed - lefschetz
+    mult = {}
+    for p in (0, 1):
+        for i, chi in enumerate(table.irreducibles):
+            total = sum(np.conj(chi.value(h)) * float(traces[(p, h)])
+                        for h in range(order)) / order
+            m = int(round(total.real))
+            if abs(total - m) > 1e-6:
+                raise ValueError(f"multiplicity {total} is not integral")
+            mult[(p, i)] = m
+    return betti, mult, traces
+
+
+def charpoly_exact(mat):
+    """Dense exact characteristic polynomial (Hessenberg over Fractions),
+    coefficients indexed by the power of x; only sensible for small sizes.
+    """
+    n = len(mat)
+    h = [[Fraction(x) for x in row] for row in mat]
+    for j in range(n - 2):
+        piv = None
+        for i in range(j + 1, n):
+            if h[i][j]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        if piv != j + 1:
+            h[j + 1], h[piv] = h[piv], h[j + 1]
+            for row in h:
+                row[j + 1], row[piv] = row[piv], row[j + 1]
+        for i in range(j + 2, n):
+            if not h[i][j]:
+                continue
+            m = h[i][j] / h[j + 1][j]
+            for c in range(n):
+                h[i][c] -= m * h[j + 1][c]
+            for r in range(n):
+                h[r][j + 1] += m * h[r][i]
+    polys = [[Fraction(1)]]
+    for m in range(1, n + 1):
+        prev = polys[m - 1]
+        cur = [Fraction(0)] * (m + 1)
+        for i, c in enumerate(prev):
+            cur[i + 1] += c
+            cur[i] -= h[m - 1][m - 1] * c
+        prod = Fraction(1)
+        for i in range(1, m):
+            prod *= h[m - i][m - i - 1]
+            if not prod:
+                break
+            coef = h[m - 1 - i][m - 1] * prod
+            if coef:
+                for t, c in enumerate(polys[m - 1 - i]):
+                    cur[t] -= coef * c
+        polys.append(cur)
+    return polys[n]

@@ -12,9 +12,13 @@ from l2mult import (EquivariantCWData, FiniteIndexSubgroup, FreeAbelianGroup,
                     export_boundaries_csv, finite_group_crosscheck,
                     from_generators, quotient_complex)
 from l2mult.characters import UnsupportedFamily
-from l2mult.complexes import ComplexError, FiniteChainComplex, NotFree
+from l2mult.complexes import (ComplexError, FiniteChainComplex, NotFree,
+                              galois_orbits)
+from l2mult.runner import ExperimentConfig, ExperimentContext
 from l2mult.spectral import NotAComplex
 from l2mult.word_groups import FiniteAlgebraMatrix
+
+from oracles import graph_homology_oracle, hodge_trace
 
 S3_GENS = [(1, 0, 2), (0, 2, 1)]
 
@@ -93,7 +97,7 @@ def test_dinf_action_traces_and_multiplicities():
         # Hodge oracle agrees with the exact elimination route
         for p in (0, 1):
             for h in (0, 1):
-                assert abs(qc.hodge_trace(h, p) -
+                assert abs(hodge_trace(qc, h, p) -
                            float(qc.action_trace(h, p))) < 1e-8
 
 
@@ -110,7 +114,7 @@ def test_exact_traces_match_hodge_oracle_randomized():
             for p in (0, 1):
                 for h in range(qc.sym_group.order):
                     exact = float(qc.action_trace(h, p))
-                    assert abs(qc.hodge_trace(h, p) - exact) < 1e-7
+                    assert abs(hodge_trace(qc, h, p) - exact) < 1e-7
                     cases += 1
     assert cases == 7 * 3 * 4
 
@@ -151,7 +155,7 @@ def test_tree_free_by_finite_quotients():
             report.multiplicities[(1, 1)] == 4 ** n + 1
         for p in (0, 1):
             for h in (0, 1):
-                assert abs(qc.hodge_trace(h, p) -
+                assert abs(hodge_trace(qc, h, p) -
                            float(qc.action_trace(h, p))) < 1e-7
 
 
@@ -316,9 +320,72 @@ def test_quotient_boundaries_and_elimination_stay_in_ints():
         for _, cols in qc.boundaries.values():
             assert {type(v) for col in cols for v in col.values()} == {int}
         report = qc.multiplicities(character_table(qc.sym_group))
-        for p in qc.boundaries:
-            elim = qc._elim(p)
+        # one block elimination per boundary and Galois orbit (C2 has two)
+        assert len(qc._block_elims) == 2 * len(qc.boundaries)
+        for elim in qc._block_elims.values():
             assert {type(v) for col in elim._cols for v in col.values()} \
                 == {int}
         # the traces stay exact Fractions
         assert all(type(t) is Fraction for t in report.traces.values())
+
+
+def test_block_ranks_match_union_find_oracle():
+    # every level of the two graph chains, against union-find and Lefschetz
+    dinf = {"group": {"family": "dihedral_infinite"}, "complex": "line_dinf",
+            "chain": {"template": "dihedral",
+                      "orders": [2 ** k for k in range(1, 12)]},
+            "h_words": ["1", "b"]}
+    fbf = {"group": {"family": "free_by_finite", "rank": 2, "h": "cyclic:2",
+                     "action": {"0": ["a'", "b'"]}},
+           "complex": "tree_semidirect",
+           "chain": {"template": "semidirect_mod", "base": 2, "depth": 6},
+           "h_words": ["1", "c"]}
+    for name, config in (("dinf", dinf), ("fbf", fbf)):
+        ctx = ExperimentContext(ExperimentConfig.from_json(config))
+        for n, level in enumerate(ctx.chain.levels):
+            qc = quotient_complex(ctx.cw, level,
+                                  h_ctx=(ctx.h_abs, ctx.h_elems))
+            report = qc.multiplicities(ctx.table)
+            betti, mult, traces = graph_homology_oracle(qc, ctx.table)
+            assert report.betti == betti, f"{name} level {n}"
+            assert qc.betti_numbers() == betti, f"{name} level {n}"
+            assert report.multiplicities == mult, f"{name} level {n}"
+            assert report.traces == traces, f"{name} level {n}"
+    with pytest.raises(ValueError):
+        graph_homology_oracle(FiniteChainComplex({0: 1, 1: 1, 2: 1}, {}), None)
+
+
+def test_galois_orbit_weights_give_central_idempotents():
+    groups = {"C5": cyclic_group(5),
+              "A4": from_generators([(1, 2, 0, 3), (1, 0, 3, 2)]),
+              "S3": from_generators(S3_GENS), "D4": dihedral_group(4),
+              "K4": abelian_group([2, 2])}
+    large_orbits = set()
+    for name, g in groups.items():
+        table = character_table(g)
+        class_of = table.classes.class_of
+        orbits = galois_orbits(table)
+        assert sorted(i for members, _ in orbits for i in members) == \
+            list(range(len(table.irreducibles))), name
+        identity = [Fraction(0)] * g.order
+        for members, weights in orbits:
+            # each weight is the exact orbit sum of the character values
+            assert all(type(w) is int for w in weights), name
+            for c, w in enumerate(weights):
+                exact = sum(table.irreducibles[i].values[c] for i in members)
+                assert abs(exact - w) < 1e-9, name
+            # E = sum_h t(h^-1) h satisfies E^2 = (|H|/chi(1)) E
+            deg = table.irreducibles[members[0]].degree
+            e = {h: weights[class_of[g.inv(h)]] for h in range(g.order)}
+            square = [0] * g.order
+            for x, cx in e.items():
+                for y, cy in e.items():
+                    square[g.mul(x, y)] += cx * cy
+            assert square == [g.order // deg * e[h]
+                              for h in range(g.order)], name
+            for h in range(g.order):
+                identity[h] += Fraction(deg, g.order) * e[h]
+            if len(members) > 1:
+                large_orbits.add(name)
+        assert identity == [1] + [0] * (g.order - 1), name
+    assert large_orbits == {"C5", "A4"}

@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from l2mult._linalg import (_charpoly_mod, _primes, charpoly_exact,
-                            charpoly_trailing, column_reduce, sparse_rank)
+from l2mult._linalg import (_charpoly_mod, _primes, charpoly_trailing,
+                            column_reduce, sparse_rank)
 
 from conftest import make_rng
+from oracles import charpoly_exact
 
 
 def _random_matrix(rng, nrows, ncols, density=0.6, span=3):
@@ -37,34 +38,32 @@ def test_rank_matches_numpy():
         assert sparse_rank(cols) == expected
 
 
-def test_column_expansion_reconstructs_columns():
+def test_pivot_columns_span_every_column():
     rng = make_rng(2)
     for trial in range(30):
         nrows = rng.randint(2, 6)
         ncols = rng.randint(2, 8)
         cols = _random_matrix(rng, nrows, ncols)
-        _assert_expansions_rebuild(cols, column_reduce(cols))
+        _assert_pivots_span(cols, column_reduce(cols), nrows)
 
 
-def _assert_expansions_rebuild(cols, red):
-    """Each input column equals sum_t col_expr[j][t] * cols[pivot_cols[t]]."""
-    pivots = [cols[j] for j in red.pivot_cols]
-    for j, col in enumerate(cols):
-        expr = red.col_expr[j]
-        rebuilt = {}
-        for t, lam in expr.items():
-            for r, v in pivots[t].items():
-                rebuilt[r] = rebuilt.get(r, Fraction(0)) + lam * v
-        rebuilt = {r: v for r, v in rebuilt.items() if v}
-        assert rebuilt == col
+def _assert_pivots_span(cols, red, nrows):
+    """The selected pivot columns are independent and every input column
+    lies in their span."""
+    pivots = _dense([cols[j] for j in red.pivot_cols], nrows)
+    assert np.linalg.matrix_rank(pivots, tol=1e-9) == red.rank
+    for col in cols:
+        both = np.column_stack([pivots, _dense([col], nrows)])
+        assert np.linalg.matrix_rank(both, tol=1e-9) == red.rank
 
 
-def test_pivot_columns_expand_to_units():
+def test_stored_pivot_columns_are_unit_and_reduced():
     rng = make_rng(3)
     cols = _random_matrix(rng, 5, 9)
     red = column_reduce(cols)
-    for t, j in enumerate(red.pivot_cols):
-        assert red.col_expr[j] == {t: Fraction(1)}
+    for t, row in enumerate(red.pivot_rows):
+        assert red._cols[t][row] == 1
+        assert not any(r in red._cols[t] for r in red.pivot_rows[:t])
 
 
 def test_charpoly_trailing_matches_exact():
@@ -120,8 +119,8 @@ def test_mixed_int_fraction_elimination_matches_oracles():
                               span=2)
         red = column_reduce(cols)
         assert red.rank == np.linalg.matrix_rank(_dense(cols, nrows), tol=1e-9)
-        _assert_expansions_rebuild(cols, red)
-        types = _entry_types(red._cols) | _entry_types(red._expr)
+        _assert_pivots_span(cols, red, nrows)
+        types = _entry_types(red._cols)
         assert types <= {int, Fraction}
         saw_fraction |= Fraction in types
     assert saw_fraction
@@ -139,8 +138,6 @@ def test_unit_pivot_elimination_stays_in_ints():
         red = column_reduce(cols)
         assert red.rank == np.linalg.matrix_rank(_dense(cols, n))
         assert _entry_types(red._cols) == {int}
-        assert _entry_types(red._expr) <= {int}
-        assert _entry_types(red.col_expr.values()) == {int}
 
 
 def _charpoly_cases(rng):

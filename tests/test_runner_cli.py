@@ -251,12 +251,26 @@ def test_cli_commands(tmp_path, capsys):
 
 
 def test_cli_run_bad_configs_print_errors(tmp_path, capsys):
-    # failures past config parsing: the H closure and the tree builder
+    # failures past config parsing: the H closure, the tree builder,
+    # non-integer values where the context reads an int, and an action on
+    # an H-generator that does not exist
     bad_configs = {
         "h_closure": dinf_config(h_words=["a"]).to_json(),
         "tree_action": {
             "group": {"family": "free_by_finite", "rank": 2,
                       "h": "cyclic:2", "action": {"0": ["b", "a"]}},
+            "complex": "tree_semidirect",
+            "chain": {"template": "semidirect_mod", "base": 2, "depth": 2},
+        },
+        "irreducible_x": dinf_config(irreducibles=["x"]).to_json(),
+        "depth_x": {
+            "group": {"family": "free_abelian", "rank": 1},
+            "complex": "line_z",
+            "chain": {"template": "cyclic_mod", "depth": "x"},
+        },
+        "action_key": {
+            "group": {"family": "free_by_finite", "rank": 2,
+                      "h": "cyclic:2", "action": {"5": ["a'", "b'"]}},
             "complex": "tree_semidirect",
             "chain": {"template": "semidirect_mod", "base": 2, "depth": 2},
         },
