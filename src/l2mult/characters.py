@@ -211,6 +211,28 @@ def ind_finite(q_group: FiniteGroup, h_sub: FiniteSubgroup,
     return via_biset
 
 
+def ind_finite_value(q_group: FiniteGroup, h_images: list[int],
+                     chi: OrdinaryCharacter, g: int,
+                     tol: float = 1e-9) -> complex:
+    """``ind_finite`` at the one element g, without Q's conjugacy classes.
+
+    Element h of chi's group sits at h_images[h] in Q.  The i-function value
+    sum_{h ~ g} chi(h) / (chi(1) |cl_Q(h)|) is cross-checked against the
+    ordinary sum_{t in Q} chi0(t g t^-1) / (|Q| chi(1)).
+    """
+    chi_at = {im: complex(chi.value(h) / chi.degree)
+              for h, im in enumerate(h_images)}
+    conjugates = [q_group.conjugate(t, g) for t in range(q_group.order)]
+    ordinary = sum(chi_at.get(c, 0) for c in conjugates) / q_group.order
+    cls = set(conjugates)
+    # summed in Q's element order, as ind_finite sums over the subgroup
+    via_i = sum(complex(1 / q_group.conjugacy_class_size(im)) * chi_at[im]
+                for im in sorted(chi_at) if im in cls)
+    if abs(via_i - ordinary) > tol:
+        raise CrossCheckFailed("biset route disagrees with ordinary induction")
+    return via_i
+
+
 def finite_word_subgroup(words: list[Word], cap: int = 512):
     """Closure of a word list; returns (H_abs, elements) with elements[i]
     the word realizing H_abs element i and elements[0] the identity."""
@@ -241,6 +263,26 @@ def finite_word_subgroup(words: list[Word], cap: int = 512):
     return h_abs, elems
 
 
+def check_normalizes(level: FiniteIndexSubgroup, h_images: list[int]):
+    """Raise HNotNormalizing unless each image in Q normalizes the fiber."""
+    q = level.via.target
+    fiber = level.fiber
+    for him in h_images:
+        for k in fiber.members:
+            if q.conjugate(him, k) not in fiber.member_set:
+                raise HNotNormalizing(
+                    f"{q.label(him)} does not normalize the fiber")
+
+
+def fixed_coset_count(level: FiniteIndexSubgroup, reps: list[int], g: int,
+                      h_image: int = 0) -> int:
+    """#{cosets fK : f^-1 g f in hK}, over the coset representatives; the
+    Farber count is the one at h = 1."""
+    q = level.via.target
+    h_coset = {q.mul(h_image, k) for k in level.fiber.members}
+    return sum(1 for f in reps if q.mul(q.mul(q.inv(f), g), f) in h_coset)
+
+
 def biset_character(gamma: FiniteIndexSubgroup, h_words: list[Word],
                     h_abs: FiniteGroup | None = None,
                     h_elems: list[Word] | None = None) -> BisetCharacter:
@@ -249,32 +291,16 @@ def biset_character(gamma: FiniteIndexSubgroup, h_words: list[Word],
     if h_abs is None:
         h_abs, h_elems = finite_word_subgroup(h_words)
     q = gamma.via.target
-    fiber = set(gamma.fiber.members)
     h_images = [gamma.via.evaluate(w) for w in h_elems]
-    for him in h_images:
-        for k in fiber:
-            if q.mul(q.mul(him, k), q.inv(him)) not in fiber:
-                raise HNotNormalizing(
-                    f"{q.label(him)} does not normalize the fiber")
-    # coset representatives of the fiber
-    reps = []
-    covered = set()
-    for f in range(q.order):
-        if f not in covered:
-            reps.append(f)
-            covered.update(q.mul(f, k) for k in fiber)
-    index = len(reps)
+    check_normalizes(gamma, h_images)
+    reps, _ = gamma.fiber.cosets()
     classes = q.conjugacy_classes()
     values: dict[tuple[int, int], Fraction] = {}
     for cls, g in enumerate(classes.representatives):
         for h_local, him in enumerate(h_images):
-            h_coset = {q.mul(him, k) for k in fiber}
-            count = 0
-            for f in reps:
-                if q.mul(q.mul(q.inv(f), g), f) in h_coset:
-                    count += 1
+            count = fixed_coset_count(gamma, reps, g, him)
             if count:
-                values[(cls, h_local)] = Fraction(count, index)
+                values[(cls, h_local)] = Fraction(count, len(reps))
     return BisetCharacter(q, h_abs, values, tuple(h_images))
 
 

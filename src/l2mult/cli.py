@@ -43,29 +43,26 @@ def _cmd_table(args) -> int:
 
 
 def _quotient_setup(quotient_spec: str):
-    if quotient_spec.startswith("cyclic:"):
-        n = int(quotient_spec.split(":")[1])
-        group = FreeAbelianGroup(1)
-        target = finite_group_from_spec(quotient_spec)
-        return group, QuotientMap(group, target, [1])
-    if quotient_spec.startswith("dihedral:"):
-        m = int(quotient_spec.split(":")[1])
+    family = quotient_spec.split(":")[0]
+    if family not in ("cyclic", "dihedral", "abelian"):
+        raise ConfigInvalid(f"unknown quotient spec {quotient_spec!r}")
+    target = finite_group_from_spec(quotient_spec)
+    if family == "dihedral":
+        m = target.order // 2
         group = InfiniteDihedralGroup()
-        target = finite_group_from_spec(quotient_spec)
         return group, QuotientMap(group, target,
                                   [target.index_of((1 % m, 0)),
                                    target.index_of((0, 1))])
-    if quotient_spec.startswith("abelian:"):
-        moduli = [int(x) for x in quotient_spec.split(":")[1].split(",")]
-        group = FreeAbelianGroup(len(moduli))
-        target = finite_group_from_spec(quotient_spec)
-        images = []
-        for i in range(len(moduli)):
-            e = [0] * len(moduli)
-            e[i] = 1
-            images.append(target.index_of(tuple(e)))
-        return group, QuotientMap(group, target, images)
-    raise ConfigInvalid(f"unknown quotient spec {quotient_spec!r}")
+    # each letter maps to its factor's unit, taken mod the factor's order
+    if family == "cyclic":
+        units = [1 % target.order]
+    else:
+        moduli = [max(column) + 1 for column in zip(*target.elements)]
+        units = [tuple(1 % m if j == i else 0 for j, m in enumerate(moduli))
+                 for i in range(len(moduli))]
+    group = FreeAbelianGroup(len(units))
+    return group, QuotientMap(group, target,
+                              [target.index_of(u) for u in units])
 
 
 def _cmd_spectral(args) -> int:

@@ -30,8 +30,8 @@ from ._linalg import (ColumnReduction, SparseCol, apply_columns, axpy,
 from .finite_groups import (CharacterTable, FiniteGroup, FiniteSubgroup,
                             L2MultError, NotIntegral, NumericalDegeneracy,
                             character_table)
-from .characters import (CrossCheckFailed, HNotNormalizing,
-                         UnsupportedFamily, finite_word_subgroup)
+from .characters import (CrossCheckFailed, UnsupportedFamily,
+                         check_normalizes, finite_word_subgroup)
 from .spectral import (MonomialRep, NotAComplex, induced_rep,
                        irreducible_rep, operator_columns_exact, phi_betti)
 from .word_groups import (BuiltinGroup, FiniteAlgebraMatrix,
@@ -519,8 +519,8 @@ def quotient_complex(cw: EquivariantCWData, gamma: FiniteIndexSubgroup,
         raise ComplexError("complex and subgroup over different groups")
     qmap = gamma.via
     q = qmap.target
-    fiber = list(gamma.fiber.members)
-    fiber_set = set(fiber)
+    fiber = gamma.fiber.members
+    fiber_set = gamma.fiber.member_set
     if h_ctx is not None:
         h_abs, h_elem_words = h_ctx
     elif h_words:
@@ -530,10 +530,7 @@ def quotient_complex(cw: EquivariantCWData, gamma: FiniteIndexSubgroup,
     h_images = [qmap.evaluate(w) for w in h_elem_words]
     if h_abs is not None and len(set(h_images)) != h_abs.order:
         raise ComplexError("symmetry group collapses in the quotient")
-    for him in h_images:
-        for k in fiber:
-            if q.mul(q.mul(him, k), q.inv(him)) not in fiber_set:
-                raise HNotNormalizing(f"{q.label(him)} does not normalize the fiber")
+    check_normalizes(gamma, h_images)
 
     orbits: dict[int, list[QuotientOrbit]] = {}
     n_cells: dict[int, int] = {}

@@ -3,11 +3,20 @@
 Element 0 is always the identity.  Groups carry their elements in a canonical
 raw form (permutation tuples, residue tuples, ...) so products of specific
 pairs stay cheap even for groups too large for a full Cayley table.
+
+Everything defined on a group by its values on generators goes through one
+breadth-first walk of the right Cayley graph: ``cayley_walk`` yields the
+edges x -> x*g from the identity, and ``extend`` builds f(x*g) = step(f(x),
+value of g) along them, checking every edge.  In a finite group g^-1 is a
+positive power of g, so the walk follows g-edges only.  Generated subgroups,
+homomorphisms, the matrices of a semidirect product and the H-action of a
+free-by-finite group are all built this way.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,19 +129,56 @@ class FiniteGroup:
         return FiniteSubgroup(self, members)
 
     def subgroup_generated(self, gens) -> "FiniteSubgroup":
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                for y in (self.mul(x, g), self.mul(x, self.inv(g))):
-                    if y not in seen:
-                        seen.add(y)
-                        frontier.append(y)
-        return FiniteSubgroup(self, sorted(seen))
+        return FiniteSubgroup(self, [0] + [y for _, _, y, new in
+                                           cayley_walk(self, gens) if new])
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
+
+
+def cayley_walk(group: FiniteGroup, gens):
+    """Breadth-first walk of the right Cayley graph from the identity.
+
+    Yields every edge (x, k, y, new) with y = x * gens[k]; ``new`` is true on
+    the edge that first reaches y.  Only the subgroup that ``gens`` generate
+    is visited.
+    """
+    seen = bytearray(group.order)
+    seen[0] = 1
+    queue = deque([0])
+    while queue:
+        x = queue.popleft()
+        for k, g in enumerate(gens):
+            y = group.mul(x, g)
+            new = not seen[y]
+            if new:
+                seen[y] = 1
+                queue.append(y)
+            yield x, k, y, new
+
+
+def extend(group: FiniteGroup, gen_values: dict, step, start,
+           error=GroupError) -> list:
+    """The map f on the group with f(1) = start and f(x*g) = step(f(x),
+    gen_values[g]) for every key g, as a list indexed by element.
+
+    Raises ``error`` when two paths to an element give different values, or
+    when the keys do not generate the group.
+    """
+    values = list(gen_values.values())
+    out = [None] * group.order
+    out[0] = start
+    reached = 1
+    for x, k, y, new in cayley_walk(group, list(gen_values)):
+        fy = step(out[x], values[k])
+        if new:
+            out[y] = fy
+            reached += 1
+        elif out[y] != fy:
+            raise error("generator values disagree along two paths")
+    if reached != group.order:
+        raise error("generators do not generate the group")
+    return out
 
 
 class FiniteSubgroup:
@@ -141,7 +187,7 @@ class FiniteSubgroup:
         self.members = tuple(sorted(set(members)))
         if 0 not in self.members:
             raise GroupError("subgroup must contain the identity")
-        mem = set(self.members)
+        self.member_set = mem = frozenset(self.members)
         for a in self.members:
             if parent.inv(a) not in mem:
                 raise GroupError("subgroup not closed under inverse")
@@ -160,8 +206,21 @@ class FiniteSubgroup:
     def index(self) -> int:
         return self.parent.order // self.order
 
+    def cosets(self, right: bool = False) -> tuple[list[int], dict[int, int]]:
+        """Minimal representatives of the left cosets gH (of the right cosets
+        Hg with ``right``) and the coset number of every element."""
+        parent = self.parent
+        reps, coset_of = [], {}
+        for g in range(parent.order):
+            if g not in coset_of:
+                for h in self.members:
+                    x = parent.mul(h, g) if right else parent.mul(g, h)
+                    coset_of[x] = len(reps)
+                reps.append(g)
+        return reps, coset_of
+
     def is_normal(self) -> bool:
-        mem = set(self.members)
+        mem = self.member_set
         return all(self.parent.conjugate(g, h) in mem
                    for g in range(self.parent.order) for h in self.members)
 
@@ -187,8 +246,9 @@ class FiniteSubgroup:
 
 
 class GroupHom:
-    """Homomorphism given by the full image list; multiplicativity is checked
-    against the source generators, which suffices by induction on word length."""
+    """Homomorphism given by the full image list; it must equal the extension
+    of its values on the source generators, which checks multiplicativity by
+    induction on word length."""
 
     def __init__(self, source: FiniteGroup, target: FiniteGroup, images):
         self.source = source
@@ -196,13 +256,9 @@ class GroupHom:
         self.images = list(images)
         if len(self.images) != source.order:
             raise GroupError("image list has wrong length")
-        if self.images[0] != 0:
-            raise GroupError("identity must map to identity")
-        for x in range(source.order):
-            for g in source.generators:
-                if self.images[source.mul(x, g)] != \
-                        target.mul(self.images[x], self.images[g]):
-                    raise GroupError("not a homomorphism")
+        on_gens = {g: self.images[g] for g in source.generators}
+        if extend(source, on_gens, target.mul, 0) != self.images:
+            raise GroupError("not a homomorphism")
 
     def __call__(self, i: int) -> int:
         return self.images[i]
@@ -212,23 +268,8 @@ def hom_from_generator_images(source: FiniteGroup, target: FiniteGroup,
                               gen_images: dict[int, int]) -> GroupHom:
     """Extend generator images through the Cayley graph; inconsistency means
     the assignment does not define a homomorphism."""
-    images = [-1] * source.order
-    images[0] = 0
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for g, img in gen_images.items():
-            for y, iy in ((source.mul(x, g), target.mul(images[x], img)),
-                          (source.mul(x, source.inv(g)),
-                           target.mul(images[x], target.inv(img)))):
-                if images[y] == -1:
-                    images[y] = iy
-                    frontier.append(y)
-                elif images[y] != iy:
-                    raise GroupError("generator images are inconsistent")
-    if -1 in images:
-        raise GroupError("generators do not generate the source")
-    return GroupHom(source, target, images)
+    return GroupHom(source, target,
+                    extend(source, gen_images, target.mul, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +292,8 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 def abelian_group(moduli) -> FiniteGroup:
     moduli = tuple(moduli)
+    if any(m <= 0 for m in moduli):
+        raise GroupError("moduli must be positive")
     elems = list(itertools.product(*[range(m) for m in moduli]))
 
     def mul(a, b):
@@ -309,7 +352,6 @@ def from_generators(perms, cap: int = 10 ** 6) -> FiniteGroup:
         # (a*b)(x) = a(b(x))
         return tuple(a[b[x]] for x in range(degree))
 
-    from collections import deque
     elems = [ident]
     seen = {ident: 0}
     queue = deque([ident])
@@ -358,22 +400,8 @@ def semidirect_vector_group(moduli, h_group: FiniteGroup,
         return [[sum(a[i][k] * b[k][j] for k in range(r)) % moduli[i]
                  for j in range(r)] for i in range(r)]
 
-    mats: list[list[list[int]] | None] = [None] * h_group.order
-    mats[0] = ident_mat
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for g, mg in gen_matrices.items():
-            y = h_group.mul(x, g)
-            # action is a left action: M(x*g) = M(x) M(g)
-            my = mat_mul(mats[x], mg)
-            if mats[y] is None:
-                mats[y] = my
-                frontier.append(y)
-            elif mats[y] != my:
-                raise GroupError("matrices do not define an H-action")
-    if any(m is None for m in mats):
-        raise GroupError("gen_matrices keys do not generate H")
+    # action is a left action: M(x*g) = M(x) M(g)
+    mats = extend(h_group, gen_matrices, mat_mul, ident_mat)
 
     vec_elems = list(itertools.product(*[range(m) for m in moduli]))
     elems = [(v, h) for h in range(h_group.order) for v in vec_elems]
@@ -559,7 +587,7 @@ def induce_ordinary(subgroup: FiniteSubgroup,
         raise GroupError("character does not live on the given subgroup")
     classes = parent.conjugacy_classes()
     values = []
-    mem = set(subgroup.members)
+    mem = subgroup.member_set
     for rep in classes.representatives:
         total = 0j
         for t in range(parent.order):

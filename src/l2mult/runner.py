@@ -13,13 +13,13 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .finite_groups import (FiniteGroup, FiniteSubgroup, L2MultError,
-                            abelian_group, character_table, cyclic_group,
-                            dihedral_group, hom_from_generator_images,
-                            semidirect_vector_group)
-from .characters import (HNotNormalizing, UnsupportedFamily, ind_finite,
-                         builtin_conjugate, builtin_centralizer_index,
-                         finite_word_subgroup)
+from .finite_groups import (FiniteGroup, L2MultError, abelian_group,
+                            character_table, cyclic_group, dihedral_group,
+                            hom_from_generator_images, semidirect_vector_group)
+from .characters import (HNotNormalizing, UnsupportedFamily,
+                         builtin_centralizer_index, builtin_conjugate,
+                         check_normalizes, finite_word_subgroup,
+                         fixed_coset_count, ind_finite_value)
 from .complexes import (EquivariantCWData, ComplexError, builtin_line_Dinf,
                         builtin_line_Z, builtin_rose_free,
                         builtin_tree_free_by_finite, cw_from_json,
@@ -309,28 +309,13 @@ def _chain_semidirect(group, base, depth) -> QuotientChain:
 # Diagnostics
 # ---------------------------------------------------------------------------
 
-def _fiber_coset_reps(level: FiniteIndexSubgroup) -> list[int]:
-    q = level.via.target
-    fiber = level.fiber.members
-    reps, covered = [], set()
-    for f in range(q.order):
-        if f not in covered:
-            reps.append(f)
-            covered.update(q.mul(f, k) for k in fiber)
-    return reps
-
-
 def farber_diagnostic(chain: QuotientChain, probe_words: list[Word]):
     """Fixed-coset fractions |{f : g in f Gamma f^-1}| / [G:Gamma], exact."""
     rows = []
     for n, level in enumerate(chain.levels):
-        q = level.via.target
-        fiber = set(level.fiber.members)
-        reps = _fiber_coset_reps(level)
+        reps, _ = level.fiber.cosets()
         for w in probe_words:
-            g = level.via.evaluate(w)
-            count = sum(1 for f in reps
-                        if q.mul(q.mul(q.inv(f), g), f) in fiber)
+            count = fixed_coset_count(level, reps, level.via.evaluate(w))
             rows.append({"level": n, "word": str(w), "count": count,
                          "fraction": Fraction(count, len(reps))})
     return rows
@@ -356,22 +341,17 @@ def rel_farber_diagnostic(chain: QuotientChain, h_words: list[Word],
     h_abs, h_elems = finite_word_subgroup(h_words)
     rows = []
     for n, level in enumerate(chain.levels):
-        q = level.via.target
-        fiber = list(level.fiber.members)
-        fiber_set = set(fiber)
         h_images = [level.via.evaluate(w) for w in h_elems]
-        for him in h_images:
-            for k in fiber:
-                if q.mul(q.mul(him, k), q.inv(him)) not in fiber_set:
-                    raise HNotNormalizing(
-                        f"level {n}: H does not normalize the fiber")
-        reps = _fiber_coset_reps(level)
+        try:
+            check_normalizes(level, h_images)
+        except HNotNormalizing as exc:
+            raise HNotNormalizing(
+                f"level {n}: H does not normalize the fiber") from exc
+        reps, _ = level.fiber.cosets()
         for w in probe_words:
             g = level.via.evaluate(w)
             for h_word, him in zip(h_elems, h_images):
-                coset = {q.mul(him, k) for k in fiber}
-                count = sum(1 for f in reps
-                            if q.mul(q.mul(q.inv(f), g), f) in coset)
+                count = fixed_coset_count(level, reps, g, him)
                 value = Fraction(count, len(reps))
                 limit = i_limit_value(w, h_word, assert_infinite)
                 rows.append({"level": n, "g": str(w), "h": str(h_word),
@@ -587,32 +567,15 @@ def _char_convergence_rows(ctx: ExperimentContext, chi_idx: int):
         if len(set(h_images)) != ctx.h_abs.order:
             rows.append({"level": n, "error": "symmetry collapses"})
             continue
-        sub = q.subgroup(sorted(set(h_images)))
-        char = ind_finite(q, sub, _chi_on_subgroup(ctx, level, sub, chi_idx))
         for w in ctx.probes:
-            observed = complex(char.value(level.via.evaluate(w)))
+            observed = ind_finite_value(q, h_images, chi,
+                                        level.via.evaluate(w))
             lim = complex(limit_value(spec, w))
             rows.append({"level": n, "word": str(w),
                          "observed": [observed.real, observed.imag],
                          "limit": [lim.real, lim.imag],
                          "deviation": abs(observed - lim)})
     return rows
-
-
-def _chi_on_subgroup(ctx: ExperimentContext, level: FiniteIndexSubgroup,
-                     sub: FiniteSubgroup, chi_idx: int):
-    """Transport an irreducible of the abstract H onto its image in Q."""
-    from .finite_groups import OrdinaryCharacter
-    h_img, _ = sub.abstract_group()
-    lookup = {m: i for i, m in enumerate(sub.members)}
-    chi = ctx.table.irreducibles[chi_idx]
-    value_at = {}
-    for local, w in enumerate(ctx.h_elems):
-        member_local = lookup[level.via.evaluate(w)]
-        value_at[member_local] = chi.values[ctx.h_abs.class_of_element(local)]
-    values = [value_at[rep]
-              for rep in h_img.conjugacy_classes().representatives]
-    return OrdinaryCharacter(h_img, values)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ import numpy as np
 from ._linalg import (SparseCol, apply_columns, axpy, charpoly_trailing,
                       column_reduce, sparse_rank)
 from .finite_groups import (FiniteGroup, FiniteSubgroup, GroupHom,
-                            L2MultError, OrdinaryCharacter, induce_ordinary)
+                            L2MultError, OrdinaryCharacter, cayley_walk,
+                            induce_ordinary)
 from .word_groups import (FiniteAlgebraMatrix, FreeAbelianGroup, FreeGroup,
                           GroupRingMatrix, Word)
 
@@ -137,20 +138,11 @@ class UnitaryRep:
         self._fill(gen_matrices)
 
     def _fill(self, gen_matrices):
-        group = self.group
-        frontier = [0]
-        while frontier:
-            x = frontier.pop()
-            for g, mg in gen_matrices.items():
-                y = group.mul(x, g)
-                if y not in self._mats:
-                    self._mats[y] = self._mats[x] @ mg
-                    frontier.append(y)
-                y = group.mul(x, group.inv(g))
-                if y not in self._mats:
-                    self._mats[y] = self._mats[x] @ mg.conj().T
-                    frontier.append(y)
-        if len(self._mats) != group.order:
+        mats = list(gen_matrices.values())
+        for x, k, y, new in cayley_walk(self.group, list(gen_matrices)):
+            if new:
+                self._mats[y] = self._mats[x] @ mats[k]
+        if len(self._mats) != self.group.order:
             raise SpectralError("generator images do not generate the group")
 
     def matrix(self, elem: int) -> np.ndarray:
@@ -211,16 +203,7 @@ def regular_rep(group: FiniteGroup) -> MonomialRep:
 
 def coset_rep(group: FiniteGroup, subgroup: FiniteSubgroup) -> MonomialRep:
     """Permutation representation on right cosets H\\Q."""
-    mem = set(subgroup.members)
-    reps = []
-    coset_of = {}
-    for g in range(group.order):
-        if g in coset_of:
-            continue
-        idx = len(reps)
-        reps.append(g)
-        for h in mem:
-            coset_of[group.mul(h, g)] = idx
+    reps, coset_of = subgroup.cosets(right=True)
     return _action_rep(group, lambda g, x: coset_of[group.mul(reps[x], g)],
                        len(reps))
 
@@ -301,16 +284,7 @@ def induced_rep(q_group: FiniteGroup, h_sub: FiniteSubgroup, rho_h,
     h_abs, to_local = h_sub.abstract_group()
     if rho_h.group is not h_abs:
         raise SpectralError("rho_h must live on the abstract subgroup")
-    mem = set(h_sub.members)
-    reps: list[int] = []
-    coset_of: dict[int, int] = {}
-    for g in range(q_group.order):
-        if g in coset_of:
-            continue
-        idx = len(reps)
-        reps.append(g)
-        for h in mem:
-            coset_of[q_group.mul(g, h)] = idx   # left cosets tH
+    reps, coset_of = h_sub.cosets()     # left cosets tH
     k = len(reps)
     d = rho_h.dim
 

@@ -13,11 +13,11 @@ ring sums like "3/2*ab' + -1*1".
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .finite_groups import FiniteGroup, FiniteSubgroup, L2MultError
+from .finite_groups import (FiniteGroup, FiniteSubgroup, L2MultError,
+                            cayley_walk, extend)
 
 
 class WordGroupError(L2MultError):
@@ -274,28 +274,17 @@ class FreeByFiniteGroup(BuiltinGroup):
     def _extend_action(self, action: dict):
         h = self.h_group
         ident_images = tuple(self.free.letter_data(i, 1) for i in range(self.rank))
-        aut: list[tuple | None] = [None] * h.order
-        aut[0] = ident_images
         gen_images = {}
         for g in h.generators:
             words = action[g]
             if len(words) != self.rank:
                 raise WordGroupError("action must give one image per generator")
             gen_images[g] = tuple(self._parse_free(w) for w in words)
-        frontier = [0]
-        while frontier:
-            x = frontier.pop()
-            for g, imgs in gen_images.items():
-                y = h.mul(x, g)
-                # left action: (x*g) acts as x after g
-                new = tuple(self._apply(aut[x], img) for img in imgs)
-                if aut[y] is None:
-                    aut[y] = new
-                    frontier.append(y)
-                elif aut[y] != new:
-                    raise WordGroupError("action maps are inconsistent on H")
-        if any(m is None for m in aut):
-            raise WordGroupError("action generators do not generate H")
+
+        def step(aut_x, imgs):
+            # left action: (x*g) acts as x after g
+            return tuple(self._apply(aut_x, img) for img in imgs)
+        aut = extend(h, gen_images, step, ident_images, WordGroupError)
         # invertibility: each aut must be bijective on the free group
         for x in range(h.order):
             inv_images = aut[h.inv(x)]
@@ -305,17 +294,16 @@ class FreeByFiniteGroup(BuiltinGroup):
         return aut
 
     def _shortest_h_words(self):
+        # letters g and then g^-1 per generator: each element gets a shortest
+        # word, with inverse letters where those are shorter
         h = self.h_group
-        words: list[tuple | None] = [None] * h.order
-        words[0] = ()
-        queue = deque([0])
-        while queue:
-            x = queue.popleft()
-            for g in h.generators:
-                for e, y in ((1, h.mul(x, g)), (-1, h.mul(x, h.inv(g)))):
-                    if words[y] is None:
-                        words[y] = words[x] + ((self.h_letter_of[g], e),)
-                        queue.append(y)
+        letters = [(self.h_letter_of[g], e)
+                   for g in h.generators for e in (1, -1)]
+        gens = [g if e > 0 else h.inv(g) for g in h.generators for e in (1, -1)]
+        words = [()] * h.order
+        for x, k, y, new in cayley_walk(h, gens):
+            if new:
+                words[y] = words[x] + (letters[k],)
         return words
 
     def apply_aut(self, h_idx: int, free_data):
@@ -373,7 +361,11 @@ def parse_ring_sum(group: BuiltinGroup, text: str) -> dict[Word, Fraction]:
         part = part.strip()
         if "*" in part:
             coeff_s, word_s = part.split("*", 1)
-            coeff = Fraction(coeff_s.strip())
+            try:
+                coeff = Fraction(coeff_s.strip())
+            except (ValueError, ZeroDivisionError) as exc:
+                raise WordGroupError(
+                    f"bad coefficient {coeff_s.strip()!r}") from exc
         else:
             coeff, word_s = Fraction(1), part
         _add_term(out, group.word(word_s.strip()), coeff)
@@ -593,20 +585,7 @@ class QuotientMap:
             h = src.h_group
             # H-part must be a homomorphism H -> target
             h_images = {g: imgs[src.h_letter_of[g]] for g in h.generators}
-            himg: list[int | None] = [None] * h.order
-            himg[0] = 0
-            frontier = [0]
-            while frontier:
-                x = frontier.pop()
-                for g, ig in h_images.items():
-                    y = h.mul(x, g)
-                    iy = tgt.mul(himg[x], ig)
-                    if himg[y] is None:
-                        himg[y] = iy
-                        frontier.append(y)
-                    elif himg[y] != iy:
-                        raise WordGroupError("H-letter images break H relations")
-            self._h_elem_images = himg
+            extend(h, h_images, tgt.mul, 0, WordGroupError)
             # semidirect relations: h a_i h^-1 = action_h(a_i)
             for g in h.generators:
                 hg = h_images[g]
@@ -626,17 +605,9 @@ class QuotientMap:
         return acc
 
     def _check_surjective(self):
-        tgt = self.target
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            x = frontier.pop()
-            for img in self.generator_images:
-                for y in (tgt.mul(x, img), tgt.mul(x, tgt.inv(img))):
-                    if y not in seen:
-                        seen.add(y)
-                        frontier.append(y)
-        if len(seen) != tgt.order:
+        reached = 1 + sum(new for _, _, _, new in
+                          cayley_walk(self.target, self.generator_images))
+        if reached != self.target.order:
             raise WordGroupError("generator images do not generate the target")
 
     def __call__(self, word: Word) -> int:
@@ -689,7 +660,7 @@ class FiniteIndexSubgroup:
         return self.fiber.is_normal()
 
     def contains(self, word: Word) -> bool:
-        return self.via.evaluate(word) in set(self.fiber.members)
+        return self.via.evaluate(word) in self.fiber.member_set
 
 
 @dataclass
@@ -727,9 +698,8 @@ def validate_chain(chain: QuotientChain) -> list[ChainLevelReport]:
             for i in range(chain.group.n_letters):
                 if conn(deeper.via.generator_images[i]) != lv.via.generator_images[i]:
                     raise ChainBroken(n, f"generator {chr(97 + i)}")
-            fiber_low = set(lv.fiber.members)
             for m in deeper.fiber.members:
-                if conn(m) not in fiber_low:
+                if conn(m) not in lv.fiber.member_set:
                     raise ChainBroken(n, "fiber does not map into fiber")
         reports.append(ChainLevelReport(n, lv.index, lv.is_normal()))
     return reports
@@ -740,24 +710,28 @@ def intersection_heuristic(chain: QuotientChain, max_words: int = 20000) -> int:
     deepest subgroup of the chain (balls enumerated up to ``max_words``)."""
     deepest = chain.levels[-1]
     grp = chain.group
+    q = deepest.via.target
+    fiber = deepest.fiber.member_set
     gens = [grp.generator(i) for i in range(grp.n_letters)]
     gens += [g.inverse() for g in gens]
+    # each word's image in Q is its parent's image times one letter image
+    steps = [(g, deepest.via.evaluate(g)) for g in gens]
     seen = {grp.identity()}
-    sphere = [grp.identity()]
+    sphere = [(grp.identity(), 0)]
     length = 0
     while True:
         nxt = []
-        for w in sphere:
-            for g in gens:
+        for w, image in sphere:
+            for g, g_image in steps:
                 u = w * g
                 if u not in seen:
                     seen.add(u)
-                    nxt.append(u)
+                    nxt.append((u, q.mul(image, g_image)))
         if not nxt:
             return length
         length += 1
-        for u in nxt:
-            if deepest.contains(u) and not u.is_identity():
+        for u, image in nxt:
+            if image in fiber and not u.is_identity():
                 return length - 1
         if len(seen) > max_words:
             return length

@@ -257,6 +257,10 @@ def test_hom_validation():
         GroupHom(c4, c2, [0, 1, 1, 0])
     with pytest.raises(GroupError):
         hom_from_generator_images(cyclic_group(2), cyclic_group(3), {1: 1})
+    with pytest.raises(GroupError):     # 2 = 1 + 1 would map to 2, not 3
+        hom_from_generator_images(c4, c4, {1: 1, 2: 3})
+    with pytest.raises(GroupError):     # 2 does not generate C4
+        hom_from_generator_images(c4, c4, {2: 2})
 
 
 def test_subgroup_validation():
@@ -280,3 +284,5 @@ def test_semidirect_and_dihedral_structures():
     s = g.index_of(((0, 0), 1))
     v = g.index_of(((1, 0), 0))
     assert g.mul(g.mul(s, v), g.inv(s)) == g.index_of(((3, 0), 0))
+    with pytest.raises(GroupError):     # a shear is not an involution mod 4
+        semidirect_vector_group([4, 4], c2, {1: [[1, 1], [0, 1]]})

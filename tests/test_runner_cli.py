@@ -126,6 +126,48 @@ def test_run_dinf_records_and_report():
     assert [round(r["deviation"], 6) for r in rows] == [1.0, 0.5, 0.25]
 
 
+def test_char_convergence_matches_ind_finite():
+    # the report evaluates the induced character at the probes only;
+    # ind_finite over the whole quotient is the oracle
+    from l2mult import OrdinaryCharacter
+    from l2mult.characters import CrossCheckFailed, ind_finite, ind_finite_value
+    fbf = ExperimentConfig.from_json({
+        "group": {"family": "free_by_finite", "rank": 2, "h": "cyclic:2",
+                  "action": {"0": ["a'", "b'"]}},
+        "complex": "tree_semidirect",
+        "chain": {"template": "semidirect_mod", "base": 2, "depth": 3},
+        "h_words": ["1", "c"], "infinite_centralizers": True,
+        "probe_words": ["1", "a", "c", "ac", "abc"]})
+    dinf = dinf_config(chain={"template": "dihedral",
+                              "orders": [2, 4, 8, 16, 32]},
+                       probe_words=["1", "a", "b", "ab", "aab"])
+    for base in (fbf, dinf):
+        ctx = ExperimentContext(base)
+        for chi_idx, chi in enumerate(ctx.table.irreducibles):
+            base.char_convergence = chi_idx
+            rows = iter(run(base)[1]["char_convergence"])
+            for level in ctx.chain.levels:
+                q = level.via.target
+                h_images = [level.via.evaluate(w) for w in ctx.h_elems]
+                sub = q.subgroup(h_images)
+                h_sub, to_local = sub.abstract_group()
+                at = {to_local[im]: chi.value(h)
+                      for h, im in enumerate(h_images)}
+                on_sub = OrdinaryCharacter(h_sub, [
+                    at[r] for r in h_sub.conjugacy_classes().representatives])
+                oracle = ind_finite(q, sub, on_sub)
+                for w in ctx.probes:
+                    row = next(rows)
+                    expect = complex(oracle.value(level.via.evaluate(w)))
+                    assert row["word"] == str(w)
+                    assert abs(complex(*row["observed"]) - expect) < 1e-12
+        # the i-function route is checked against ordinary induction
+        q = ctx.chain.levels[-1].via.target
+        q.conjugacy_class_size = lambda x: 1
+        with pytest.raises(CrossCheckFailed):
+            ind_finite_value(q, [0, q.order - 1], chi, q.order - 1)
+
+
 def test_run_rose_abelianized_chain():
     # free group of rank 2 over its tree, abelianized-mod-2^n kernels:
     # normalized first Betti number (N+1)/N converges to the supplied limit 1
@@ -248,6 +290,23 @@ def test_cli_commands(tmp_path, capsys):
     fail_path.write_text(json.dumps(failing.to_json()))
     assert cli_main(["run", str(fail_path), "--out",
                      str(tmp_path / "out2")]) == 2
+
+
+def test_cli_spectral_bad_input_prints_errors(capsys):
+    # malformed specs and coefficients exit 1 with one error line; trivial
+    # factors map each letter to its unit mod 1, the identity
+    cases = {("1 + -1*a", "cyclic:x"): 1,
+             ("1 + -1*a", "abelian:2,x"): 1,
+             ("1 + -1*a", "cyclic:1"): 0,
+             ("2*1 + -1*a + -1*b", "abelian:1,2"): 0,
+             ("x*a", "cyclic:4"): 1,
+             ("1/0*a", "cyclic:4"): 1}
+    for (matrix, quotient), code in cases.items():
+        args = ["spectral", matrix, quotient, "--kmax", "1"]
+        assert cli_main(args) == code, args
+        err = capsys.readouterr().err
+        assert err.startswith("error:") == (code == 1), args
+        assert "Traceback" not in err, args
 
 
 def test_cli_run_bad_configs_print_errors(tmp_path, capsys):

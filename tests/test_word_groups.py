@@ -227,6 +227,12 @@ def test_intersection_heuristic():
     chain = _cyclic_chain(3)
     # no nonidentity word of length <= 7 maps into the deepest kernel (8Z)
     assert intersection_heuristic(chain) == 7
+    # D_inf orders 2..256: the shortest nonidentity kernel word is a^256
+    from l2mult.runner import build_chain
+    dinf = build_chain({"template": "dihedral",
+                        "orders": [2 ** k for k in range(1, 9)]},
+                       InfiniteDihedralGroup())
+    assert intersection_heuristic(dinf) == 255
 
 
 def test_free_by_finite_inversion():
@@ -242,6 +248,14 @@ def test_free_by_finite_inversion():
         u, v = _random_words(rng, g, 2, max_len=5)
         assert (u * v).inverse() == v.inverse() * u.inverse()
         assert normal_form(u * v) == u * v
+
+
+def test_free_by_finite_h_words():
+    # breadth first over g, then g^-1: the inverse letter wins only where
+    # it is shorter
+    from l2mult.word_groups import Word
+    g = FreeByFiniteGroup(2, cyclic_group(4), {1: ["b", "a'"]})
+    assert [str(Word(g, ((), x))) for x in range(4)] == ["1", "c", "cc", "c'"]
 
 
 def test_free_by_finite_rejects_inconsistent_action():
