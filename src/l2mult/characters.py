@@ -198,7 +198,12 @@ def induce_via(psi: BisetCharacter, phi: FiniteCharacter,
 def ind_finite(q_group: FiniteGroup, h_sub: FiniteSubgroup,
                chi: OrdinaryCharacter, tol: float = 1e-9) -> FiniteCharacter:
     """Normalized induction of an irreducible character of H <= Q, computed
-    through the i-function and cross-checked against ordinary induction."""
+    through the i-function and cross-checked against ordinary induction.
+
+    Both routes equal sum_{h in H, h ~ g} chi(h) / (chi(1) |cl_Q(g)|) for any
+    values of chi on any subset of Q, so the cross-check guards only the
+    conjugacy-class bookkeeping, not chi or the embedding of H.
+    """
     h_abs, _ = h_sub.abstract_group()
     if chi.group is not h_abs:
         raise CharacterError("chi must live on the abstract subgroup")
@@ -218,7 +223,9 @@ def ind_finite_value(q_group: FiniteGroup, h_images: list[int],
 
     Element h of chi's group sits at h_images[h] in Q.  The i-function value
     sum_{h ~ g} chi(h) / (chi(1) |cl_Q(h)|) is cross-checked against the
-    ordinary sum_{t in Q} chi0(t g t^-1) / (|Q| chi(1)).
+    ordinary sum_{t in Q} chi0(t g t^-1) / (|Q| chi(1)).  As in
+    ``ind_finite``, the two agree for any chi and any h_images, so the check
+    guards only the class sizes, not chi or the images.
     """
     chi_at = {im: complex(chi.value(h) / chi.degree)
               for h, im in enumerate(h_images)}

@@ -37,7 +37,8 @@ from .spectral import (MonomialRep, NotAComplex, induced_rep,
 from .word_groups import (BuiltinGroup, FiniteAlgebraMatrix,
                           FiniteIndexSubgroup, FreeAbelianGroup, FreeGroup,
                           FreeByFiniteGroup, GroupRingMatrix,
-                          InfiniteDihedralGroup, Word, format_ring_sum)
+                          InfiniteDihedralGroup, Word, format_ring_sum,
+                          push_matrix)
 
 
 class ComplexError(L2MultError):
@@ -580,20 +581,9 @@ def quotient_complex(cw: EquivariantCWData, gamma: FiniteIndexSubgroup,
 
     boundaries: dict[int, tuple[int, list[SparseCol]]] = {}
     for p, mat in cw.boundaries.items():
-        # push entries through the quotient map, collecting coefficients;
-        # integral ones become ints, so integer boundaries stay in ints
-        collected: dict[tuple[int, int], SparseCol] = {}
-        for (i, j), terms in mat.entries.items():
-            target: SparseCol = {}
-            for w, c in terms.items():
-                g = qmap.evaluate(w)
-                nv = target.get(g, 0) + c
-                if nv:
-                    target[g] = nv
-                else:
-                    target.pop(g, None)
-            if target:
-                collected[(i, j)] = int_entries(target)
+        # integral coefficients become ints, so integer boundaries stay ints
+        collected = {key: int_entries(terms) for key, terms
+                     in push_matrix(qmap, mat).entries.items()}
         cols: list[SparseCol] = []
         for j, src_orbit in enumerate(orbits[p]):
             for u in src_orbit.cell_reps:
@@ -605,12 +595,7 @@ def quotient_complex(cw: EquivariantCWData, gamma: FiniteIndexSubgroup,
                     for g, c in terms.items():
                         v = q.mul(g, u)
                         cell_id, sgn = tgt_orbit.dec[v]
-                        r = tgt_orbit.offset + cell_id
-                        nv = col.get(r, 0) + sgn * c
-                        if nv:
-                            col[r] = nv
-                        else:
-                            col.pop(r, None)
+                        axpy(col, sgn * c, {tgt_orbit.offset + cell_id: 1})
                 cols.append(col)
         boundaries[p] = (n_cells[p - 1], cols)
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .finite_groups import (FiniteGroup, L2MultError, abelian_group,
                             character_table, cyclic_group, dihedral_group,
-                            hom_from_generator_images, semidirect_vector_group)
+                            semidirect_vector_group)
 from .characters import (HNotNormalizing, UnsupportedFamily,
                          builtin_centralizer_index, builtin_conjugate,
                          check_normalizes, finite_word_subgroup,
@@ -194,25 +194,19 @@ def build_chain(spec: dict, group: BuiltinGroup) -> QuotientChain:
 def _chain_cyclic(group, base, depth) -> QuotientChain:
     if not isinstance(group, FreeAbelianGroup) or group.rank != 1:
         raise ConfigInvalid("cyclic_mod chains need FreeAbelian(1)")
-    levels, connectors = [], []
-    prev = None
+    levels = []
     for n in range(1, depth + 1):
         target = cyclic_group(base ** n)
         qmap = QuotientMap(group, target, [1])
         levels.append(FiniteIndexSubgroup(qmap, target.subgroup([0])))
-        if prev is not None:
-            connectors.append(hom_from_generator_images(
-                target, prev, {1: 1 % prev.order}))
-        prev = target
-    return QuotientChain(levels, connectors)
+    return QuotientChain(levels)
 
 
 def _chain_abelianized(group, base, depth) -> QuotientChain:
     if not isinstance(group, FreeGroup):
         raise ConfigInvalid("abelianized_mod chains need a free group")
     r = group.rank
-    levels, connectors = [], []
-    prev = None
+    levels = []
     for n in range(1, depth + 1):
         target = abelian_group([base ** n] * r)
         units = []
@@ -222,16 +216,7 @@ def _chain_abelianized(group, base, depth) -> QuotientChain:
             units.append(target.index_of(tuple(e)))
         qmap = QuotientMap(group, target, units)
         levels.append(FiniteIndexSubgroup(qmap, target.subgroup([0])))
-        if prev is not None:
-            gen_map = {}
-            for i, g in enumerate(target.generators):
-                e = [0] * r
-                e[i] = 1 % prev_mod
-                gen_map[g] = prev.index_of(tuple(e))
-            connectors.append(hom_from_generator_images(target, prev, gen_map))
-        prev = target
-        prev_mod = base ** n
-    return QuotientChain(levels, connectors)
+    return QuotientChain(levels)
 
 
 def _chain_dihedral(group, orders, reflection=False) -> QuotientChain:
@@ -240,8 +225,7 @@ def _chain_dihedral(group, orders, reflection=False) -> QuotientChain:
     for a, b in zip(orders, orders[1:]):
         if b % a:
             raise ConfigInvalid("dihedral chain orders must divide each other")
-    levels, connectors = [], []
-    prev = None
+    levels = []
     for m in orders:
         target = dihedral_group(m)
         t_img = target.index_of((1 % m, 0))
@@ -252,13 +236,7 @@ def _chain_dihedral(group, orders, reflection=False) -> QuotientChain:
         else:
             fiber = target.subgroup([0])
         levels.append(FiniteIndexSubgroup(qmap, fiber))
-        if prev is not None:
-            m_prev = prev_m
-            gen_map = {target.index_of((1 % m, 0)): prev.index_of((1 % m_prev, 0)),
-                       target.index_of((0, 1)): prev.index_of((0, 1))}
-            connectors.append(hom_from_generator_images(target, prev, gen_map))
-        prev, prev_m = target, m
-    return QuotientChain(levels, connectors)
+    return QuotientChain(levels)
 
 
 def _chain_semidirect(group, base, depth) -> QuotientChain:
@@ -266,8 +244,7 @@ def _chain_semidirect(group, base, depth) -> QuotientChain:
         raise ConfigInvalid("semidirect_mod chains need a free-by-finite group")
     r = group.rank
     h = group.h_group
-    levels, connectors = [], []
-    prev = None
+    levels = []
     for n in range(1, depth + 1):
         mod = base ** n
         mats = {}
@@ -293,16 +270,7 @@ def _chain_semidirect(group, base, depth) -> QuotientChain:
             images.append(target.index_of((zero, g)))
         qmap = QuotientMap(group, target, images)
         levels.append(FiniteIndexSubgroup(qmap, target.subgroup([0])))
-        if prev is not None:
-            gen_map = {}
-            for i, g in enumerate(target.generators):
-                raw = target.elements[g]
-                vec, hh = raw
-                prev_raw = (tuple(x % prev_mod for x in vec), hh)
-                gen_map[g] = prev.index_of(prev_raw)
-            connectors.append(hom_from_generator_images(target, prev, gen_map))
-        prev, prev_mod = target, mod
-    return QuotientChain(levels, connectors)
+    return QuotientChain(levels)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +385,8 @@ class LevelRecord:
 
 
 class ExperimentContext:
-    """Everything reconstructible from a config: group, complex, chain, H."""
+    """Everything reconstructible from a config: group, complex, chain and
+    its ``validate_chain`` reports, H."""
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
@@ -427,7 +396,7 @@ class ExperimentContext:
             self.chain = build_chain(config.chain, self.group)
         except (WordGroupError, ComplexError) as exc:
             raise ConfigInvalid(str(exc)) from exc
-        validate_chain(self.chain)
+        self.chain_reports = validate_chain(self.chain)
         words = [self.group.word(w) for w in config.h_words]
         self.h_abs, self.h_elems = finite_word_subgroup(words)
         self.table = character_table(self.h_abs)
@@ -545,8 +514,7 @@ def assemble_report(ctx: ExperimentContext, records: list[LevelRecord]) -> dict:
         "char_convergence": char_rows,
         "intersection_ball_length": intersection_heuristic(ctx.chain),
         "assumptions": {
-            "normal_kernel_chain": all(lv.is_normal()
-                                       for lv in ctx.chain.levels),
+            "normal_kernel_chain": all(r.normal for r in ctx.chain_reports),
             "infinite_centralizers_asserted": cfg.infinite_centralizers,
         },
     }

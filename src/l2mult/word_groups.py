@@ -13,9 +13,11 @@ ring sums like "3/2*ab' + -1*1".
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._linalg import axpy
 from .finite_groups import (FiniteGroup, FiniteSubgroup, L2MultError,
                             cayley_walk, extend)
 
@@ -344,14 +346,6 @@ class FreeByFiniteGroup(BuiltinGroup):
 # Group ring matrices
 # ---------------------------------------------------------------------------
 
-def _add_term(d: dict, key, coeff):
-    nv = d.get(key, 0) + coeff
-    if nv:
-        d[key] = nv
-    else:
-        d.pop(key, None)
-
-
 def parse_ring_sum(group: BuiltinGroup, text: str) -> dict[Word, Fraction]:
     out: dict[Word, Fraction] = {}
     text = text.strip()
@@ -368,7 +362,7 @@ def parse_ring_sum(group: BuiltinGroup, text: str) -> dict[Word, Fraction]:
                     f"bad coefficient {coeff_s.strip()!r}") from exc
         else:
             coeff, word_s = Fraction(1), part
-        _add_term(out, group.word(word_s.strip()), coeff)
+        axpy(out, coeff, {group.word(word_s.strip()): 1})
     return out
 
 
@@ -421,8 +415,10 @@ class GroupRingMatrix:
             for k, right in by_row.get(j, []):
                 target = out.setdefault((i, k), {})
                 for w1, c1 in left.items():
-                    for w2, c2 in right.items():
-                        _add_term(target, w1 * w2, c1 * c2)
+                    # w -> w1 * w is injective, so each shifted copy of
+                    # right is a plain dict
+                    axpy(target, c1,
+                         {w1 * w2: c2 for w2, c2 in right.items()})
         clean = {key: terms for key, terms in out.items() if terms}
         return GroupRingMatrix(self.group, self.rows, other.cols, clean)
 
@@ -443,9 +439,7 @@ class GroupRingMatrix:
             raise WordGroupError("shape/group mismatch")
         out = {key: dict(terms) for key, terms in self.entries.items()}
         for key, terms in other.entries.items():
-            target = out.setdefault(key, {})
-            for w, c in terms.items():
-                _add_term(target, w, c)
+            axpy(out.setdefault(key, {}), 1, terms)
         return GroupRingMatrix(self.group, self.rows, self.cols, out)
 
     def __sub__(self, other):
@@ -506,8 +500,8 @@ class FiniteAlgebraMatrix:
             for k, right in by_row.get(j, []):
                 target = out.setdefault((i, k), {})
                 for g1, c1 in left.items():
-                    for g2, c2 in right.items():
-                        _add_term(target, mul(g1, g2), c1 * c2)
+                    axpy(target, c1,
+                         {mul(g1, g2): c2 for g2, c2 in right.items()})
         clean = {key: terms for key, terms in out.items() if terms}
         return FiniteAlgebraMatrix(self.group, self.rows, other.cols, clean)
 
@@ -517,16 +511,6 @@ class FiniteAlgebraMatrix:
         for (i, j), terms in self.entries.items():
             out[(j, i)] = {inv(g): c for g, c in terms.items()}
         return FiniteAlgebraMatrix(self.group, self.cols, self.rows, out)
-
-    def power(self, k: int) -> "FiniteAlgebraMatrix":
-        if self.rows != self.cols:
-            raise WordGroupError("power of a non-square matrix")
-        result = FiniteAlgebraMatrix(
-            self.group, self.rows, self.cols,
-            {(i, i): {0: Fraction(1)} for i in range(self.rows)})
-        for _ in range(k):
-            result = result @ self
-        return result
 
     def sup_norm_bound(self) -> Fraction:
         total = Fraction(0)
@@ -632,7 +616,7 @@ def push_matrix(qmap: QuotientMap, a: GroupRingMatrix) -> FiniteAlgebraMatrix:
     for (i, j), terms in a.entries.items():
         target: dict[int, Fraction] = {}
         for w, c in terms.items():
-            _add_term(target, qmap.evaluate(w), c)
+            axpy(target, c, {qmap.evaluate(w): 1})
         if target:
             out[(i, j)] = target
     return FiniteAlgebraMatrix(qmap.target, a.rows, a.cols, out)
@@ -657,7 +641,12 @@ class FiniteIndexSubgroup:
         return self.fiber.index
 
     def is_normal(self) -> bool:
-        return self.fiber.is_normal()
+        # the letter images generate Q, and a finite subgroup that every
+        # generator normalizes is normal
+        q, mem = self.via.target, self.fiber.member_set
+        return all(q.conjugate(g, h) in mem
+                   for g in set(self.via.generator_images)
+                   for h in self.fiber.members)
 
     def contains(self, word: Word) -> bool:
         return self.via.evaluate(word) in self.fiber.member_set
@@ -671,11 +660,11 @@ class ChainLevelReport:
 
 
 class QuotientChain:
-    def __init__(self, levels, connectors):
-        if len(connectors) != max(len(levels) - 1, 0):
-            raise WordGroupError("need one connector between consecutive levels")
+    """Nested finite-index subgroups, shallowest first; ``validate_chain``
+    checks the nesting."""
+
+    def __init__(self, levels):
         self.levels = list(levels)
-        self.connectors = list(connectors)
         src = self.levels[0].group if self.levels else None
         for lv in self.levels:
             if lv.group is not src:
@@ -687,22 +676,30 @@ class QuotientChain:
 
 
 def validate_chain(chain: QuotientChain) -> list[ChainLevelReport]:
-    """Check connector compatibility and fiber containment; report indices."""
-    reports = []
-    for n, lv in enumerate(chain.levels):
-        if n + 1 < len(chain.levels):
-            conn = chain.connectors[n]
-            deeper = chain.levels[n + 1]
-            if conn.source is not deeper.via.target or conn.target is not lv.via.target:
-                raise ChainBroken(n, "connector endpoints mismatch")
-            for i in range(chain.group.n_letters):
-                if conn(deeper.via.generator_images[i]) != lv.via.generator_images[i]:
-                    raise ChainBroken(n, f"generator {chr(97 + i)}")
-            for m in deeper.fiber.members:
-                if conn(m) not in lv.fiber.member_set:
-                    raise ChainBroken(n, "fiber does not map into fiber")
-        reports.append(ChainLevelReport(n, lv.index, lv.is_normal()))
-    return reports
+    """Build each map Q_{n+1} -> Q_n that sends letter images to letter
+    images, check that it carries fiber into fiber, and report indices and
+    normality.
+
+    The letter images generate Q_{n+1}, so such a map is unique if it exists,
+    and one walk over Q_{n+1} builds it.  Letters that share an image in
+    Q_{n+1} but not in Q_n are caught first, because the walk takes one value
+    per image.
+    """
+    levels = chain.levels
+    for n, (lv, deeper) in enumerate(zip(levels, levels[1:])):
+        images: dict[int, int] = {}
+        for i, (d, s) in enumerate(zip(deeper.via.generator_images,
+                                       lv.via.generator_images)):
+            if images.setdefault(d, s) != s:
+                raise ChainBroken(n, f"letter {chr(97 + i)} repeats an image "
+                                     f"at level {n + 1} but not at level {n}")
+        conn = extend(deeper.via.target, images, lv.via.target.mul, 0,
+                      functools.partial(ChainBroken, n))
+        for m in deeper.fiber.members:
+            if conn[m] not in lv.fiber.member_set:
+                raise ChainBroken(n, "fiber does not map into fiber")
+    return [ChainLevelReport(n, lv.index, lv.is_normal())
+            for n, lv in enumerate(levels)]
 
 
 def intersection_heuristic(chain: QuotientChain, max_words: int = 20000) -> int:

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -342,3 +343,58 @@ def test_cli_run_bad_configs_print_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:"), name
         assert "Traceback" not in err, name
+
+
+# One config per chain template.  tests/data/reports.json holds what each
+# emits, timings removed, as generated before chains derived their connecting
+# maps; a refactor of the run path must leave it unchanged.
+GOLDEN = Path(__file__).resolve().parent / "data" / "reports.json"
+GOLDEN_CONFIGS = {
+    "fbf_semidirect_mod": {
+        "group": {"family": "free_by_finite", "rank": 2, "h": "cyclic:2",
+                  "action": {"0": ["a'", "b'"]}},
+        "complex": "tree_semidirect",
+        "chain": {"template": "semidirect_mod", "base": 2, "depth": 4},
+        "h_words": ["1", "c"], "degrees": [0, 1], "b2": {"1": "1"},
+        "infinite_centralizers": True, "normalize_per_h": True,
+        "probe_words": ["a", "c"]},
+    "dinf_dihedral_reflection": {
+        "group": {"family": "dihedral_infinite"},
+        "complex": "line_dinf",
+        "chain": {"template": "dihedral_reflection",
+                  "orders": [2, 4, 8, 16, 32]},
+        "h_words": ["1", "b"], "degrees": [0, 1],
+        "b2": {"0": "0", "1": "0"}, "infinite_centralizers": True,
+        "probe_words": ["1", "a", "b", "ab"], "char_convergence": 1},
+    "rose_abelianized_mod": {
+        "group": {"family": "free", "rank": 2},
+        "complex": "rose",
+        "chain": {"template": "abelianized_mod", "base": 2, "depth": 3},
+        "h_words": ["1"], "degrees": [0, 1], "b2": {"1": "1"},
+        "infinite_centralizers": True, "probe_words": ["a", "aba'b'"]},
+    "z_cyclic_mod": {
+        "group": {"family": "free_abelian", "rank": 1},
+        "complex": "line_z",
+        "chain": {"template": "cyclic_mod", "base": 3, "depth": 4},
+        "h_words": ["1"], "degrees": [0, 1], "b2": {"0": "0", "1": "0"},
+        "infinite_centralizers": True, "probe_words": ["a", "aaa"]},
+}
+
+
+def emitted_without_timings(data: dict, out_dir) -> dict:
+    """report.json minus the level timings, and results.csv, as ``emit``
+    writes them for the config ``data``."""
+    records, report = run(ExperimentConfig.from_json(data))
+    csv_path, json_path = emit(records, report, out_dir)
+    written = json.loads(json_path.read_text())
+    for level in written["levels"]:
+        del level["seconds"]
+    return {"report": written, "csv": csv_path.read_text()}
+
+
+def test_reports_match_golden(tmp_path):
+    golden = json.loads(GOLDEN.read_text())
+    assert sorted(golden) == sorted(GOLDEN_CONFIGS)
+    for name, data in GOLDEN_CONFIGS.items():
+        emitted = emitted_without_timings(data, tmp_path / name)
+        assert emitted == golden[name], name

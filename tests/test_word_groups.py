@@ -179,19 +179,15 @@ def test_push_commutes_with_adjoint_and_product():
         assert push_matrix(q, a @ a) == push_matrix(q, a) @ push_matrix(q, a)
 
 
+def _level(group, target, images, fiber=(0,)):
+    return FiniteIndexSubgroup(QuotientMap(group, target, images),
+                               target.subgroup(fiber))
+
+
 def _cyclic_chain(depth=3):
     z = FreeAbelianGroup(1)
-    from l2mult.finite_groups import hom_from_generator_images
-    levels, connectors = [], []
-    prev = None
-    for n in range(1, depth + 1):
-        target = cyclic_group(2 ** n)
-        levels.append(FiniteIndexSubgroup(QuotientMap(z, target, [1]),
-                                          target.subgroup([0])))
-        if prev is not None:
-            connectors.append(hom_from_generator_images(target, prev, {1: 1}))
-        prev = target
-    return QuotientChain(levels, connectors)
+    return QuotientChain([_level(z, cyclic_group(2 ** n), [1])
+                          for n in range(1, depth + 1)])
 
 
 def test_validate_chain_cyclic():
@@ -202,14 +198,27 @@ def test_validate_chain_cyclic():
 
 
 def test_validate_chain_broken():
-    z = FreeAbelianGroup(1)
-    from l2mult.finite_groups import hom_from_generator_images
-    c2, c4 = cyclic_group(2), cyclic_group(4)
-    lv1 = FiniteIndexSubgroup(QuotientMap(z, c2, [1]), c2.subgroup([0]))
-    lv2 = FiniteIndexSubgroup(QuotientMap(z, c4, [1]), c4.subgroup([0]))
-    bad = hom_from_generator_images(c4, c2, {1: 0})   # wrong image
-    with pytest.raises(ChainBroken):
-        validate_chain(QuotientChain([lv1, lv2], [bad]))
+    # Z -> C3 does not factor through Z -> C2
+    z, c2, c3 = FreeAbelianGroup(1), cyclic_group(2), cyclic_group(3)
+    with pytest.raises(ChainBroken, match="disagree"):
+        validate_chain(QuotientChain([_level(z, c2, [1]), _level(z, c3, [1])]))
+    # a, b -> 1 in C4 but to distinct units of C2 x C2: a homomorphism
+    # C4 -> C2 x C2 fits either letter alone, so only the repeated image
+    # shows the break
+    f2, c4, v4 = FreeGroup(2), cyclic_group(4), abelian_group([2, 2])
+    units = [v4.index_of((1, 0)), v4.index_of((0, 1))]
+    with pytest.raises(ChainBroken, match="repeats an image"):
+        validate_chain(QuotientChain([_level(f2, v4, units),
+                                      _level(f2, c4, [1, 1])]))
+    # Dih8 -> Dih4 carries the reflection fiber of Dih8 onto a reflection,
+    # outside the kernel fiber of Dih4
+    d = InfiniteDihedralGroup()
+    dih4, dih8 = dihedral_group(2), dihedral_group(4)
+    with pytest.raises(ChainBroken, match="fiber does not map into fiber"):
+        validate_chain(QuotientChain([
+            _level(d, dih4, [dih4.index_of((1, 0)), dih4.index_of((0, 1))]),
+            _level(d, dih8, [dih8.index_of((1, 0)), dih8.index_of((0, 1))],
+                   fiber=(0, dih8.index_of((0, 1))))]))
 
 
 def test_dihedral_reflection_fibers_not_normal():
