@@ -34,11 +34,10 @@ from .characters import (CrossCheckFailed, UnsupportedFamily,
                          check_normalizes, finite_word_subgroup)
 from .spectral import (MonomialRep, NotAComplex, induced_rep,
                        irreducible_rep, operator_columns_exact, phi_betti)
-from .word_groups import (BuiltinGroup, FiniteAlgebraMatrix,
-                          FiniteIndexSubgroup, FreeAbelianGroup, FreeGroup,
-                          FreeByFiniteGroup, GroupRingMatrix,
-                          InfiniteDihedralGroup, Word, format_ring_sum,
-                          push_matrix)
+from .word_groups import (BuiltinGroup, FiniteIndexSubgroup,
+                          FreeAbelianGroup, FreeGroup, FreeByFiniteGroup,
+                          GroupRingMatrix, InfiniteDihedralGroup, Word,
+                          format_ring_sum, push_matrix, ring_mul)
 
 
 class ComplexError(L2MultError):
@@ -69,14 +68,6 @@ class OrbitCell:
             raise ComplexError("stabilizer must list the identity first")
         if self.signs[0] != 1 or any(s not in (-1, 1) for s in self.signs):
             raise ComplexError("signs must be +-1 with +1 at the identity")
-
-
-def _ring_mul(t1: dict[Word, Fraction], t2: dict[Word, Fraction]):
-    out: dict[Word, Fraction] = {}
-    for w1, c1 in t1.items():
-        # w -> w1 * w is injective, so each shifted copy of t2 is a plain dict
-        axpy(out, c1, {w1 * w2: c2 for w2, c2 in t2.items()})
-    return out
 
 
 def _averaging(cell: OrbitCell) -> dict[Word, Fraction]:
@@ -134,8 +125,10 @@ class EquivariantCWData:
                     if not terms:
                         continue
                     left = _averaging(tgt)
-                    lhs = _ring_mul(left, _ring_mul(terms, {s_word: Fraction(1)}))
-                    rhs = _ring_mul(left, {w: s_sign * c for w, c in terms.items()})
+                    lhs = ring_mul(self.group, left,
+                                   ring_mul(self.group, terms, {s_word: 1}))
+                    rhs = ring_mul(self.group, left,
+                                   {w: s_sign * c for w, c in terms.items()})
                     if lhs != rhs:
                         raise ComplexError(
                             f"boundary entry ({tgt.label},{src.label}) breaks "
@@ -648,7 +641,7 @@ def _left_regular_rep(group: FiniteGroup) -> MonomialRep:
 
 
 def materialize_regular(group: FiniteGroup,
-                        boundaries: dict[int, FiniteAlgebraMatrix],
+                        boundaries: dict[int, GroupRingMatrix],
                         h_sub: FiniteSubgroup) -> FiniteChainComplex:
     """Free complex over the group algebra as a plain rational complex, the
     subgroup acting by right translation on each group-ring coordinate."""
@@ -679,7 +672,7 @@ def materialize_regular(group: FiniteGroup,
 
 
 def finite_group_crosscheck(group: FiniteGroup, h_sub: FiniteSubgroup,
-                            boundaries: dict[int, FiniteAlgebraMatrix],
+                            boundaries: dict[int, GroupRingMatrix],
                             table: CharacterTable, tol: float = 1e-7) -> dict:
     """Two independent routes to the normalized multiplicities of a free
     complex over a finite group algebra: twisted Betti numbers under the

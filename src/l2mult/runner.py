@@ -79,6 +79,10 @@ class ExperimentConfig:
             raise ConfigInvalid(str(exc)) from exc
         if cfg.format not in ("csv", "json", "both"):
             raise ConfigInvalid(f"unknown format {cfg.format!r}")
+        for what, spec in (("group", cfg.group), ("chain", cfg.chain)):
+            if not isinstance(spec, dict):
+                raise ConfigInvalid(f"the {what} spec must be a JSON object, "
+                                    f"got {spec!r}")
         return cfg
 
     def to_json(self) -> dict:
@@ -173,21 +177,35 @@ def build_complex(spec, group: BuiltinGroup) -> EquivariantCWData:
     raise ConfigInvalid(f"unknown complex spec {spec!r}")
 
 
+def _base_depth(spec: dict, depth: int) -> tuple[int, int]:
+    base = _int(spec.get("base", 2), "base")
+    depth = _int(spec.get("depth", depth), "depth")
+    if base < 2:
+        raise ConfigInvalid(f"chain base must be at least 2, got {base}")
+    if depth < 1:
+        raise ConfigInvalid(f"chain depth must be at least 1, got {depth}")
+    return base, depth
+
+
 def build_chain(spec: dict, group: BuiltinGroup) -> QuotientChain:
     template = spec.get("template")
     if template == "cyclic_mod":
-        return _chain_cyclic(group, _int(spec.get("base", 2), "base"),
-                             _int(spec.get("depth", 5), "depth"))
+        return _chain_cyclic(group, *_base_depth(spec, 5))
     if template == "abelianized_mod":
-        return _chain_abelianized(group, _int(spec.get("base", 2), "base"),
-                                  _int(spec.get("depth", 3), "depth"))
+        return _chain_abelianized(group, *_base_depth(spec, 3))
     if template in ("dihedral", "dihedral_reflection"):
-        orders = [_int(m, "order") for m in spec.get("orders", [2, 4, 8, 16])]
+        orders = spec.get("orders", [2, 4, 8, 16])
+        if not isinstance(orders, list) or not orders:
+            raise ConfigInvalid(f"dihedral chain orders must be a non-empty "
+                                f"list, got {orders!r}")
+        orders = [_int(m, "order") for m in orders]
+        if min(orders) < 1:
+            raise ConfigInvalid(f"dihedral chain orders must be positive, "
+                                f"got {orders}")
         return _chain_dihedral(group, orders,
                                reflection=template == "dihedral_reflection")
     if template == "semidirect_mod":
-        return _chain_semidirect(group, _int(spec.get("base", 2), "base"),
-                                 _int(spec.get("depth", 3), "depth"))
+        return _chain_semidirect(group, *_base_depth(spec, 3))
     raise ConfigInvalid(f"unknown chain template {template!r}")
 
 
@@ -405,9 +423,13 @@ class ExperimentContext:
         else:
             self.chi_indices = [_int(i, "irreducible")
                                for i in config.irreducibles]
-            for i in self.chi_indices:
-                if not 0 <= i < len(self.table.irreducibles):
-                    raise ConfigInvalid(f"no irreducible {i}")
+        self.char_convergence = None
+        if config.char_convergence is not None:
+            self.char_convergence = _int(config.char_convergence,
+                                         "char_convergence")
+        for i in self.chi_indices + [self.char_convergence]:
+            if i is not None and not 0 <= i < len(self.table.irreducibles):
+                raise ConfigInvalid(f"no irreducible {i}")
         self.degrees = list(config.degrees)
         for p in self.degrees:
             if p not in self.cw.cells:
@@ -501,8 +523,8 @@ def assemble_report(ctx: ExperimentContext, records: list[LevelRecord]) -> dict:
             rel_rows = [{"error": f"{type(exc).__name__}: {exc}"}]
     growth = {str(w): centralizer_growth(ctx.chain, w) for w in ctx.probes}
     char_rows = []
-    if cfg.char_convergence is not None:
-        char_rows = _char_convergence_rows(ctx, int(cfg.char_convergence))
+    if ctx.char_convergence is not None:
+        char_rows = _char_convergence_rows(ctx, ctx.char_convergence)
     report = {
         "config": cfg.to_json(),
         "levels": [r.to_json() for r in records],

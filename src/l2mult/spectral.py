@@ -3,6 +3,13 @@ operator matrices, atomic spectral measures, Fuglede-Kadison determinants,
 moment checks, the determinant lower bound, and twisted Betti numbers of
 compressed chain complexes.
 
+Every matrix is a ``GroupRingMatrix`` over the representation's group;
+``operator_columns_exact`` and ``operator_matrix`` turn it into the exact
+and the numeric operator.  Stabilizer compression in ``phi_betti`` is one
+more group-ring matrix, the block-diagonal averaging idempotent
+e_S = |S|^-1 sum_s sign(s) s of each summand, multiplied onto the boundaries
+(Lueck, GAFA 4 (1994)).
+
 Two representation classes: ``MonomialRep`` (permutation reps, degree-1
 characters and everything induced or pulled back from them) and the dense
 ``UnitaryRep`` (irreducibles of degree >= 2 and what is induced or pulled
@@ -20,13 +27,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._linalg import (SparseCol, apply_columns, axpy, charpoly_trailing,
-                      column_reduce, sparse_rank)
+from ._linalg import SparseCol, axpy, charpoly_trailing, sparse_rank
+from .characters import CrossCheckFailed, check_action
 from .finite_groups import (FiniteGroup, FiniteSubgroup, GroupHom,
                             L2MultError, OrdinaryCharacter, cayley_walk,
                             induce_ordinary)
-from .word_groups import (FiniteAlgebraMatrix, FreeAbelianGroup, FreeGroup,
-                          GroupRingMatrix, Word)
+from .word_groups import (FreeAbelianGroup, FreeGroup, GroupRingMatrix,
+                          Word)
 
 
 class SpectralError(L2MultError):
@@ -44,10 +51,6 @@ class MomentMismatch(SpectralError):
 
 
 class BoundViolated(SpectralError):
-    pass
-
-
-class CharacterMismatch(SpectralError):
     pass
 
 
@@ -192,7 +195,6 @@ def WordPermRep(group, letter_perms) -> MonomialRep:
 
 
 def rep_from_action(group: FiniteGroup, act, n_points: int) -> MonomialRep:
-    from .characters import check_action
     check_action(group, act, n_points)
     return _action_rep(group, act, n_points)
 
@@ -317,7 +319,7 @@ def induced_rep(q_group: FiniteGroup, h_sub: FiniteSubgroup, rho_h,
         rep = UnitaryRep(q_group, gens)
     induced_char = induce_ordinary(h_sub, character_of(rho_h))
     if np.max(np.abs(character_of(rep).values - induced_char.values)) > tol:
-        raise CharacterMismatch("induced character does not match the formula")
+        raise CrossCheckFailed("induced character does not match the formula")
     return rep
 
 
@@ -335,17 +337,8 @@ def pullback_rep(hom: GroupHom, rho) -> MonomialRep | UnitaryRep:
 # Operator matrices
 # ---------------------------------------------------------------------------
 
-def _pairs(a):
-    if isinstance(a, (FiniteAlgebraMatrix, GroupRingMatrix)):
-        return a.entries.items()
-    raise SpectralError(f"unsupported matrix type {type(a).__name__}")
-
-
-def _check_compat(a, rho):
-    if isinstance(a, GroupRingMatrix) and not isinstance(rho, MonomialRep):
-        raise SpectralError("group-ring matrices need a word permutation rep")
-    if isinstance(a, (FiniteAlgebraMatrix, GroupRingMatrix)) and \
-            rho.group is not a.group:
+def _check_compat(a: GroupRingMatrix, rho):
+    if rho.group is not a.group:
         raise SpectralError("matrix and representation group differ")
 
 
@@ -357,7 +350,7 @@ def operator_matrix(a, rho) -> np.ndarray:
     d = rho.dim
     arange = np.arange(d)
     out = np.zeros((a.rows * d, a.cols * d), dtype=complex)
-    for (i, j), terms in _pairs(a):
+    for (i, j), terms in a.entries.items():
         block = np.zeros((d, d), dtype=complex)
         for elem, c in terms.items():
             if isinstance(rho, MonomialRep):
@@ -377,7 +370,7 @@ def operator_columns_exact(a, rho) -> tuple[int, list[SparseCol]]:
         raise SpectralError("exact operator needs a rational representation")
     d = rho.dim
     cols: list[SparseCol] = [dict() for _ in range(a.cols * d)]
-    for (i, j), terms in _pairs(a):
+    for (i, j), terms in a.entries.items():
         for elem, c in terms.items():
             c = Fraction(c)
             for y in range(d):
@@ -389,7 +382,7 @@ def operator_columns_exact(a, rho) -> tuple[int, list[SparseCol]]:
 def operator_trace(a, rho) -> complex:
     """Unnormalized trace of the operator: sum of diagonal block traces."""
     total = 0j
-    for (i, j), terms in _pairs(a):
+    for (i, j), terms in a.entries.items():
         if i != j:
             continue
         for elem, c in terms.items():
@@ -564,89 +557,21 @@ def luck_bound_check(a, rho, d: int) -> LuckReport:
 # Twisted Betti numbers of compressed complexes
 # ---------------------------------------------------------------------------
 
-def _idempotent_columns(rho, summands, n_modules) -> tuple[list[SparseCol], int]:
-    """Exact basis columns of the images of the averaging idempotents of the
-    stabilizer summands inside V^n (rational representations)."""
-    d = rho.dim
-    basis: list[SparseCol] = []
-    for j in range(n_modules):
-        stab = summands[j] if summands else None
-        if stab is None or len(stab[0]) <= 1:
-            for y in range(d):
-                basis.append({j * d + y: Fraction(1)})
-            continue
-        elems, signs = stab
-        cols: list[SparseCol] = [dict() for _ in range(d)]
-        w = Fraction(1, len(elems))
-        for elem, sign in zip(elems, signs):
-            for y in range(d):
-                r, s = rho.entry(elem, y)
-                axpy(cols[y], sign * w, {r: s})
-        red = column_reduce(cols)
-        for k in red.pivot_cols:
-            basis.append({j * d + r: v for r, v in cols[k].items()})
-    return basis, d * n_modules
-
-
-def _project_columns(rho, summands, n_modules, vecs: list[SparseCol]):
-    """Apply the block-diagonal averaging idempotents to sparse vectors."""
-    if summands is None or all(s is None or len(s[0]) <= 1 for s in summands):
-        return vecs
-    d = rho.dim
-    out = []
-    for v in vecs:
-        acc: SparseCol = {}
-        for idx, c in v.items():
-            j, y = divmod(idx, d)
-            stab = summands[j]
-            if stab is None or len(stab[0]) <= 1:
-                axpy(acc, c, {idx: 1})
-                continue
-            elems, signs = stab
-            w = Fraction(1, len(elems))
-            for elem, sign in zip(elems, signs):
-                r, s = rho.entry(elem, y)
-                axpy(acc, sign * w * c, {j * d + r: s})
-        out.append(acc)
-    return out
-
-
-def _numeric_projector(rho, summands, n_modules) -> np.ndarray | None:
-    if summands is None or all(s is None or len(s[0]) <= 1 for s in summands):
+def _averaging_idempotent(group, summands, n_modules):
+    """Block-diagonal averaging idempotent of the stabilizer summands: block
+    j is e_S = |S|^-1 sum_s sign(s) s for summand j = (elements, signs), and
+    the identity for a free summand (None).  None when every summand is
+    free."""
+    stabs = [s if s is not None and len(s[0]) > 1 else None
+             for s in summands or ()]
+    if not any(stabs):
         return None
-    d = rho.dim
-    out = np.zeros((n_modules * d, n_modules * d), dtype=complex)
+    entries = {}
     for j in range(n_modules):
-        stab = summands[j]
-        if stab is None or len(stab[0]) <= 1:
-            out[j * d:(j + 1) * d, j * d:(j + 1) * d] = np.eye(d)
-            continue
-        elems, signs = stab
-        proj = sum(sign * rho.matrix(elem) for elem, sign in zip(elems, signs))
-        out[j * d:(j + 1) * d, j * d:(j + 1) * d] = np.asarray(proj) / len(elems)
-    return out
-
-
-def _numeric_idempotent_basis(rho, summands, n_modules) -> np.ndarray:
-    d = rho.dim
-    blocks = []
-    for j in range(n_modules):
-        stab = summands[j] if summands else None
-        if stab is None or len(stab[0]) <= 1:
-            blocks.append((j, np.eye(d, dtype=complex)))
-            continue
-        elems, signs = stab
-        proj = sum(sign * rho.matrix(elem) for elem, sign in zip(elems, signs))
-        proj = np.asarray(proj) / len(elems)
-        evals, evecs = np.linalg.eigh((proj + proj.conj().T) / 2)
-        blocks.append((j, evecs[:, evals > 0.5]))
-    total = sum(b.shape[1] for _, b in blocks)
-    out = np.zeros((n_modules * d, total), dtype=complex)
-    pos = 0
-    for j, b in blocks:
-        out[j * d:(j + 1) * d, pos:pos + b.shape[1]] = b
-        pos += b.shape[1]
-    return out
+        elems, signs = stabs[j] or ([0], [1])
+        entries[(j, j)] = {g: Fraction(sign, len(elems))
+                           for g, sign in zip(elems, signs)}
+    return GroupRingMatrix(group, n_modules, n_modules, entries)
 
 
 def phi_betti(boundary_p, boundary_p1, rho, stabilizers=None,
@@ -656,60 +581,46 @@ def phi_betti(boundary_p, boundary_p1, rho, stabilizers=None,
 
     ``stabilizers`` is an optional triple of summand lists (degrees p-1, p,
     p+1); each summand is None for a free module or a pair
-    (element_indices, signs) describing the averaging idempotent.
+    (element_indices, signs) describing the averaging idempotent.  With e_q
+    the block-diagonal idempotent of degree q, the compressed d_p is the
+    group-ring product e_{p-1} d_p e_p: its rank is the rank of d_p on the
+    image of e_p followed by e_{p-1}, and that image has the rank of e_p as
+    dimension.  Ranks are exact on rational representations and counted
+    singular values above a sup-norm-scaled threshold otherwise.
     """
     stabs = stabilizers or (None, None, None)
     if boundary_p is None and boundary_p1 is None:
         raise SpectralError("at least one boundary required")
     n_p = boundary_p.cols if boundary_p is not None else boundary_p1.rows
     n_pm1 = boundary_p.rows if boundary_p is not None else 0
-    exact = rho.is_rational
-    if exact:
-        basis_p, _ = _idempotent_columns(rho, stabs[1], n_p)
-        dim_wp = len(basis_p)
-        if boundary_p is not None:
-            _, cols_p = operator_columns_exact(boundary_p, rho)
-            mapped = _project_columns(rho, stabs[0], n_pm1,
-                                      apply_columns(cols_p, basis_p))
-            rank_p = sparse_rank(mapped)
-        else:
-            rank_p = 0
-        rank_p1 = 0
-        if boundary_p1 is not None:
-            basis_p1, _ = _idempotent_columns(rho, stabs[2], boundary_p1.cols)
-            _, cols_p1 = operator_columns_exact(boundary_p1, rho)
-            image = _project_columns(rho, stabs[1], n_p,
-                                     apply_columns(cols_p1, basis_p1))
-            if boundary_p is not None:
-                composite = _project_columns(rho, stabs[0], n_pm1,
-                                             apply_columns(cols_p, image))
-                if any(composite):
-                    raise NotAComplex("d_p . d_{p+1} != 0 on the compression")
-            rank_p1 = sparse_rank(image)
-        return Fraction(dim_wp - rank_p, rho.dim) - Fraction(rank_p1, rho.dim)
-    basis_p = _numeric_idempotent_basis(rho, stabs[1], n_p)
+    e_pm1 = _averaging_idempotent(rho.group, stabs[0], n_pm1)
+    e_p = _averaging_idempotent(rho.group, stabs[1], n_p)
     thr = svd_tol * max(1.0, float((boundary_p or boundary_p1).sup_norm_bound()))
-    proj_pm1 = _numeric_projector(rho, stabs[0], n_pm1)
-    rank_p = 0
+
+    def compress(left, mat, right):
+        if left is not None:
+            mat = left @ mat
+        return mat if right is None else mat @ right
+
+    def rank(mat):
+        if rho.is_rational:
+            return sparse_rank(operator_columns_exact(mat, rho)[1])
+        op = operator_matrix(mat, rho)
+        svals = np.linalg.svd(op, compute_uv=False) if op.size else []
+        return int(np.count_nonzero(np.asarray(svals) > thr))
+
+    dim_wp = n_p * rho.dim if e_p is None else rank(e_p)
+    rank_p = rank_p1 = 0
     if boundary_p is not None:
-        mapped = operator_matrix(boundary_p, rho) @ basis_p
-        if proj_pm1 is not None:
-            mapped = proj_pm1 @ mapped
-        svals = np.linalg.svd(mapped, compute_uv=False) if mapped.size else []
-        rank_p = int(np.count_nonzero(np.asarray(svals) > thr))
-    rank_p1 = 0
+        d_p = compress(e_pm1, boundary_p, e_p)
+        rank_p = rank(d_p)
     if boundary_p1 is not None:
-        basis_p1 = _numeric_idempotent_basis(rho, stabs[2], boundary_p1.cols)
-        image = operator_matrix(boundary_p1, rho) @ basis_p1
-        proj_p = _numeric_projector(rho, stabs[1], n_p)
-        if proj_p is not None:
-            image = proj_p @ image
-        if boundary_p is not None:
-            comp = operator_matrix(boundary_p, rho) @ image
-            if proj_pm1 is not None:
-                comp = proj_pm1 @ comp
-            if comp.size and np.max(np.abs(comp)) > 1e-7:
-                raise NotAComplex("d_p . d_{p+1} != 0 on the compression")
-        svals = np.linalg.svd(image, compute_uv=False) if image.size else []
-        rank_p1 = int(np.count_nonzero(np.asarray(svals) > thr))
-    return (basis_p.shape[1] - rank_p - rank_p1) / rho.dim
+        e_p1 = _averaging_idempotent(rho.group, stabs[2], boundary_p1.cols)
+        d_p1 = compress(e_p, boundary_p1, e_p1)
+        # e_p is idempotent, so d_p @ d_p1 is the compressed d_p . d_{p+1}
+        if boundary_p is not None and rank(d_p @ d_p1):
+            raise NotAComplex("d_p . d_{p+1} != 0 on the compression")
+        rank_p1 = rank(d_p1)
+    if rho.is_rational:
+        return Fraction(dim_wp - rank_p - rank_p1, rho.dim)
+    return (dim_wp - rank_p - rank_p1) / rho.dim

@@ -3,8 +3,15 @@
 Supported families: free groups, free abelian groups, the infinite dihedral
 group <t, s | s^2, s t s = t^-1>, and free-by-finite semidirect products
 F_r : H for a finite group H acting on the free generators.  Elements are
-``Word`` values stored in a per-family normal form; matrices over the
-rational group ring and quotient maps onto finite groups are built on top.
+``Word`` values stored in a per-family normal form; quotient maps onto
+finite groups are built on top.
+
+``GroupRingMatrix`` is the one sparse matrix class over a rational group
+ring.  It works over a built-in group, with entries keyed by words, and over
+a finite group, with entries keyed by element indices; products and adjoints
+go through the group's ``mul`` and ``inv``, and ``push_matrix`` carries a
+matrix from a built-in group to a finite quotient.  ``FiniteAlgebraMatrix``
+is another name for the same class.
 
 Serialization uses the alphabet a, b, c, ... for the generators with a
 trailing apostrophe for inverses ("ab'a"), "1" for the identity, and group
@@ -48,6 +55,12 @@ class BuiltinGroup:
 
     def word(self, text: str) -> "Word":
         return Word(self, self.data_from_letters(parse_letters(text)))
+
+    def mul(self, w1: "Word", w2: "Word") -> "Word":
+        return w1 * w2
+
+    def inv(self, w: "Word") -> "Word":
+        return w.inverse()
 
     def data_from_letters(self, letters):
         data = self.identity_data()
@@ -367,20 +380,37 @@ def parse_ring_sum(group: BuiltinGroup, text: str) -> dict[Word, Fraction]:
 
 
 def format_ring_sum(terms: dict) -> str:
+    """Words sorted by length, then spelling; finite-group elements by
+    index."""
     if not terms:
         return "0"
-    keys = sorted(terms, key=lambda w: (len(w.letters()), str(w)))
+    keys = sorted(terms, key=lambda g: (len(g.letters()), str(g))
+                  if isinstance(g, Word) else g)
     return " + ".join(f"{terms[k]}*{k}" for k in keys)
 
 
-class GroupRingMatrix:
-    """Rectangular matrix over the rational group ring of a built-in group."""
+def ring_mul(group, t1: dict, t2: dict) -> dict:
+    """Product of two group-ring elements, each a dict from elements of
+    ``group`` to coefficients."""
+    mul = group.mul
+    out: dict = {}
+    for g1, c1 in t1.items():
+        # g -> g1 * g is injective, so each shifted copy of t2 is a plain dict
+        axpy(out, c1, {mul(g1, g2): c2 for g2, c2 in t2.items()})
+    return out
 
-    def __init__(self, group: BuiltinGroup, rows: int, cols: int, entries=None):
+
+class GroupRingMatrix:
+    """Sparse rectangular matrix over the rational group ring of a built-in
+    group (entries keyed by words) or of a finite group (entries keyed by
+    element indices)."""
+
+    def __init__(self, group: BuiltinGroup | FiniteGroup, rows: int,
+                 cols: int, entries=None):
         self.group = group
         self.rows = rows
         self.cols = cols
-        self.entries: dict[tuple[int, int], dict[Word, Fraction]] = {}
+        self.entries: dict[tuple[int, int], dict] = {}
         if entries:
             for (i, j), terms in entries.items():
                 clean = {w: Fraction(c) for w, c in terms.items() if c}
@@ -389,6 +419,8 @@ class GroupRingMatrix:
 
     @classmethod
     def from_strings(cls, group: BuiltinGroup, rows_of_sums):
+        if not isinstance(group, BuiltinGroup):
+            raise WordGroupError("ring sums are read over built-in groups only")
         rows = len(rows_of_sums)
         cols = len(rows_of_sums[0]) if rows else 0
         entries = {}
@@ -401,31 +433,26 @@ class GroupRingMatrix:
                     entries[(i, j)] = terms
         return cls(group, rows, cols, entries)
 
-    def entry(self, i, j) -> dict[Word, Fraction]:
+    def entry(self, i, j) -> dict:
         return self.entries.get((i, j), {})
 
     def __matmul__(self, other: "GroupRingMatrix") -> "GroupRingMatrix":
         if other.group is not self.group or self.cols != other.rows:
             raise WordGroupError("shape/group mismatch")
-        out: dict[tuple[int, int], dict[Word, Fraction]] = {}
+        out: dict[tuple[int, int], dict] = {}
         by_row: dict[int, list] = {}
         for (j, k), terms in other.entries.items():
             by_row.setdefault(j, []).append((k, terms))
         for (i, j), left in self.entries.items():
             for k, right in by_row.get(j, []):
-                target = out.setdefault((i, k), {})
-                for w1, c1 in left.items():
-                    # w -> w1 * w is injective, so each shifted copy of
-                    # right is a plain dict
-                    axpy(target, c1,
-                         {w1 * w2: c2 for w2, c2 in right.items()})
-        clean = {key: terms for key, terms in out.items() if terms}
-        return GroupRingMatrix(self.group, self.rows, other.cols, clean)
+                axpy(out.setdefault((i, k), {}), 1,
+                     ring_mul(self.group, left, right))
+        return GroupRingMatrix(self.group, self.rows, other.cols, out)
 
     def adjoint(self) -> "GroupRingMatrix":
-        out = {}
-        for (i, j), terms in self.entries.items():
-            out[(j, i)] = {w.inverse(): c for w, c in terms.items()}
+        inv = self.group.inv
+        out = {(j, i): {inv(g): c for g, c in terms.items()}
+               for (i, j), terms in self.entries.items()}
         return GroupRingMatrix(self.group, self.cols, self.rows, out)
 
     def scale(self, c) -> "GroupRingMatrix":
@@ -470,63 +497,8 @@ class GroupRingMatrix:
         return f"[{body}]"
 
 
-class FiniteAlgebraMatrix:
-    """Matrix over the rational group algebra of a finite group; entries map
-    element indices to rational coefficients."""
-
-    def __init__(self, group: FiniteGroup, rows: int, cols: int, entries=None):
-        self.group = group
-        self.rows = rows
-        self.cols = cols
-        self.entries: dict[tuple[int, int], dict[int, Fraction]] = {}
-        if entries:
-            for (i, j), terms in entries.items():
-                clean = {g: Fraction(c) for g, c in terms.items() if c}
-                if clean:
-                    self.entries[(i, j)] = clean
-
-    def entry(self, i, j) -> dict[int, Fraction]:
-        return self.entries.get((i, j), {})
-
-    def __matmul__(self, other: "FiniteAlgebraMatrix") -> "FiniteAlgebraMatrix":
-        if other.group is not self.group or self.cols != other.rows:
-            raise WordGroupError("shape/group mismatch")
-        mul = self.group.mul
-        out: dict[tuple[int, int], dict[int, Fraction]] = {}
-        by_row: dict[int, list] = {}
-        for (j, k), terms in other.entries.items():
-            by_row.setdefault(j, []).append((k, terms))
-        for (i, j), left in self.entries.items():
-            for k, right in by_row.get(j, []):
-                target = out.setdefault((i, k), {})
-                for g1, c1 in left.items():
-                    axpy(target, c1,
-                         {mul(g1, g2): c2 for g2, c2 in right.items()})
-        clean = {key: terms for key, terms in out.items() if terms}
-        return FiniteAlgebraMatrix(self.group, self.rows, other.cols, clean)
-
-    def adjoint(self) -> "FiniteAlgebraMatrix":
-        inv = self.group.inv
-        out = {}
-        for (i, j), terms in self.entries.items():
-            out[(j, i)] = {inv(g): c for g, c in terms.items()}
-        return FiniteAlgebraMatrix(self.group, self.cols, self.rows, out)
-
-    def sup_norm_bound(self) -> Fraction:
-        total = Fraction(0)
-        for terms in self.entries.values():
-            for c in terms.values():
-                total += abs(c)
-        return total
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for terms in self.entries.values()
-                   for c in terms.values())
-
-    def __eq__(self, other):
-        return isinstance(other, FiniteAlgebraMatrix) and other.group is self.group \
-            and (other.rows, other.cols) == (self.rows, self.cols) \
-            and other.entries == self.entries
+# kept for callers that name matrices over a finite group's algebra
+FiniteAlgebraMatrix = GroupRingMatrix
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +580,7 @@ class QuotientMap:
         return acc
 
 
-def push_matrix(qmap: QuotientMap, a: GroupRingMatrix) -> FiniteAlgebraMatrix:
+def push_matrix(qmap: QuotientMap, a: GroupRingMatrix) -> GroupRingMatrix:
     """Apply the induced ring map entrywise, collecting coefficients."""
     if a.group is not qmap.source:
         raise WordGroupError("matrix over a different group")
@@ -619,7 +591,7 @@ def push_matrix(qmap: QuotientMap, a: GroupRingMatrix) -> FiniteAlgebraMatrix:
             axpy(target, c, {qmap.evaluate(w): 1})
         if target:
             out[(i, j)] = target
-    return FiniteAlgebraMatrix(qmap.target, a.rows, a.cols, out)
+    return GroupRingMatrix(qmap.target, a.rows, a.cols, out)
 
 
 class FiniteIndexSubgroup:
@@ -738,7 +710,8 @@ def intersection_heuristic(chain: QuotientChain, max_words: int = 20000) -> int:
 __all__ = [
     "BuiltinGroup", "FreeGroup", "FreeAbelianGroup", "InfiniteDihedralGroup",
     "FreeByFiniteGroup", "Word", "normal_form", "parse_letters",
-    "format_letters", "parse_ring_sum", "format_ring_sum", "GroupRingMatrix",
+    "format_letters", "parse_ring_sum", "format_ring_sum", "ring_mul",
+    "GroupRingMatrix",
     "FiniteAlgebraMatrix", "QuotientMap", "push_matrix",
     "FiniteIndexSubgroup", "QuotientChain", "ChainBroken", "validate_chain",
     "intersection_heuristic", "WordGroupError",

@@ -334,6 +334,35 @@ def test_cli_run_bad_configs_print_errors(tmp_path, capsys):
             "complex": "tree_semidirect",
             "chain": {"template": "semidirect_mod", "base": 2, "depth": 2},
         },
+        "cyclic_base_1": {
+            "group": {"family": "free_abelian", "rank": 1},
+            "complex": "line_z",
+            "chain": {"template": "cyclic_mod", "base": 1},
+        },
+        "abelianized_base_1": {
+            "group": {"family": "free", "rank": 2},
+            "complex": "rose",
+            "chain": {"template": "abelianized_mod", "base": 1},
+        },
+        "cyclic_depth_0": {
+            "group": {"family": "free_abelian", "rank": 1},
+            "complex": "line_z",
+            "chain": {"template": "cyclic_mod", "depth": 0},
+        },
+        "dihedral_order_0": dinf_config(
+            chain={"template": "dihedral", "orders": [0, 2]}).to_json(),
+        "char_convergence_9": dinf_config(char_convergence=9).to_json(),
+        "char_convergence_x": dinf_config(char_convergence="x").to_json(),
+        "group_string": {"group": "free", "complex": "rose",
+                         "chain": {"template": "abelianized_mod"}},
+        "chain_string": {"group": {"family": "free_abelian", "rank": 1},
+                         "complex": "line_z", "chain": "cyclic_mod"},
+        "semidirect_base_1": {
+            "group": {"family": "free_by_finite", "rank": 2,
+                      "h": "cyclic:2", "action": {"0": ["a'", "b'"]}},
+            "complex": "tree_semidirect",
+            "chain": {"template": "semidirect_mod", "base": 1, "depth": 2},
+        },
     }
     for name, data in bad_configs.items():
         path = tmp_path / f"{name}.json"
@@ -343,6 +372,8 @@ def test_cli_run_bad_configs_print_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:"), name
         assert "Traceback" not in err, name
+        if name == "semidirect_base_1":
+            assert err == "error: chain base must be at least 2, got 1\n"
 
 
 # One config per chain template.  tests/data/reports.json holds what each
@@ -398,3 +429,45 @@ def test_reports_match_golden(tmp_path):
     for name, data in GOLDEN_CONFIGS.items():
         emitted = emitted_without_timings(data, tmp_path / name)
         assert emitted == golden[name], name
+
+
+# stdout of `l2mult spectral` for three quotients, written before the two
+# group-ring matrix classes were merged: the whole CLI path from_strings,
+# push_matrix, adjoint() @, operator_matrix and moments_check
+SPECTRAL_GOLDEN = Path(__file__).resolve().parent / "data" / "spectral_cli.json"
+
+
+def spectral_output(text: str):
+    """(measure, fk_det, moment rows) read from `l2mult spectral` stdout."""
+    lines = text.splitlines()
+    measure = json.loads(lines[0])
+    name, det = lines[1].split(" = ")
+    assert name == "fk_det"
+    moments = []
+    for line in lines[2:]:
+        k, rest = line.removeprefix("moment ").split(": ")
+        words = rest.split()
+        assert words[0::2] == ["measure", "trace", "delta"]
+        moments.append((int(k), [float(x) for x in words[1::2]]))
+    return measure, float(det), moments
+
+
+def test_cli_spectral_matches_golden(capsys):
+    # multiplicities and normalizers exactly; atom values, fk_det and the
+    # moment lines within 1e-9, which BLAS rounding stays far inside
+    golden = json.loads(SPECTRAL_GOLDEN.read_text())
+    assert sorted(golden) == ["abelian3x4", "cyclic8", "dihedral4"]
+    for name, case in golden.items():
+        assert cli_main(["spectral", case["matrix"], case["quotient"]]) == 0
+        mu, det, moments = spectral_output(capsys.readouterr().out)
+        mu_0, det_0, moments_0 = spectral_output(case["stdout"])
+        assert (mu["normalizer"], mu["matrix_size"]) == \
+            (mu_0["normalizer"], mu_0["matrix_size"]), name
+        assert [m for _, m in mu["atoms"]] == [m for _, m in mu_0["atoms"]], name
+        assert all(abs(v - v_0) < 1e-9 for (v, _), (v_0, _)
+                   in zip(mu["atoms"], mu_0["atoms"])), name
+        assert abs(det - det_0) < 1e-9, name
+        assert [k for k, _ in moments] == [k for k, _ in moments_0], name
+        assert all(abs(x - x_0) < 1e-9
+                   for (_, row), (_, row_0) in zip(moments, moments_0)
+                   for x, x_0 in zip(row, row_0)), name

@@ -337,10 +337,15 @@ def test_phi_betti_zero_boundaries_counts_cells():
 
 
 def test_phi_betti_stabilizer_compression_dinf():
-    # D_inf line complex under dihedral quotients: b_0 = 1/(2m)
+    # D_inf line complex under dihedral quotients, the vertex stabilizers
+    # <s> and <ts> acting with signs (1, 1) or (1, -1); the dense copy of the
+    # regular rep takes the numeric route, which must give the exact values
     from l2mult import InfiniteDihedralGroup
     d = InfiniteDihedralGroup()
-    for m in (2, 4):
+    expected = {(2, (1, 1)): Fraction(1, 4), (3, (1, 1)): Fraction(1, 6),
+                (4, (1, 1)): Fraction(1, 8), (2, (1, -1)): Fraction(1, 4),
+                (3, (1, -1)): Fraction(0), (4, (1, -1)): Fraction(1, 8)}
+    for (m, signs), value in expected.items():
         target = dihedral_group(m)
         q = QuotientMap(d, target, [target.index_of((1 % m, 0)),
                                     target.index_of((0, 1))])
@@ -349,13 +354,19 @@ def test_phi_betti_stabilizer_compression_dinf():
             (1, 0): {d.identity(): Fraction(1)}})
         pushed = push_matrix(q, boundary)
         rho = regular_rep(target)
+        dense = UnitaryRep(target, {g: rho.matrix(g)
+                                    for g in target.generators})
         s = q.evaluate(d.word("b"))
         ts = q.evaluate(d.word("ab"))
-        stabs_c0 = [([0, s], [1, 1]), ([0, ts], [1, 1])]
-        b0 = phi_betti(None, pushed, rho, stabilizers=(None, stabs_c0, None))
-        assert b0 == Fraction(1, 2 * m)
-        b1 = phi_betti(pushed, None, rho, stabilizers=(stabs_c0, None, None))
-        assert b1 == Fraction(1, 2 * m)
+        stabs_c0 = [([0, s], [1, signs[0]]), ([0, ts], [1, signs[1]])]
+        # (b_0, b_1) on the exact route, then on the numeric route
+        exact, numeric = [
+            (phi_betti(None, pushed, r, stabilizers=(None, stabs_c0, None)),
+             phi_betti(pushed, None, r, stabilizers=(stabs_c0, None, None)))
+            for r in (rho, dense)]
+        assert exact == (value, value), (m, signs)
+        assert all(isinstance(b, float) and abs(b - value) < 1e-12
+                   for b in numeric), (m, signs)
 
 
 def test_phi_betti_rejects_non_complex():

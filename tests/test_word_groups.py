@@ -158,6 +158,13 @@ def test_push_matrix_basics():
     q = QuotientMap(z, c4, [1])
     pushed = push_matrix(q, a)
     assert pushed.entry(0, 0) == {0: Fraction(1), 1: Fraction(-1)}
+    # one matrix class over both kinds of group; finite elements print as
+    # their indices, and ring sums are read over built-in groups only
+    assert type(pushed) is GroupRingMatrix
+    assert repr(pushed) == "[1*0 + -1*1]"
+    assert repr(pushed.adjoint() @ pushed) == "[2*0 + -1*1 + -1*3]"
+    with pytest.raises(WordGroupError):
+        GroupRingMatrix.from_strings(c4, [["1 + -1*a"]])
     # trivial quotient collapses the coefficients
     c1 = cyclic_group(1)
     pushed1 = push_matrix(QuotientMap(z, c1, [0]), a)
