@@ -272,22 +272,25 @@ def finite_word_subgroup(words: list[Word], cap: int = 512):
 
 def check_normalizes(level: FiniteIndexSubgroup, h_images: list[int]):
     """Raise HNotNormalizing unless each image in Q normalizes the fiber."""
-    q = level.via.target
-    fiber = level.fiber
     for him in h_images:
-        for k in fiber.members:
-            if q.conjugate(him, k) not in fiber.member_set:
-                raise HNotNormalizing(
-                    f"{q.label(him)} does not normalize the fiber")
+        if not level.fiber.normalized_by(him):
+            raise HNotNormalizing(
+                f"{level.via.target.label(him)} does not normalize the fiber")
 
 
-def fixed_coset_count(level: FiniteIndexSubgroup, reps: list[int], g: int,
+def fixed_coset_count(level: FiniteIndexSubgroup, g: int,
                       h_image: int = 0) -> int:
-    """#{cosets fK : f^-1 g f in hK}, over the coset representatives; the
-    Farber count is the one at h = 1."""
+    """#{cosets fK : f^-1 g f in hK}; the Farber count is the one at h = 1.
+
+    Requires h to normalize the fiber K (``check_normalizes``); then the
+    condition is constant on each coset fK, and since f -> f^-1 g f hits
+    every element of cl(g) equally often, the count is the class equation
+    [Q:K] |cl(g) & hK| / |cl(g)|.
+    """
     q = level.via.target
-    h_coset = {q.mul(h_image, k) for k in level.fiber.members}
-    return sum(1 for f in reps if q.mul(q.mul(q.inv(f), g), f) in h_coset)
+    cls = q.conjugacy_class(g)
+    hits = sum(1 for k in level.fiber.members if q.mul(h_image, k) in cls)
+    return level.index * hits // len(cls)
 
 
 def biset_character(gamma: FiniteIndexSubgroup, h_words: list[Word],
@@ -300,14 +303,13 @@ def biset_character(gamma: FiniteIndexSubgroup, h_words: list[Word],
     q = gamma.via.target
     h_images = [gamma.via.evaluate(w) for w in h_elems]
     check_normalizes(gamma, h_images)
-    reps, _ = gamma.fiber.cosets()
     classes = q.conjugacy_classes()
     values: dict[tuple[int, int], Fraction] = {}
     for cls, g in enumerate(classes.representatives):
         for h_local, him in enumerate(h_images):
-            count = fixed_coset_count(gamma, reps, g, him)
+            count = fixed_coset_count(gamma, g, him)
             if count:
-                values[(cls, h_local)] = Fraction(count, len(reps))
+                values[(cls, h_local)] = Fraction(count, gamma.index)
     return BisetCharacter(q, h_abs, values, tuple(h_images))
 
 

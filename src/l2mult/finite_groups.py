@@ -11,6 +11,13 @@ value of g) along them, checking every edge.  In a finite group g^-1 is a
 positive power of g, so the walk follows g-edges only.  Generated subgroups,
 homomorphisms, the matrices of a semidirect product and the H-action of a
 free-by-finite group are all built this way.
+
+Everything read off the conjugation action goes through one orbit routine:
+``FiniteGroup.conjugacy_class`` computes the class of an element once and
+shares it among its members.  The class partition, class sizes (hence
+centralizer indices) and the fixed-coset counts of the Farber diagnostics
+all come from it.  Normality goes through one test as well,
+``FiniteSubgroup.normalized_by``.
 """
 
 from __future__ import annotations
@@ -65,6 +72,7 @@ class FiniteGroup:
             i for i in range(1, self.order)]
         self._labels = labels
         self._inverse_cache: dict[int, int] = {}
+        self._class_cache: dict[int, frozenset[int]] = {}
         self._classes: ConjugacyData | None = None
         self._table = None
 
@@ -98,6 +106,15 @@ class FiniteGroup:
 
     # -- conjugacy ---------------------------------------------------------
 
+    def conjugacy_class(self, x: int) -> frozenset[int]:
+        """The class {g x g^-1 : g in G}, computed once for all its members."""
+        cls = self._class_cache.get(x)
+        if cls is None:
+            cls = frozenset({self.conjugate(g, x) for g in range(self.order)})
+            for y in cls:
+                self._class_cache[y] = cls
+        return cls
+
     def conjugacy_classes(self) -> ConjugacyData:
         if self._classes is None:
             n = self.order
@@ -106,7 +123,7 @@ class FiniteGroup:
             for x in range(n):
                 if class_of[x] >= 0:
                     continue
-                orbit = sorted({self.conjugate(g, x) for g in range(n)})
+                orbit = sorted(self.conjugacy_class(x))
                 k = len(reps)
                 for y in orbit:
                     class_of[y] = k
@@ -120,10 +137,8 @@ class FiniteGroup:
         return self.conjugacy_classes().class_of[x]
 
     def conjugacy_class_size(self, x: int) -> int:
-        # Orbit of a single element; avoids the full partition on big groups.
-        if self._classes is not None:
-            return self._classes.sizes[self._classes.class_of[x]]
-        return len({self.conjugate(g, x) for g in range(self.order)})
+        """[G : C_G(x)]; needs x's class only, not the full partition."""
+        return len(self.conjugacy_class(x))
 
     def subgroup(self, members) -> "FiniteSubgroup":
         return FiniteSubgroup(self, members)
@@ -219,10 +234,13 @@ class FiniteSubgroup:
                 reps.append(g)
         return reps, coset_of
 
+    def normalized_by(self, g: int) -> bool:
+        """Whether g K g^-1 = K; K is finite, so inclusion suffices."""
+        conjugate, mem = self.parent.conjugate, self.member_set
+        return all(conjugate(g, k) in mem for k in self.members)
+
     def is_normal(self) -> bool:
-        mem = self.member_set
-        return all(self.parent.conjugate(g, h) in mem
-                   for g in range(self.parent.order) for h in self.members)
+        return all(self.normalized_by(g) for g in range(self.parent.order))
 
     def abstract_group(self) -> tuple[FiniteGroup, dict[int, int]]:
         """The subgroup as a standalone FiniteGroup plus parent->local map."""

@@ -72,8 +72,10 @@ class ExperimentConfig:
         try:
             kwargs = dict(data)
             if "b2" in kwargs:
-                kwargs["b2"] = {int(k): _frac(v)
-                                for k, v in kwargs["b2"].items()}
+                b2 = kwargs["b2"]
+                if not isinstance(b2, dict):
+                    raise ConfigInvalid(f"b2 must be a JSON object, got {b2!r}")
+                kwargs["b2"] = {int(k): _frac(v) for k, v in b2.items()}
             cfg = cls(**kwargs)
         except (TypeError, ValueError) as exc:
             raise ConfigInvalid(str(exc)) from exc
@@ -83,6 +85,18 @@ class ExperimentConfig:
             if not isinstance(spec, dict):
                 raise ConfigInvalid(f"the {what} spec must be a JSON object, "
                                     f"got {spec!r}")
+        lists = {"h_words": cfg.h_words, "degrees": cfg.degrees,
+                 "probe_words": cfg.probe_words}
+        if cfg.irreducibles != "all":
+            lists["irreducibles"] = cfg.irreducibles
+        for what, value in lists.items():
+            if not isinstance(value, list):
+                raise ConfigInvalid(f"{what} must be a list, got {value!r}")
+        for what in ("h_words", "probe_words"):
+            for w in lists[what]:
+                if not isinstance(w, str):
+                    raise ConfigInvalid(f"{what} must hold words as strings, "
+                                        f"got {w!r}")
         return cfg
 
     def to_json(self) -> dict:
@@ -299,11 +313,10 @@ def farber_diagnostic(chain: QuotientChain, probe_words: list[Word]):
     """Fixed-coset fractions |{f : g in f Gamma f^-1}| / [G:Gamma], exact."""
     rows = []
     for n, level in enumerate(chain.levels):
-        reps, _ = level.fiber.cosets()
         for w in probe_words:
-            count = fixed_coset_count(level, reps, level.via.evaluate(w))
+            count = fixed_coset_count(level, level.via.evaluate(w))
             rows.append({"level": n, "word": str(w), "count": count,
-                         "fraction": Fraction(count, len(reps))})
+                         "fraction": Fraction(count, level.index)})
     return rows
 
 
@@ -333,12 +346,10 @@ def rel_farber_diagnostic(chain: QuotientChain, h_words: list[Word],
         except HNotNormalizing as exc:
             raise HNotNormalizing(
                 f"level {n}: H does not normalize the fiber") from exc
-        reps, _ = level.fiber.cosets()
         for w in probe_words:
             g = level.via.evaluate(w)
             for h_word, him in zip(h_elems, h_images):
-                count = fixed_coset_count(level, reps, g, him)
-                value = Fraction(count, len(reps))
+                value = Fraction(fixed_coset_count(level, g, him), level.index)
                 limit = i_limit_value(w, h_word, assert_infinite)
                 rows.append({"level": n, "g": str(w), "h": str(h_word),
                              "value": value, "limit": limit,
@@ -430,7 +441,7 @@ class ExperimentContext:
         for i in self.chi_indices + [self.char_convergence]:
             if i is not None and not 0 <= i < len(self.table.irreducibles):
                 raise ConfigInvalid(f"no irreducible {i}")
-        self.degrees = list(config.degrees)
+        self.degrees = [_int(p, "degree") for p in config.degrees]
         for p in self.degrees:
             if p not in self.cw.cells:
                 raise ConfigInvalid(f"complex has no cells in degree {p}")

@@ -459,22 +459,28 @@ def fk_det(mu: SpectralMeasure) -> float:
     return math.exp(log_sum / mu.normalizer)
 
 
+def _operator_rank(a, rho, svd_tol: float, scale=None) -> int:
+    """Rank of the operator of a under rho: exact on rational
+    representations, else the number of singular values above svd_tol *
+    max(1, sup-norm of ``scale``), which defaults to a."""
+    if rho.is_rational:
+        return sparse_rank(operator_columns_exact(a, rho)[1])
+    op = operator_matrix(a, rho)
+    svals = np.linalg.svd(op, compute_uv=False) if op.size else np.array([])
+    norm = float((a if scale is None else scale).sup_norm_bound())
+    return int(np.count_nonzero(svals > svd_tol * max(1.0, norm)))
+
+
 def rank_nullity(a, rho, svd_tol: float = 1e-8):
     """phi-rank and phi-nullity of a (possibly rectangular) matrix: kernel
     dimension of the operator divided by the representation dimension.
 
     Returns exact Fractions on the rational path, floats otherwise.
     """
-    if rho.is_rational:
-        _, cols = operator_columns_exact(a, rho)
-        op_rank = sparse_rank(cols)
-        nullity = Fraction(a.cols * rho.dim - op_rank, rho.dim)
-        return a.cols - nullity, nullity
-    op = operator_matrix(a, rho)
-    svals = np.linalg.svd(op, compute_uv=False) if op.size else np.array([])
-    thr = svd_tol * max(1.0, float(a.sup_norm_bound()))
-    op_rank = int(np.count_nonzero(svals > thr))
-    nullity = (a.cols * rho.dim - op_rank) / rho.dim
+    op_rank = _operator_rank(a, rho, svd_tol)
+    kernel = a.cols * rho.dim - op_rank
+    nullity = (Fraction(kernel, rho.dim) if rho.is_rational
+               else kernel / rho.dim)
     return a.cols - nullity, nullity
 
 
@@ -595,7 +601,6 @@ def phi_betti(boundary_p, boundary_p1, rho, stabilizers=None,
     n_pm1 = boundary_p.rows if boundary_p is not None else 0
     e_pm1 = _averaging_idempotent(rho.group, stabs[0], n_pm1)
     e_p = _averaging_idempotent(rho.group, stabs[1], n_p)
-    thr = svd_tol * max(1.0, float((boundary_p or boundary_p1).sup_norm_bound()))
 
     def compress(left, mat, right):
         if left is not None:
@@ -603,11 +608,7 @@ def phi_betti(boundary_p, boundary_p1, rho, stabilizers=None,
         return mat if right is None else mat @ right
 
     def rank(mat):
-        if rho.is_rational:
-            return sparse_rank(operator_columns_exact(mat, rho)[1])
-        op = operator_matrix(mat, rho)
-        svals = np.linalg.svd(op, compute_uv=False) if op.size else []
-        return int(np.count_nonzero(np.asarray(svals) > thr))
+        return _operator_rank(mat, rho, svd_tol, boundary_p or boundary_p1)
 
     dim_wp = n_p * rho.dim if e_p is None else rank(e_p)
     rank_p = rank_p1 = 0

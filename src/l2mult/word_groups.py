@@ -615,10 +615,8 @@ class FiniteIndexSubgroup:
     def is_normal(self) -> bool:
         # the letter images generate Q, and a finite subgroup that every
         # generator normalizes is normal
-        q, mem = self.via.target, self.fiber.member_set
-        return all(q.conjugate(g, h) in mem
-                   for g in set(self.via.generator_images)
-                   for h in self.fiber.members)
+        return all(self.fiber.normalized_by(g)
+                   for g in set(self.via.generator_images))
 
     def contains(self, word: Word) -> bool:
         return self.via.evaluate(word) in self.fiber.member_set

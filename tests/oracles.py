@@ -2,7 +2,9 @@
 
 None of them is used by the library itself.  Each recomputes a number by a
 different method: a floating harmonic projector, union-find on a graph,
-Hessenberg reduction over Fractions, or an exhaustive scan of a group law.
+Hessenberg reduction over Fractions, an exhaustive scan of a group law, a
+loop over coset representatives, or a dense homology computation on a
+Cayley graph built without the package.
 """
 
 from fractions import Fraction
@@ -158,3 +160,45 @@ def charpoly_exact(mat):
                     cur[t] -= coef * c
         polys.append(cur)
     return polys[n]
+
+
+def fixed_coset_count_oracle(level, g, h_image=0):
+    """#{cosets fK : f^-1 g f in hK} by conjugating g with every coset
+    representative f of the fiber K."""
+    q = level.via.target
+    reps, _ = level.fiber.cosets()
+    h_coset = {q.mul(h_image, k) for k in level.fiber.members}
+    return sum(1 for f in reps if q.mul(q.mul(q.inv(f), g), f) in h_coset)
+
+
+def involution_homology_oracle(n):
+    """Brute-force multiplicities and trace of the inversion action on H_1
+    of the Cayley multigraph of (Z/2^n)^2, built independently of the
+    package.  Returns (m_trivial, m_sign, trace)."""
+    mod = 2 ** n
+    verts = [(x, y) for x in range(mod) for y in range(mod)]
+    v_index = {v: i for i, v in enumerate(verts)}
+    edges = []
+    for v in verts:
+        for e in ((1, 0), (0, 1)):
+            w = ((v[0] + e[0]) % mod, (v[1] + e[1]) % mod)
+            edges.append((v, w))
+    boundary = np.zeros((len(verts), len(edges)))
+    for j, (v, w) in enumerate(edges):
+        boundary[v_index[w], j] += 1
+        boundary[v_index[v], j] -= 1
+    b1 = len(edges) - np.linalg.matrix_rank(boundary, tol=1e-9)
+    # inversion: edge (v, v+e) -> (-v, -v-e) = reversed edge at -v-e
+    act = np.zeros((len(edges), len(edges)))
+    edge_index = {pair: j for j, pair in enumerate(edges)}
+    for j, (v, w) in enumerate(edges):
+        nv = ((-w[0]) % mod, (-w[1]) % mod)
+        nw = ((-v[0]) % mod, (-v[1]) % mod)
+        act[edge_index[(nv, nw)], j] = -1.0
+    # trace on H_1 = trace on C_1 minus trace on im(boundary^T)
+    u, s, _ = np.linalg.svd(boundary.T, full_matrices=False)
+    cols = u[:, s > 1e-9]
+    trace_h1 = np.trace(act) - np.trace(cols.T @ act @ cols)
+    m_triv = (b1 + trace_h1) / 2
+    m_sign = (b1 - trace_h1) / 2
+    return int(round(m_triv)), int(round(m_sign)), int(round(trace_h1))

@@ -6,7 +6,6 @@ import random
 import time
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from l2mult import (FreeAbelianGroup, FreeGroup, GroupRingMatrix,
@@ -21,6 +20,7 @@ from l2mult.word_groups import FiniteAlgebraMatrix
 
 import suites
 from conftest import SEED
+from oracles import involution_homology_oracle
 
 
 def _report(number, ok, detail=""):
@@ -296,39 +296,6 @@ def test_criterion_5_farber_tables():
                    f"persists; kernel deviations = 2/m ({elapsed:.2f}s)")
 
 
-def _involution_homology_oracle(n):
-    """Brute-force multiplicities and trace of the inversion action on H_1
-    of the Cayley multigraph of (Z/2^n)^2, built independently of the
-    package.  Returns (m_trivial, m_sign, trace)."""
-    mod = 2 ** n
-    verts = [(x, y) for x in range(mod) for y in range(mod)]
-    v_index = {v: i for i, v in enumerate(verts)}
-    edges = []
-    for v in verts:
-        for e in ((1, 0), (0, 1)):
-            w = ((v[0] + e[0]) % mod, (v[1] + e[1]) % mod)
-            edges.append((v, w))
-    boundary = np.zeros((len(verts), len(edges)))
-    for j, (v, w) in enumerate(edges):
-        boundary[v_index[w], j] += 1
-        boundary[v_index[v], j] -= 1
-    b1 = len(edges) - np.linalg.matrix_rank(boundary, tol=1e-9)
-    # inversion: edge (v, v+e) -> (-v, -v-e) = reversed edge at -v-e
-    act = np.zeros((len(edges), len(edges)))
-    edge_index = {pair: j for j, pair in enumerate(edges)}
-    for j, (v, w) in enumerate(edges):
-        nv = ((-w[0]) % mod, (-w[1]) % mod)
-        nw = ((-v[0]) % mod, (-v[1]) % mod)
-        act[edge_index[(nv, nw)], j] = -1.0
-    # trace on H_1 = trace on C_1 minus trace on im(boundary^T)
-    u, s, _ = np.linalg.svd(boundary.T, full_matrices=False)
-    cols = u[:, s > 1e-9]
-    trace_h1 = np.trace(act) - np.trace(cols.T @ act @ cols)
-    m_triv = (b1 + trace_h1) / 2
-    m_sign = (b1 - trace_h1) / 2
-    return int(round(m_triv)), int(round(m_sign)), int(round(trace_h1))
-
-
 def test_criterion_6_free_by_finite_experiment(semidirect_run):
     records, report, elapsed = semidirect_run
     ok = all(r.error is None for r in records)
@@ -343,7 +310,7 @@ def test_criterion_6_free_by_finite_experiment(semidirect_run):
         ok &= abs(float(deepest.normalized[(1, chi_idx)]) - 0.5) <= 0.002
     # independent brute-force oracle at shallow levels
     for n in (1, 2, 3):
-        m_triv, m_sign, _ = _involution_homology_oracle(n)
+        m_triv, m_sign, _ = involution_homology_oracle(n)
         rec = records[n - 1]
         ok &= rec.raw[(1, 0)] == m_triv and rec.raw[(1, 1)] == m_sign
     ok &= elapsed < 600.0
@@ -422,7 +389,7 @@ def test_criterion_8_trace_decay(dinf_run, semidirect_run):
     # independent brute-force oracle for Tr(c|H_1) = -3 at shallow levels
     records = semidirect_run[0]
     for n in (1, 2, 3):
-        oracle = _involution_homology_oracle(n)[2]
+        oracle = involution_homology_oracle(n)[2]
         if records[n - 1].traces.get((1, 1)) != oracle:
             failures.append(f"free_by_finite level {n - 1}: Tr(c|H_1)="
                             f"{records[n - 1].traces.get((1, 1))} != "

@@ -65,6 +65,12 @@ def test_centralizer_index():
     assert g.conjugacy_class_size(0) == 1
     transposition = g.index_of((1, 0, 2))
     assert g.conjugacy_class_size(transposition) == 3
+    # one class object, computed once, shared by its members and the
+    # partition
+    cls = g.conjugacy_class(transposition)
+    assert all(g.conjugacy_class(y) is cls for y in cls)
+    members = g.conjugacy_classes().members[g.class_of_element(transposition)]
+    assert sorted(cls) == members
     c6 = cyclic_group(6)
     assert all(c6.conjugacy_class_size(x) == 1 for x in range(6))
 

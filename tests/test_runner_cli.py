@@ -6,13 +6,16 @@ import pytest
 
 from l2mult import (FreeAbelianGroup, InfiniteDihedralGroup, centralizer_growth,
                     emit, farber_diagnostic, rel_farber_diagnostic, run)
+from l2mult.characters import biset_character
 from l2mult.cli import main as cli_main
 from l2mult.runner import (ConfigInvalid, ExperimentConfig, ExperimentContext,
                            LevelRecord, build_chain, build_group,
                            report_round_trip)
 
+from oracles import fixed_coset_count_oracle
 
-def dinf_config(**overrides):
+
+def dinf_data(**overrides):
     data = {
         "group": {"family": "dihedral_infinite"},
         "complex": "line_dinf",
@@ -24,7 +27,11 @@ def dinf_config(**overrides):
         "probe_words": ["a", "b"],
     }
     data.update(overrides)
-    return ExperimentConfig.from_json(data)
+    return data
+
+
+def dinf_config(**overrides):
+    return ExperimentConfig.from_json(dinf_data(**overrides))
 
 
 def test_config_validation_errors():
@@ -103,6 +110,52 @@ def test_centralizer_growth():
         "chain": {"template": "cyclic_mod", "base": 2, "depth": 3}})
     z_ctx = ExperimentContext(z_cfg)
     assert centralizer_growth(z_ctx.chain, z_ctx.group.word("a")) == [1, 1, 1]
+
+
+FIXED_COSET_CONFIGS = [
+    dinf_data(chain={"template": "dihedral_reflection",
+                     "orders": [2, 4, 8, 16, 32, 64]},
+              probe_words=["1", "b", "a", "aa", "ab", "aab", "aaab"]),
+    dinf_data(chain={"template": "dihedral", "orders": [3, 6, 12, 24]},
+              probe_words=["1", "b", "a", "aa", "ab", "aab", "aaab"]),
+    {"group": {"family": "free_by_finite", "rank": 2, "h": "cyclic:2",
+               "action": {"0": ["a'", "b'"]}},
+     "complex": "tree_semidirect",
+     "chain": {"template": "semidirect_mod", "base": 2, "depth": 4},
+     "h_words": ["1", "c"], "infinite_centralizers": True,
+     "probe_words": ["1", "c", "a", "b", "ac", "abc", "aab", "aac"]},
+]
+
+
+@pytest.mark.parametrize("data", FIXED_COSET_CONFIGS,
+                         ids=["dinf_reflection", "dinf_kernel", "fbf"])
+def test_fixed_coset_counts_match_coset_loop(data):
+    # the class-equation counts against one conjugation per coset, at
+    # every level, for probes including the identity and each element of H
+    ctx = ExperimentContext(ExperimentConfig.from_json(data))
+    assert {"1"} | {str(h) for h in ctx.h_elems} <= set(data["probe_words"])
+    levels = ctx.chain.levels
+    farber = farber_diagnostic(ctx.chain, ctx.probes)
+    assert len(farber) == len(levels) * len(ctx.probes)
+    for row in farber:
+        level = levels[row["level"]]
+        g = level.via.evaluate(ctx.group.word(row["word"]))
+        assert row["count"] == fixed_coset_count_oracle(level, g), row
+    rel = rel_farber_diagnostic(ctx.chain, ctx.h_elems, ctx.probes,
+                                ctx.config.infinite_centralizers)
+    assert len(rel) == len(farber) * len(ctx.h_elems)
+    for row in rel:
+        level = levels[row["level"]]
+        g = level.via.evaluate(ctx.group.word(row["g"]))
+        him = level.via.evaluate(ctx.group.word(row["h"]))
+        assert row["value"] == Fraction(
+            fixed_coset_count_oracle(level, g, him), level.index), row
+    for level in levels:
+        psi = biset_character(level, [], ctx.h_abs, ctx.h_elems)
+        for g in level.via.target.conjugacy_classes().representatives:
+            for h_local, him in enumerate(psi.h_in_q):
+                assert psi.value(g, h_local) == Fraction(
+                    fixed_coset_count_oracle(level, g, him), level.index)
 
 
 def test_run_dinf_records_and_report():
@@ -311,9 +364,9 @@ def test_cli_spectral_bad_input_prints_errors(capsys):
 
 
 def test_cli_run_bad_configs_print_errors(tmp_path, capsys):
-    # failures past config parsing: the H closure, the tree builder,
-    # non-integer values where the context reads an int, and an action on
-    # an H-generator that does not exist
+    # failures in and past config parsing: the H closure, the tree builder,
+    # non-integer values where the context reads an int, an action on an
+    # H-generator that does not exist, and list fields of the wrong type
     bad_configs = {
         "h_closure": dinf_config(h_words=["a"]).to_json(),
         "tree_action": {
@@ -363,6 +416,14 @@ def test_cli_run_bad_configs_print_errors(tmp_path, capsys):
             "complex": "tree_semidirect",
             "chain": {"template": "semidirect_mod", "base": 1, "depth": 2},
         },
+        # list fields that are not lists, or hold something other than words
+        "irreducibles_int": dinf_data(irreducibles=5),
+        "h_words_int": dinf_data(h_words=5),
+        "probe_words_int": dinf_data(probe_words=5),
+        "degrees_int": dinf_data(degrees=5),
+        "b2_list": dinf_data(b2=[1]),
+        "h_words_int_item": dinf_data(h_words=[5]),
+        "probe_words_int_item": dinf_data(probe_words=[5]),
     }
     for name, data in bad_configs.items():
         path = tmp_path / f"{name}.json"
