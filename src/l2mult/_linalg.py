@@ -8,9 +8,13 @@ Integral entries are Python ``int``: elimination turns them into ints when a
 column enters and divides only by pivots other than +-1, so a Fraction appears
 only after such a pivot, and results stay exact either way.  Characteristic
 polynomials of integer matrices are computed exactly by Hessenberg reduction
-modulo a batch of word-sized primes followed by CRT reconstruction; only the
-trailing nonzero coefficient needs a reconstruction bound, which the callers
-derive from the coefficient sup-norm of the group-ring matrix.
+modulo word-sized primes followed by CRT reconstruction, one connected
+component of the matrix's support graph at a time: the trailing nonzero
+coefficient is the product of the blocks' ones.  Only that coefficient needs
+a reconstruction bound.  The callers derive one from the coefficient
+sup-norm of the group-ring matrix; each block uses the smaller of it and
+its own Gershgorin bound ``R_b ** n_b`` (largest absolute row sum R_b, size
+n_b), with the fewest primes whose product exceeds four times that bound.
 """
 
 from __future__ import annotations
@@ -140,21 +144,27 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+# 25-bit primes, largest first; they keep all modular numpy arithmetic
+# inside int64.
 _PRIME_CACHE: list[int] = []
 
 
-def _primes(count: int) -> list[int]:
-    # 25-bit primes keep all modular numpy arithmetic inside int64.
-    n = _PRIME_CACHE[-1] - 2 if _PRIME_CACHE else (1 << 25) - 1
-    while len(_PRIME_CACHE) < count:
-        if _is_prime(n):
+def _crt_primes(bound: int) -> list[int]:
+    """The fewest primes from the cache whose product exceeds ``4 * bound``."""
+    count, prod = 0, 1
+    while prod <= 4 * bound:
+        if count == len(_PRIME_CACHE):
+            n = _PRIME_CACHE[-1] - 2 if _PRIME_CACHE else (1 << 25) - 1
+            while not _is_prime(n):
+                n -= 2
             _PRIME_CACHE.append(n)
-        n -= 2
+        prod *= _PRIME_CACHE[count]
+        count += 1
     return _PRIME_CACHE[:count]
 
 
 def _hessenberg_mod(mat: np.ndarray, p: int) -> np.ndarray:
-    h = np.mod(mat.astype(object) if mat.dtype == object else mat, p).astype(np.int64)
+    h = np.mod(mat, p).astype(np.int64)
     n = h.shape[0]
     for j in range(n - 2):
         col = h[j + 1:, j]
@@ -212,6 +222,49 @@ def _crt(residues: list[int], primes: list[int]) -> int:
     return value
 
 
+def _components(mat: np.ndarray) -> list[np.ndarray]:
+    """Index sets, each sorted, of the connected components of the support
+    graph of ``mat``: i and j are joined when mat[i, j] or mat[j, i] is
+    nonzero."""
+    adj = np.asarray(mat != 0, dtype=bool)
+    adj |= adj.T
+    unseen = np.ones(adj.shape[0], dtype=bool)
+    blocks = []
+    for start in range(adj.shape[0]):
+        if not unseen[start]:
+            continue
+        unseen[start] = False
+        members = frontier = np.array([start])
+        while frontier.size:
+            frontier = np.nonzero(adj[frontier].any(axis=0) & unseen)[0]
+            unseen[frontier] = False
+            members = np.concatenate((members, frontier))
+        blocks.append(np.sort(members))
+    return blocks
+
+
+def _block_trailing(mat: np.ndarray, bound: int) -> tuple[int, int]:
+    """``(rank, coeff)`` of one integer matrix whose trailing coefficient is
+    bounded by ``bound`` in absolute value, from the fewest primes whose
+    product exceeds ``4 * bound``.
+
+    The trailing coefficient is a nonzero integer of absolute value below
+    that product, so it cannot vanish modulo all of the primes, while every
+    lower coefficient vanishes modulo each: the primes that certify the
+    reconstruction also certify the rank, and no spare prime is needed.
+    """
+    n = mat.shape[0]
+    primes = _crt_primes(bound)
+    polys = [_charpoly_mod(mat, p) for p in primes]
+    first_nonzero = n
+    for coeffs in polys:
+        nz = np.nonzero(coeffs)[0]
+        if nz.size and nz[0] < first_nonzero:
+            first_nonzero = int(nz[0])
+    return n - first_nonzero, _crt([int(c[first_nonzero]) for c in polys],
+                                   primes)
+
+
 def charpoly_trailing(mat: np.ndarray, bound: int) -> tuple[int, int]:
     """Exact rank and trailing nonzero characteristic-polynomial coefficient
     of an integer matrix.
@@ -220,22 +273,22 @@ def charpoly_trailing(mat: np.ndarray, bound: int) -> tuple[int, int]:
     (e.g. ``c**rank`` with ``c`` a bound on the eigenvalue magnitudes).
     Returns ``(rank, coeff)`` with ``coeff`` the coefficient of
     ``x**(n-rank)`` in ``det(x*I - mat)``.
+
+    The matrix is solved one connected component of its support graph at a
+    time.  Permuted to block-diagonal form, det(x*I - mat) is the product
+    of the blocks' polynomials, so the rank is the sum of the block ranks
+    and the coefficient the product of the block coefficients.  Block b,
+    of size n_b and largest absolute row sum R_b, gets the bound
+    ``min(bound, max(1, R_b) ** n_b)``: R_b bounds each of its eigenvalues
+    (Gershgorin), and its coefficient is +-the product of at most n_b of
+    them; ``bound`` bounds it too, since it is a nonzero integer dividing
+    the whole coefficient.
     """
-    n = mat.shape[0]
-    if n == 0:
-        return 0, 1
-    need = 1
-    prod = 1
-    while prod <= 4 * bound:
-        prod *= _primes(need)[need - 1]
-        need += 1
-    primes = _primes(need + 4)
-    polys = [_charpoly_mod(mat, p) for p in primes]
-    first_nonzero = n
-    for coeffs in polys:
-        nz = np.nonzero(coeffs)[0]
-        if nz.size and nz[0] < first_nonzero:
-            first_nonzero = int(nz[0])
-    rank = n - first_nonzero
-    coeff = _crt([int(c[first_nonzero]) for c in polys], primes)
+    rank, coeff = 0, 1
+    for idx in _components(mat):
+        block = mat[np.ix_(idx, idx)]
+        growth = max(1, int(np.abs(block).sum(axis=1).max()))
+        r, c = _block_trailing(block, min(bound, growth ** len(idx)))
+        rank += r
+        coeff *= c
     return rank, coeff

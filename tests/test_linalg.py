@@ -1,9 +1,13 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from l2mult._linalg import (_charpoly_mod, _primes, charpoly_trailing,
-                            column_reduce, sparse_rank)
+from l2mult import FreeGroup, GroupRingMatrix, _linalg
+from l2mult._linalg import (_block_trailing, _charpoly_mod, _components,
+                            _crt_primes, charpoly_trailing, column_reduce,
+                            sparse_rank)
+from l2mult.spectral import WordPermRep, operator_columns_exact
 
 from conftest import make_rng
 from oracles import charpoly_exact
@@ -105,6 +109,94 @@ def test_charpoly_trailing_large_symmetric():
         assert abs(coeff) == n * n
 
 
+def _block_diagonal_case(rng):
+    """A random integer block-diagonal matrix conjugated by a random
+    permutation, with non-symmetric blocks, a singular block, an isolated
+    zero row and column, and 3*I_20 plus a superdiagonal of ones (connected,
+    trailing coefficient 3**20, more than one 25-bit prime) next to a 2x2
+    block."""
+    blocks = [[[rng.randint(-4, 4) for _ in range(k)] for _ in range(k)]
+              for k in (rng.randint(1, 5) for _ in range(3))]
+    singular = [[rng.randint(-3, 3) for _ in range(2)] for _ in range(3)]
+    blocks.append([row + [row[0] + row[1]] for row in singular])
+    blocks.append([[0]])
+    blocks.append([[3 if i == j else int(j == i + 1) for j in range(20)]
+                   for i in range(20)])
+    blocks.append([[1, 2], [-1, 1]])
+    n = sum(len(b) for b in blocks)
+    mat = np.zeros((n, n), dtype=np.int64)
+    at = 0
+    for b in blocks:
+        mat[at:at + len(b), at:at + len(b)] = b
+        at += len(b)
+    perm = rng.sample(range(n), n)
+    return mat[np.ix_(perm, perm)]
+
+
+def _caller_bound(mat):
+    """``growth ** n`` with growth the largest absolute row sum, at least
+    2, as ``luck_bound_check`` bounds its operators."""
+    growth = max(2, int(np.abs(mat).sum(axis=1).max()))
+    return growth ** mat.shape[0]
+
+
+def test_charpoly_trailing_block_diagonal_matches_exact():
+    rng = make_rng(9)
+    for trial in range(4):
+        mat = _block_diagonal_case(rng)
+        coeffs = charpoly_exact(mat.tolist())
+        nz = [i for i, c in enumerate(coeffs) if c]
+        rank, coeff = charpoly_trailing(mat, _caller_bound(mat))
+        assert rank == mat.shape[0] - nz[0]
+        assert coeff == coeffs[nz[0]]
+        assert abs(coeff) % 3 ** 20 == 0
+
+
+def test_charpoly_trailing_f2_instance_matches_unsplit():
+    # (w1 - w2)^* (w1 - w2) on 200 points, the shape of the crt_det
+    # benchmark's permutation instances; the one-block kernel on the whole
+    # matrix is the oracle
+    rng = make_rng(10)
+    f2 = FreeGroup(2)
+    w1, w2 = f2.word("ab"), f2.word("b'a")
+    a = GroupRingMatrix(f2, 1, 1, {(0, 0): {w1: 1, w2: -1}})
+    gram = a.adjoint() @ a
+    rho = WordPermRep(f2, [rng.sample(range(200), 200) for _ in range(2)])
+    _, cols = operator_columns_exact(gram, rho)
+    dense = np.zeros((200, 200), dtype=np.int64)
+    for j, col in enumerate(cols):
+        for r, v in col.items():
+            dense[r, j] = int(v)
+    assert len(_components(dense)) > 1
+    bound = max(2, math.ceil(float(gram.sup_norm_bound()))) ** 200
+    assert charpoly_trailing(dense, bound) == _block_trailing(dense, bound)
+
+
+def test_charpoly_trailing_uses_fewest_primes_per_block(monkeypatch):
+    calls = []
+    charpoly_mod = _linalg._charpoly_mod
+
+    def record(mat, p):
+        calls.append((mat, p))
+        return charpoly_mod(mat, p)
+
+    monkeypatch.setattr(_linalg, "_charpoly_mod", record)
+    mat = _block_diagonal_case(make_rng(11))
+    bound = _caller_bound(mat)
+    charpoly_trailing(mat, bound)
+    blocks = {}
+    for block, p in calls:
+        blocks.setdefault(id(block), (block, []))[1].append(p)
+    assert sum(block.shape[0] for block, _ in blocks.values()) == mat.shape[0]
+    assert max(len(primes) for _, primes in blocks.values()) > 1
+    for block, primes in blocks.values():
+        growth = max(1, int(np.abs(block).sum(axis=1).max()))
+        block_bound = min(bound, growth ** block.shape[0])
+        prod = math.prod(primes)
+        assert prod > 4 * block_bound
+        assert prod // primes[-1] <= 4 * block_bound
+
+
 def _entry_types(cols):
     return {type(v) for col in cols for v in col.values()}
 
@@ -157,7 +249,7 @@ def _charpoly_cases(rng):
 
 def test_charpoly_mod_matches_exact_residues():
     rng = make_rng(8)
-    primes = (2, 3, 5, 7) + tuple(_primes(2))
+    primes = (2, 3, 5, 7) + tuple(_crt_primes(1 << 40))
     for mat in _charpoly_cases(rng):
         exact = charpoly_exact([[Fraction(x) for x in row] for row in mat])
         for p in primes:
