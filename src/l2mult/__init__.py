@@ -6,8 +6,7 @@ from .finite_groups import (CharacterTable, FiniteGroup, FiniteSubgroup,
                             GroupHom, L2MultError, OrdinaryCharacter,
                             abelian_group, character_table, cyclic_group,
                             dihedral_group, frobenius_check, from_generators,
-                            hom_from_generator_images, induce_ordinary,
-                            multiplicity, restrict_ordinary,
+                            induce_ordinary, multiplicity, restrict_ordinary,
                             semidirect_vector_group, symmetric_group,
                             trivial_group)
 from .word_groups import (FiniteAlgebraMatrix, FiniteIndexSubgroup,

@@ -2,10 +2,15 @@
 complexes with residual symmetry, exact homology, traces and multiplicities.
 
 A quotient complex stores exact rational boundary columns, and its symmetry
-group H permutes cells up to sign.  Multiplicities are dimensions of rational
-isotypic blocks.  For a Galois orbit [chi] of irreducibles of H, the integer
-weights t = sum of chi' over [chi] give E = sum_h t(h^-1) h, a nonzero
-multiple of the central idempotent e_[chi], and
+group H permutes cells up to sign.  Its cells are filled double coset by
+double coset, S\\Q/K for each orbit with stabilizer image S and fiber K; an
+element reached twice in that fill is a stabilizer surviving in the
+quotient, so freeness is read off the fill and needs no pass of its own.
+
+Multiplicities are dimensions of rational isotypic blocks.  For a Galois
+orbit [chi] of irreducibles of H, the integer weights t = sum of chi' over
+[chi] give E = sum_h t(h^-1) h, a nonzero multiple of the central idempotent
+e_[chi], and
 
     dim e_[chi] H_p = dim e_[chi] C_p - rank(d_p on e_[chi] C_p)
                       - rank(d_{p+1} on e_[chi] C_{p+1}).
@@ -484,8 +489,6 @@ class FiniteChainComplex:
 
 @dataclass
 class QuotientOrbit:
-    label: str
-    stab_images: list[tuple[int, int]]      # (element of Q, sign)
     cell_reps: list[int]                    # canonical double coset reps
     offset: int
     dec: list[tuple[int, int]]              # Q element -> (cell id, sign)
@@ -493,10 +496,9 @@ class QuotientOrbit:
 
 class QuotientComplex(FiniteChainComplex):
     def __init__(self, index: int, orbits: dict[int, list[QuotientOrbit]],
-                 h_group: FiniteGroup | None, h_images: list[int], **kw):
+                 h_group: FiniteGroup | None, **kw):
         self.index = index
         self.orbits = orbits
-        self.h_images = h_images
         super().__init__(sym_group=h_group, **kw)
 
 
@@ -508,13 +510,17 @@ def quotient_complex(cw: EquivariantCWData, gamma: FiniteIndexSubgroup,
 
     Cells in the quotient are double cosets S\\Q/K with canonical minimal
     representatives; signs come from decomposing elements as s.rep.k.
+    Freeness is read off this fill: S u K has fewer than |S| |K| elements
+    exactly when some u^-1 s u with s != 1 lies in K, which holds for all of
+    S u K or none of it.  So the first element reached twice names the
+    least coset u at which a stabilizer survives, and ``NotFree`` is raised
+    there.
     """
     if cw.group is not gamma.group:
         raise ComplexError("complex and subgroup over different groups")
     qmap = gamma.via
     q = qmap.target
     fiber = gamma.fiber.members
-    fiber_set = gamma.fiber.member_set
     if h_ctx is not None:
         h_abs, h_elem_words = h_ctx
     elif h_words:
@@ -532,24 +538,11 @@ def quotient_complex(cw: EquivariantCWData, gamma: FiniteIndexSubgroup,
         orbit_list = []
         offset = 0
         for cell in cw.cells[p]:
-            stab_images = []
-            seen_stab = {}
-            for w, sgn in zip(cell.stabilizer, cell.signs):
-                im = qmap.evaluate(w)
-                if im in seen_stab:
-                    raise NotFree(f"stabilizer of {cell.label} collapses "
-                                  f"in the quotient")
-                seen_stab[im] = sgn
-                stab_images.append((im, sgn))
-            # freeness: no conjugate of a nontrivial stabilizer image may
-            # meet the fiber
-            for u in range(q.order):
-                ui = q.inv(u)
-                for im, _ in stab_images[1:]:
-                    if q.mul(q.mul(ui, im), u) in fiber_set:
-                        raise NotFree(
-                            f"{cell.label}: stabilizer survives at coset "
-                            f"{q.label(u)}")
+            stab_images = [(qmap.evaluate(w), sgn)
+                           for w, sgn in zip(cell.stabilizer, cell.signs)]
+            if len({im for im, _ in stab_images}) != len(stab_images):
+                raise NotFree(f"stabilizer of {cell.label} collapses "
+                              f"in the quotient")
             dec: list[tuple[int, int] | None] = [None] * q.order
             reps = []
             for u in range(q.order):
@@ -561,13 +554,12 @@ def quotient_complex(cw: EquivariantCWData, gamma: FiniteIndexSubgroup,
                     su = q.mul(im, u)
                     for k in fiber:
                         v = q.mul(su, k)
-                        if dec[v] is None:
-                            dec[v] = (cell_id, sgn)
-                        elif dec[v] != (cell_id, sgn):
-                            raise NotFree(f"{cell.label}: sign collision in "
-                                          f"the quotient")
-            orbit_list.append(QuotientOrbit(cell.label, stab_images, reps,
-                                            offset, dec))
+                        if dec[v] is not None:
+                            raise NotFree(
+                                f"{cell.label}: stabilizer survives at coset "
+                                f"{q.label(u)}")
+                        dec[v] = (cell_id, sgn)
+            orbit_list.append(QuotientOrbit(reps, offset, dec))
             offset += len(reps)
         orbits[p] = orbit_list
         n_cells[p] = offset
@@ -607,8 +599,8 @@ def quotient_complex(cw: EquivariantCWData, gamma: FiniteIndexSubgroup,
                 actions[(h_local, p)] = (perm, signs)
 
     return QuotientComplex(index=gamma.index, orbits=orbits, h_group=h_abs,
-                           h_images=h_images, n_cells=n_cells,
-                           boundaries=boundaries, actions=actions)
+                           n_cells=n_cells, boundaries=boundaries,
+                           actions=actions)
 
 
 def export_boundaries_csv(qc: FiniteChainComplex, directory):

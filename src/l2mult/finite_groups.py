@@ -264,30 +264,19 @@ class FiniteSubgroup:
 
 
 class GroupHom:
-    """Homomorphism given by the full image list; it must equal the extension
-    of its values on the source generators, which checks multiplicativity by
-    induction on word length."""
+    """Homomorphism fixed by the images of some source elements, extended
+    through the Cayley graph.  Two paths that disagree mean the assignment
+    is not a homomorphism, and keys that do not generate leave it undefined;
+    both raise ``GroupError``."""
 
-    def __init__(self, source: FiniteGroup, target: FiniteGroup, images):
+    def __init__(self, source: FiniteGroup, target: FiniteGroup,
+                 gen_images: dict[int, int]):
         self.source = source
         self.target = target
-        self.images = list(images)
-        if len(self.images) != source.order:
-            raise GroupError("image list has wrong length")
-        on_gens = {g: self.images[g] for g in source.generators}
-        if extend(source, on_gens, target.mul, 0) != self.images:
-            raise GroupError("not a homomorphism")
+        self.images = extend(source, gen_images, target.mul, 0)
 
     def __call__(self, i: int) -> int:
         return self.images[i]
-
-
-def hom_from_generator_images(source: FiniteGroup, target: FiniteGroup,
-                              gen_images: dict[int, int]) -> GroupHom:
-    """Extend generator images through the Cayley graph; inconsistency means
-    the assignment does not define a homomorphism."""
-    return GroupHom(source, target,
-                    extend(source, gen_images, target.mul, 0))
 
 
 # ---------------------------------------------------------------------------

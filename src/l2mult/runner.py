@@ -229,7 +229,7 @@ def _chain_cyclic(group, base, depth) -> QuotientChain:
     levels = []
     for n in range(1, depth + 1):
         target = cyclic_group(base ** n)
-        qmap = QuotientMap(group, target, [1])
+        qmap = QuotientMap(group, target, target.generators)
         levels.append(FiniteIndexSubgroup(qmap, target.subgroup([0])))
     return QuotientChain(levels)
 
@@ -241,12 +241,8 @@ def _chain_abelianized(group, base, depth) -> QuotientChain:
     levels = []
     for n in range(1, depth + 1):
         target = abelian_group([base ** n] * r)
-        units = []
-        for i in range(r):
-            e = [0] * r
-            e[i] = 1
-            units.append(target.index_of(tuple(e)))
-        qmap = QuotientMap(group, target, units)
+        # base >= 2, so the generators are all r unit vectors, in letter order
+        qmap = QuotientMap(group, target, target.generators)
         levels.append(FiniteIndexSubgroup(qmap, target.subgroup([0])))
     return QuotientChain(levels)
 
@@ -292,15 +288,8 @@ def _chain_semidirect(group, base, depth) -> QuotientChain:
             # on the abelianization; transpose to act on column vectors
             mats[g] = [[mat[j][i] % mod for j in range(r)] for i in range(r)]
         target = semidirect_vector_group([mod] * r, h, mats)
-        images = []
-        zero = tuple([0] * r)
-        for i in range(r):
-            e = [0] * r
-            e[i] = 1
-            images.append(target.index_of((tuple(e), 0)))
-        for g in h.generators:
-            images.append(target.index_of((zero, g)))
-        qmap = QuotientMap(group, target, images)
+        # the unit vectors, then the H generators: the letter order of group
+        qmap = QuotientMap(group, target, target.generators)
         levels.append(FiniteIndexSubgroup(qmap, target.subgroup([0])))
     return QuotientChain(levels)
 
@@ -468,9 +457,6 @@ class ExperimentContext:
                              norm_index=self.norm_index(level))
         start = time.perf_counter()
         try:
-            h_images = [level.via.evaluate(w) for w in self.h_elems]
-            if len(set(h_images)) != self.h_abs.order:
-                raise ComplexError("symmetry group collapses at this level")
             qc = quotient_complex(self.cw, level,
                                   h_ctx=(self.h_abs, self.h_elems))
             report = qc.multiplicities(self.table)

@@ -3,8 +3,8 @@
 None of them is used by the library itself.  Each recomputes a number by a
 different method: a floating harmonic projector, union-find on a graph,
 Hessenberg reduction over Fractions, an exhaustive scan of a group law, a
-loop over coset representatives, or a dense homology computation on a
-Cayley graph built without the package.
+loop over coset representatives, a conjugation scan over a whole quotient,
+or a dense homology computation on a Cayley graph built without the package.
 """
 
 from fractions import Fraction
@@ -169,6 +169,31 @@ def fixed_coset_count_oracle(level, g, h_image=0):
     reps, _ = level.fiber.cosets()
     h_coset = {q.mul(h_image, k) for k in level.fiber.members}
     return sum(1 for f in reps if q.mul(q.mul(q.inv(f), g), f) in h_coset)
+
+
+def freeness_oracle(cw, level):
+    """The ``NotFree`` message of the first orbit cell whose stabilizer
+    survives in the quotient by ``level``, or None when the action is free.
+
+    Cells are scanned in degree order.  Two stabilizer words with one image
+    collapse; otherwise every nontrivial image s is conjugated by each u of
+    Q in element order until u^-1 s u lies in the fiber, at 2 |Q| (|S| - 1)
+    products per orbit cell.
+    """
+    qmap = level.via
+    q = qmap.target
+    fiber = level.fiber.member_set
+    for p in cw.dims():
+        for cell in cw.cells[p]:
+            images = [qmap.evaluate(w) for w in cell.stabilizer]
+            if len(set(images)) != len(images):
+                return f"stabilizer of {cell.label} collapses in the quotient"
+            for u in range(q.order):
+                ui = q.inv(u)
+                if any(q.mul(q.mul(ui, s), u) in fiber for s in images[1:]):
+                    return (f"{cell.label}: stabilizer survives at coset "
+                            f"{q.label(u)}")
+    return None
 
 
 def involution_homology_oracle(n):

@@ -16,7 +16,7 @@ from l2mult import (FiniteIndexSubgroup, FreeAbelianGroup, FreeByFiniteGroup,
                     pullback_rep, quotient_complex, rank_nullity,
                     regular_rep, spectral_measure, symmetric_group,
                     semidirect_vector_group)
-from l2mult.finite_groups import hom_from_generator_images
+from l2mult.finite_groups import GroupHom
 from l2mult.spectral import coset_rep
 from l2mult.word_groups import FiniteAlgebraMatrix
 
@@ -95,15 +95,14 @@ def suite_moment_identity(cases=200, kmax=6) -> int:
 def _hom_catalog():
     homs = []
     for big, small in ((8, 4), (4, 2), (6, 3), (6, 2), (9, 3)):
-        homs.append(hom_from_generator_images(cyclic_group(big),
-                                              cyclic_group(small),
-                                              {1: 1 % small}))
+        homs.append(GroupHom(cyclic_group(big), cyclic_group(small),
+                             {1: 1 % small}))
     d4, d2 = dihedral_group(4), dihedral_group(2)
-    homs.append(hom_from_generator_images(
+    homs.append(GroupHom(
         d4, d2, {d4.index_of((1, 0)): d2.index_of((1, 0)),
                  d4.index_of((0, 1)): d2.index_of((0, 1))}))
     a44, a22 = abelian_group([4, 4]), abelian_group([2, 2])
-    homs.append(hom_from_generator_images(
+    homs.append(GroupHom(
         a44, a22, {a44.index_of((1, 0)): a22.index_of((1, 0)),
                    a44.index_of((0, 1)): a22.index_of((0, 1))}))
     return homs

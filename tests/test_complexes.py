@@ -11,14 +11,15 @@ from l2mult import (EquivariantCWData, FiniteIndexSubgroup, FreeAbelianGroup,
                     cw_from_json, cw_to_json, cyclic_group, dihedral_group,
                     export_boundaries_csv, finite_group_crosscheck,
                     from_generators, quotient_complex)
-from l2mult.characters import UnsupportedFamily
+from l2mult.characters import HNotNormalizing, UnsupportedFamily
 from l2mult.complexes import (ComplexError, FiniteChainComplex, NotFree,
                               galois_orbits)
-from l2mult.runner import ExperimentConfig, ExperimentContext
+from l2mult.runner import ExperimentConfig, ExperimentContext, build_chain
 from l2mult.spectral import NotAComplex
 from l2mult.word_groups import FiniteAlgebraMatrix
 
-from oracles import graph_homology_oracle, hodge_trace
+from conftest import make_rng
+from oracles import freeness_oracle, graph_homology_oracle, hodge_trace
 
 S3_GENS = [(1, 0, 2), (0, 2, 1)]
 
@@ -61,6 +62,82 @@ def test_line_dinf_reflection_fiber_not_free():
     cw, level = dinf_level(4, reflection=True)
     with pytest.raises(NotFree):
         quotient_complex(cw, level)
+
+
+def _freeness_corpus():
+    """(complex, level, H words) triples: D_inf over Dih_2m for m = 1..8
+    with every fiber that two elements generate, and the free-by-finite
+    tree over its depth-3 quotient with 60 random two-element fibers; each
+    without H and with the order-2 H of its group.  First, D_inf onto C2
+    with b in the kernel, where a vertex stabilizer collapses."""
+    cw = builtin_line_Dinf(InfiniteDihedralGroup())
+    c2 = cyclic_group(2)
+    yield cw, FiniteIndexSubgroup(QuotientMap(cw.group, c2, [1, 0]),
+                                  c2.subgroup([0])), None
+    for m in range(1, 9):
+        cw, base = dinf_level(m)
+        d = cw.group
+        q = base.via.target
+        fibers = {q.subgroup_generated([x, y]).members
+                  for x in range(q.order) for y in range(x, q.order)}
+        for members in sorted(fibers):
+            level = FiniteIndexSubgroup(base.via, q.subgroup(members))
+            yield cw, level, None
+            yield cw, level, [d.identity(), d.word("b")]
+    tree = builtin_tree_free_by_finite(
+        FreeByFiniteGroup(2, cyclic_group(2), {1: ["a'", "b'"]}))
+    g = tree.group
+    qmap = build_chain({"template": "semidirect_mod", "depth": 3},
+                       g).levels[2].via
+    q = qmap.target
+    rng = make_rng(12)
+    for _ in range(60):
+        fiber = q.subgroup_generated([rng.randrange(q.order) for _ in "xy"])
+        level = FiniteIndexSubgroup(qmap, fiber)
+        yield tree, level, None
+        yield tree, level, [g.identity(), g.word("c")]
+
+
+def test_freeness_from_the_fill_matches_conjugation_oracle():
+    outcomes = dict.fromkeys(["free", "survives", "collapses",
+                              "HNotNormalizing"], 0)
+    for cw, level, h_words in _freeness_corpus():
+        q = level.via.target
+        fiber = level.fiber.member_set
+        expected = freeness_oracle(cw, level)
+        try:
+            qc = quotient_complex(cw, level, h_words=h_words)
+        except HNotNormalizing:
+            # H is checked first; some h must move the fiber
+            him = [level.via.evaluate(w) for w in h_words]
+            assert any(q.mul(q.mul(h, k), q.inv(h)) not in fiber
+                       for h in him for k in fiber)
+            outcomes["HNotNormalizing"] += 1
+        except NotFree as exc:
+            assert str(exc) == expected
+            outcomes["collapses" if "collapses" in expected
+                     else "survives"] += 1
+        else:
+            assert expected is None
+            # a free action fills every double coset S u K completely
+            for p in cw.dims():
+                for cell, orbit in zip(cw.cells[p], qc.orbits[p]):
+                    assert len(orbit.cell_reps) * len(cell.stabilizer) * \
+                        len(fiber) == q.order
+            outcomes["free"] += 1
+    assert min(outcomes.values()) > 0
+
+
+def test_collapsing_symmetry_group_is_rejected():
+    # b maps to the identity of C2, so H = {1, b} collapses in the quotient
+    cw = builtin_line_Dinf(InfiniteDihedralGroup())
+    d = cw.group
+    c2 = cyclic_group(2)
+    level = FiniteIndexSubgroup(QuotientMap(d, c2, [1, 0]), c2.subgroup([0]))
+    with pytest.raises(ComplexError) as info:
+        quotient_complex(cw, level, h_words=[d.identity(), d.word("b")])
+    assert type(info.value) is ComplexError
+    assert str(info.value) == "symmetry group collapses in the quotient"
 
 
 def test_rose_quotient_euler_characteristic():

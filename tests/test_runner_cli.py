@@ -4,8 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from l2mult import (FreeAbelianGroup, InfiniteDihedralGroup, centralizer_growth,
-                    emit, farber_diagnostic, rel_farber_diagnostic, run)
+from l2mult import (FiniteIndexSubgroup, FreeAbelianGroup,
+                    InfiniteDihedralGroup, QuotientChain, QuotientMap,
+                    centralizer_growth, cyclic_group, emit, farber_diagnostic,
+                    rel_farber_diagnostic, run)
 from l2mult.characters import biset_character
 from l2mult.cli import main as cli_main
 from l2mult.runner import (ConfigInvalid, ExperimentConfig, ExperimentContext,
@@ -282,6 +284,17 @@ def test_run_partial_failure_records_errors():
     records, report = run(cfg)
     assert all(r.error is not None for r in records)
     assert all("NotFree" in r.error for r in records)
+
+
+def test_run_level_records_collapsing_symmetry_group():
+    # b maps to the identity of C2, so H = {1, b} collapses at the level
+    ctx = ExperimentContext(dinf_config())
+    c2 = cyclic_group(2)
+    ctx.chain = QuotientChain([FiniteIndexSubgroup(
+        QuotientMap(ctx.group, c2, [1, 0]), c2.subgroup([0]))])
+    record = ctx.run_level(0)
+    assert record.error == \
+        "ComplexError: symmetry group collapses in the quotient"
 
 
 def test_run_levels_cap():

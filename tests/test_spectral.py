@@ -11,7 +11,7 @@ from l2mult import (FreeAbelianGroup, FreeGroup, GroupRingMatrix,
                     operator_matrix, phi_betti, pullback_rep, push_matrix,
                     rank_nullity, regular_rep, rep_from_action,
                     spectral_measure)
-from l2mult.finite_groups import hom_from_generator_images, induce_ordinary
+from l2mult.finite_groups import GroupHom, induce_ordinary
 from l2mult.spectral import (NotAComplex, NotHermitian, SpectralMeasure,
                              SpectralError, UnitaryRep, WordPermRep, coset_rep,
                              euler_phi, operator_columns_exact)
@@ -382,7 +382,7 @@ def test_pullback_measure_compatibility():
     z = FreeAbelianGroup(1)
     a = GroupRingMatrix.from_strings(z, [["2*1 + -1*a + -1*a'"]])
     c8, c4 = cyclic_group(8), cyclic_group(4)
-    hom = hom_from_generator_images(c8, c4, {1: 1})
+    hom = GroupHom(c8, c4, {1: 1})
     pushed8 = push_matrix(QuotientMap(z, c8, [1]), a)
     pushed4 = FiniteAlgebraMatrix(c4, 1, 1, {
         key: {hom(g): c for g, c in terms.items()}
@@ -414,7 +414,7 @@ def _monomial_cases():
     omega = [ch for ch in character_table(c3_abs).irreducibles
              if np.max(np.abs(ch.values.imag)) > 0.1][0]
     c8, c4 = cyclic_group(8), cyclic_group(4)
-    hom = hom_from_generator_images(c8, c4, {1: 1})
+    hom = GroupHom(c8, c4, {1: 1})
     return [
         ("regular", regular_rep(d4), True),
         ("coset", coset_rep(s3, s3.subgroup_generated(
@@ -468,7 +468,7 @@ def test_word_perm_rep_multiplies_and_matches_exact_columns():
 def test_pullback_dense_rep_measure_compatibility():
     # the degree-2 irreducible of D3 pulled back along D6 -> D3
     d6, d3 = dihedral_group(6), dihedral_group(3)
-    hom = hom_from_generator_images(
+    hom = GroupHom(
         d6, d3, {d6.index_of((1, 0)): d3.index_of((1, 0)),
                  d6.index_of((0, 1)): d3.index_of((0, 1))})
     chi2 = [ch for ch in character_table(d3).irreducibles if ch.degree == 2][0]

@@ -280,6 +280,13 @@ def test_free_by_finite_rejects_inconsistent_action():
         FreeByFiniteGroup(2, c2, {1: ["ab", "b"]})   # not an involution
 
 
+def test_free_by_finite_rejects_non_automorphism():
+    # a -> aa is injective but not onto; extend sees it on the edge back to
+    # the identity, where a -> a^4 would have to equal a
+    with pytest.raises(WordGroupError, match="disagree"):
+        FreeByFiniteGroup(1, cyclic_group(2), {1: ["aa"]})
+
+
 def test_free_by_finite_quotient_map():
     from l2mult import semidirect_vector_group
     c2 = cyclic_group(2)
