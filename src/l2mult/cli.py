@@ -57,7 +57,7 @@ def _quotient_setup(quotient_spec: str):
     if family == "cyclic":
         units = [1 % target.order]
     else:
-        moduli = [max(column) + 1 for column in zip(*target.elements)]
+        moduli = target.moduli
         units = [tuple(1 % m if j == i else 0 for j, m in enumerate(moduli))
                  for i in range(len(moduli))]
     group = FreeAbelianGroup(len(units))

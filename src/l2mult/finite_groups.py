@@ -59,10 +59,13 @@ class ConjugacyData:
 
 class FiniteGroup:
     def __init__(self, elements, mul_raw, inv_raw=None, name="G",
-                 generators=None, labels=None):
+                 generators=None, labels=None, moduli=None):
         self.elements = list(elements)
         self.order = len(self.elements)
         self.name = name
+        # cyclic factors (m_1, ..., m_r) of an abelian group whose element i
+        # is np.unravel_index(i, moduli) in Z/m_1 x ... x Z/m_r; else None
+        self.moduli = moduli
         self._index = {e: i for i, e in enumerate(self.elements)}
         if len(self._index) != self.order:
             raise GroupError("duplicate elements")
@@ -294,7 +297,8 @@ def cyclic_group(n: int) -> FiniteGroup:
     labels = ["e"] + [f"g^{k}" if k > 1 else "g" for k in range(1, n)]
     return FiniteGroup(list(range(n)), lambda a, b: (a + b) % n,
                        lambda a: (-a) % n, name=f"C{n}",
-                       generators=[1] if n > 1 else [], labels=labels)
+                       generators=[1] if n > 1 else [], labels=labels,
+                       moduli=(n,))
 
 
 def abelian_group(moduli) -> FiniteGroup:
@@ -316,7 +320,8 @@ def abelian_group(moduli) -> FiniteGroup:
             e[i] = 1
             gens.append(elems.index(tuple(e)))
     name = "x".join(f"C{m}" for m in moduli)
-    return FiniteGroup(elems, mul, inv, name=name, generators=gens)
+    return FiniteGroup(elems, mul, inv, name=name, generators=gens,
+                       moduli=moduli)
 
 
 def dihedral_group(m: int) -> FiniteGroup:

@@ -17,6 +17,17 @@ back from them).  Exact rational elimination is used whenever the
 representation is rational, i.e. monomial with +-1 coefficients; everything
 else falls back to dense numerics with thresholds tied to the coefficient
 sup-norm bound of the matrix.
+
+``spectral_measure`` solves a stack of Hermitian blocks with one
+``eigvalsh`` call, then sorts and clusters all their eigenvalues together.
+On the regular representation of an abelian group with known cyclic factors
+(``FiniteGroup.moduli``) the blocks are the character blocks
+sum_g a_g conj(chi(g)), one n x n block per character, all from one FFT of
+the coefficients: mu_reg(a) = sum_chi mu_chi(a) / |Q|.  Every other
+representation gives the dense operator as its one block.  On a regular
+representation each operator entry is one coefficient, so the Hermitian
+test reads a = a^* off the coefficients.  Clustering is relative to the
+sup-norm bound of the matrix.
 """
 
 from __future__ import annotations
@@ -84,8 +95,11 @@ class MonomialRep:
     ``pair(g)`` returns the lazily cached arrays ``(dest, coef)``; ``coef``
     is None for a permutation and otherwise holds +-1 or roots of unity.
     ``is_rational`` is true exactly when every coefficient is +-1; the exact
-    routes take those representations.
+    routes take those representations.  ``is_regular`` marks the reps that
+    ``regular_rep`` returns; nothing else sets it.
     """
+
+    is_regular = False
 
     def __init__(self, group, dim: int, pair_of, is_rational: bool = True):
         self.group = group
@@ -127,6 +141,7 @@ class UnitaryRep:
     from or pulled back to them."""
 
     is_rational = False
+    is_regular = False
 
     def __init__(self, group: FiniteGroup, gen_matrices: dict[int, np.ndarray],
                  tol: float = 1e-9):
@@ -200,7 +215,12 @@ def rep_from_action(group: FiniteGroup, act, n_points: int) -> MonomialRep:
 
 
 def regular_rep(group: FiniteGroup) -> MonomialRep:
-    return _action_rep(group, lambda g, x: group.mul(x, g), group.order)
+    """The regular representation rho(g) e_x = e_{x g^-1}, marked
+    ``is_regular`` so that ``spectral_measure`` may split it by characters.
+    """
+    rep = _action_rep(group, lambda g, x: group.mul(x, g), group.order)
+    rep.is_regular = True
+    return rep
 
 
 def coset_rep(group: FiniteGroup, subgroup: FiniteSubgroup) -> MonomialRep:
@@ -423,30 +443,68 @@ class SpectralMeasure:
                    int(data["normalizer"]), int(data["matrix_size"]))
 
 
-def spectral_measure(a, rho, herm_tol: float = 1e-9,
-                     cluster_tol: float = 1e-7) -> SpectralMeasure:
-    """Eigenvalue atoms of the operator of a self-adjoint matrix, clustered
-    at absolute tolerance and normalized by the representation dimension."""
-    op = operator_matrix(a, rho)
-    if op.shape[0] != op.shape[1]:
+def _fourier_blocks(a, moduli) -> np.ndarray:
+    """The operator of a square ``a`` under the regular representation of
+    Z/m_1 x ... x Z/m_r, split by the characters: a stack of |Q| blocks
+    sum_g a_g conj(chi(g)), one n x n block per character chi."""
+    n = a.rows
+    coef = np.zeros((n, n, math.prod(moduli)))
+    for (i, j), terms in a.entries.items():
+        coef[i, j, list(terms)] = [float(c) for c in terms.values()]
+    spectrum = np.fft.fftn(coef.reshape(n, n, *moduli),
+                           axes=range(2, 2 + len(moduli)))
+    return np.moveaxis(spectrum.reshape(n, n, -1), -1, 0)
+
+
+def _hermitian_blocks(a, rho, herm_tol: float) -> np.ndarray:
+    """A stack of Hermitian blocks whose spectra, taken together, are the
+    spectrum of the operator of ``a`` under ``rho``.
+
+    The regular representation of an abelian group with known cyclic
+    factors gives the Fourier blocks; every other representation gives the
+    dense operator as its one block.  On the regular representation
+    distinct elements move every point to distinct places, so each operator
+    entry is one coefficient of ``a``, and the operator is Hermitian
+    exactly when a = a^* coefficient by coefficient."""
+    _check_compat(a, rho)
+    if a.rows != a.cols:
         raise NotHermitian("operator is not square")
-    scale = max(1.0, float(np.max(np.abs(op))) if op.size else 1.0)
-    if np.max(np.abs(op - op.conj().T)) > herm_tol * scale:
+    if rho.is_regular and rho.group.moduli is not None:
+        def largest(mat):
+            return float(max((abs(c) for terms in mat.entries.values()
+                              for c in terms.values()), default=0))
+        scale, gap = largest(a), largest(a - a.adjoint())
+        blocks = _fourier_blocks(a, rho.group.moduli)
+    else:
+        op = operator_matrix(a, rho)
+        scale = float(np.max(np.abs(op), initial=0.0))
+        gap = float(np.max(np.abs(op - op.conj().T), initial=0.0))
+        blocks = op[None]
+    if gap > herm_tol * max(1.0, scale):
         raise NotHermitian("operator differs from its adjoint")
-    eigs = np.linalg.eigvalsh((op + op.conj().T) / 2)
-    atoms: list[tuple[float, int]] = []
-    i = 0
-    n = len(eigs)
-    while i < n:
-        j = i + 1
-        while j < n and eigs[j] - eigs[j - 1] <= cluster_tol:
-            j += 1
-        value = float(np.mean(eigs[i:j]))
-        if abs(value) <= cluster_tol:
-            value = 0.0
-        atoms.append((value, j - i))
-        i = j
-    return SpectralMeasure(atoms, rho.dim, a.cols)
+    return (blocks + blocks.conj().swapaxes(-1, -2)) / 2
+
+
+def spectral_measure(a, rho, herm_tol: float = 1e-9,
+                     cluster_tol: float = 1e-10) -> SpectralMeasure:
+    """Eigenvalue atoms of the operator of a self-adjoint matrix, normalized
+    by the representation dimension.
+
+    One ``eigvalsh`` call solves the stack of Hermitian blocks (the Fourier
+    blocks on an abelian group's regular representation, else the dense
+    operator); the eigenvalues are sorted and clustered together.  Sorted
+    neighbours closer than cluster_tol * max(1, sup-norm bound of a) share
+    an atom, the mean of the cluster, and an atom that close to 0 is 0.
+    """
+    eigs = np.sort(np.linalg.eigvalsh(_hermitian_blocks(a, rho, herm_tol)),
+                   axis=None)
+    tol = cluster_tol * max(1.0, float(a.sup_norm_bound()))
+    starts = np.flatnonzero(np.diff(eigs, prepend=-np.inf) > tol)
+    counts = np.diff(starts, append=len(eigs))
+    values = np.add.reduceat(eigs, starts) / counts
+    values[np.abs(values) <= tol] = 0.0
+    return SpectralMeasure([(float(v), int(m)) for v, m in zip(values, counts)],
+                           rho.dim, a.cols)
 
 
 def fk_det(mu: SpectralMeasure) -> float:

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from l2mult import (FreeAbelianGroup, FreeGroup, GroupRingMatrix,
-                    QuotientMap, character_of, character_table, cyclic_group,
-                    dihedral_group, fk_det, from_generators, induced_rep,
-                    irreducible_rep, luck_bound_check, moments_check,
-                    operator_matrix, phi_betti, pullback_rep, push_matrix,
-                    rank_nullity, regular_rep, rep_from_action,
+                    QuotientMap, abelian_group, character_of, character_table,
+                    cyclic_group, dihedral_group, fk_det, from_generators,
+                    induced_rep, irreducible_rep, luck_bound_check,
+                    moments_check, operator_matrix, phi_betti, pullback_rep,
+                    push_matrix, rank_nullity, regular_rep, rep_from_action,
                     spectral_measure)
+from l2mult import spectral
 from l2mult.finite_groups import GroupHom, induce_ordinary
 from l2mult.spectral import (NotAComplex, NotHermitian, SpectralMeasure,
                              SpectralError, UnitaryRep, WordPermRep, coset_rep,
@@ -156,6 +157,82 @@ def test_spectral_measure_json_round_trip():
     assert again.atoms == mu.atoms
     assert again.normalizer == mu.normalizer
     assert [v for v, _ in mu.atoms] == sorted(v for v, _ in mu.atoms)
+
+
+def _clustered_oracle(a, rho):
+    """Atoms of the dense operator's eigenvalues, clustered by a plain walk
+    at spectral_measure's default threshold."""
+    eigs = sorted(np.linalg.eigvalsh(operator_matrix(a, rho)))
+    tol = 1e-10 * max(1.0, float(a.sup_norm_bound()))
+    clusters = []
+    for v in eigs:
+        if clusters and v - clusters[-1][-1] <= tol:
+            clusters[-1].append(v)
+        else:
+            clusters.append([v])
+    return [(0.0 if abs(np.mean(c)) <= tol else float(np.mean(c)), len(c))
+            for c in clusters]
+
+
+def _random_square(group, n, rng):
+    return FiniteAlgebraMatrix(group, n, n, {
+        (i, j): {rng.randrange(group.order): rng.randint(-3, 3)
+                 for _ in range(rng.randint(0, 3))}
+        for i in range(n) for j in range(n)})
+
+
+def test_spectral_measure_fourier_blocks_match_dense_oracle(monkeypatch):
+    rng = make_rng(44)
+    cases = []
+    for group in (cyclic_group(1), cyclic_group(12),
+                  abelian_group([2, 3, 4]), abelian_group([1, 5])):
+        rho = regular_rep(group)
+        assert rho.is_regular and group.moduli is not None
+        for n in (1, 2, 3):
+            for _ in range(3):
+                b = _random_square(group, n, rng)
+                gram = b.adjoint() @ b
+                cases.append((gram, rho, _clustered_oracle(gram, rho)))
+    # the dense operator is the oracle only: the measure must not build it
+    monkeypatch.setattr(spectral, "operator_matrix", None)
+    for gram, rho, expected in cases:
+        mu = spectral_measure(gram, rho)
+        assert [m for _, m in mu.atoms] == [m for _, m in expected]
+        assert max(abs(v1 - v2) for (v1, _), (v2, _)
+                   in zip(mu.atoms, expected)) < 1e-9
+        assert mu.total_mass() == gram.cols
+
+
+def test_spectral_measure_fourier_route_rejects_as_dense():
+    g = abelian_group([2, 3])
+    fourier = regular_rep(g)
+    # the same representation, unmarked, takes the dense route
+    dense = rep_from_action(g, lambda e, x: g.mul(x, e), g.order)
+    assert fourier.is_regular and not dense.is_regular
+    b = _random_square(g, 2, make_rng(45))
+    gram = b.adjoint() @ b
+    tiny = FiniteAlgebraMatrix(g, 2, 2, {(0, 1): {1: Fraction(1, 10 ** 12)}})
+    small = FiniteAlgebraMatrix(g, 2, 2, {(0, 1): {1: Fraction(1, 10 ** 6)}})
+    shift = FiniteAlgebraMatrix(g, 1, 1, {(0, 0): {1: Fraction(1)}})
+    wide = FiniteAlgebraMatrix(g, 1, 2, {(0, 0): {0: Fraction(1)}})
+    for rho in (fourier, dense):
+        spectral_measure(gram + tiny, rho)    # within herm_tol
+        for bad, message in ((gram + small, "differs from its adjoint"),
+                             (shift, "differs from its adjoint"),
+                             (wide, "not square"), (wide.adjoint(), "not square")):
+            with pytest.raises(NotHermitian, match=message):
+                spectral_measure(bad, rho)
+
+
+def test_cycle_at_two_to_the_sixteen():
+    # 2 - 2cos(2 pi / N) ~ 9.2e-9 must stay an atom of its own, not merge
+    # with the kernel
+    n = 2 ** 16
+    gram, rho, _, _ = cycle_gram(n)
+    mu = spectral_measure(gram, rho)
+    assert mu.null_mass() == Fraction(1, n)
+    assert abs(fk_det(mu) ** n / n ** 2 - 1) < 1e-6
+    assert len(moments_check(gram, rho, 4)) == 4
 
 
 def test_rank_nullity_cycle():
@@ -390,7 +467,11 @@ def test_pullback_measure_compatibility():
     rho4 = regular_rep(c4)
     mu_pushed = spectral_measure(pushed4, rho4)
     mu_pulled = spectral_measure(pushed8, pullback_rep(hom, rho4))
-    assert mu_pushed.atoms == mu_pulled.atoms
+    # the regular rep of C4 takes the Fourier blocks and the pullback the
+    # dense operator, so atom values agree to rounding, not to the last bit
+    assert [m for _, m in mu_pushed.atoms] == [m for _, m in mu_pulled.atoms]
+    assert max(abs(v1 - v2) for (v1, _), (v2, _)
+               in zip(mu_pushed.atoms, mu_pulled.atoms)) < 1e-12
 
 
 def _dense_columns(nrows, cols):
