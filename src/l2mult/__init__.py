@@ -18,8 +18,8 @@ from .characters import (BisetCharacter, FiniteCharacter, LimitCharacterSpec,
                          biset_character, convergence_report, i_finite,
                          ind_finite, induce_via, limit_value, perm_character,
                          regular_character, trivial_character)
-from .spectral import (LuckReport, MonomialRep, SpectralMeasure,
-                       UnitaryRep, WordPermRep, character_of, fk_det,
+from .spectral import (LuckReport, Rep, SpectralMeasure, UnitaryRep,
+                       WordPermRep, character_of, fk_det,
                        induced_rep, irreducible_rep, luck_bound_check,
                        moments_check, operator_matrix, phi_betti,
                        pullback_rep, rank_nullity, regular_rep,

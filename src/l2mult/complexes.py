@@ -37,8 +37,8 @@ from .finite_groups import (CharacterTable, FiniteGroup, FiniteSubgroup,
                             character_table)
 from .characters import (CrossCheckFailed, UnsupportedFamily,
                          check_normalizes, finite_word_subgroup)
-from .spectral import (MonomialRep, NotAComplex, induced_rep,
-                       irreducible_rep, operator_columns_exact, phi_betti)
+from .spectral import (NotAComplex, induced_rep, irreducible_rep,
+                       operator_columns_exact, phi_betti, regular_rep)
 from .word_groups import (BuiltinGroup, FiniteIndexSubgroup,
                           FreeAbelianGroup, FreeGroup, FreeByFiniteGroup,
                           GroupRingMatrix, InfiniteDihedralGroup, Word,
@@ -625,41 +625,31 @@ def export_boundaries_csv(qc: FiniteChainComplex, directory):
 # Finite-group cross-check
 # ---------------------------------------------------------------------------
 
-def _left_regular_rep(group: FiniteGroup) -> MonomialRep:
-    """rho(g) e_y = e_{gy}."""
-    n = group.order
-    return MonomialRep(group, n, lambda g: (
-        np.array([group.mul(g, y) for y in range(n)], dtype=np.int64), None))
-
-
 def materialize_regular(group: FiniteGroup,
                         boundaries: dict[int, GroupRingMatrix],
                         h_sub: FiniteSubgroup) -> FiniteChainComplex:
-    """Free complex over the group algebra as a plain rational complex, the
-    subgroup acting by right translation on each group-ring coordinate."""
-    rho = _left_regular_rep(group)
-    n_cells = {}
+    """Free complex over the group algebra as a plain rational complex: the
+    boundaries' operators under the regular representation
+    rho(g) e_x = e_{x g^-1}, with the subgroup acting by left translation
+    x -> h x on each group-ring coordinate, which commutes with rho."""
+    rho = regular_rep(group)
     sizes = {}
     for p, mat in boundaries.items():
         sizes[p] = mat.cols
         sizes[p - 1] = mat.rows
-    for p, n_mod in sizes.items():
-        n_cells[p] = n_mod * group.order
-    cols = {}
-    for p, mat in boundaries.items():
-        nrows, columns = operator_columns_exact(mat, rho)
-        cols[p] = (nrows, [int_entries(col) for col in columns])
-    h_abs, to_local = h_sub.abstract_group()
     order = group.order
+    n_cells = {p: n_mod * order for p, n_mod in sizes.items()}
+    cols = {p: operator_columns_exact(mat, rho)
+            for p, mat in boundaries.items()}
+    h_abs, _ = h_sub.abstract_group()
     actions = {}
-    for h_local, h_parent in enumerate(h_sub.members):
+    for h_local, h in enumerate(h_sub.members):
+        left = np.array([group.mul(h, x) for x in range(order)],
+                        dtype=np.int64)
         for p, n_mod in sizes.items():
-            perm = np.empty(n_mod * order, dtype=np.int64)
-            for x in range(order):
-                dest = group.mul(x, h_parent)
-                for i in range(n_mod):
-                    perm[i * order + x] = i * order + dest
-            actions[(h_local, p)] = (perm, np.ones(n_mod * order, dtype=np.int64))
+            perm = (np.arange(n_mod)[:, None] * order + left).ravel()
+            actions[(h_local, p)] = (perm, np.ones(n_mod * order,
+                                                   dtype=np.int64))
     return FiniteChainComplex(n_cells, cols, sym_group=h_abs, actions=actions)
 
 

@@ -10,12 +10,14 @@ more group-ring matrix, the block-diagonal averaging idempotent
 e_S = |S|^-1 sum_s sign(s) s of each summand, multiplied onto the boundaries
 (Lueck, GAFA 4 (1994)).
 
-Two representation classes: ``MonomialRep`` (permutation reps, degree-1
-characters and everything induced or pulled back from them) and the dense
-``UnitaryRep`` (irreducibles of degree >= 2 and what is induced or pulled
-back from them).  Exact rational elimination is used whenever the
-representation is rational, i.e. monomial with +-1 coefficients; everything
-else falls back to dense numerics with thresholds tied to the coefficient
+One representation class, ``Rep``: every rep is block-monomial, rho(g)
+sending block y to block dest[y] by the matrix blocks[y].  Permutation reps
+and characters have 1x1 blocks, a dense irreducible is one block, and
+induction from H moves rho_h's blocks between the cosets (Serre, *Linear
+Representations of Finite Groups*, 3.3 and 7.1), so each operator is one
+scatter of its blocks.  Exact rational elimination is used whenever the
+representation is rational, i.e. its blocks are +-1 scalars; everything else
+falls back to dense numerics with thresholds tied to the coefficient
 sup-norm bound of the matrix.
 
 ``spectral_measure`` solves a stack of Hermitian blocks with one
@@ -38,7 +40,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._linalg import SparseCol, axpy, charpoly_trailing, sparse_rank
+from ._linalg import SparseCol, charpoly_trailing, sparse_rank
 from .characters import CrossCheckFailed, check_action
 from .finite_groups import (FiniteGroup, FiniteSubgroup, GroupHom,
                             L2MultError, OrdinaryCharacter, cayley_walk,
@@ -69,34 +71,23 @@ class NotAComplex(SpectralError):
     pass
 
 
-def euler_phi(n: int) -> int:
-    out, p, m = 1, 2, n
-    while p * p <= m:
-        if m % p == 0:
-            out *= p - 1
-            m //= p
-            while m % p == 0:
-                out *= p
-                m //= p
-        p += 1
-    if m > 1:
-        out *= m - 1
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Representations
 # ---------------------------------------------------------------------------
 
-class MonomialRep:
-    """Unitary representation in which every element acts monomially:
-    rho(g) e_y = coef[y] e_{dest[y]}.
+class Rep:
+    """Finite-dimensional unitary representation in block-monomial form:
+    with ``(dest, blocks) = pair(g)``,
 
-    ``pair(g)`` returns the lazily cached arrays ``(dest, coef)``; ``coef``
-    is None for a permutation and otherwise holds +-1 or roots of unity.
-    ``is_rational`` is true exactly when every coefficient is +-1; the exact
-    routes take those representations.  ``is_regular`` marks the reps that
-    ``regular_rep`` returns; nothing else sets it.
+        rho(g) (e_y (x) v) = e_{dest[y]} (x) blocks[y] v.
+
+    ``blocks`` is None for a permutation and otherwise has shape
+    (n_blocks, b, b).  Permutation reps and degree-1 characters have b = 1,
+    a dense irreducible is one block of size d, and induction keeps the
+    blocks of the rep it induces from.  Pairs are computed on first use and
+    cached.  ``is_rational`` is true exactly when every block is a +-1
+    scalar; the exact routes take those representations.  ``is_regular``
+    marks the reps that ``regular_rep`` returns; nothing else sets it.
     """
 
     is_regular = False
@@ -115,72 +106,54 @@ class MonomialRep:
             self._pairs[elem] = cached
         return cached
 
-    def entry(self, elem, y: int):
-        """Row and coefficient of the one nonzero entry in column y of
-        rho(elem), as Python numbers."""
-        dest, coef = self.pair(elem)
-        return int(dest[y]), 1 if coef is None else coef[y].item()
-
     def matrix(self, elem) -> np.ndarray:
-        dest, coef = self.pair(elem)
-        m = np.zeros((self.dim, self.dim), dtype=complex)
-        m[dest, np.arange(self.dim)] = 1.0 if coef is None else coef
-        return m
+        dest, blocks = self.pair(elem)
+        k, b = len(dest), 1 if blocks is None else blocks.shape[-1]
+        m = np.zeros((k, b, k, b), dtype=complex)
+        m[dest, :, np.arange(k), :] = 1.0 if blocks is None else blocks
+        return m.reshape(self.dim, self.dim)
 
     def trace(self, elem) -> complex:
-        dest, coef = self.pair(elem)
-        fixed = dest == np.arange(self.dim)
-        if coef is None:
+        dest, blocks = self.pair(elem)
+        fixed = dest == np.arange(len(dest))
+        if blocks is None:
             return float(np.count_nonzero(fixed))
-        return complex(np.sum(coef[fixed]))
+        return complex(np.trace(blocks[fixed], axis1=1, axis2=2).sum())
 
 
-class UnitaryRep:
-    """Dense unitary representation generated from generator images: the
-    numeric class for irreducibles of degree >= 2 and for what is induced
-    from or pulled back to them."""
-
-    is_rational = False
-    is_regular = False
-
-    def __init__(self, group: FiniteGroup, gen_matrices: dict[int, np.ndarray],
-                 tol: float = 1e-9):
-        if not gen_matrices:
-            raise SpectralError("generator images required")
-        self.group = group
-        self.dim = next(iter(gen_matrices.values())).shape[0]
-        self._mats: dict[int, np.ndarray] = {0: np.eye(self.dim, dtype=complex)}
-        for g, m in gen_matrices.items():
-            if np.max(np.abs(m.conj().T @ m - np.eye(self.dim))) > tol:
-                raise SpectralError("generator image is not unitary")
-        self._fill(gen_matrices)
-
-    def _fill(self, gen_matrices):
-        mats = list(gen_matrices.values())
-        for x, k, y, new in cayley_walk(self.group, list(gen_matrices)):
-            if new:
-                self._mats[y] = self._mats[x] @ mats[k]
-        if len(self._mats) != self.group.order:
-            raise SpectralError("generator images do not generate the group")
-
-    def matrix(self, elem: int) -> np.ndarray:
-        return self._mats[elem]
-
-    def trace(self, elem: int) -> complex:
-        return complex(np.trace(self._mats[elem]))
+def UnitaryRep(group: FiniteGroup, gen_matrices: dict[int, np.ndarray],
+               tol: float = 1e-9) -> Rep:
+    """The one-block rep of a finite group generated from unitary generator
+    images, filled along the Cayley graph: the numeric rep of an
+    irreducible of degree >= 2."""
+    if not gen_matrices:
+        raise SpectralError("generator images required")
+    dim = next(iter(gen_matrices.values())).shape[0]
+    for m in gen_matrices.values():
+        if np.max(np.abs(m.conj().T @ m - np.eye(dim))) > tol:
+            raise SpectralError("generator image is not unitary")
+    mats = {0: np.eye(dim, dtype=complex)}
+    images = list(gen_matrices.values())
+    for x, k, y, new in cayley_walk(group, list(gen_matrices)):
+        if new:
+            mats[y] = mats[x] @ images[k]
+    if len(mats) != group.order:
+        raise SpectralError("generator images do not generate the group")
+    dest = np.zeros(1, dtype=np.int64)
+    return Rep(group, dim, lambda g: (dest, mats[g][None]), is_rational=False)
 
 
-def _action_rep(group: FiniteGroup, act, n_points: int) -> MonomialRep:
+def _action_rep(group: FiniteGroup, act, n_points: int) -> Rep:
     """Permutation representation on a finite right G-set:
     rho(g) e_y = e_{y.g^-1}."""
     def pair_of(g):
         ginv = group.inv(g)
         return np.array([act(ginv, y) for y in range(n_points)],
                         dtype=np.int64), None
-    return MonomialRep(group, n_points, pair_of)
+    return Rep(group, n_points, pair_of)
 
 
-def WordPermRep(group, letter_perms) -> MonomialRep:
+def WordPermRep(group, letter_perms) -> Rep:
     """Permutation representation of a free or free-abelian group, given by
     one permutation per generator letter (x -> x.a_i): rho(w) e_y = e_{y.w^-1}.
     """
@@ -206,15 +179,15 @@ def WordPermRep(group, letter_perms) -> MonomialRep:
         for i, e in word.inverse().letters():
             out = (perms[i] if e > 0 else inverses[i])[out]
         return out, None
-    return MonomialRep(group, dim, pair_of)
+    return Rep(group, dim, pair_of)
 
 
-def rep_from_action(group: FiniteGroup, act, n_points: int) -> MonomialRep:
+def rep_from_action(group: FiniteGroup, act, n_points: int) -> Rep:
     check_action(group, act, n_points)
     return _action_rep(group, act, n_points)
 
 
-def regular_rep(group: FiniteGroup) -> MonomialRep:
+def regular_rep(group: FiniteGroup) -> Rep:
     """The regular representation rho(g) e_x = e_{x g^-1}, marked
     ``is_regular`` so that ``spectral_measure`` may split it by characters.
     """
@@ -223,7 +196,7 @@ def regular_rep(group: FiniteGroup) -> MonomialRep:
     return rep
 
 
-def coset_rep(group: FiniteGroup, subgroup: FiniteSubgroup) -> MonomialRep:
+def coset_rep(group: FiniteGroup, subgroup: FiniteSubgroup) -> Rep:
     """Permutation representation on right cosets H\\Q."""
     reps, coset_of = subgroup.cosets(right=True)
     return _action_rep(group, lambda g, x: coset_of[group.mul(reps[x], g)],
@@ -237,11 +210,11 @@ def character_of(rho) -> OrdinaryCharacter:
 
 
 def irreducible_rep(group: FiniteGroup, chi: OrdinaryCharacter,
-                    attempts: int = 10) -> MonomialRep | UnitaryRep:
+                    attempts: int = 10) -> Rep:
     """A unitary representation affording the irreducible character chi.
 
-    Degree-1 characters are realized directly as 1x1 monomial reps (rational
-    when every value is +-1); higher degrees are cut out of the regular
+    Degree-1 characters are realized directly as 1x1 blocks (rational when
+    every value is +-1); higher degrees are cut out of the regular
     representation by the isotypic projector and a random commutant operator.
     """
     if chi.group is not group:
@@ -254,10 +227,11 @@ def irreducible_rep(group: FiniteGroup, chi: OrdinaryCharacter,
                         np.all(np.abs(values.real - np.round(values.real))
                                < 1e-12))
         coefs = np.round(values.real).astype(np.int64) if rational else values
+        blocks = coefs.reshape(-1, 1, 1)
         dest = np.zeros(1, dtype=np.int64)
-        return MonomialRep(
-            group, 1,
-            lambda g: (dest, coefs[[group.class_of_element(g)]]), rational)
+        return Rep(group, 1,
+                   lambda g: (dest, blocks[[group.class_of_element(g)]]),
+                   rational)
     reg = regular_rep(group)
     n = group.order
     d = chi.degree
@@ -294,63 +268,57 @@ def irreducible_rep(group: FiniteGroup, chi: OrdinaryCharacter,
     raise SpectralError(f"could not realize irreducible of degree {d}")
 
 
+def _coset_action(q_group: FiniteGroup, h_sub: FiniteSubgroup):
+    """Q acting on the left cosets t_j H: a function of g giving, for
+    j = 0..k-1, the pair (i, h) with g t_j = t_i h and h local to the
+    abstract subgroup."""
+    _, to_local = h_sub.abstract_group()
+    reps, coset_of = h_sub.cosets()
+    mul, inv = q_group.mul, q_group.inv
+
+    def blocks(g):
+        out = []
+        for t in reps:
+            u = mul(g, t)
+            i = coset_of[u]
+            out.append((i, to_local[mul(inv(reps[i]), u)]))
+        return out
+    return blocks
+
+
 def induced_rep(q_group: FiniteGroup, h_sub: FiniteSubgroup, rho_h,
-                tol: float = 1e-8) -> MonomialRep | UnitaryRep:
+                tol: float = 1e-8) -> Rep:
     """Representation induced along H <= Q on the left cosets t_j H; the
     character is cross-checked against ordinary character induction.
 
-    With g t_j = t_i h, block (i, j) of rho(g) is rho_h(h).  A monomial
-    rho_h induces a monomial rep, each element's pair read off directly; a
-    dense one induces a dense rep from the generators' block matrices.
+    With g t_j = t_i h, rho(g) sends block j to block i by rho_h(h): each
+    element's pair is rho_h's pair of h, moved to coset i.
     """
-    h_abs, to_local = h_sub.abstract_group()
+    h_abs, _ = h_sub.abstract_group()
     if rho_h.group is not h_abs:
         raise SpectralError("rho_h must live on the abstract subgroup")
-    reps, coset_of = h_sub.cosets()     # left cosets tH
-    k = len(reps)
-    d = rho_h.dim
+    action = _coset_action(q_group, h_sub)
 
-    def blocks(g):
-        """(i, h) with g t_j = t_i h, for j = 0..k-1."""
-        out = []
-        for t in reps:
-            u = q_group.mul(g, t)
-            i = coset_of[u]
-            out.append((i, to_local[q_group.mul(q_group.inv(reps[i]), u)]))
-        return out
-
-    if isinstance(rho_h, MonomialRep):
-        def pair_of(g):
-            dest = np.empty(k * d, dtype=np.int64)
-            coefs = []
-            for j, (i, h) in enumerate(blocks(g)):
-                dest_h, coef_h = rho_h.pair(h)
-                dest[j * d:(j + 1) * d] = i * d + dest_h
-                coefs.append(coef_h)
-            return dest, None if coefs[0] is None else np.concatenate(coefs)
-        rep = MonomialRep(q_group, k * d, pair_of, rho_h.is_rational)
-    else:
-        gens = {}
-        for g in q_group.generators:
-            m = np.zeros((k * d, k * d), dtype=complex)
-            for j, (i, h) in enumerate(blocks(g)):
-                m[i * d:(i + 1) * d, j * d:(j + 1) * d] = rho_h.matrix(h)
-            gens[g] = m
-        rep = UnitaryRep(q_group, gens)
+    def pair_of(g):
+        dests, blocks = [], []
+        for i, h in action(g):
+            dest_h, blocks_h = rho_h.pair(h)
+            dests.append(i * len(dest_h) + dest_h)
+            blocks.append(blocks_h)
+        return (np.concatenate(dests),
+                None if blocks[0] is None else np.concatenate(blocks))
+    rep = Rep(q_group, q_group.order // h_sub.order * rho_h.dim, pair_of,
+              rho_h.is_rational)
     induced_char = induce_ordinary(h_sub, character_of(rho_h))
     if np.max(np.abs(character_of(rep).values - induced_char.values)) > tol:
         raise CrossCheckFailed("induced character does not match the formula")
     return rep
 
 
-def pullback_rep(hom: GroupHom, rho) -> MonomialRep | UnitaryRep:
+def pullback_rep(hom: GroupHom, rho) -> Rep:
     """Composition of a representation with a group homomorphism."""
-    if isinstance(rho, MonomialRep):
-        return MonomialRep(hom.source, rho.dim, lambda g: rho.pair(hom(g)),
-                           rho.is_rational)
-    # the trivial group has no generators; its identity generates it
-    return UnitaryRep(hom.source, {g: rho.matrix(hom(g))
-                                   for g in hom.source.generators or [0]})
+    return Rep(hom.source, rho.dim, lambda g: rho.pair(hom(g)),
+               rho.is_rational)
 
 
 # ---------------------------------------------------------------------------
@@ -363,28 +331,29 @@ def _check_compat(a: GroupRingMatrix, rho):
 
 
 def operator_matrix(a, rho) -> np.ndarray:
-    """Dense block operator of the left-multiplication action in rho.  A
-    monomial rep scatters its coefficients instead of forming d x d
-    matrices."""
+    """Dense block operator of the left-multiplication action in rho, one
+    scatter per term: viewed as (rows, k, b, cols, k, b), the term c g of
+    entry (i, j) adds c * blocks at [i, dest, :, j, y, :] for y < k, with
+    (dest, blocks) = rho.pair(g)."""
     _check_compat(a, rho)
     d = rho.dim
-    arange = np.arange(d)
     out = np.zeros((a.rows * d, a.cols * d), dtype=complex)
     for (i, j), terms in a.entries.items():
-        block = np.zeros((d, d), dtype=complex)
         for elem, c in terms.items():
-            if isinstance(rho, MonomialRep):
-                dest, coef = rho.pair(elem)
-                block[dest, arange] += complex(c) if coef is None \
-                    else complex(c) * coef
-            else:
-                block += complex(c) * rho.matrix(elem)
-        out[i * d:(i + 1) * d, j * d:(j + 1) * d] = block
+            dest, blocks = rho.pair(elem)
+            k, b = len(dest), 1 if blocks is None else blocks.shape[-1]
+            view = out.reshape(a.rows, k, b, a.cols, k, b)
+            view[i, dest, :, j, np.arange(k), :] += \
+                complex(c) if blocks is None else complex(c) * blocks
     return out
 
 
 def operator_columns_exact(a, rho) -> tuple[int, list[SparseCol]]:
-    """Sparse exact columns of the operator; requires a rational rep."""
+    """Sparse exact columns of the operator; requires a rational rep.
+
+    The term c g of entry (i, j) adds c * blocks[y] at row i * dim + dest[y]
+    of column j * dim + y.  Entries are ints where c is integral and
+    Fractions only otherwise; entries that cancel are dropped."""
     _check_compat(a, rho)
     if not rho.is_rational:
         raise SpectralError("exact operator needs a rational representation")
@@ -393,9 +362,18 @@ def operator_columns_exact(a, rho) -> tuple[int, list[SparseCol]]:
     for (i, j), terms in a.entries.items():
         for elem, c in terms.items():
             c = Fraction(c)
-            for y in range(d):
-                r, s = rho.entry(elem, y)
-                axpy(cols[j * d + y], c, {i * d + r: s})
+            if c.denominator == 1:
+                c = c.numerator
+            dest, blocks = rho.pair(elem)
+            rows = (dest + i * d).tolist()
+            vals = [c] * d if blocks is None \
+                else [c * s for s in blocks.ravel().tolist()]
+            for col, r, v in zip(cols[j * d:(j + 1) * d], rows, vals):
+                v += col.get(r, 0)
+                if v:
+                    col[r] = v
+                else:
+                    col.pop(r, None)
     return a.rows * d, cols
 
 
@@ -593,12 +571,9 @@ def luck_bound_check(a, rho, d: int) -> LuckReport:
         size = a.cols * rho.dim
         dense = np.zeros((size, size), dtype=np.int64)
         for j, col in enumerate(cols):
-            for r, v in col.items():
-                if v.denominator != 1:
-                    raise SpectralError("integer operator expected")
-                if abs(v.numerator) >= 2 ** 31:
-                    raise SpectralError("operator entries too large")
-                dense[r, j] = int(v)
+            if any(abs(v) >= 2 ** 31 for v in col.values()):
+                raise SpectralError("operator entries too large")
+            dense[list(col), j] = list(col.values())
         growth = max(2, math.ceil(c))
         rank, coeff = charpoly_trailing(dense, growth ** size)
         report.rank = rank

@@ -186,7 +186,7 @@ def suite_sum_rule(cases=200) -> int:
                         for i in range(len(table.irreducibles)))
             assert total == report.betti[p]
             done += 1
-    # randomized finite complexes, subgroup acting by right translation
+    # randomized finite complexes, subgroup acting by left translation
     from l2mult.complexes import materialize_regular
     catalog = _group_catalog()
     while done < cases:

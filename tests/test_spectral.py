@@ -15,7 +15,7 @@ from l2mult import spectral
 from l2mult.finite_groups import GroupHom, induce_ordinary
 from l2mult.spectral import (NotAComplex, NotHermitian, SpectralMeasure,
                              SpectralError, UnitaryRep, WordPermRep, coset_rep,
-                             euler_phi, operator_columns_exact)
+                             operator_columns_exact)
 from l2mult.word_groups import FiniteAlgebraMatrix
 
 from conftest import make_rng
@@ -483,8 +483,9 @@ def _dense_columns(nrows, cols):
 
 
 def _monomial_cases():
-    """(name, rep, rational) for each monomial constructor on a finite
-    group."""
+    """(name, rep, rational) for each rep constructor on a finite group:
+    permutation reps and characters, degree-2 blocks, and what is induced
+    or pulled back from both."""
     d4 = dihedral_group(4)
     refl = d4.subgroup_generated([d4.index_of((0, 1))])
     refl_abs, _ = refl.abstract_group()
@@ -496,6 +497,18 @@ def _monomial_cases():
              if np.max(np.abs(ch.values.imag)) > 0.1][0]
     c8, c4 = cyclic_group(8), cyclic_group(4)
     hom = GroupHom(c8, c4, {1: 1})
+    d6, d3 = dihedral_group(6), dihedral_group(3)
+    fold = GroupHom(d6, d3, {d6.index_of((1, 0)): d3.index_of((1, 0)),
+                             d6.index_of((0, 1)): d3.index_of((0, 1))})
+    chi2 = [ch for ch in character_table(d3).irreducibles
+            if ch.degree == 2][0]
+    d3_in_d6 = d6.subgroup_generated([d6.index_of((2, 0)),
+                                      d6.index_of((0, 1))])
+    d3_abs, _ = d3_in_d6.abstract_group()
+    chi2_sub = [ch for ch in character_table(d3_abs).irreducibles
+                if ch.degree == 2][0]
+    rot = np.array([[0, -1], [1, 0]], dtype=complex)
+    flip = np.array([[1, 0], [0, -1]], dtype=complex)
     return [
         ("regular", regular_rep(d4), True),
         ("coset", coset_rep(s3, s3.subgroup_generated(
@@ -504,7 +517,27 @@ def _monomial_cases():
         ("induced complex", induced_rep(s3, c3,
                                         irreducible_rep(c3_abs, omega)), False),
         ("pullback", pullback_rep(hom, regular_rep(c4)), True),
+        ("irreducible degree 2", irreducible_rep(d3, chi2), False),
+        ("induced degree 2", induced_rep(d6, d3_in_d6,
+                                         irreducible_rep(d3_abs, chi2_sub)),
+         False),
+        ("pullback degree 2", pullback_rep(fold, irreducible_rep(d3, chi2)),
+         False),
+        ("generators", UnitaryRep(d4, {d4.index_of((1, 0)): rot,
+                                       d4.index_of((0, 1)): flip}), False),
     ]
+
+
+def _block_placed_operator(a, rho):
+    """Independent oracle: sum over terms c g of c rho(g), placed in block
+    (i, j)."""
+    d = rho.dim
+    out = np.zeros((a.rows * d, a.cols * d), dtype=complex)
+    for (i, j), terms in a.entries.items():
+        for x, c in terms.items():
+            out[i * d:(i + 1) * d, j * d:(j + 1) * d] += \
+                complex(c) * rho.matrix(x)
+    return out
 
 
 def test_monomial_reps_multiply_and_match_exact_columns():
@@ -516,15 +549,41 @@ def test_monomial_reps_multiply_and_match_exact_columns():
             for y in range(g.order):
                 assert np.max(np.abs(mats[x] @ mats[y]
                                      - mats[g.mul(x, y)])) < 1e-12, name
+        # mixed signs, so that coefficients cancel inside blocks; the
+        # coefficient of element 1 is a half
+        a = FiniteAlgebraMatrix(g, 2, 3, {
+            (i, j): {x: Fraction((7 * x + 3 * i + j) % 5 - 2, 1 + (x == 1))
+                     for x in range(g.order)}
+            for i in range(2) for j in range(3)})
+        op = operator_matrix(a, rho)
+        assert np.max(np.abs(op - _block_placed_operator(a, rho))) < 1e-12, \
+            name
         if not rational:
             continue
-        # mixed signs, so that coefficients cancel inside blocks
-        a = FiniteAlgebraMatrix(g, 2, 2, {
-            (i, j): {x: Fraction((7 * x + 3 * i + j) % 5 - 2)
-                     for x in range(g.order)}
-            for i in range(2) for j in range(2)})
-        dense = _dense_columns(*operator_columns_exact(a, rho))
-        assert np.max(np.abs(dense - operator_matrix(a, rho))) < 1e-12, name
+        nrows, cols = operator_columns_exact(a, rho)
+        assert all(v != 0 for col in cols for v in col.values()), name
+        assert np.max(np.abs(_dense_columns(nrows, cols) - op)) < 1e-12, name
+        # integral coefficients give int entries
+        a_int = FiniteAlgebraMatrix(g, 1, 1, {(0, 0): {
+            x: Fraction((7 * x) % 5 - 2) for x in range(g.order)}})
+        _, cols = operator_columns_exact(a_int, rho)
+        assert all(type(v) is int for col in cols for v in col.values()), \
+            name
+        # two elements that send point 0 to one place, weighted so that
+        # their entries cancel there
+        pairs = [rho.pair(x) for x in range(g.order)]
+        scalar = [1 if blocks is None else int(blocks[0, 0, 0])
+                  for _, blocks in pairs]
+        hits = [(x, y) for x in range(g.order) for y in range(x)
+                if pairs[x][0][0] == pairs[y][0][0]]
+        assert bool(hits) == (rho.dim < g.order), name
+        for x, y in hits[:1]:
+            cancel = FiniteAlgebraMatrix(g, 1, 1, {(0, 0): {
+                x: Fraction(scalar[x]), y: Fraction(-scalar[y])}})
+            _, cols = operator_columns_exact(cancel, rho)
+            assert int(pairs[x][0][0]) not in cols[0], name
+            assert np.max(np.abs(_dense_columns(rho.dim, cols)
+                                 - operator_matrix(cancel, rho))) < 1e-12
 
 
 def test_word_perm_rep_multiplies_and_matches_exact_columns():
@@ -573,11 +632,6 @@ def test_pullback_dense_rep_measure_compatibility():
                in zip(mu_pushed.atoms, mu_pulled.atoms)) < 1e-9
 
 
-def test_induced_rep_character_mismatch_guard():
-    # sanity: euler_phi used for declared arithmetic degrees
-    assert [euler_phi(n) for n in (1, 2, 6, 8, 12)] == [1, 1, 2, 4, 4]
-
-
 def test_unitary_rep_rejects_non_unitary_generator():
     g = cyclic_group(4)
     gen = g.generators[0]
@@ -589,3 +643,9 @@ def test_unitary_rep_rejects_non_unitary_generator():
     assert np.allclose(np.linalg.matrix_power(skew, 4), np.eye(2))
     with pytest.raises(SpectralError, match="not unitary"):
         UnitaryRep(g, {gen: skew})
+
+
+def test_unitary_rep_rejects_images_that_do_not_generate():
+    # the square of the generator generates a subgroup of index 2
+    with pytest.raises(SpectralError, match="do not generate"):
+        UnitaryRep(cyclic_group(4), {2: np.array([[-1.0]])})
