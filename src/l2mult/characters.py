@@ -17,8 +17,8 @@ import numpy as np
 
 from .finite_groups import (FiniteGroup, FiniteSubgroup, L2MultError,
                             OrdinaryCharacter, induce_ordinary)
-from .word_groups import (BuiltinGroup, FreeGroup, FreeAbelianGroup,
-                          InfiniteDihedralGroup, Word, FiniteIndexSubgroup)
+from .word_groups import (BuiltinGroup, FreeAbelianGroup, FiniteIndexSubgroup,
+                          UnsupportedFamily, Word)
 
 
 class CharacterError(L2MultError):
@@ -41,26 +41,20 @@ class HNotNormalizing(CharacterError):
     pass
 
 
-class UnsupportedFamily(CharacterError):
-    pass
-
-
 class FiniteCharacter:
     """Class function on a finite group with value 1 at the identity."""
 
-    def __init__(self, group: FiniteGroup, values, normalized: bool | None = None):
+    def __init__(self, group: FiniteGroup, values):
         self.group = group
         self.values = np.asarray(values, dtype=complex)
         classes = group.conjugacy_classes()
         if len(self.values) != len(classes.representatives):
             raise CharacterError("one value per conjugacy class required")
-        if normalized is None:
-            normalized = abs(self.values[0] - 1.0) <= 1e-9
-        self.normalized = bool(normalized)
+        self.normalized = bool(abs(self.values[0] - 1.0) <= 1e-9)
 
     @classmethod
     def from_ordinary(cls, chi: OrdinaryCharacter) -> "FiniteCharacter":
-        return cls(chi.group, chi.normalized_values(), normalized=True)
+        return cls(chi.group, chi.normalized_values())
 
     def value(self, element: int) -> complex:
         return self.values[self.group.class_of_element(element)]
@@ -103,12 +97,12 @@ class FiniteCharacter:
 def regular_character(group: FiniteGroup) -> FiniteCharacter:
     values = [0.0] * len(group.conjugacy_classes().representatives)
     values[0] = 1.0
-    return FiniteCharacter(group, values, normalized=True)
+    return FiniteCharacter(group, values)
 
 
 def trivial_character(group: FiniteGroup) -> FiniteCharacter:
     k = len(group.conjugacy_classes().representatives)
-    return FiniteCharacter(group, [1.0] * k, normalized=True)
+    return FiniteCharacter(group, [1.0] * k)
 
 
 def check_action(group: FiniteGroup, act, n_points: int, rng=None,
@@ -136,7 +130,7 @@ def perm_character(group: FiniteGroup, act, n_points: int) -> FiniteCharacter:
     for rep in classes.representatives:
         fixed = sum(1 for x in range(n_points) if act(rep, x) == x)
         values.append(fixed / n_points)
-    return FiniteCharacter(group, values, normalized=True)
+    return FiniteCharacter(group, values)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +186,7 @@ def induce_via(psi: BisetCharacter, phi: FiniteCharacter,
         num = sum(complex(psi.values.get((cls, h), 0)) * phi_at[h]
                   for h in range(h_order))
         values.append(num / denom)
-    return FiniteCharacter(psi.q_group, values, normalized=True)
+    return FiniteCharacter(psi.q_group, values)
 
 
 def ind_finite(q_group: FiniteGroup, h_sub: FiniteSubgroup,
@@ -323,10 +317,12 @@ class LimitCharacterSpec:
 
     kind: "regular" | "trivial" | "circle" | "induced".
     - circle: requires FreeAbelian(1) and a unimodular z.
-    - induced: an irreducible character chi of the finite subgroup generated
-      by h_words; for families without a conjugacy oracle the caller must
-      assert that all nontrivial subgroup elements have infinite-index
-      centralizers, which collapses the limit to the regular character.
+    - induced: an irreducible character chi of the finite subgroup H
+      generated by h_words; the limit at g is sum_h i_G(g, h) chi(h) / chi(1)
+      through the family's i-function (``BuiltinGroup.i_value``).  For
+      families without a conjugacy oracle the caller must assert that all
+      nontrivial elements of H have infinite-index centralizers, which
+      collapses the limit to the regular character.
     """
 
     group: BuiltinGroup
@@ -357,56 +353,6 @@ class LimitCharacterSpec:
                         "chi must be defined on the word subgroup itself")
 
 
-def dinf_conjugate(w1: Word, w2: Word) -> bool:
-    (k1, e1), (k2, e2) = w1.data, w2.data
-    if e1 != e2:
-        return False
-    if e1 == 0:
-        return k1 == k2 or k1 == -k2
-    return (k1 - k2) % 2 == 0
-
-
-def dinf_centralizer_index(w: Word):
-    """[D_inf : C(w)]; None encodes infinite index."""
-    k, e = w.data
-    if e == 0:
-        return 1 if k == 0 else 2
-    return None
-
-
-def builtin_conjugate(w1: Word, w2: Word) -> bool:
-    group = w1.group
-    if isinstance(group, FreeAbelianGroup):
-        return w1.data == w2.data
-    if isinstance(group, InfiniteDihedralGroup):
-        return dinf_conjugate(w1, w2)
-    if isinstance(group, FreeGroup):
-        return _cyclic_reduce(w1.data) in _cyclic_rotations(_cyclic_reduce(w2.data))
-    raise UnsupportedFamily(f"no conjugacy oracle for {group.family}")
-
-
-def _cyclic_reduce(data):
-    d = list(data)
-    while len(d) >= 2 and d[0][0] == d[-1][0] and d[0][1] == -d[-1][1]:
-        d = d[1:-1]
-    return tuple(d)
-
-
-def _cyclic_rotations(data):
-    return {tuple(data[i:] + data[:i]) for i in range(max(len(data), 1))}
-
-
-def builtin_centralizer_index(w: Word):
-    group = w.group
-    if isinstance(group, FreeAbelianGroup):
-        return 1
-    if isinstance(group, InfiniteDihedralGroup):
-        return dinf_centralizer_index(w)
-    if isinstance(group, FreeGroup):
-        return 1 if not w.data else None
-    raise UnsupportedFamily(f"no centralizer oracle for {group.family}")
-
-
 def limit_value(spec: LimitCharacterSpec, w: Word) -> complex:
     if w.group is not spec.group:
         raise CharacterError("word from a different group")
@@ -421,12 +367,10 @@ def limit_value(spec: LimitCharacterSpec, w: Word) -> complex:
             return 1.0 if w.is_identity() else 0.0
         total = 0j
         for pos, h_word in enumerate(spec._h_elems):
-            if not builtin_conjugate(w, h_word):
-                continue
-            ci = builtin_centralizer_index(h_word)
-            if ci is not None:
-                chi_tilde = spec.chi.value(spec._chi_index[pos]) / spec.chi.degree
-                total += chi_tilde / ci
+            i = spec.group.i_value(w, h_word)
+            if i:
+                total += i * (spec.chi.value(spec._chi_index[pos])
+                              / spec.chi.degree)
         return total
     raise CharacterError(f"unknown limit kind {spec.kind!r}")
 

@@ -35,14 +35,15 @@ from ._linalg import (ColumnReduction, SparseCol, apply_columns, axpy,
 from .finite_groups import (CharacterTable, FiniteGroup, FiniteSubgroup,
                             L2MultError, NotIntegral, NumericalDegeneracy,
                             character_table)
-from .characters import (CrossCheckFailed, UnsupportedFamily,
-                         check_normalizes, finite_word_subgroup)
+from .characters import (CrossCheckFailed, check_normalizes,
+                         finite_word_subgroup)
 from .spectral import (NotAComplex, induced_rep, irreducible_rep,
                        operator_columns_exact, phi_betti, regular_rep)
 from .word_groups import (BuiltinGroup, FiniteIndexSubgroup,
                           FreeAbelianGroup, FreeGroup, FreeByFiniteGroup,
-                          GroupRingMatrix, InfiniteDihedralGroup, Word,
-                          format_ring_sum, push_matrix, ring_mul)
+                          GroupRingMatrix, InfiniteDihedralGroup,
+                          UnsupportedFamily, Word, format_ring_sum,
+                          push_matrix, ring_mul)
 
 
 class ComplexError(L2MultError):

@@ -58,7 +58,7 @@ class ConjugacyData:
 
 
 class FiniteGroup:
-    def __init__(self, elements, mul_raw, inv_raw=None, name="G",
+    def __init__(self, elements, mul_raw, inv_raw, name="G",
                  generators=None, labels=None, moduli=None):
         self.elements = list(elements)
         self.order = len(self.elements)
@@ -88,10 +88,7 @@ class FiniteGroup:
         cached = self._inverse_cache.get(i)
         if cached is not None:
             return cached
-        if self._inv_raw is not None:
-            k = self._index[self._inv_raw(self.elements[i])]
-        else:
-            k = next(j for j in range(self.order) if self.mul(i, j) == 0)
+        k = self._index[self._inv_raw(self.elements[i])]
         self._inverse_cache[i] = k
         return k
 

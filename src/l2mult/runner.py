@@ -16,18 +16,18 @@ from fractions import Fraction
 from .finite_groups import (FiniteGroup, L2MultError, abelian_group,
                             character_table, cyclic_group, dihedral_group,
                             semidirect_vector_group)
-from .characters import (HNotNormalizing, UnsupportedFamily,
-                         builtin_centralizer_index, builtin_conjugate,
-                         check_normalizes, finite_word_subgroup,
-                         fixed_coset_count, ind_finite_value)
+from .characters import (HNotNormalizing, check_normalizes,
+                         finite_word_subgroup, fixed_coset_count,
+                         ind_finite_value)
 from .complexes import (EquivariantCWData, ComplexError, builtin_line_Dinf,
                         builtin_line_Z, builtin_rose_free,
                         builtin_tree_free_by_finite, cw_from_json,
                         quotient_complex)
 from .word_groups import (BuiltinGroup, FiniteIndexSubgroup, FreeAbelianGroup,
                           FreeGroup, FreeByFiniteGroup, InfiniteDihedralGroup,
-                          QuotientChain, QuotientMap, Word, WordGroupError,
-                          intersection_heuristic, validate_chain)
+                          QuotientChain, QuotientMap, UnsupportedFamily, Word,
+                          WordGroupError, intersection_heuristic,
+                          validate_chain)
 
 
 class ConfigInvalid(L2MultError):
@@ -309,24 +309,14 @@ def farber_diagnostic(chain: QuotientChain, probe_words: list[Word]):
     return rows
 
 
-def i_limit_value(g_word: Word, h_word: Word,
-                  assert_infinite: bool = False) -> Fraction:
-    """Limit biset character i_G(g, h) through the built-in oracles."""
-    if assert_infinite:
-        if h_word.is_identity():
-            return Fraction(1) if g_word.is_identity() else Fraction(0)
-        return Fraction(0)
-    if not builtin_conjugate(g_word, h_word):
-        return Fraction(0)
-    ci = builtin_centralizer_index(h_word)
-    return Fraction(0) if ci is None else Fraction(1, ci)
-
-
 def rel_farber_diagnostic(chain: QuotientChain, h_words: list[Word],
                           probe_words: list[Word],
                           assert_infinite: bool = False):
-    """Deviation of the biset characters of G/Gamma_n from the limit i_G."""
+    """Deviation of the biset characters of G/Gamma_n from the limit i_G;
+    ``assert_infinite`` asserts infinite centralizers for h != 1 in place
+    of the family's conjugacy oracle."""
     h_abs, h_elems = finite_word_subgroup(h_words)
+    group = chain.group
     rows = []
     for n, level in enumerate(chain.levels):
         h_images = [level.via.evaluate(w) for w in h_elems]
@@ -339,7 +329,8 @@ def rel_farber_diagnostic(chain: QuotientChain, h_words: list[Word],
             g = level.via.evaluate(w)
             for h_word, him in zip(h_elems, h_images):
                 value = Fraction(fixed_coset_count(level, g, him), level.index)
-                limit = i_limit_value(w, h_word, assert_infinite)
+                limit = (Fraction(w.is_identity() and h_word.is_identity())
+                         if assert_infinite else group.i_value(w, h_word))
                 rows.append({"level": n, "g": str(w), "h": str(h_word),
                              "value": value, "limit": limit,
                              "deviation": abs(value - limit)})

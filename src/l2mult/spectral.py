@@ -34,6 +34,7 @@ sup-norm bound of the matrix.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,8 +46,7 @@ from .characters import CrossCheckFailed, check_action
 from .finite_groups import (FiniteGroup, FiniteSubgroup, GroupHom,
                             L2MultError, OrdinaryCharacter, cayley_walk,
                             induce_ordinary)
-from .word_groups import (FreeAbelianGroup, FreeGroup, GroupRingMatrix,
-                          Word)
+from .word_groups import BuiltinGroup, GroupRingMatrix, format_letters
 
 
 class SpectralError(L2MultError):
@@ -153,12 +153,14 @@ def _action_rep(group: FiniteGroup, act, n_points: int) -> Rep:
     return Rep(group, n_points, pair_of)
 
 
-def WordPermRep(group, letter_perms) -> Rep:
-    """Permutation representation of a free or free-abelian group, given by
-    one permutation per generator letter (x -> x.a_i): rho(w) e_y = e_{y.w^-1}.
+def WordPermRep(group: BuiltinGroup, letter_perms) -> Rep:
+    """Permutation representation of a built-in group, given by one
+    permutation per generator letter (x -> x.a_i): rho(w) e_y = e_{y.w^-1}.
+
+    Any family is accepted whose relators (``group.relators()``) the letter
+    permutations satisfy: the relators present the group, so the
+    permutations then define a right action of it.
     """
-    if not isinstance(group, (FreeGroup, FreeAbelianGroup)):
-        raise SpectralError("word permutation reps cover free families only")
     perms = [np.asarray(p, dtype=np.int64) for p in letter_perms]
     if len(perms) != group.n_letters:
         raise SpectralError("one permutation per generator required")
@@ -166,20 +168,18 @@ def WordPermRep(group, letter_perms) -> Rep:
     for p in perms:
         if sorted(p.tolist()) != list(range(dim)):
             raise SpectralError("letter images must be bijections")
-    if isinstance(group, FreeAbelianGroup):
-        for i in range(len(perms)):
-            for j in range(i + 1, len(perms)):
-                a, b = perms[i], perms[j]
-                if not np.array_equal(a[b], b[a]):
-                    raise SpectralError("letter permutations must commute")
     inverses = [np.argsort(p) for p in perms]
 
-    def pair_of(word: Word):
+    def act(letters):
         out = np.arange(dim)
-        for i, e in word.inverse().letters():
+        for i, e in letters:
             out = (perms[i] if e > 0 else inverses[i])[out]
-        return out, None
-    return Rep(group, dim, pair_of)
+        return out
+    for r in group.relators():
+        if not np.array_equal(act(r), np.arange(dim)):
+            raise SpectralError(f"letter permutations break the relator "
+                                f"{format_letters(r)}")
+    return Rep(group, dim, lambda word: (act(word.inverse().letters()), None))
 
 
 def rep_from_action(group: FiniteGroup, act, n_points: int) -> Rep:
@@ -312,6 +312,15 @@ def induced_rep(q_group: FiniteGroup, h_sub: FiniteSubgroup, rho_h,
     induced_char = induce_ordinary(h_sub, character_of(rho_h))
     if np.max(np.abs(character_of(rep).values - induced_char.values)) > tol:
         raise CrossCheckFailed("induced character does not match the formula")
+    # the character reads only the diagonal blocks; rho(s) rho(t) = rho(st)
+    # on the generators also sees where the other blocks go
+    for s, t in itertools.product(q_group.generators, repeat=2):
+        (dest_s, blocks_s), (dest_t, blocks_t) = rep.pair(s), rep.pair(t)
+        dest, blocks = rep.pair(q_group.mul(s, t))
+        if (dest != dest_s[dest_t]).any() or blocks is not None \
+                and np.abs(blocks - blocks_s[dest_t] @ blocks_t).max() > tol:
+            raise CrossCheckFailed("induced rep is not a homomorphism on the "
+                                   "generators")
     return rep
 
 

@@ -6,6 +6,11 @@ F_r : H for a finite group H acting on the free generators.  Elements are
 ``Word`` values stored in a per-family normal form; quotient maps onto
 finite groups are built on top.
 
+Each family carries its presentation, ``relators()``, which every quotient
+map and word permutation representation must satisfy, and its conjugacy
+oracle, ``is_conjugate`` and ``centralizer_index``, behind the i-function
+``i_value``; a family without an oracle raises ``UnsupportedFamily``.
+
 ``GroupRingMatrix`` is the one sparse matrix class over a rational group
 ring.  It works over a built-in group, with entries keyed by words, and over
 a finite group, with entries keyed by element indices; products and adjoints
@@ -30,6 +35,10 @@ from .finite_groups import (FiniteGroup, FiniteSubgroup, L2MultError,
 
 
 class WordGroupError(L2MultError):
+    pass
+
+
+class UnsupportedFamily(L2MultError):
     pass
 
 
@@ -67,6 +76,26 @@ class BuiltinGroup:
         for (i, e) in letters:
             data = self.mul_data(data, self.letter_data(i, e))
         return data
+
+    def relators(self) -> tuple:
+        """Letter tuples whose products are 1; with the letters they present
+        the group."""
+        return ()
+
+    def is_conjugate(self, w1: "Word", w2: "Word") -> bool:
+        raise UnsupportedFamily(f"no conjugacy oracle for {self.family}")
+
+    def centralizer_index(self, w: "Word") -> int | None:
+        """[G : C_G(w)]; None encodes infinite index."""
+        raise UnsupportedFamily(f"no centralizer oracle for {self.family}")
+
+    def i_value(self, g: "Word", h: "Word") -> Fraction:
+        """The i-function i_G(g, h) = [G : C_G(h)]^-1 when g ~ h, else 0; an
+        infinite index gives 0."""
+        if not self.is_conjugate(g, h):
+            return Fraction(0)
+        index = self.centralizer_index(h)
+        return Fraction(0) if index is None else Fraction(1, index)
 
     # subclasses implement: identity_data, letter_data, mul_data, inv_data,
     # letters_of
@@ -175,8 +204,24 @@ class FreeGroup(BuiltinGroup):
     def letters_of(self, d):
         return d
 
+    def is_conjugate(self, w1, w2):
+        """Cyclically reduced words are conjugate exactly when one is a
+        rotation of the other."""
+        u, v = _cyclic_reduce(w1.data), _cyclic_reduce(w2.data)
+        return u in {v[i:] + v[:i] for i in range(max(len(v), 1))}
+
+    def centralizer_index(self, w):
+        return 1 if not w.data else None
+
     def __repr__(self):
         return f"FreeGroup({self.rank})"
+
+
+def _cyclic_reduce(letters):
+    d = list(letters)
+    while len(d) >= 2 and d[0][0] == d[-1][0] and d[0][1] == -d[-1][1]:
+        d = d[1:-1]
+    return tuple(d)
 
 
 class FreeAbelianGroup(BuiltinGroup):
@@ -209,6 +254,17 @@ class FreeAbelianGroup(BuiltinGroup):
         for i, k in enumerate(d):
             out.extend([(i, 1 if k > 0 else -1)] * abs(k))
         return tuple(out)
+
+    def relators(self):
+        r = self.rank
+        return tuple(((i, 1), (j, 1), (i, -1), (j, -1))
+                     for i in range(r) for j in range(i + 1, r))
+
+    def is_conjugate(self, w1, w2):
+        return w1.data == w2.data
+
+    def centralizer_index(self, w):
+        return 1
 
     def __repr__(self):
         return f"FreeAbelianGroup({self.rank})"
@@ -248,6 +304,24 @@ class InfiniteDihedralGroup(BuiltinGroup):
         if e:
             out.append((1, 1))
         return tuple(out)
+
+    def relators(self):
+        return ((1, 1), (1, 1)), ((1, 1), (0, 1), (1, 1), (0, 1))
+
+    def is_conjugate(self, w1, w2):
+        """t^k ~ t^-k, and t^k s ~ t^(k+2j) s."""
+        (k1, e1), (k2, e2) = w1.data, w2.data
+        if e1 != e2:
+            return False
+        if e1 == 0:
+            return k1 == k2 or k1 == -k2
+        return (k1 - k2) % 2 == 0
+
+    def centralizer_index(self, w):
+        k, e = w.data
+        if e == 0:
+            return 1 if k == 0 else 2
+        return None
 
 
 class FreeByFiniteGroup(BuiltinGroup):
@@ -346,6 +420,20 @@ class FreeByFiniteGroup(BuiltinGroup):
     def letters_of(self, d):
         u, h = d
         return tuple(u) + self._h_words[h]
+
+    def relators(self):
+        """Per Cayley edge x -> x g of H, word(x) g word(x g)^-1; per H
+        generator c and free generator a_i, c a_i c^-1 aut_c(a_i)^-1."""
+        h, words, inv = self.h_group, self._h_words, self.free.inv_data
+        out = []
+        for g in h.generators:
+            c = self.h_letter_of[g]
+            out += [words[x] + ((c, 1),) + inv(words[h.mul(x, g)])
+                    for x in range(h.order)]
+            out += [((c, 1), (i, 1), (c, -1))
+                    + inv(self.apply_aut(g, ((i, 1),)))
+                    for i in range(self.rank)]
+        return tuple(out)
 
     def __repr__(self):
         return f"FreeByFiniteGroup({self.rank}, {self.h_group.name})"
@@ -511,50 +599,11 @@ class QuotientMap:
         self.generator_images = tuple(generator_images)
         if len(self.generator_images) != source.n_letters:
             raise WordGroupError("one image per alphabet letter required")
-        self._check_relators()
+        for r in source.relators():
+            if self._evaluate_letters(r) != 0:
+                raise WordGroupError(
+                    f"relator {format_letters(r)} is not honoured")
         self._check_surjective()
-
-    def _check_relators(self):
-        src, tgt = self.source, self.target
-        imgs = self.generator_images
-        if isinstance(src, FreeGroup):
-            return
-        if isinstance(src, FreeAbelianGroup):
-            for i in range(len(imgs)):
-                for j in range(i + 1, len(imgs)):
-                    if tgt.mul(imgs[i], imgs[j]) != tgt.mul(imgs[j], imgs[i]):
-                        raise WordGroupError("images do not commute")
-            return
-        if isinstance(src, InfiniteDihedralGroup):
-            t_img, s_img = imgs
-            if tgt.mul(s_img, s_img) != 0:
-                raise WordGroupError("s^2 relator not honoured")
-            sts = tgt.mul(tgt.mul(s_img, t_img), s_img)
-            if sts != tgt.inv(t_img):
-                raise WordGroupError("sts = t^-1 relator not honoured")
-            return
-        if isinstance(src, FreeByFiniteGroup):
-            h = src.h_group
-            # H-part must be a homomorphism H -> target
-            h_images = {g: imgs[src.h_letter_of[g]] for g in h.generators}
-            extend(h, h_images, tgt.mul, 0, WordGroupError)
-            # semidirect relations: h a_i h^-1 = action_h(a_i)
-            for g in h.generators:
-                hg = h_images[g]
-                for i in range(src.rank):
-                    lhs = tgt.mul(tgt.mul(hg, imgs[i]), tgt.inv(hg))
-                    rhs = self._eval_free(src.apply_aut(g, ((i, 1),)))
-                    if lhs != rhs:
-                        raise WordGroupError("semidirect relations not honoured")
-            return
-        raise WordGroupError(f"unsupported family {src.family}")
-
-    def _eval_free(self, free_data) -> int:
-        acc = 0
-        for i, e in free_data:
-            img = self.generator_images[i]
-            acc = self.target.mul(acc, img if e > 0 else self.target.inv(img))
-        return acc
 
     def _check_surjective(self):
         reached = 1 + sum(new for _, _, _, new in
@@ -562,15 +611,16 @@ class QuotientMap:
         if reached != self.target.order:
             raise WordGroupError("generator images do not generate the target")
 
-    def __call__(self, word: Word) -> int:
-        return self.evaluate(word)
-
     def evaluate(self, word: Word) -> int:
         if word.group is not self.source:
             raise WordGroupError("word from a different group")
+        return self._evaluate_letters(word.letters())
+
+    def _evaluate_letters(self, letters) -> int:
+        """Image of a product of letters (index, +-1)."""
         acc = 0
         tgt = self.target
-        for i, e in word.letters():
+        for i, e in letters:
             img = self.generator_images[i]
             acc = tgt.mul(acc, img if e > 0 else tgt.inv(img))
         return acc
@@ -708,5 +758,5 @@ __all__ = [
     "GroupRingMatrix",
     "FiniteAlgebraMatrix", "QuotientMap", "push_matrix",
     "FiniteIndexSubgroup", "QuotientChain", "ChainBroken", "validate_chain",
-    "intersection_heuristic", "WordGroupError",
+    "intersection_heuristic", "WordGroupError", "UnsupportedFamily",
 ]

@@ -7,10 +7,13 @@ import pytest
 from l2mult import (FreeAbelianGroup, GroupRingMatrix, QuotientMap,
                     character_table, cyclic_group, dihedral_group,
                     induced_rep, irreducible_rep, luck_bound_check,
-                    moments_check, push_matrix, regular_rep)
-from l2mult import spectral
+                    moments_check, push_matrix, regular_rep,
+                    validate_chain)
+from l2mult import complexes, runner, spectral
 from l2mult.characters import CrossCheckFailed
-from l2mult.spectral import MomentMismatch
+from l2mult.complexes import ComplexError
+from l2mult.spectral import MomentMismatch, NotAComplex
+from l2mult.word_groups import ChainBroken
 
 
 def test_moments_check_catches_faulty_fourier_blocks(monkeypatch):
@@ -70,3 +73,91 @@ def test_induced_rep_character_check_catches_faulty_cosets(monkeypatch, case):
     monkeypatch.setattr(spectral, "_coset_action", h_dropped)
     with pytest.raises(CrossCheckFailed, match="induced character"):
         induced_rep(q, sub, rho_h)
+
+
+@pytest.mark.parametrize("case", [_sign_of_reflection, _degree_two_of_d3])
+def test_induced_rep_homomorphism_check_catches_swapped_cosets(monkeypatch,
+                                                               case):
+    q, sub, rho_h = case()
+    action = spectral._coset_action
+
+    def swapped(q_group, h_sub):
+        """g t_j = t_i h read as g t_i = t_j h: block i goes to block j.
+        The diagonal blocks, and so the character, do not change."""
+        blocks = action(q_group, h_sub)
+
+        def inverted(g):
+            out = blocks(g)
+            for j, (i, h) in enumerate(blocks(g)):
+                out[i] = (j, h)
+            return out
+        return inverted
+    monkeypatch.setattr(spectral, "_coset_action", swapped)
+    with pytest.raises(CrossCheckFailed, match="not a homomorphism"):
+        induced_rep(q, sub, rho_h)
+
+
+# Doubled a-edges with a disc filling each bigon: a two-dimensional free
+# F_2-complex, so that d_1 . d_2 is checked.
+BIGON_COMPLEX = {
+    "cells": {"0": [{"label": "v"}],
+              "1": [{"label": "ea"}, {"label": "eb"}, {"label": "ea2"}],
+              "2": [{"label": "f"}]},
+    "boundaries": {"1": [["1*1 + -1*a", "1*1 + -1*b", "1*1 + -1*a"]],
+                   "2": [["1"], ["0"], ["-1*1"]]},
+}
+
+
+def _flip_first_sign_of_d2(kw):
+    col = kw["boundaries"][2][1][0]
+    row = min(col)
+    col[row] = -col[row]
+
+
+def _flip_first_sign_of_reflection_on_edges(kw):
+    _, signs = kw["actions"][(1, 1)]
+    signs[0] = -signs[0]
+
+
+@pytest.mark.parametrize("config, fault, error, message", [
+    ({"group": {"family": "free", "rank": 2}, "complex": BIGON_COMPLEX,
+      "chain": {"template": "abelianized_mod", "base": 2, "depth": 2}},
+     _flip_first_sign_of_d2, NotAComplex, "d_1 . d_2 != 0"),
+    ({"group": {"family": "dihedral_infinite"}, "complex": "line_dinf",
+      "chain": {"template": "dihedral", "orders": [2, 4]},
+      "h_words": ["1", "b"]},
+     _flip_first_sign_of_reflection_on_edges, ComplexError,
+     "action does not commute with boundary 1"),
+], ids=["d_d", "action"])
+def test_chain_complex_validation_catches_faulty_quotients(
+        monkeypatch, config, fault, error, message):
+    config = runner.ExperimentConfig.from_json(config)
+    records, _ = runner.run(config)
+    assert [r.error for r in records] == [None, None]
+    make = complexes.QuotientComplex
+
+    def faulty(**kw):
+        """The fault goes into the arguments before they are validated."""
+        fault(kw)
+        return make(**kw)
+    monkeypatch.setattr(complexes, "QuotientComplex", faulty)
+    # the check raises inside each level; run records it and goes on
+    records, report = runner.run(config)
+    recorded = f"{error.__name__}: {message}"
+    assert [r.error for r in records] == [recorded, recorded]
+    assert report["levels"][0]["error"] == recorded
+
+
+def test_validate_chain_catches_fiber_outside_fiber(monkeypatch):
+    config = runner.ExperimentConfig.from_json({
+        "group": {"family": "dihedral_infinite"}, "complex": "line_dinf",
+        "chain": {"template": "dihedral_reflection", "orders": [2, 4]}})
+    chain = runner.ExperimentContext(config).chain
+    validate_chain(chain)
+    deeper = chain.levels[1]
+    target = deeper.via.target
+    # {1, ts} in place of {1, s}: ts maps to ts, outside the fiber {1, s}
+    monkeypatch.setattr(deeper.fiber, "members",
+                        (0, target.index_of((1, 1))))
+    with pytest.raises(ChainBroken, match="fiber does not map into fiber"):
+        validate_chain(chain)

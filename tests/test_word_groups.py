@@ -149,6 +149,31 @@ def test_quotient_map_relator_validation():
         QuotientMap(z2, s3, [s3.generators[0], s3.generators[1]])
     with pytest.raises(WordGroupError):  # not surjective
         QuotientMap(FreeAbelianGroup(1), c4, [2])
+    # free-by-finite: the relations of H and the semidirect relations
+    from l2mult import semidirect_vector_group
+    c2 = cyclic_group(2)
+    g = FreeByFiniteGroup(2, c2, {1: ["a'", "b'"]})
+    target = semidirect_vector_group([4, 4], c2, {1: [[-1, 0], [0, -1]]})
+    a, b = target.index_of(((1, 0), 0)), target.index_of(((0, 1), 0))
+    QuotientMap(g, target, [a, b, target.index_of(((0, 0), 1))])
+    with pytest.raises(WordGroupError, match="relator cc "):
+        QuotientMap(g, target, [a, b, a])          # c of order 4
+    z442 = abelian_group([4, 4, 2])
+    with pytest.raises(WordGroupError, match="relator cac'a "):
+        QuotientMap(g, z442, z442.generators)      # c a c^-1 = a, not a^-1
+    # the same relators decide which letter permutations give a rep
+    from l2mult.spectral import SpectralError, WordPermRep
+    t = [1, 2, 3, 0]
+    rho = WordPermRep(d, [t, [0, 3, 2, 1]])       # x.s = -x mod 4
+    for x in (d.word("a"), d.word("b"), d.word("ab"), d.word("a'")):
+        for y in (d.word("b"), d.word("aab")):
+            assert (rho.matrix(x) @ rho.matrix(y) == rho.matrix(x * y)).all()
+    with pytest.raises(SpectralError, match="relator bb$"):
+        WordPermRep(d, [t, t])
+    with pytest.raises(SpectralError, match="relator baba$"):
+        WordPermRep(d, [t, [1, 0, 2, 3]])     # (0 1) is no reflection of Z/4
+    with pytest.raises(SpectralError, match="relator aba'b'$"):
+        WordPermRep(z2, [[1, 0, 2], [0, 2, 1]])
 
 
 def test_push_matrix_basics():
