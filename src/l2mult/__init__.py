@@ -6,18 +6,17 @@ from .finite_groups import (CharacterTable, FiniteGroup, FiniteSubgroup,
                             GroupHom, L2MultError, OrdinaryCharacter,
                             abelian_group, character_table, cyclic_group,
                             dihedral_group, frobenius_check, from_generators,
-                            induce_ordinary, multiplicity, restrict_ordinary,
-                            semidirect_vector_group, symmetric_group,
-                            trivial_group)
+                            induce_ordinary, induced_value, multiplicity,
+                            restrict_ordinary, semidirect_vector_group,
+                            symmetric_group, trivial_group)
 from .word_groups import (FiniteAlgebraMatrix, FiniteIndexSubgroup,
                           FreeAbelianGroup, FreeByFiniteGroup, FreeGroup,
                           GroupRingMatrix, InfiniteDihedralGroup,
                           QuotientChain, QuotientMap, Word, normal_form,
                           push_matrix, validate_chain)
 from .characters import (BisetCharacter, FiniteCharacter, LimitCharacterSpec,
-                         biset_character, convergence_report, i_finite,
-                         ind_finite, induce_via, limit_value, perm_character,
-                         regular_character, trivial_character)
+                         biset_character, i_finite, induce_via, limit_value,
+                         perm_character, regular_character, trivial_character)
 from .spectral import (LuckReport, Rep, SpectralMeasure, UnitaryRep,
                        WordPermRep, character_of, fk_det,
                        induced_rep, irreducible_rep, luck_bound_check,

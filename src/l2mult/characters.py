@@ -4,7 +4,13 @@ A ``FiniteCharacter`` is a conjugation-invariant function with value 1 at the
 identity, stored per conjugacy class.  ``BisetCharacter`` couples a finite
 quotient Q with a finite group H and holds the rational fixed-point fractions
 of a Q-H-biset; inducing a character of H through it is a plain weighted sum
-with the normalization built into the defining formula.
+with the normalization built into the defining formula.  ``i_finite`` is the
+biset of the i-function of Q, read from ``FiniteGroup.i_value``.
+
+A ``LimitCharacterSpec`` names the limit of a character sequence along a
+chain.  Its ``"induced"`` limit is the one induction formula of
+``finite_groups.induced_value``, sum_h i_G(g, h) chi(h) / chi(1), with the
+i-function of the built-in group G in place of a finite quotient's.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .finite_groups import (FiniteGroup, FiniteSubgroup, L2MultError,
-                            OrdinaryCharacter, induce_ordinary)
+                            OrdinaryCharacter, induced_value)
 from .word_groups import (BuiltinGroup, FreeAbelianGroup, FiniteIndexSubgroup,
                           UnsupportedFamily, Word)
 
@@ -58,28 +64,6 @@ class FiniteCharacter:
 
     def value(self, element: int) -> complex:
         return self.values[self.group.class_of_element(element)]
-
-    def product(self, other: "FiniteCharacter") -> "FiniteCharacter":
-        if other.group is not self.group:
-            raise CharacterError("characters on different groups")
-        return FiniteCharacter(self.group, self.values * other.values)
-
-    def convex(self, other: "FiniteCharacter", lam: Fraction) -> "FiniteCharacter":
-        lam = float(lam)
-        return FiniteCharacter(self.group,
-                               lam * self.values + (1 - lam) * other.values)
-
-    def gram_min_eigenvalue(self, sample: list[int]) -> float:
-        """Smallest eigenvalue of (phi(g_i^-1 g_j)) over an element sample;
-        characters must be positive semidefinite up to numerical error."""
-        g = self.group
-        n = len(sample)
-        mat = np.empty((n, n), dtype=complex)
-        for a in range(n):
-            inv_a = g.inv(sample[a])
-            for b in range(n):
-                mat[a, b] = self.value(g.mul(inv_a, sample[b]))
-        return float(np.linalg.eigvalsh((mat + mat.conj().T) / 2)[0])
 
     def to_json(self) -> dict:
         classes = self.group.conjugacy_classes()
@@ -160,11 +144,12 @@ def i_finite(q_group: FiniteGroup, h_sub: FiniteSubgroup) -> BisetCharacter:
     if h_sub.parent is not q_group:
         raise CharacterError("subgroup of a different group")
     h_abs, _ = h_sub.abstract_group()
-    classes = q_group.conjugacy_classes()
     values: dict[tuple[int, int], Fraction] = {}
-    for h_local, h_parent in enumerate(h_sub.members):
-        cls = classes.class_of[h_parent]
-        values[(cls, h_local)] = Fraction(1, classes.sizes[cls])
+    for cls, g in enumerate(q_group.conjugacy_classes().representatives):
+        for h_local, h_parent in enumerate(h_sub.members):
+            i = q_group.i_value(g, h_parent)
+            if i:
+                values[(cls, h_local)] = i
     return BisetCharacter(q_group, h_abs, values, tuple(h_sub.members))
 
 
@@ -187,51 +172,6 @@ def induce_via(psi: BisetCharacter, phi: FiniteCharacter,
                   for h in range(h_order))
         values.append(num / denom)
     return FiniteCharacter(psi.q_group, values)
-
-
-def ind_finite(q_group: FiniteGroup, h_sub: FiniteSubgroup,
-               chi: OrdinaryCharacter, tol: float = 1e-9) -> FiniteCharacter:
-    """Normalized induction of an irreducible character of H <= Q, computed
-    through the i-function and cross-checked against ordinary induction.
-
-    Both routes equal sum_{h in H, h ~ g} chi(h) / (chi(1) |cl_Q(g)|) for any
-    values of chi on any subset of Q, so the cross-check guards only the
-    conjugacy-class bookkeeping, not chi or the embedding of H.
-    """
-    h_abs, _ = h_sub.abstract_group()
-    if chi.group is not h_abs:
-        raise CharacterError("chi must live on the abstract subgroup")
-    via_biset = induce_via(i_finite(q_group, h_sub),
-                           FiniteCharacter.from_ordinary(chi))
-    theta = induce_ordinary(h_sub, chi)
-    direct = theta.values / theta.degree
-    if np.max(np.abs(via_biset.values - direct)) > tol:
-        raise CrossCheckFailed("biset route disagrees with ordinary induction")
-    return via_biset
-
-
-def ind_finite_value(q_group: FiniteGroup, h_images: list[int],
-                     chi: OrdinaryCharacter, g: int,
-                     tol: float = 1e-9) -> complex:
-    """``ind_finite`` at the one element g, without Q's conjugacy classes.
-
-    Element h of chi's group sits at h_images[h] in Q.  The i-function value
-    sum_{h ~ g} chi(h) / (chi(1) |cl_Q(h)|) is cross-checked against the
-    ordinary sum_{t in Q} chi0(t g t^-1) / (|Q| chi(1)).  As in
-    ``ind_finite``, the two agree for any chi and any h_images, so the check
-    guards only the class sizes, not chi or the images.
-    """
-    chi_at = {im: complex(chi.value(h) / chi.degree)
-              for h, im in enumerate(h_images)}
-    conjugates = [q_group.conjugate(t, g) for t in range(q_group.order)]
-    ordinary = sum(chi_at.get(c, 0) for c in conjugates) / q_group.order
-    cls = set(conjugates)
-    # summed in Q's element order, as ind_finite sums over the subgroup
-    via_i = sum(complex(1 / q_group.conjugacy_class_size(im)) * chi_at[im]
-                for im in sorted(chi_at) if im in cls)
-    if abs(via_i - ordinary) > tol:
-        raise CrossCheckFailed("biset route disagrees with ordinary induction")
-    return via_i
 
 
 def finite_word_subgroup(words: list[Word], cap: int = 512):
@@ -318,8 +258,9 @@ class LimitCharacterSpec:
     kind: "regular" | "trivial" | "circle" | "induced".
     - circle: requires FreeAbelian(1) and a unimodular z.
     - induced: an irreducible character chi of the finite subgroup H
-      generated by h_words; the limit at g is sum_h i_G(g, h) chi(h) / chi(1)
-      through the family's i-function (``BuiltinGroup.i_value``).  For
+      generated by h_words; the limit at g is sum_h i_G(g, h) chi(h) / chi(1),
+      ``induced_value`` with the family's i-function
+      (``BuiltinGroup.i_value``).  For
       families without a conjugacy oracle the caller must assert that all
       nontrivial elements of H have infinite-index centralizers, which
       collapses the limit to the regular character.
@@ -365,39 +306,7 @@ def limit_value(spec: LimitCharacterSpec, w: Word) -> complex:
     if spec.kind == "induced":
         if spec.assert_infinite_centralizers:
             return 1.0 if w.is_identity() else 0.0
-        total = 0j
-        for pos, h_word in enumerate(spec._h_elems):
-            i = spec.group.i_value(w, h_word)
-            if i:
-                total += i * (spec.chi.value(spec._chi_index[pos])
-                              / spec.chi.degree)
-        return total
+        return induced_value(spec.group, w, (
+            (h_word, spec.chi.value(k) / spec.chi.degree)
+            for h_word, k in zip(spec._h_elems, spec._chi_index)))
     raise CharacterError(f"unknown limit kind {spec.kind!r}")
-
-
-@dataclass
-class ConvergenceRow:
-    level: int
-    word: str
-    observed: complex
-    limit: complex
-
-    @property
-    def deviation(self) -> float:
-        return abs(self.observed - self.limit)
-
-
-def convergence_report(chain, spec: LimitCharacterSpec, probe_words: list[Word],
-                       chars_per_level: list[FiniteCharacter]) -> list[ConvergenceRow]:
-    """Pointwise deviations of per-level characters from the limit values."""
-    if len(chars_per_level) != len(chain.levels):
-        raise CharacterError("one character per chain level required")
-    rows = []
-    for n, (lv, char) in enumerate(zip(chain.levels, chars_per_level)):
-        if char.group is not lv.via.target:
-            raise CharacterError(f"level {n} character on the wrong group")
-        for w in probe_words:
-            observed = char.value(lv.via.evaluate(w))
-            rows.append(ConvergenceRow(n, str(w), complex(observed),
-                                       complex(limit_value(spec, w))))
-    return rows

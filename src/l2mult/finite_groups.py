@@ -15,9 +15,15 @@ free-by-finite group are all built this way.
 Everything read off the conjugation action goes through one orbit routine:
 ``FiniteGroup.conjugacy_class`` computes the class of an element once and
 shares it among its members.  The class partition, class sizes (hence
-centralizer indices) and the fixed-coset counts of the Farber diagnostics
-all come from it.  Normality goes through one test as well,
-``FiniteSubgroup.normalized_by``.
+centralizer indices), the i-function ``FiniteGroup.i_value`` and the
+fixed-coset counts of the Farber diagnostics all come from it.  Normality
+goes through one test as well, ``FiniteSubgroup.normalized_by``.
+
+Induced characters go through one formula, ``induced_value``: the value at
+g is sum_h i(g, h) chi(h) over the elements h of a finite subgroup, with the
+i-function of the group that holds g.  It serves a finite quotient (here, in
+``induce_ordinary``, and in the runner's character convergence rows) and a
+built-in infinite group (``characters.limit_value``) alike.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -139,6 +146,11 @@ class FiniteGroup:
     def conjugacy_class_size(self, x: int) -> int:
         """[G : C_G(x)]; needs x's class only, not the full partition."""
         return len(self.conjugacy_class(x))
+
+    def i_value(self, g: int, h: int) -> Fraction:
+        """The i-function i(g, h) = [G : C_G(h)]^-1 when g ~ h, else 0."""
+        cls = self.conjugacy_class(h)
+        return Fraction(1, len(cls)) if g in cls else Fraction(0)
 
     def subgroup(self, members) -> "FiniteSubgroup":
         return FiniteSubgroup(self, members)
@@ -587,24 +599,26 @@ def character_table(group: FiniteGroup, max_order: int = 2000,
         f"class-sum eigenspaces not separated after {attempts} attempts")
 
 
+def induced_value(group, g, pairs):
+    """The induced character sum_h i(g, h) v_h over the pairs (h, v_h), with
+    the i-function of ``group``: a finite group on element indices or a
+    built-in group on words.  Only the terms with h ~ g are summed, in the
+    order of ``pairs``; with none, the value is the int 0."""
+    return sum(i * v for h, v in pairs if (i := group.i_value(g, h)))
+
+
 def induce_ordinary(subgroup: FiniteSubgroup,
                     chi: OrdinaryCharacter) -> OrdinaryCharacter:
-    """Ordinary induction: Ind(chi)(g) = |H|^-1 sum_t chi0(t g t^-1)."""
+    """Ordinary induction: Ind(chi)(g) = [Q:H] sum_h i_Q(g, h) chi(h)."""
     parent = subgroup.parent
-    h_abs, to_local = subgroup.abstract_group()
+    h_abs, _ = subgroup.abstract_group()
     if chi.group is not h_abs:
         raise GroupError("character does not live on the given subgroup")
-    classes = parent.conjugacy_classes()
-    values = []
-    mem = subgroup.member_set
-    for rep in classes.representatives:
-        total = 0j
-        for t in range(parent.order):
-            c = parent.conjugate(t, rep)
-            if c in mem:
-                total += chi.value(to_local[c])
-        values.append(total / subgroup.order)
-    return OrdinaryCharacter(parent, values)
+    # local element k of the abstract subgroup is members[k]
+    pairs = [(h, chi.value(k)) for k, h in enumerate(subgroup.members)]
+    return OrdinaryCharacter(parent, [
+        subgroup.index * induced_value(parent, rep, pairs)
+        for rep in parent.conjugacy_classes().representatives])
 
 
 def restrict_ordinary(theta: OrdinaryCharacter,

@@ -15,10 +15,10 @@ from fractions import Fraction
 
 from .finite_groups import (FiniteGroup, L2MultError, abelian_group,
                             character_table, cyclic_group, dihedral_group,
-                            semidirect_vector_group)
-from .characters import (HNotNormalizing, check_normalizes,
-                         finite_word_subgroup, fixed_coset_count,
-                         ind_finite_value)
+                            induced_value, semidirect_vector_group)
+from .characters import (HNotNormalizing, LimitCharacterSpec,
+                         check_normalizes, finite_word_subgroup,
+                         fixed_coset_count, limit_value)
 from .complexes import (EquivariantCWData, ComplexError, builtin_line_Dinf,
                         builtin_line_Z, builtin_rose_free,
                         builtin_tree_free_by_finite, cw_from_json,
@@ -532,28 +532,43 @@ def assemble_report(ctx: ExperimentContext, records: list[LevelRecord]) -> dict:
 
 
 def _char_convergence_rows(ctx: ExperimentContext, chi_idx: int):
-    from .characters import LimitCharacterSpec, limit_value
+    """Induced character of chi at each probe, per level against its limit:
+    one formula, ``induced_value``, with Q_n's i-function and with G's."""
     chi = ctx.table.irreducibles[chi_idx]
     spec = LimitCharacterSpec(
         group=ctx.group, kind="induced",
         h_words=list(ctx.h_elems), chi=chi,
         assert_infinite_centralizers=ctx.config.infinite_centralizers)
+    # chi / chi(1) at element h of H, which h_elems[h] realizes
+    chi_at = [complex(chi.value(h) / chi.degree)
+              for h in range(ctx.h_abs.order)]
     rows = []
     for n, level in enumerate(ctx.chain.levels):
-        q = level.via.target
         h_images = [level.via.evaluate(w) for w in ctx.h_elems]
         if len(set(h_images)) != ctx.h_abs.order:
             rows.append({"level": n, "error": "symmetry collapses"})
             continue
-        for w in ctx.probes:
-            observed = ind_finite_value(q, h_images, chi,
-                                        level.via.evaluate(w))
-            lim = complex(limit_value(spec, w))
-            rows.append({"level": n, "word": str(w),
-                         "observed": [observed.real, observed.imag],
-                         "limit": [lim.real, lim.imag],
-                         "deviation": abs(observed - lim)})
+        # in Q's element order, which fixes the rounding of the sum
+        pairs = sorted(zip(h_images, chi_at))
+        rows += [_char_convergence_row(n, level, w, pairs, spec)
+                 for w in ctx.probes]
     return rows
+
+
+def _char_convergence_row(n: int, level: FiniteIndexSubgroup, w: Word,
+                          pairs, spec: LimitCharacterSpec) -> dict:
+    """One row; a limit that raises, such as a family without a conjugacy
+    oracle, is recorded in the row."""
+    row = {"level": n, "word": str(w)}
+    observed = induced_value(level.via.target, level.via.evaluate(w), pairs)
+    try:
+        lim = complex(limit_value(spec, w))
+    except L2MultError as exc:
+        row["error"] = f"{type(exc).__name__}: {exc}"
+        return row
+    row.update(observed=[observed.real, observed.imag],
+               limit=[lim.real, lim.imag], deviation=abs(observed - lim))
+    return row
 
 
 # ---------------------------------------------------------------------------

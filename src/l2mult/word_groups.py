@@ -664,9 +664,6 @@ class FiniteIndexSubgroup:
         return all(self.fiber.normalized_by(g)
                    for g in set(self.via.generator_images))
 
-    def contains(self, word: Word) -> bool:
-        return self.via.evaluate(word) in self.fiber.member_set
-
 
 @dataclass
 class ChainLevelReport:

@@ -4,7 +4,8 @@ None of them is used by the library itself.  Each recomputes a number by a
 different method: a floating harmonic projector, union-find on a graph,
 Hessenberg reduction over Fractions, an exhaustive scan of a group law, a
 loop over coset representatives, a conjugation scan over a whole quotient,
-or a dense homology computation on a Cayley graph built without the package.
+ordinary induction summed over every conjugator, or a dense homology
+computation on a Cayley graph built without the package.
 """
 
 from fractions import Fraction
@@ -169,6 +170,23 @@ def fixed_coset_count_oracle(level, g, h_image=0):
     reps, _ = level.fiber.cosets()
     h_coset = {q.mul(h_image, k) for k in level.fiber.members}
     return sum(1 for f in reps if q.mul(q.mul(q.inv(f), g), f) in h_coset)
+
+
+def induce_ordinary_oracle(subgroup, chi):
+    """Ind(chi)(g) = |H|^-1 sum_{t in Q} chi0(t g t^-1) at each class
+    representative g of Q, by conjugating g with every element t of Q;
+    chi0 is chi on H and 0 off it."""
+    parent = subgroup.parent
+    _, to_local = subgroup.abstract_group()
+    values = []
+    for rep in parent.conjugacy_classes().representatives:
+        total = 0j
+        for t in range(parent.order):
+            c = parent.conjugate(t, rep)
+            if c in to_local:
+                total += chi.value(to_local[c])
+        values.append(total / subgroup.order)
+    return np.array(values)
 
 
 def freeness_oracle(cw, level):

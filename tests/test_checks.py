@@ -1,6 +1,8 @@
 """Run-time checks proved by a fault they catch: each test injects one
 targeted fault upstream of a check and asserts that the check fires."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,48 @@ def test_induced_rep_homomorphism_check_catches_swapped_cosets(monkeypatch,
     monkeypatch.setattr(spectral, "_coset_action", swapped)
     with pytest.raises(CrossCheckFailed, match="not a homomorphism"):
         induced_rep(q, sub, rho_h)
+
+
+def test_finite_group_crosscheck_catches_wrong_irreducible(monkeypatch):
+    # rho_H affords the next irreducible in place of chi: it is still a
+    # representation, so induced_rep's own checks pass; the twisted Betti
+    # numbers then disagree with the isotypic multiplicities of chi
+    c4 = cyclic_group(4)
+    sub = c4.subgroup([0, 2])
+    table = character_table(sub.abstract_group()[0])
+    line = {1: GroupRingMatrix(c4, 1, 1, {(0, 0): {0: Fraction(1),
+                                                    1: Fraction(-1)}})}
+    complexes.finite_group_crosscheck(c4, sub, line, table)
+    realize = complexes.irreducible_rep
+
+    def next_irreducible(group, chi):
+        irreducibles = character_table(group).irreducibles
+        k = irreducibles.index(chi)
+        return realize(group, irreducibles[(k + 1) % len(irreducibles)])
+    monkeypatch.setattr(complexes, "irreducible_rep", next_irreducible)
+    with pytest.raises(CrossCheckFailed,
+                       match="deg 0, irreducible 0: 0.0 vs 0.25"):
+        complexes.finite_group_crosscheck(c4, sub, line, table)
+
+
+def test_multiplicities_sum_rule_catches_a_missing_orbit(monkeypatch):
+    config = runner.ExperimentConfig.from_json({
+        "group": {"family": "free_by_finite", "rank": 2, "h": "cyclic:2",
+                  "action": {"0": ["a'", "b'"]}},
+        "complex": "tree_semidirect",
+        "chain": {"template": "semidirect_mod", "base": 2, "depth": 2},
+        "h_words": ["1", "c"]})
+    records, _ = runner.run(config)
+    assert [r.error for r in records] == [None, None]
+    orbits = complexes.galois_orbits
+    # the blocks of the last Galois orbit go missing from every degree
+    monkeypatch.setattr(complexes, "galois_orbits",
+                        lambda table: orbits(table)[:-1])
+    records, report = runner.run(config)
+    errors = [r.error for r in records]
+    assert len(errors) == 2 and all(
+        e.startswith("ComplexError: sum rule fails in degree ") for e in errors)
+    assert [level["error"] for level in report["levels"]] == errors
 
 
 # Doubled a-edges with a disc filling each bigon: a two-dimensional free

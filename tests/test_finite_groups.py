@@ -9,7 +9,7 @@ from l2mult.finite_groups import (ClosureTooLarge, GroupError, GroupHom,
                                   NotIntegral)
 
 from conftest import make_rng
-from oracles import check_axioms
+from oracles import check_axioms, induce_ordinary_oracle
 
 S3_GENS = [(1, 0, 2), (0, 2, 1)]
 
@@ -177,6 +177,25 @@ def test_induce_from_whole_group_is_identity():
         induced = induce_ordinary(sub, chi)
         # class orders agree because members are in index order
         assert np.max(np.abs(induced.values - chi.values)) < 1e-9
+
+
+def test_induce_ordinary_matches_conjugation_scan():
+    # every irreducible of the trivial and the cyclic subgroups of the groups
+    # the induction tests here use, the whole group included
+    checked = 0
+    for g in (from_generators(S3_GENS), dihedral_group(4), cyclic_group(4),
+              cyclic_group(6), symmetric_group(4)):
+        subs = {(0,): g.subgroup([0])}
+        for x in range(1, g.order):
+            sub = g.subgroup_generated([x])
+            subs.setdefault(sub.members, sub)
+        for sub in subs.values():
+            for chi in character_table(sub.abstract_group()[0]).irreducibles:
+                induced = induce_ordinary(sub, chi)
+                expected = induce_ordinary_oracle(sub, chi)
+                assert np.max(np.abs(induced.values - expected)) < 1e-12
+                checked += 1
+    assert checked == 87
 
 
 def test_multiplicity_trivial_in_regular_is_one():

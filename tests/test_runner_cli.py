@@ -183,10 +183,10 @@ def test_run_dinf_records_and_report():
 
 
 def test_char_convergence_matches_ind_finite():
-    # the report evaluates the induced character at the probes only;
-    # ind_finite over the whole quotient is the oracle
-    from l2mult import OrdinaryCharacter
-    from l2mult.characters import CrossCheckFailed, ind_finite, ind_finite_value
+    # the report evaluates the induced character at the probes only; the
+    # oracle is the normalized trace of the induced representation there,
+    # which reads chi through rho_H and the H images through the cosets
+    from l2mult import OrdinaryCharacter, induced_rep, irreducible_rep
     fbf = ExperimentConfig.from_json({
         "group": {"family": "free_by_finite", "rank": 2, "h": "cyclic:2",
                   "action": {"0": ["a'", "b'"]}},
@@ -211,17 +211,12 @@ def test_char_convergence_matches_ind_finite():
                       for h, im in enumerate(h_images)}
                 on_sub = OrdinaryCharacter(h_sub, [
                     at[r] for r in h_sub.conjugacy_classes().representatives])
-                oracle = ind_finite(q, sub, on_sub)
+                rho = induced_rep(q, sub, irreducible_rep(h_sub, on_sub))
                 for w in ctx.probes:
                     row = next(rows)
-                    expect = complex(oracle.value(level.via.evaluate(w)))
+                    expect = rho.trace(level.via.evaluate(w)) / rho.dim
                     assert row["word"] == str(w)
                     assert abs(complex(*row["observed"]) - expect) < 1e-12
-        # the i-function route is checked against ordinary induction
-        q = ctx.chain.levels[-1].via.target
-        q.conjugacy_class_size = lambda x: 1
-        with pytest.raises(CrossCheckFailed):
-            ind_finite_value(q, [0, q.order - 1], chi, q.order - 1)
 
 
 def test_run_rose_abelianized_chain():
@@ -545,3 +540,45 @@ def test_cli_spectral_matches_golden(capsys):
         assert all(abs(x - x_0) < 1e-9
                    for (_, row), (_, row_0) in zip(moments, moments_0)
                    for x, x_0 in zip(row, row_0)), name
+
+
+def _two_levels(data: dict) -> dict:
+    """A golden config cut to depth 2, or to its first two orders."""
+    chain = dict(data["chain"])
+    if "orders" in chain:
+        chain["orders"] = chain["orders"][:2]
+    else:
+        chain["depth"] = 2
+    return dict(data, chain=chain)
+
+
+@pytest.mark.parametrize("char_convergence", [None, 0])
+@pytest.mark.parametrize("infinite_centralizers", [True, False])
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+def test_run_golden_variants_write_a_report(tmp_path, capsys, name,
+                                            infinite_centralizers,
+                                            char_convergence):
+    # every level and every character convergence row is a record or a
+    # recorded error; F_2 : C_2 has no conjugacy oracle, so its limits are
+    # error rows unless infinite centralizers are asserted
+    data = dict(_two_levels(GOLDEN_CONFIGS[name]),
+                infinite_centralizers=infinite_centralizers,
+                char_convergence=char_convergence)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    code = cli_main(["run", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code in (0, 2), err
+    assert "Traceback" not in err
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    rows = report["char_convergence"]
+    assert len(rows) == (0 if char_convergence is None
+                         else 2 * len(data["probe_words"]))
+    oracle_missing = name == "fbf_semidirect_mod" and not infinite_centralizers
+    for row in rows:
+        assert row["word"] in data["probe_words"]
+        if oracle_missing:
+            assert row["error"] == ("UnsupportedFamily: no conjugacy oracle "
+                                    "for free_by_finite")
+        else:
+            assert "error" not in row and len(row["observed"]) == 2
