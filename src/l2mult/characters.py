@@ -197,8 +197,7 @@ def finite_word_subgroup(words: list[Word], cap: int = 512):
                     frontier.append(u)
 
     # products of closure words are already in canonical form
-    h_abs = FiniteGroup(elems, lambda a, b: a * b, lambda a: a.inverse(),
-                        name="H",
+    h_abs = FiniteGroup(elems, lambda a, b: a * b, name="H",
                         generators=sorted({seen[g] for g in gens}),
                         labels=[str(w) for w in elems])
     return h_abs, elems
@@ -223,7 +222,8 @@ def fixed_coset_count(level: FiniteIndexSubgroup, g: int,
     """
     q = level.via.target
     cls = q.conjugacy_class(g)
-    hits = sum(1 for k in level.fiber.members if q.mul(h_image, k) in cls)
+    left = q.left(h_image)
+    hits = sum(1 for k in level.fiber.members if left[k] in cls)
     return level.index * hits // len(cls)
 
 

@@ -269,9 +269,10 @@ def galois_orbits(table: CharacterTable) -> list[tuple[list[int], list[int]]]:
     n = group.order
     powers = []
     for rep in classes.representatives:
+        right = group.right(rep)
         row, x = [0], 0
         for _ in range(1, n):
-            x = group.mul(x, rep)
+            x = right[x]
             row.append(x)
         powers.append(row)
     # conj[k][c] = class of rep_c^k
@@ -398,12 +399,11 @@ class FiniteChainComplex:
             if lower is None:
                 continue
             nrows, cols = bnd
-            lperm, lsigns = lower
-            for j in range(len(cols)):
-                lhs: SparseCol = {int(lperm[r]): int(lsigns[r]) * v
+            lperm, lsigns = lower[0].tolist(), lower[1].tolist()
+            for j, (pj, sj) in enumerate(zip(perm.tolist(), signs.tolist())):
+                lhs: SparseCol = {lperm[r]: lsigns[r] * v
                                   for r, v in cols[j].items()}
-                rhs = {r: int(signs[j]) * v
-                       for r, v in cols[int(perm[j])].items()}
+                rhs = {r: sj * v for r, v in cols[pj].items()}
                 if lhs != rhs:
                     raise ComplexError(
                         f"action does not commute with boundary {p}")
@@ -533,6 +533,9 @@ def quotient_complex(cw: EquivariantCWData, gamma: FiniteIndexSubgroup,
         raise ComplexError("symmetry group collapses in the quotient")
     check_normalizes(gamma, h_images)
 
+    # S u K is filled as s (u k): left translations by the stabilizer
+    # images, right translations by the fiber
+    fiber_moves = [q.right(k) for k in fiber]
     orbits: dict[int, list[QuotientOrbit]] = {}
     n_cells: dict[int, int] = {}
     for p in cw.dims():
@@ -544,6 +547,7 @@ def quotient_complex(cw: EquivariantCWData, gamma: FiniteIndexSubgroup,
             if len({im for im, _ in stab_images}) != len(stab_images):
                 raise NotFree(f"stabilizer of {cell.label} collapses "
                               f"in the quotient")
+            stab_moves = [(q.left(im), sgn) for im, sgn in stab_images]
             dec: list[tuple[int, int] | None] = [None] * q.order
             reps = []
             for u in range(q.order):
@@ -551,10 +555,10 @@ def quotient_complex(cw: EquivariantCWData, gamma: FiniteIndexSubgroup,
                     continue
                 cell_id = len(reps)
                 reps.append(u)
-                for im, sgn in stab_images:
-                    su = q.mul(im, u)
-                    for k in fiber:
-                        v = q.mul(su, k)
+                for left, sgn in stab_moves:
+                    su = left[u]
+                    for right in fiber_moves:
+                        v = right[su]
                         if dec[v] is not None:
                             raise NotFree(
                                 f"{cell.label}: stabilizer survives at coset "
@@ -570,6 +574,7 @@ def quotient_complex(cw: EquivariantCWData, gamma: FiniteIndexSubgroup,
         # integral coefficients become ints, so integer boundaries stay ints
         collected = {key: int_entries(terms) for key, terms
                      in push_matrix(qmap, mat).entries.items()}
+        lefts = {g: q.left(g) for terms in collected.values() for g in terms}
         cols: list[SparseCol] = []
         for j, src_orbit in enumerate(orbits[p]):
             for u in src_orbit.cell_reps:
@@ -579,8 +584,7 @@ def quotient_complex(cw: EquivariantCWData, gamma: FiniteIndexSubgroup,
                     if not terms:
                         continue
                     for g, c in terms.items():
-                        v = q.mul(g, u)
-                        cell_id, sgn = tgt_orbit.dec[v]
+                        cell_id, sgn = tgt_orbit.dec[lefts[g][u]]
                         axpy(col, sgn * c, {tgt_orbit.offset + cell_id: 1})
                 cols.append(col)
         boundaries[p] = (n_cells[p - 1], cols)
@@ -588,16 +592,16 @@ def quotient_complex(cw: EquivariantCWData, gamma: FiniteIndexSubgroup,
     actions = {}
     if h_abs is not None:
         for h_local, him in enumerate(h_images):
+            right = q.right(him)
             for p in cw.dims():
-                perm = np.empty(n_cells[p], dtype=np.int64)
-                signs = np.empty(n_cells[p], dtype=np.int64)
+                perm, signs = [], []
                 for orbit in orbits[p]:
-                    for cell_id, u in enumerate(orbit.cell_reps):
-                        v = q.mul(u, him)
-                        tgt, sgn = orbit.dec[v]
-                        perm[orbit.offset + cell_id] = orbit.offset + tgt
-                        signs[orbit.offset + cell_id] = sgn
-                actions[(h_local, p)] = (perm, signs)
+                    for u in orbit.cell_reps:
+                        tgt, sgn = orbit.dec[right[u]]
+                        perm.append(orbit.offset + tgt)
+                        signs.append(sgn)
+                actions[(h_local, p)] = (np.array(perm, dtype=np.int64),
+                                         np.array(signs, dtype=np.int64))
 
     return QuotientComplex(index=gamma.index, orbits=orbits, h_group=h_abs,
                            n_cells=n_cells, boundaries=boundaries,
@@ -645,8 +649,7 @@ def materialize_regular(group: FiniteGroup,
     h_abs, _ = h_sub.abstract_group()
     actions = {}
     for h_local, h in enumerate(h_sub.members):
-        left = np.array([group.mul(h, x) for x in range(order)],
-                        dtype=np.int64)
+        left = np.array(group.left(h), dtype=np.int64)
         for p, n_mod in sizes.items():
             perm = (np.arange(n_mod)[:, None] * order + left).ravel()
             actions[(h_local, p)] = (perm, np.ones(n_mod * order,

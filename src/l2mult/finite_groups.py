@@ -1,23 +1,51 @@
 """Exact arithmetic for finite groups on integer element indices.
 
 Element 0 is always the identity.  Groups carry their elements in a canonical
-raw form (permutation tuples, residue tuples, ...) so products of specific
-pairs stay cheap even for groups too large for a full Cayley table.
+raw form (permutation tuples, residue tuples, ...) and one raw product on
+them; ``FiniteGroup.mul`` is that product for one arbitrary pair.
+
+Translation tables.  On first use a group walks its right Cayley graph once,
+breadth first from the identity over its own ``generators``, with the raw
+product.  The walk fills ``right[k][x] = x * generators[k]`` and a spanning
+tree, x = parent[x] * generators[letter[x]], and raises ``GroupError`` when
+the generators do not reach every element.  Its memory is O(|G| k), never a
+|G| x |G| table, and it is the only place where raw products run at scale.
+Everything else is a lookup, filled in O(|G|) without a raw product:
+
+* ``left(g)``, x -> g x, along the tree: g x = (g parent[x]) letter[x];
+* ``inverses``, along the tree too: x^-1 = letter[x]^-1 parent[x]^-1, the
+  left translation of the letter inverted as a permutation;
+* ``right(g)``, x -> x g = (g^-1 x^-1)^-1, from the inverses and
+  ``left(g^-1)``.
+
+The translations by the identity and the generators are kept; the others are
+computed per call.  A group given without generators, such as the abstract
+copy of a subgroup, gets a small generating set, each generator the least
+element outside the subgroup that the earlier ones generate, so that its
+walk is not |G|^2.
 
 Everything defined on a group by its values on generators goes through one
 breadth-first walk of the right Cayley graph: ``cayley_walk`` yields the
-edges x -> x*g from the identity, and ``extend`` builds f(x*g) = step(f(x),
-value of g) along them, checking every edge.  In a finite group g^-1 is a
-positive power of g, so the walk follows g-edges only.  Generated subgroups,
-homomorphisms, the matrices of a semidirect product and the H-action of a
-free-by-finite group are all built this way.
+edges x -> x*g from the identity, read off ``right(g)``, and ``extend``
+builds f(x*g) = step(f(x), value of g) along them, checking every edge.  In
+a finite group g^-1 is a positive power of g, so the walk follows g-edges
+only.  Generated subgroups, homomorphisms (each step a lookup in the
+target's right translation), the matrices of a semidirect product and the
+H-action of a free-by-finite group are all built this way.
 
 Everything read off the conjugation action goes through one orbit routine:
-``FiniteGroup.conjugacy_class`` computes the class of an element once and
+``FiniteGroup.conjugacy_class`` computes the class of an element once, as
+its orbit under the conjugations y -> s y s^-1 by the generators, and
 shares it among its members.  The class partition, class sizes (hence
 centralizer indices), the i-function ``FiniteGroup.i_value`` and the
 fixed-coset counts of the Farber diagnostics all come from it.  Normality
-goes through one test as well, ``FiniteSubgroup.normalized_by``.
+goes through one test as well, ``FiniteSubgroup.normalized_by``, which
+reads the left translation of its element.
+
+The raw product remains where single pairs are asked for: the structure
+constants of ``character_table``, the closure check of a ``FiniteSubgroup``,
+the generating set above, action checks, the H part of a free-by-finite
+word product, and the coset blocks of ``spectral.induced_rep``.
 
 Induced characters go through one formula, ``induced_value``: the value at
 g is sum_h i(g, h) chi(h) over the elements h of a finite subgroup, with the
@@ -29,6 +57,7 @@ built-in infinite group (``characters.limit_value``) alike.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,8 +94,8 @@ class ConjugacyData:
 
 
 class FiniteGroup:
-    def __init__(self, elements, mul_raw, inv_raw, name="G",
-                 generators=None, labels=None, moduli=None):
+    def __init__(self, elements, mul_raw, name="G", generators=None,
+                 labels=None, moduli=None):
         self.elements = list(elements)
         self.order = len(self.elements)
         self.name = name
@@ -77,11 +106,16 @@ class FiniteGroup:
         if len(self._index) != self.order:
             raise GroupError("duplicate elements")
         self._mul_raw = mul_raw
-        self._inv_raw = inv_raw
-        self.generators = list(generators) if generators is not None else [
-            i for i in range(1, self.order)]
+        self.generators = list(generators) if generators is not None else \
+            self._generating_set()
         self._labels = labels
-        self._inverse_cache: dict[int, int] = {}
+        # filled by ``_walk`` on first use
+        self._right: list[list[int]] | None = None
+        self._tree: tuple[list[int], list[int], list[int]] | None = None
+        self._inverses: list[int] | None = None
+        self._lefts: dict[int, list[int]] = {}
+        self._rights: dict[int, list[int]] = {}
+        self._conjugations: list[list[int]] | None = None
         self._class_cache: dict[int, frozenset[int]] = {}
         self._classes: ConjugacyData | None = None
         self._table = None
@@ -89,15 +123,11 @@ class FiniteGroup:
     # -- basic structure ---------------------------------------------------
 
     def mul(self, i: int, j: int) -> int:
+        """The raw product of one arbitrary pair."""
         return self._index[self._mul_raw(self.elements[i], self.elements[j])]
 
     def inv(self, i: int) -> int:
-        cached = self._inverse_cache.get(i)
-        if cached is not None:
-            return cached
-        k = self._index[self._inv_raw(self.elements[i])]
-        self._inverse_cache[i] = k
-        return k
+        return self.inverses[i]
 
     def index_of(self, raw) -> int:
         return self._index[raw]
@@ -107,17 +137,129 @@ class FiniteGroup:
             return self._labels[i]
         return str(self.elements[i])
 
-    def conjugate(self, g: int, x: int) -> int:
-        """g x g^-1."""
-        return self.mul(self.mul(g, x), self.inv(g))
+    def _generating_set(self) -> list[int]:
+        """Each generator the least element outside the subgroup that the
+        earlier ones generate, found with raw products: at most log2 |G|
+        generators, in O(|G| log^2 |G|) products."""
+        gens, seen = [], {0}
+        for a in range(self.order):
+            if a not in seen:
+                gens.append(a)
+                reached, seen = [0], {0}
+                for x in reached:
+                    for g in gens:
+                        y = self.mul(x, g)
+                        if y not in seen:
+                            seen.add(y)
+                            reached.append(y)
+        return gens
+
+    # -- translation tables ------------------------------------------------
+
+    def _walk(self):
+        """The one breadth-first walk with the raw product: right[k][x] =
+        x * generators[k] for every x, and the spanning tree of the walk,
+        x = parent[x] * generators[letter[x]], with its elements in the
+        order reached.  The generators' left translations and the inverse
+        array are filled along the tree."""
+        n, elems, index, mul = self.order, self.elements, self._index, \
+            self._mul_raw
+        gens = [elems[g] for g in self.generators]
+        right = [[0] * n for _ in gens]
+        parent, letter = [0] * n, [0] * n
+        seen = bytearray(n)
+        seen[0] = 1
+        reached = [0]
+        for x in reached:
+            ex = elems[x]
+            for k, g in enumerate(gens):
+                y = right[k][x] = index[mul(ex, g)]
+                if not seen[y]:
+                    seen[y] = 1
+                    parent[y], letter[y] = x, k
+                    reached.append(y)
+        if len(reached) != n:
+            raise GroupError(f"the generators of {self.name} reach "
+                             f"{len(reached)} of its {n} elements")
+        self._right, self._tree = right, (reached, parent, letter)
+        ident = list(range(n))
+        self._lefts = {0: ident}
+        self._rights = {0: ident}
+        for k, g in enumerate(self.generators):
+            self._rights.setdefault(g, right[k])
+            self._lefts.setdefault(g, self._left_along_tree(g))
+        # x = p s gives x^-1 = s^-1 p^-1, and left(s^-1) inverts left(s)
+        left_inv = []
+        for g in self.generators:
+            out = [0] * n
+            for x, y in enumerate(self._lefts[g]):
+                out[y] = x
+            left_inv.append(out)
+        inverses = [0] * n
+        for x in reached[1:]:
+            inverses[x] = left_inv[letter[x]][inverses[parent[x]]]
+        self._inverses = inverses
+
+    def _left_along_tree(self, g: int) -> list[int]:
+        # g x = (g p) s for x = p s, parents before children
+        reached, parent, letter = self._tree
+        right = self._right
+        out = [0] * self.order
+        out[0] = g
+        for x in reached[1:]:
+            out[x] = right[letter[x]][out[parent[x]]]
+        return out
+
+    @property
+    def inverses(self) -> list[int]:
+        """x -> x^-1 for every element."""
+        if self._inverses is None:
+            self._walk()
+        return self._inverses
+
+    def left(self, g: int) -> list[int]:
+        """x -> g x for every element: cached for the identity and the
+        generators, filled along the tree in O(|G|) for the others.  The
+        list may be shared; callers do not modify it."""
+        if self._right is None:
+            self._walk()
+        out = self._lefts.get(g)
+        return out if out is not None else self._left_along_tree(g)
+
+    def right(self, g: int) -> list[int]:
+        """x -> x g for every element: the walk's table for the identity and
+        the generators, (g^-1 x^-1)^-1 in O(|G|) for the others.  The list
+        may be shared; callers do not modify it."""
+        if self._right is None:
+            self._walk()
+        out = self._rights.get(g)
+        if out is None:
+            inv = self._inverses
+            left = self.left(inv[g])
+            out = [inv[left[y]] for y in inv]
+        return out
 
     # -- conjugacy ---------------------------------------------------------
 
     def conjugacy_class(self, x: int) -> frozenset[int]:
-        """The class {g x g^-1 : g in G}, computed once for all its members."""
+        """The class of x, its orbit under y -> s y s^-1 for the generators
+        s, computed once for all its members."""
         cls = self._class_cache.get(x)
         if cls is None:
-            cls = frozenset({self.conjugate(g, x) for g in range(self.order)})
+            if self._conjugations is None:
+                inv = self.inverses
+                # s y s^-1 = s (s y^-1)^-1
+                self._conjugations = [[left[inv[left[y]]] for y in inv]
+                                      for left in map(self.left,
+                                                      self.generators)]
+            orbit, seen = [x], {x}
+            for y in orbit:
+                for conj in self._conjugations:
+                    z = conj[y]
+                    if z not in seen:
+                        seen.add(z)
+                        orbit.append(z)
+            cls = frozenset(orbit)
             for y in cls:
                 self._class_cache[y] = cls
         return cls
@@ -166,17 +308,17 @@ class FiniteGroup:
 def cayley_walk(group: FiniteGroup, gens):
     """Breadth-first walk of the right Cayley graph from the identity.
 
-    Yields every edge (x, k, y, new) with y = x * gens[k]; ``new`` is true on
-    the edge that first reaches y.  Only the subgroup that ``gens`` generate
-    is visited.
+    Yields every edge (x, k, y, new) with y = x * gens[k], read off the right
+    translation of gens[k]; ``new`` is true on the edge that first reaches y.
+    Only the subgroup that ``gens`` generate is visited.
     """
+    rights = [group.right(g) for g in gens]
     seen = bytearray(group.order)
     seen[0] = 1
-    queue = deque([0])
-    while queue:
-        x = queue.popleft()
-        for k, g in enumerate(gens):
-            y = group.mul(x, g)
+    queue = [0]
+    for x in queue:
+        for k, right in enumerate(rights):
+            y = right[x]
             new = not seen[y]
             if new:
                 seen[y] = 1
@@ -233,42 +375,43 @@ class FiniteSubgroup:
     def index(self) -> int:
         return self.parent.order // self.order
 
-    def cosets(self, right: bool = False) -> tuple[list[int], dict[int, int]]:
+    def cosets(self, right: bool = False) -> tuple[list[int], list[int]]:
         """Minimal representatives of the left cosets gH (of the right cosets
         Hg with ``right``) and the coset number of every element."""
         parent = self.parent
-        reps, coset_of = [], {}
+        # h g for Hg, g h for gH: one translation per member of H
+        moves = [parent.left(h) if right else parent.right(h)
+                 for h in self.members]
+        reps, coset_of = [], [-1] * parent.order
         for g in range(parent.order):
-            if g not in coset_of:
-                for h in self.members:
-                    x = parent.mul(h, g) if right else parent.mul(g, h)
-                    coset_of[x] = len(reps)
+            if coset_of[g] < 0:
+                for move in moves:
+                    coset_of[move[g]] = len(reps)
                 reps.append(g)
         return reps, coset_of
 
     def normalized_by(self, g: int) -> bool:
         """Whether g K g^-1 = K; K is finite, so inclusion suffices."""
-        conjugate, mem = self.parent.conjugate, self.member_set
-        return all(conjugate(g, k) in mem for k in self.members)
+        left, inv = self.parent.left(g), self.parent.inverses
+        mem = self.member_set
+        # g k g^-1 = g (g k^-1)^-1
+        return all(left[inv[left[inv[k]]]] in mem for k in self.members)
 
     def is_normal(self) -> bool:
-        return all(self.normalized_by(g) for g in range(self.parent.order))
+        # a subgroup that every generator normalizes is normal
+        return all(self.normalized_by(g) for g in self.parent.generators)
 
     def abstract_group(self) -> tuple[FiniteGroup, dict[int, int]]:
         """The subgroup as a standalone FiniteGroup plus parent->local map."""
         if self._abstract is None:
             parent = self.parent
             locals_ = {m: i for i, m in enumerate(self.members)}
-            elems = list(range(len(self.members)))
             mem = self.members
 
             def mul(a, b):
                 return locals_[parent.mul(mem[a], mem[b])]
 
-            def inv(a):
-                return locals_[parent.inv(mem[a])]
-
-            grp = FiniteGroup(elems, mul, inv,
+            grp = FiniteGroup(range(len(mem)), mul,
                               name=f"{parent.name}-sub{len(mem)}",
                               labels=[parent.label(m) for m in mem])
             self._abstract = (grp, locals_)
@@ -277,15 +420,18 @@ class FiniteSubgroup:
 
 class GroupHom:
     """Homomorphism fixed by the images of some source elements, extended
-    through the Cayley graph.  Two paths that disagree mean the assignment
-    is not a homomorphism, and keys that do not generate leave it undefined;
-    both raise ``GroupError``."""
+    through the Cayley graph, each step a lookup in the right translation of
+    an image.  Two paths that disagree mean the assignment is not a
+    homomorphism, and keys that do not generate leave it undefined; both
+    raise ``error``."""
 
     def __init__(self, source: FiniteGroup, target: FiniteGroup,
-                 gen_images: dict[int, int]):
+                 gen_images: dict[int, int], error=GroupError):
         self.source = source
         self.target = target
-        self.images = extend(source, gen_images, target.mul, 0)
+        rights = {v: target.right(v) for v in gen_images.values()}
+        self.images = extend(source, gen_images, lambda fx, v: rights[v][fx],
+                             0, error)
 
     def __call__(self, i: int) -> int:
         return self.images[i]
@@ -296,7 +442,7 @@ class GroupHom:
 # ---------------------------------------------------------------------------
 
 def trivial_group() -> FiniteGroup:
-    return FiniteGroup([0], lambda a, b: 0, lambda a: 0, name="1",
+    return FiniteGroup([0], lambda a, b: 0, name="1",
                        generators=[], labels=["e"])
 
 
@@ -305,7 +451,7 @@ def cyclic_group(n: int) -> FiniteGroup:
         raise GroupError("order must be positive")
     labels = ["e"] + [f"g^{k}" if k > 1 else "g" for k in range(1, n)]
     return FiniteGroup(list(range(n)), lambda a, b: (a + b) % n,
-                       lambda a: (-a) % n, name=f"C{n}",
+                       name=f"C{n}",
                        generators=[1] if n > 1 else [], labels=labels,
                        moduli=(n,))
 
@@ -319,9 +465,6 @@ def abelian_group(moduli) -> FiniteGroup:
     def mul(a, b):
         return tuple((x + y) % m for x, y, m in zip(a, b, moduli))
 
-    def inv(a):
-        return tuple((-x) % m for x, m in zip(a, moduli))
-
     gens = []
     for i in range(len(moduli)):
         if moduli[i] > 1:
@@ -329,7 +472,7 @@ def abelian_group(moduli) -> FiniteGroup:
             e[i] = 1
             gens.append(elems.index(tuple(e)))
     name = "x".join(f"C{m}" for m in moduli)
-    return FiniteGroup(elems, mul, inv, name=name, generators=gens,
+    return FiniteGroup(elems, mul, name=name, generators=gens,
                        moduli=moduli)
 
 
@@ -344,17 +487,13 @@ def dihedral_group(m: int) -> FiniteGroup:
         k2, e2 = b
         return ((k1 + (k2 if e1 == 0 else -k2)) % m, e1 ^ e2)
 
-    def inv(a):
-        k, e = a
-        return ((-k) % m if e == 0 else k, e)
-
     gens = [elems.index((1 % m, 0)), elems.index((0, 1))]
     if m == 1:
         gens = [elems.index((0, 1))]
     labels = [("e" if k == 0 and e == 0 else
                (f"r^{k}" if e == 0 else (f"r^{k}s" if k else "s")))
               for (k, e) in elems]
-    return FiniteGroup(elems, mul, inv, name=f"Dih{2*m}", generators=gens,
+    return FiniteGroup(elems, mul, name=f"Dih{2*m}", generators=gens,
                        labels=labels)
 
 
@@ -387,14 +526,8 @@ def from_generators(perms, cap: int = 10 ** 6) -> FiniteGroup:
                 elems.append(y)
                 queue.append(y)
 
-    def inv(a):
-        out = [0] * degree
-        for i, v in enumerate(a):
-            out[v] = i
-        return tuple(out)
-
     gens = [seen[p] for p in perms if p != ident]
-    return FiniteGroup(elems, compose, inv, name=f"Perm{len(elems)}",
+    return FiniteGroup(elems, compose, name=f"Perm{len(elems)}",
                        generators=sorted(set(gens)))
 
 
@@ -427,30 +560,12 @@ def semidirect_vector_group(moduli, h_group: FiniteGroup,
     vec_elems = list(itertools.product(*[range(m) for m in moduli]))
     elems = [(v, h) for h in range(h_group.order) for v in vec_elems]
 
-    # one entry per (h, v), i.e. at most |G|, filled as products ask for them
-    acted: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
-
-    def act(h, v):
-        w = acted.get((h, v))
-        if w is None:
-            m = mats[h]
-            w = acted[(h, v)] = tuple(
-                sum(m[i][j] * v[j] for j in range(r)) % moduli[i]
-                for i in range(r))
-        return w
-
     def mul(a, b):
         v1, h1 = a
         v2, h2 = b
-        w = act(h1, v2)
-        return (tuple((x + y) % m for x, y, m in zip(v1, w, moduli)),
+        return (tuple([sum(map(operator.mul, row, v2), x) % mod
+                       for x, row, mod in zip(v1, mats[h1], moduli)]),
                 h_group.mul(h1, h2))
-
-    def inv(a):
-        v, h = a
-        hi = h_group.inv(h)
-        w = act(hi, v)
-        return (tuple((-x) % m for x, m in zip(w, moduli)), hi)
 
     gens = []
     for i in range(r):
@@ -462,7 +577,7 @@ def semidirect_vector_group(moduli, h_group: FiniteGroup,
     for g in h_group.generators:
         gens.append(elems.index((zero, g)))
     name = "x".join(f"C{m}" for m in moduli) + f":{h_group.name}"
-    return FiniteGroup(elems, mul, inv, name=name, generators=gens)
+    return FiniteGroup(elems, mul, name=name, generators=gens)
 
 
 # ---------------------------------------------------------------------------

@@ -542,6 +542,8 @@ def _char_convergence_rows(ctx: ExperimentContext, chi_idx: int):
     # chi / chi(1) at element h of H, which h_elems[h] realizes
     chi_at = [complex(chi.value(h) / chi.degree)
               for h in range(ctx.h_abs.order)]
+    # the limit does not depend on the level
+    limits = [_limit_or_error(spec, w) for w in ctx.probes]
     rows = []
     for n, level in enumerate(ctx.chain.levels):
         h_images = [level.via.evaluate(w) for w in ctx.h_elems]
@@ -550,21 +552,27 @@ def _char_convergence_rows(ctx: ExperimentContext, chi_idx: int):
             continue
         # in Q's element order, which fixes the rounding of the sum
         pairs = sorted(zip(h_images, chi_at))
-        rows += [_char_convergence_row(n, level, w, pairs, spec)
-                 for w in ctx.probes]
+        rows += [_char_convergence_row(n, level, w, pairs, lim)
+                 for w, lim in zip(ctx.probes, limits)]
     return rows
 
 
+def _limit_or_error(spec: LimitCharacterSpec, w: Word) -> complex | str:
+    """The limit at w, or the error text of a limit that raises, such as a
+    family without a conjugacy oracle."""
+    try:
+        return complex(limit_value(spec, w))
+    except L2MultError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
 def _char_convergence_row(n: int, level: FiniteIndexSubgroup, w: Word,
-                          pairs, spec: LimitCharacterSpec) -> dict:
-    """One row; a limit that raises, such as a family without a conjugacy
-    oracle, is recorded in the row."""
+                          pairs, lim: complex | str) -> dict:
+    """One row; a limit that raised is recorded in the row."""
     row = {"level": n, "word": str(w)}
     observed = induced_value(level.via.target, level.via.evaluate(w), pairs)
-    try:
-        lim = complex(limit_value(spec, w))
-    except L2MultError as exc:
-        row["error"] = f"{type(exc).__name__}: {exc}"
+    if isinstance(lim, str):
+        row["error"] = lim
         return row
     row.update(observed=[observed.real, observed.imag],
                limit=[lim.real, lim.imag], deviation=abs(observed - lim))

@@ -143,16 +143,6 @@ def UnitaryRep(group: FiniteGroup, gen_matrices: dict[int, np.ndarray],
     return Rep(group, dim, lambda g: (dest, mats[g][None]), is_rational=False)
 
 
-def _action_rep(group: FiniteGroup, act, n_points: int) -> Rep:
-    """Permutation representation on a finite right G-set:
-    rho(g) e_y = e_{y.g^-1}."""
-    def pair_of(g):
-        ginv = group.inv(g)
-        return np.array([act(ginv, y) for y in range(n_points)],
-                        dtype=np.int64), None
-    return Rep(group, n_points, pair_of)
-
-
 def WordPermRep(group: BuiltinGroup, letter_perms) -> Rep:
     """Permutation representation of a built-in group, given by one
     permutation per generator letter (x -> x.a_i): rho(w) e_y = e_{y.w^-1}.
@@ -183,24 +173,41 @@ def WordPermRep(group: BuiltinGroup, letter_perms) -> Rep:
 
 
 def rep_from_action(group: FiniteGroup, act, n_points: int) -> Rep:
+    """Permutation representation on a finite right G-set, given by
+    act(g, y) = y.g: rho(g) e_y = e_{y.g^-1}."""
     check_action(group, act, n_points)
-    return _action_rep(group, act, n_points)
+
+    def pair_of(g):
+        ginv = group.inv(g)
+        return np.array([act(ginv, y) for y in range(n_points)],
+                        dtype=np.int64), None
+    return Rep(group, n_points, pair_of)
+
+
+def _coset_translation_rep(group: FiniteGroup, reps, coset_of) -> Rep:
+    """Q on the right cosets H r_x: rho(g) e_x = e_y with H r_y = H r_x g^-1.
+    Since r g^-1 = (g r^-1)^-1, each pair array is one gather through the
+    left translation by g."""
+    inv = np.asarray(group.inverses, dtype=np.int64)
+    reps_inv = inv[np.asarray(reps, dtype=np.int64)]
+    coset_of = np.asarray(coset_of, dtype=np.int64)
+    return Rep(group, len(reps_inv), lambda g: (
+        coset_of[inv[np.asarray(group.left(g))[reps_inv]]], None))
 
 
 def regular_rep(group: FiniteGroup) -> Rep:
     """The regular representation rho(g) e_x = e_{x g^-1}, marked
     ``is_regular`` so that ``spectral_measure`` may split it by characters.
     """
-    rep = _action_rep(group, lambda g, x: group.mul(x, g), group.order)
+    points = range(group.order)
+    rep = _coset_translation_rep(group, points, points)
     rep.is_regular = True
     return rep
 
 
 def coset_rep(group: FiniteGroup, subgroup: FiniteSubgroup) -> Rep:
     """Permutation representation on right cosets H\\Q."""
-    reps, coset_of = subgroup.cosets(right=True)
-    return _action_rep(group, lambda g, x: coset_of[group.mul(reps[x], g)],
-                       len(reps))
+    return _coset_translation_rep(group, *subgroup.cosets(right=True))
 
 
 def character_of(rho) -> OrdinaryCharacter:

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._linalg import axpy
-from .finite_groups import (FiniteGroup, FiniteSubgroup, L2MultError,
-                            cayley_walk, extend)
+from .finite_groups import (FiniteGroup, FiniteSubgroup, GroupHom,
+                            L2MultError, cayley_walk, extend)
 
 
 class WordGroupError(L2MultError):
@@ -428,8 +428,8 @@ class FreeByFiniteGroup(BuiltinGroup):
         out = []
         for g in h.generators:
             c = self.h_letter_of[g]
-            out += [words[x] + ((c, 1),) + inv(words[h.mul(x, g)])
-                    for x in range(h.order)]
+            out += [words[x] + ((c, 1),) + inv(words[xg])
+                    for x, xg in enumerate(h.right(g))]
             out += [((c, 1), (i, 1), (c, -1))
                     + inv(self.apply_aut(g, ((i, 1),)))
                     for i in range(self.rank)]
@@ -599,6 +599,10 @@ class QuotientMap:
         self.generator_images = tuple(generator_images)
         if len(self.generator_images) != source.n_letters:
             raise WordGroupError("one image per alphabet letter required")
+        # right translations by the letter images and their inverses
+        self._moves = {(i, e): target.right(img if e > 0 else target.inv(img))
+                       for i, img in enumerate(self.generator_images)
+                       for e in (1, -1)}
         for r in source.relators():
             if self._evaluate_letters(r) != 0:
                 raise WordGroupError(
@@ -619,10 +623,8 @@ class QuotientMap:
     def _evaluate_letters(self, letters) -> int:
         """Image of a product of letters (index, +-1)."""
         acc = 0
-        tgt = self.target
-        for i, e in letters:
-            img = self.generator_images[i]
-            acc = tgt.mul(acc, img if e > 0 else tgt.inv(img))
+        for letter in letters:
+            acc = self._moves[letter][acc]
         return acc
 
 
@@ -706,8 +708,8 @@ def validate_chain(chain: QuotientChain) -> list[ChainLevelReport]:
             if images.setdefault(d, s) != s:
                 raise ChainBroken(n, f"letter {chr(97 + i)} repeats an image "
                                      f"at level {n + 1} but not at level {n}")
-        conn = extend(deeper.via.target, images, lv.via.target.mul, 0,
-                      functools.partial(ChainBroken, n))
+        conn = GroupHom(deeper.via.target, lv.via.target, images,
+                        functools.partial(ChainBroken, n)).images
         for m in deeper.fiber.members:
             if conn[m] not in lv.fiber.member_set:
                 raise ChainBroken(n, "fiber does not map into fiber")
@@ -720,23 +722,22 @@ def intersection_heuristic(chain: QuotientChain, max_words: int = 20000) -> int:
     deepest subgroup of the chain (balls enumerated up to ``max_words``)."""
     deepest = chain.levels[-1]
     grp = chain.group
-    q = deepest.via.target
     fiber = deepest.fiber.member_set
-    gens = [grp.generator(i) for i in range(grp.n_letters)]
-    gens += [g.inverse() for g in gens]
     # each word's image in Q is its parent's image times one letter image
-    steps = [(g, deepest.via.evaluate(g)) for g in gens]
+    steps = [(grp.generator(i) if e > 0 else grp.generator(i).inverse(),
+              deepest.via._moves[(i, e)])
+             for e in (1, -1) for i in range(grp.n_letters)]
     seen = {grp.identity()}
     sphere = [(grp.identity(), 0)]
     length = 0
     while True:
         nxt = []
         for w, image in sphere:
-            for g, g_image in steps:
+            for g, move in steps:
                 u = w * g
                 if u not in seen:
                     seen.add(u)
-                    nxt.append((u, q.mul(image, g_image)))
+                    nxt.append((u, move[image]))
         if not nxt:
             return length
         length += 1

@@ -2,10 +2,11 @@
 
 None of them is used by the library itself.  Each recomputes a number by a
 different method: a floating harmonic projector, union-find on a graph,
-Hessenberg reduction over Fractions, an exhaustive scan of a group law, a
-loop over coset representatives, a conjugation scan over a whole quotient,
-ordinary induction summed over every conjugator, or a dense homology
-computation on a Cayley graph built without the package.
+Hessenberg reduction over Fractions, an exhaustive scan of a group law, of
+its inverses or of its conjugation action, a loop over coset
+representatives, a conjugation scan over a whole quotient, ordinary
+induction summed over every conjugator, or a dense homology computation on
+a Cayley graph built without the package.
 """
 
 from fractions import Fraction
@@ -30,6 +31,28 @@ def check_axioms(group):
             for c in range(n):
                 if group.mul(ab, c) != group.mul(a, group.mul(b, c)):
                     raise GroupError("associativity fails")
+
+
+def inverse_by_scan(group):
+    """x^-1 for every element: the y with x y = 1 under the raw product."""
+    n = group.order
+    return [next(y for y in range(n) if group.mul(x, y) == 0)
+            for x in range(n)]
+
+
+def conjugacy_classes_by_scan(group):
+    """The class partition as sorted member lists, each class {t x t^-1}
+    conjugated by every t with raw products and scanned inverses."""
+    n = group.order
+    inverse = inverse_by_scan(group)
+    classes, seen = [], set()
+    for x in range(n):
+        if x not in seen:
+            cls = sorted({group.mul(group.mul(t, x), inverse[t])
+                          for t in range(n)})
+            seen.update(cls)
+            classes.append(cls)
+    return classes
 
 
 def _dense_boundary(qc, p):
@@ -182,7 +205,7 @@ def induce_ordinary_oracle(subgroup, chi):
     for rep in parent.conjugacy_classes().representatives:
         total = 0j
         for t in range(parent.order):
-            c = parent.conjugate(t, rep)
+            c = parent.mul(parent.mul(t, rep), parent.inv(t))
             if c in to_local:
                 total += chi.value(to_local[c])
         values.append(total / subgroup.order)

@@ -205,3 +205,28 @@ def test_validate_chain_catches_fiber_outside_fiber(monkeypatch):
                         (0, target.index_of((1, 1))))
     with pytest.raises(ChainBroken, match="fiber does not map into fiber"):
         validate_chain(chain)
+
+
+def test_check_normalizes_catches_a_fiber_h_does_not_normalize(monkeypatch):
+    # the Cayley graph of D_inf on a and b, which it acts on freely
+    cayley = {"cells": {"0": [{"label": "v"}],
+                        "1": [{"label": "ea"}, {"label": "eb"}]},
+              "boundaries": {"1": [["1*1 + -1*a", "1*1 + -1*b"]]}}
+    config = runner.ExperimentConfig.from_json({
+        "group": {"family": "dihedral_infinite"}, "complex": cayley,
+        "chain": {"template": "dihedral_reflection", "orders": [2, 4, 8]},
+        "h_words": ["1", "b"], "probe_words": ["a", "b"]})
+    ctx = runner.ExperimentContext(config)
+    assert [ctx.run_level(n).error for n in range(3)] == [None] * 3
+    level = ctx.chain.levels[2]
+    target = level.via.target
+    # {1, ts} in place of {1, s} in D_16: s (ts) s^-1 = t^-1 s lies outside
+    monkeypatch.setattr(level, "fiber",
+                        target.subgroup([0, target.index_of((1, 1))]))
+    records = [ctx.run_level(n) for n in range(3)]
+    recorded = "HNotNormalizing: s does not normalize the fiber"
+    assert [r.error for r in records] == [None, None, recorded]
+    report = runner.assemble_report(ctx, records)
+    assert report["levels"][2]["error"] == recorded
+    assert report["rel_farber"] == [{
+        "error": "HNotNormalizing: level 2: H does not normalize the fiber"}]

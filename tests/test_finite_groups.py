@@ -5,11 +5,13 @@ from l2mult import (abelian_group, character_table, cyclic_group,
                     dihedral_group, frobenius_check, from_generators,
                     induce_ordinary, multiplicity, restrict_ordinary,
                     symmetric_group, trivial_group)
-from l2mult.finite_groups import (ClosureTooLarge, GroupError, GroupHom,
-                                  NotIntegral)
+from l2mult.finite_groups import (ClosureTooLarge, FiniteGroup, GroupError,
+                                  GroupHom, NotIntegral)
+from l2mult.runner import build_chain, build_group
 
 from conftest import make_rng
-from oracles import check_axioms, induce_ordinary_oracle
+from oracles import (check_axioms, conjugacy_classes_by_scan,
+                     induce_ordinary_oracle, inverse_by_scan)
 
 S3_GENS = [(1, 0, 2), (0, 2, 1)]
 
@@ -309,3 +311,66 @@ def test_semidirect_and_dihedral_structures():
     assert g.mul(g.mul(s, v), g.inv(s)) == g.index_of(((3, 0), 0))
     with pytest.raises(GroupError):     # a shear is not an involution mod 4
         semidirect_vector_group([4, 4], c2, {1: [[1, 1], [0, 1]]})
+
+
+def _square_symmetries():
+    """The abstract group of a dihedral subgroup of S4 of order 8: the
+    symmetries of a square 0123, a 4-cycle and a reflection."""
+    s4 = symmetric_group(4)
+    d8 = s4.subgroup_generated([s4.index_of((1, 2, 3, 0)),
+                                s4.index_of((0, 3, 2, 1))])
+    assert d8.order == 8
+    return d8.abstract_group()[0]
+
+
+def _fbf_quotient(depth):
+    """The deepest quotient (Z/2^depth)^2 x| C_2 of the free-by-finite chain
+    of F_2 x| C_2 (a -> a^-1, b -> b^-1) on ``semidirect_mod``, base 2."""
+    fbf = build_group({"family": "free_by_finite", "rank": 2,
+                       "h": "cyclic:2", "action": {"0": ["a'", "b'"]}})
+    chain = build_chain({"template": "semidirect_mod", "base": 2,
+                         "depth": depth}, fbf)
+    return chain.levels[-1].via.target
+
+
+TABLE_CORPUS = {
+    "trivial": trivial_group, "C1": lambda: cyclic_group(1),
+    "C7": lambda: cyclic_group(7),
+    "C2xC3xC4": lambda: abelian_group([2, 3, 4]),
+    "D1": lambda: dihedral_group(1), "D2": lambda: dihedral_group(2),
+    "D5": lambda: dihedral_group(5), "S4": lambda: symmetric_group(4),
+    "fbf1": lambda: _fbf_quotient(1), "fbf2": lambda: _fbf_quotient(2),
+    "fbf3": lambda: _fbf_quotient(3), "D4_abstract": _square_symmetries,
+}
+
+
+@pytest.mark.parametrize("name", TABLE_CORPUS)
+def test_translation_tables_match_the_raw_product(name):
+    group = TABLE_CORPUS[name]()
+    n = group.order
+    for g in range(n):
+        assert group.right(g) == [group.mul(x, g) for x in range(n)]
+        assert group.left(g) == [group.mul(g, x) for x in range(n)]
+    assert group.inverses == inverse_by_scan(group)
+    classes = group.conjugacy_classes()
+    assert classes.members == conjugacy_classes_by_scan(group)
+    assert classes.representatives == [m[0] for m in classes.members]
+    assert classes.sizes == [len(m) for m in classes.members]
+
+
+def test_abstract_subgroup_walks_a_small_generating_set():
+    s4 = symmetric_group(4)
+    h_abs, _ = s4.subgroup(range(s4.order)).abstract_group()
+    # one walk over |H| |gens| edges, not |H|^2
+    assert 1 <= len(h_abs.generators) <= 3
+    assert sorted(h_abs.conjugacy_classes().sizes) == [1, 3, 6, 6, 8]
+
+
+def test_generators_that_do_not_generate_are_rejected():
+    c4 = FiniteGroup(range(4), lambda a, b: (a + b) % 4, name="C4",
+                     generators=[2])
+    assert c4.mul(1, 2) == 3        # single raw products need no walk
+    with pytest.raises(GroupError, match="reach 2 of its 4 elements"):
+        c4.right(1)
+    with pytest.raises(GroupError):
+        c4.conjugacy_class(1)

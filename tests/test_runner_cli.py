@@ -219,6 +219,25 @@ def test_char_convergence_matches_ind_finite():
                     assert abs(complex(*row["observed"]) - expect) < 1e-12
 
 
+def test_char_convergence_computes_each_limit_once(monkeypatch):
+    # the limit does not depend on the level: one call per probe
+    from l2mult import runner
+    calls = []
+    limit_value = runner.limit_value
+
+    def counted(spec, w):
+        calls.append(str(w))
+        return limit_value(spec, w)
+    monkeypatch.setattr(runner, "limit_value", counted)
+    config = dinf_config(chain={"template": "dihedral_reflection",
+                                "orders": [2, 4, 8]},
+                         probe_words=["1", "a", "b"], char_convergence=1)
+    _, report = run(config)
+    assert calls == ["1", "a", "b"]
+    assert [(row["level"], row["word"]) for row in report["char_convergence"]
+            ] == [(n, w) for n in range(3) for w in ("1", "a", "b")]
+
+
 def test_run_rose_abelianized_chain():
     # free group of rank 2 over its tree, abelianized-mod-2^n kernels:
     # normalized first Betti number (N+1)/N converges to the supplied limit 1
