@@ -20,6 +20,20 @@ exact elimination of d applied to that basis, restricted to the pivot rows of
 the target block, onto which the block projects injectively.  Every chi in
 [chi] occurs dim e_[chi] H_p / (chi(1) |[chi]|) times, and the traces are
 Tr(h | H_p) = sum_chi m_chi chi(h).
+
+The blocks are taken on the equivariant Morse reduction of the complex
+(``morse_reduce``), which ``multiplicities`` always builds first.  An
+H-invariant spanning forest of the graph of 0- and 1-cells is grown breadth
+first over the orbits: vertices with a nontrivial stabilizer are its roots
+and stay critical, and a free vertex orbit is paired with the free edge
+orbit that first reaches it, when the incidence is +-1 and the edge's other
+end lies in an orbit already reached.  The Morse boundary of a critical edge
+is the signed sum of its ends' roots, a 2-cell boundary loses the rows of
+the paired edges, and H acts on the critical cells by the restricted signed
+permutations.  The reduced complex is H-equivariantly chain-homotopy
+equivalent to the original, so it has the same multiplicities and traces;
+on a connected graph with an H-fixed vertex, only the vertices with a
+nontrivial stabilizer are left in degree 0.
 """
 
 from __future__ import annotations
@@ -435,20 +449,29 @@ class FiniteChainComplex:
         table = character_table(self.sym_group)
         return self.multiplicities(table).traces[(p, h)]
 
+    def action_perms(self, p: int) -> np.ndarray:
+        """perms[h, c] = the cell h e_c lands on, one row per element of H
+        (the identity alone without a symmetry group)."""
+        if self.sym_group is None:
+            return np.arange(self.n_cells[p])[None]
+        return np.array([self.actions[(h, p)][0]
+                         for h in range(self.sym_group.order)])
+
     def multiplicities(self, table: CharacterTable) -> HomologyReport:
         """Betti numbers, multiplicities of the irreducibles of ``table`` and
-        traces of the symmetry on homology, from the isotypic block ranks."""
+        traces of the symmetry on homology, from the isotypic block ranks of
+        the Morse reduction of the complex."""
         if self.sym_group is None or table.group is not self.sym_group:
             raise ComplexError("character table of a different group")
+        reduced = morse_reduce(self)
         order = self.sym_group.order
         class_of = table.classes.class_of
-        dims = self.dims()
+        dims = reduced.dims()
         orbits = galois_orbits(table)
         # h e_c = signs[q][h, c] e_{perms[q][h, c]}
-        perms = {q: np.array([self.actions[(h, q)][0] for h in range(order)])
-                 for q in dims}
-        signs = {q: np.array([self.actions[(h, q)][1] for h in range(order)])
-                 for q in dims}
+        perms = {q: reduced.action_perms(q) for q in dims}
+        signs = {q: np.array([reduced.actions[(h, q)][1]
+                              for h in range(order)]) for q in dims}
         self._block_elims = {}
         block_dim = dict.fromkeys(dims, 0)
         betti = dict.fromkeys(dims, 0)
@@ -459,7 +482,7 @@ class FiniteChainComplex:
             blocks = {q: _isotypic_basis(perms[q], signs[q], t, degree)
                       for q in dims}
             rank = {}
-            for q, (_, cols) in self.boundaries.items():
+            for q, (_, cols) in reduced.boundaries.items():
                 elim = _block_elim(cols, blocks[q][0], blocks[q - 1][1])
                 self._block_elims[(q, o)] = elim
                 rank[q] = elim.rank
@@ -478,10 +501,134 @@ class FiniteChainComplex:
                 for h in range(order):
                     trace[(p, h)] += m * t[h]
         for p in dims:
-            if block_dim[p] != self.n_cells[p]:
+            if block_dim[p] != reduced.n_cells[p]:
                 raise ComplexError(f"sum rule fails in degree {p}")
         return HomologyReport(betti, dict(sorted(mult.items())),
                               {k: Fraction(v) for k, v in trace.items()})
+
+
+# ---------------------------------------------------------------------------
+# Equivariant Morse reduction
+# ---------------------------------------------------------------------------
+
+def _other_end(col: SparseCol, x: int) -> tuple[int, int]:
+    """The row and entry of a two-entry column other than row x."""
+    (r, a), (s, b) = col.items()
+    return (s, b) if r == x else (r, a)
+
+
+def _spanning_forest(d1: list[SparseCol], perms0: np.ndarray,
+                     perms1: np.ndarray) -> tuple[list[int], list[int],
+                                                  list[int]]:
+    """An H-invariant acyclic matching of vertices with edges, grown
+    breadth first over the orbits of the graph.
+
+    Vertices with a nontrivial stabilizer are roots; so is a whole free
+    orbit where the search has to restart.  A free vertex orbit is paired
+    with the free edge orbit that first reaches it, when the edge has two
+    ends, the unreached one with incidence +-1, the other already reached:
+    v is paired with e and h v with h e for every h.  Returns, per vertex,
+    the paired edge (-1 for a critical vertex), and the root r and integer
+    coefficient c with v = c r modulo the boundaries of the paired edges:
+    from d e = a v + b w, v = -a b w.
+    """
+    order, n0 = perms0.shape
+    free0 = ((perms0 == np.arange(n0)).sum(axis=0) == 1).tolist()
+    free1 = ((perms1 == np.arange(len(d1))).sum(axis=0) == 1).tolist()
+    p0, p1 = perms0.tolist(), perms1.tolist()
+    incident: list[list[int]] = [[] for _ in range(n0)]
+    for e, col in enumerate(d1):
+        if free1[e] and len(col) == 2:
+            for r in col:
+                incident[r].append(e)
+    paired, root, coef = [-1] * n0, [-1] * n0, [0] * n0
+    queue: list[int] = []
+
+    def make_roots(cells):
+        for u in cells:
+            root[u], coef[u] = u, 1
+            queue.append(u)
+
+    make_roots(v for v in range(n0) if not free0[v])
+    head = 0
+    for start in range(n0):
+        if root[start] < 0:
+            make_roots(sorted({row[start] for row in p0}))
+        while head < len(queue):
+            x = queue[head]
+            head += 1
+            for e in incident[x]:
+                v, a = _other_end(d1[e], x)
+                if root[v] >= 0 or a not in (1, -1):
+                    continue
+                for h in range(order):
+                    u, f = p0[h][v], p1[h][e]
+                    w, b = _other_end(d1[f], u)
+                    paired[u], root[u] = f, root[w]
+                    coef[u] = -d1[f][u] * b * coef[w]
+                    queue.append(u)
+    return paired, root, coef
+
+
+def morse_reduce(c: FiniteChainComplex) -> FiniteChainComplex:
+    """The Morse complex of an H-invariant spanning forest of the graph of
+    0- and 1-cells (Forman, Adv. Math. 134 (1998); Skoldberg, Trans. AMS
+    358 (2006)).
+
+    The cells left unpaired by ``_spanning_forest`` are critical.  The
+    Morse boundary of a critical edge is the sum of its ends' roots with the
+    coefficients of the forest; a 2-cell boundary drops the rows of the
+    paired edges; higher degrees are kept.  The complex is H-equivariantly
+    chain-homotopy equivalent to ``c``, and H acts on it by the restricted
+    signed permutations.  The constructor checks d.d = 0 and that the action
+    commutes with the new boundaries; then each paired edge's boundary is
+    checked to vanish under the forest, which catches a sign rule that is
+    wrong on every orbit alike and so still commutes with the action.
+    """
+    if 1 not in c.boundaries:
+        return c
+    d1 = c.boundaries[1][1]
+    paired, root, coef = _spanning_forest(d1, c.action_perms(0),
+                                          c.action_perms(1))
+    paired_edges = np.zeros(len(d1), dtype=bool)
+    paired_edges[[e for e in paired if e >= 0]] = True
+    critical = {0: np.flatnonzero(np.array(paired) < 0),
+                1: np.flatnonzero(~paired_edges)}
+    new_index = {}
+    for p, cells in critical.items():
+        new_index[p] = np.full(c.n_cells[p], -1, dtype=np.int64)
+        new_index[p][cells] = np.arange(len(cells))
+    new0 = new_index[0].tolist()
+    cols1 = []
+    for e in critical[1].tolist():
+        col: SparseCol = {}
+        for r, v in d1[e].items():
+            axpy(col, coef[r] * v, {new0[root[r]]: 1})
+        cols1.append(col)
+    n_cells = dict(c.n_cells)
+    n_cells.update((p, len(cells)) for p, cells in critical.items())
+    boundaries = dict(c.boundaries)
+    boundaries[1] = (n_cells[0], cols1)
+    if 2 in boundaries:
+        new1 = new_index[1].tolist()
+        boundaries[2] = (n_cells[1], [{new1[r]: v for r, v in col.items()
+                                       if new1[r] >= 0}
+                                      for col in boundaries[2][1]])
+    actions = dict(c.actions)
+    for (h, p), (perm, signs) in c.actions.items():
+        if p in critical:
+            cells = critical[p]
+            actions[(h, p)] = (new_index[p][perm[cells]], signs[cells])
+    reduced = FiniteChainComplex(n_cells, boundaries, sym_group=c.sym_group,
+                                 actions=actions)
+    # d f = a v + b w with v = -a b w: a coef(v) + b coef(w) = 0
+    for v, f in enumerate(paired):
+        if f >= 0:
+            w, b = _other_end(d1[f], v)
+            if root[v] != root[w] or d1[f][v] * coef[v] + b * coef[w]:
+                raise ComplexError("the Morse flow does not vanish on the "
+                                   "boundary of a paired edge")
+    return reduced
 
 
 # ---------------------------------------------------------------------------

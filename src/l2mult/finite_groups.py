@@ -43,9 +43,10 @@ goes through one test as well, ``FiniteSubgroup.normalized_by``, which
 reads the left translation of its element.
 
 The raw product remains where single pairs are asked for: the structure
-constants of ``character_table``, the closure check of a ``FiniteSubgroup``,
-the generating set above, action checks, the H part of a free-by-finite
-word product, and the coset blocks of ``spectral.induced_rep``.
+constants of ``character_table``, the generating set above, action checks,
+the H part of a free-by-finite word product, and the coset blocks of
+``spectral.induced_rep``.  A ``FiniteSubgroup`` checks its closure by a walk
+of a greedy generating set through the parent's right translations.
 
 Induced characters go through one formula, ``induced_value``: the value at
 g is sum_h i(g, h) chi(h) over the elements h of a finite subgroup, with the
@@ -357,12 +358,28 @@ class FiniteSubgroup:
         if 0 not in self.members:
             raise GroupError("subgroup must contain the identity")
         self.member_set = mem = frozenset(self.members)
+        inverses = parent.inverses
+        if any(inverses[a] not in mem for a in self.members):
+            raise GroupError("subgroup not closed under inverse")
+        # a greedy generating set: each member that the earlier generators
+        # do not reach becomes one, and the walk takes the reached elements
+        # through its right translation, so every element takes each step
+        # once; a step that leaves the members breaks closure
+        reached, seen, moves = [0], {0}, []
         for a in self.members:
-            if parent.inv(a) not in mem:
-                raise GroupError("subgroup not closed under inverse")
-            for b in self.members:
-                if parent.mul(a, b) not in mem:
-                    raise GroupError("subgroup not closed under product")
+            if a in seen:
+                continue
+            moves.append(parent.right(a))
+            old = len(reached)
+            for i, x in enumerate(reached):
+                for move in moves if i >= old else moves[-1:]:
+                    y = move[x]
+                    if y not in seen:
+                        if y not in mem:
+                            raise GroupError(
+                                "subgroup not closed under product")
+                        seen.add(y)
+                        reached.append(y)
         if parent.order % len(self.members):
             raise GroupError("Lagrange violation (bad subgroup data)")
         self._abstract = None

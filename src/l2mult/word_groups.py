@@ -610,9 +610,15 @@ class QuotientMap:
         self._check_surjective()
 
     def _check_surjective(self):
+        target = self.target
+        if set(target.generators) <= set(self.generator_images):
+            # the target's table walk, which left(0) runs if nothing has
+            # yet, checks that its own generators reach every element
+            target.left(0)
+            return
         reached = 1 + sum(new for _, _, _, new in
-                          cayley_walk(self.target, self.generator_images))
-        if reached != self.target.order:
+                          cayley_walk(target, self.generator_images))
+        if reached != target.order:
             raise WordGroupError("generator images do not generate the target")
 
     def evaluate(self, word: Word) -> int:

@@ -40,6 +40,12 @@ def inverse_by_scan(group):
             for x in range(n)]
 
 
+def closed_by_scan(group, members) -> bool:
+    """Whether a member set is closed under the raw product of every pair."""
+    mem = set(members)
+    return all(group.mul(a, b) in mem for a in mem for b in mem)
+
+
 def conjugacy_classes_by_scan(group):
     """The class partition as sorted member lists, each class {t x t^-1}
     conjugated by every t with raw products and scanned inverses."""

@@ -170,6 +170,21 @@ def _tree_quotient(n):
     return quotient_complex(cw, level, h_words=[g.identity(), g.word("c")])
 
 
+# F_2 : C_4 with c: a -> b, b -> a^-1 on the free group's tree: the vertex
+# orbit has stabilizer C_4, the edge orbit {1, a^-1 c^2} with the flip
+# acting by -1.  H = C_4 has the Galois orbit {i, -i} of size 2.
+C4_ROTATION = {
+    "group": {"family": "free_by_finite", "rank": 2, "h": "cyclic:4",
+              "action": {"0": ["b", "a'"]}},
+    "complex": {
+        "cells": {"0": [{"label": "v", "stabilizer": ["1", "c", "cc", "ccc"]}],
+                  "1": [{"label": "e", "stabilizer": ["1", "a'cc"],
+                         "signs": [1, -1]}]},
+        "boundaries": {"1": [["1*1 + -1*a"]]}},
+    "chain": {"template": "semidirect_mod", "base": 2, "depth": 3},
+    "h_words": ["1", "c"]}
+
+
 def suite_sum_rule(cases=200) -> int:
     rng = make_rng(104)
     done = 0

@@ -230,3 +230,100 @@ def test_check_normalizes_catches_a_fiber_h_does_not_normalize(monkeypatch):
     assert report["levels"][2]["error"] == recorded
     assert report["rel_farber"] == [{
         "error": "HNotNormalizing: level 2: H does not normalize the fiber"}]
+
+
+def _flip_root_signs(select):
+    """A forest whose selected paired vertices have the wrong sign in front
+    of their roots."""
+    def fault(forest):
+        def faulty(d1, perms0, perms1):
+            paired, root, coef = forest(d1, perms0, perms1)
+            for v in select(d1, paired):
+                coef[v] = -coef[v]
+            return paired, root, coef
+        return faulty
+    return fault
+
+
+def _first_subtree(d1, paired):
+    """The vertex of the first pairing and every vertex below it, which
+    inherits its sign: one branch of one orbit."""
+    top = paired.index(min(e for e in paired if e >= 0))
+
+    def below(u):
+        while paired[u] >= 0:
+            if u == top:
+                return True
+            u = complexes._other_end(d1[paired[u]], u)[0]
+        return False
+    return [u for u in range(len(paired)) if below(u)]
+
+
+def _every_paired_vertex(d1, paired):
+    """A sign rule wrong everywhere: the same on every orbit, so the action
+    still commutes with the wrong boundary."""
+    return [v for v, e in enumerate(paired) if e >= 0]
+
+
+def _forest_without_symmetry(forest):
+    """The forest grown as if H were trivial: one root, and the vertices
+    that H fixes are paired like free ones."""
+    def faulty(d1, perms0, perms1):
+        paired, root, coef = forest(d1, perms0[:1], perms1[:1])
+        fixed = (perms0[1:] == perms0[0]).any(axis=0)
+        assert any(paired[v] >= 0 for v in np.flatnonzero(fixed))
+        return paired, root, coef
+    return faulty
+
+
+DINF_REFLECTION = {"group": {"family": "dihedral_infinite"},
+                   "complex": "line_dinf",
+                   "chain": {"template": "dihedral", "orders": [2, 4]},
+                   "h_words": ["1", "b"]}
+
+
+@pytest.mark.parametrize("config, fault, error, message", [
+    ({"group": {"family": "free", "rank": 2}, "complex": BIGON_COMPLEX,
+      "chain": {"template": "abelianized_mod", "base": 2, "depth": 2}},
+     _flip_root_signs(_first_subtree), NotAComplex, "d_1 . d_2 != 0"),
+    (DINF_REFLECTION, _flip_root_signs(_first_subtree), ComplexError,
+     "action does not commute with boundary 1"),
+    (DINF_REFLECTION, _forest_without_symmetry, ComplexError,
+     "action is not a permutation"),
+    (DINF_REFLECTION, _flip_root_signs(_every_paired_vertex), ComplexError,
+     "the Morse flow does not vanish on the boundary of a paired edge"),
+], ids=["root_sign_d_d", "root_sign_action", "fixed_vertex", "sign_rule"])
+def test_morse_reduction_checks_catch_faulty_forests(
+        monkeypatch, config, fault, error, message):
+    config = runner.ExperimentConfig.from_json(config)
+    records, _ = runner.run(config)
+    assert [r.error for r in records] == [None, None]
+    monkeypatch.setattr(complexes, "_spanning_forest",
+                        fault(complexes._spanning_forest))
+    # the reduced complex fails a check; run records it and goes on
+    records, report = runner.run(config)
+    recorded = f"{error.__name__}: {message}"
+    assert [r.error for r in records] == [recorded, recorded]
+    assert report["levels"][1]["error"] == recorded
+
+
+def test_multiplicity_divisibility_catches_a_lost_basis_vector(monkeypatch):
+    from suites import C4_ROTATION
+    config = runner.ExperimentConfig.from_json(C4_ROTATION)
+    records, _ = runner.run(config)
+    assert [r.error for r in records] == [None] * 3
+    # chi = i and -i form one Galois orbit: each occurs dim / 2 times
+    assert [r.raw[(1, 2)] for r in records] == [2, 5, 17]
+    isotypic_basis = complexes._isotypic_basis
+
+    def lost_vector(perms, signs, t, degree):
+        """Every isotypic block loses the last vector of its basis."""
+        basis, scale = isotypic_basis(perms, signs, t, degree)
+        return basis[:-1], scale
+    monkeypatch.setattr(complexes, "_isotypic_basis", lost_vector)
+    records, report = runner.run(config)
+    # the block of {i, -i} in C_1 has odd dimension 4 - 1, 10 - 1, 34 - 1
+    recorded = [f"NotIntegral: multiplicity {k}/2 of irreducible 2 in H_1 is "
+                f"not integral" for k in (3, 9, 33)]
+    assert [r.error for r in records] == recorded
+    assert [level["error"] for level in report["levels"]] == recorded

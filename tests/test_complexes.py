@@ -13,7 +13,8 @@ from l2mult import (EquivariantCWData, FiniteIndexSubgroup, FreeAbelianGroup,
                     from_generators, quotient_complex)
 from l2mult.characters import HNotNormalizing, UnsupportedFamily
 from l2mult.complexes import (ComplexError, FiniteChainComplex, NotFree,
-                              galois_orbits)
+                              galois_orbits, materialize_regular,
+                              morse_reduce)
 from l2mult.runner import ExperimentConfig, ExperimentContext, build_chain
 from l2mult.spectral import NotAComplex
 from l2mult.word_groups import FiniteAlgebraMatrix
@@ -268,23 +269,26 @@ def test_stabilizer_must_be_closed():
                                             (1, 1), "v")]}, {})
 
 
+# the plane as a Z^2-complex
+TORUS = {
+    "cells": {
+        "0": [{"stabilizer": ["1"], "signs": [1], "label": "v"}],
+        "1": [{"stabilizer": ["1"], "signs": [1], "label": "ea"},
+              {"stabilizer": ["1"], "signs": [1], "label": "eb"}],
+        "2": [{"stabilizer": ["1"], "signs": [1], "label": "f"}],
+    },
+    "boundaries": {
+        "1": [["1*1 + -1*a", "1*1 + -1*b"]],
+        "2": [["1*1 + -1*b"], ["-1*1 + 1*a"]],
+    },
+}
+
+
 def test_user_supplied_torus_complex():
     # two-dimensional input through the JSON format: the plane as a
     # Z^2-complex, quotients are n x n tori with betti (1, 2, 1)
     z2 = FreeAbelianGroup(2)
-    data = {
-        "cells": {
-            "0": [{"stabilizer": ["1"], "signs": [1], "label": "v"}],
-            "1": [{"stabilizer": ["1"], "signs": [1], "label": "ea"},
-                  {"stabilizer": ["1"], "signs": [1], "label": "eb"}],
-            "2": [{"stabilizer": ["1"], "signs": [1], "label": "f"}],
-        },
-        "boundaries": {
-            "1": [["1*1 + -1*a", "1*1 + -1*b"]],
-            "2": [["1*1 + -1*b"], ["-1*1 + 1*a"]],
-        },
-    }
-    cw = cw_from_json(z2, data)
+    cw = cw_from_json(z2, TORUS)
     for n in (2, 3, 4):
         target = abelian_group([n, n])
         units = [target.index_of((1, 0)), target.index_of((0, 1))]
@@ -399,37 +403,106 @@ def test_quotient_boundaries_and_elimination_stay_in_ints():
         report = qc.multiplicities(character_table(qc.sym_group))
         # one block elimination per boundary and Galois orbit (C2 has two)
         assert len(qc._block_elims) == 2 * len(qc.boundaries)
-        for elim in qc._block_elims.values():
-            assert {type(v) for col in elim._cols for v in col.values()} \
-                == {int}
+        assert {type(v) for elim in qc._block_elims.values()
+                for col in elim._cols for v in col.values()} == {int}
+        # the Morse reduction leaves only the vertices fixed by the
+        # involution, which span no sign block, so d_1 has rank 0 there
+        fixed = morse_reduce(qc).n_cells[0]
+        assert {key: elim.rank for key, elim in qc._block_elims.items()} \
+            == {(1, 0): fixed - 1, (1, 1): 0}
         # the traces stay exact Fractions
         assert all(type(t) is Fraction for t in report.traces.values())
 
 
-def test_block_ranks_match_union_find_oracle():
-    # every level of the two graph chains, against union-find and Lefschetz
-    dinf = {"group": {"family": "dihedral_infinite"}, "complex": "line_dinf",
-            "chain": {"template": "dihedral",
-                      "orders": [2 ** k for k in range(1, 12)]},
-            "h_words": ["1", "b"]}
-    fbf = {"group": {"family": "free_by_finite", "rank": 2, "h": "cyclic:2",
-                     "action": {"0": ["a'", "b'"]}},
-           "complex": "tree_semidirect",
-           "chain": {"template": "semidirect_mod", "base": 2, "depth": 6},
-           "h_words": ["1", "c"]}
-    for name, config in (("dinf", dinf), ("fbf", fbf)):
+DINF_CHAIN = {"group": {"family": "dihedral_infinite"}, "complex": "line_dinf",
+              "chain": {"template": "dihedral",
+                        "orders": [2 ** k for k in range(1, 12)]},
+              "h_words": ["1", "b"]}
+FBF_CHAIN = {"group": {"family": "free_by_finite", "rank": 2, "h": "cyclic:2",
+                       "action": {"0": ["a'", "b'"]}},
+             "complex": "tree_semidirect",
+             "chain": {"template": "semidirect_mod", "base": 2, "depth": 6},
+             "h_words": ["1", "c"]}
+
+
+def _chain_quotients(*configs):
+    """(name, context, quotient complex) for every level of each chain."""
+    for name, config in configs:
         ctx = ExperimentContext(ExperimentConfig.from_json(config))
         for n, level in enumerate(ctx.chain.levels):
-            qc = quotient_complex(ctx.cw, level,
-                                  h_ctx=(ctx.h_abs, ctx.h_elems))
-            report = qc.multiplicities(ctx.table)
-            betti, mult, traces = graph_homology_oracle(qc, ctx.table)
-            assert report.betti == betti, f"{name} level {n}"
-            assert qc.betti_numbers() == betti, f"{name} level {n}"
-            assert report.multiplicities == mult, f"{name} level {n}"
-            assert report.traces == traces, f"{name} level {n}"
+            yield f"{name} level {n}", ctx, quotient_complex(
+                ctx.cw, level, h_ctx=(ctx.h_abs, ctx.h_elems))
+
+
+def test_block_ranks_match_union_find_oracle():
+    # every level of the two graph chains, against union-find and Lefschetz
+    for name, ctx, qc in _chain_quotients(("dinf", DINF_CHAIN),
+                                          ("fbf", FBF_CHAIN)):
+        report = qc.multiplicities(ctx.table)
+        betti, mult, traces = graph_homology_oracle(qc, ctx.table)
+        assert report.betti == betti, name
+        assert qc.betti_numbers() == betti, name
+        assert report.multiplicities == mult, name
+        assert report.traces == traces, name
     with pytest.raises(ValueError):
         graph_homology_oracle(FiniteChainComplex({0: 1, 1: 1, 2: 1}, {}), None)
+
+
+def _lefschetz_numbers(c: FiniteChainComplex) -> list:
+    """sum_p (-1)^p Tr(h | C_p) for every h of the symmetry group; the Euler
+    characteristic without one."""
+    if c.sym_group is None:
+        return [sum((-1) ** p * n for p, n in c.n_cells.items())]
+    return [sum((-1) ** p * c.cell_trace(h, p) for p in c.dims())
+            for h in range(c.sym_group.order)]
+
+
+def _check_morse_reduction(c: FiniteChainComplex, name: str):
+    reduced = morse_reduce(c)
+    assert reduced.betti_numbers() == c.betti_numbers(), name
+    assert _lefschetz_numbers(reduced) == _lefschetz_numbers(c), name
+    assert reduced.sym_group is c.sym_group, name
+    return reduced
+
+
+def test_morse_reduction_keeps_betti_and_lefschetz_numbers():
+    from suites import C4_ROTATION
+    for name, ctx, qc in _chain_quotients(("dinf", DINF_CHAIN),
+                                          ("fbf", FBF_CHAIN),
+                                          ("c4", C4_ROTATION)):
+        reduced = _check_morse_reduction(qc, name)
+        # connected graphs with an H-fixed vertex: every free vertex orbit
+        # is paired, and only the vertices with a stabilizer stay critical
+        fixed = sum((qc.action_perms(0) == range(qc.n_cells[0])).sum(axis=0)
+                    > 1)
+        assert reduced.n_cells[0] == fixed, name
+        assert reduced.n_cells[1] == \
+            qc.n_cells[1] - (qc.n_cells[0] - fixed), name
+        if name.startswith("fbf"):
+            # the 2-torsion points of (Z/2^n)^2, fixed by the inversion c
+            assert fixed == 4, name
+    # a two-dimensional JSON complex: the n x n torus, no symmetry group
+    z2 = FreeAbelianGroup(2)
+    cw = cw_from_json(z2, TORUS)
+    for n in (2, 3, 4):
+        target = abelian_group([n, n])
+        level = FiniteIndexSubgroup(QuotientMap(z2, target, target.generators),
+                                    target.subgroup([0]))
+        qc = quotient_complex(cw, level)
+        reduced = _check_morse_reduction(qc, f"torus {n}")
+        # one vertex; the paired edges leave the faces' boundaries
+        assert reduced.n_cells == {0: 1, 1: n * n + 1, 2: n * n}
+        assert reduced.betti_numbers() == {0: 1, 1: 2, 2: 1}
+    # the three-term free complex of C6 with H = {0, 3} acting freely: one
+    # vertex orbit is the root, and d_2 keeps its critical rows
+    g = cyclic_group(6)
+    d1 = _free_complex(g, [{0: 1, 1: -1}])
+    d2 = FiniteAlgebraMatrix(g, 1, 1, {(0, 0): {i: Fraction(1)
+                                                for i in range(6)}})
+    c6 = materialize_regular(g, {1: d1, 2: d2}, g.subgroup([0, 3]))
+    reduced = _check_morse_reduction(c6, "C6")
+    assert reduced.n_cells == {0: 2, 1: 2, 2: 6}
+    assert reduced.betti_numbers() == {0: 1, 1: 0, 2: 5}
 
 
 def test_galois_orbit_weights_give_central_idempotents():

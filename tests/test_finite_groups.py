@@ -10,7 +10,7 @@ from l2mult.finite_groups import (ClosureTooLarge, FiniteGroup, GroupError,
 from l2mult.runner import build_chain, build_group
 
 from conftest import make_rng
-from oracles import (check_axioms, conjugacy_classes_by_scan,
+from oracles import (check_axioms, closed_by_scan, conjugacy_classes_by_scan,
                      induce_ordinary_oracle, inverse_by_scan)
 
 S3_GENS = [(1, 0, 2), (0, 2, 1)]
@@ -374,3 +374,34 @@ def test_generators_that_do_not_generate_are_rejected():
         c4.right(1)
     with pytest.raises(GroupError):
         c4.conjugacy_class(1)
+
+
+def test_subgroup_closure_walk_matches_the_raw_product():
+    # every member set of D4 with the identity that is closed under inverse
+    d4 = dihedral_group(4)
+    inv = inverse_by_scan(d4)
+    subgroups = 0
+    for mask in range(1 << (d4.order - 1)):
+        members = [0] + [x for x in range(1, d4.order) if mask >> (x - 1) & 1]
+        if any(inv[x] not in members for x in members):
+            continue
+        if closed_by_scan(d4, members):
+            assert d4.subgroup(members).order == len(members)
+            subgroups += 1
+        else:
+            with pytest.raises(GroupError, match="not closed under product"):
+                d4.subgroup(members)
+    # the trivial group, five of order 2, three of order 4, D4 itself
+    assert subgroups == 10
+    with pytest.raises(GroupError, match="not closed under inverse"):
+        cyclic_group(6).subgroup([0, 1, 2])
+    # the vector subgroup of order 1024 in (Z/32)^2 : C2, as generated and
+    # as listed
+    from l2mult import semidirect_vector_group
+    g = semidirect_vector_group([32, 32], cyclic_group(2),
+                                {1: [[-1, 0], [0, -1]]})
+    vectors = g.subgroup_generated([g.index_of(((1, 0), 0)),
+                                    g.index_of(((0, 1), 0))])
+    assert vectors.members == tuple(sorted(
+        g.index_of(((x, y), 0)) for x in range(32) for y in range(32)))
+    assert g.subgroup(vectors.members).is_normal()

@@ -325,3 +325,30 @@ def test_free_by_finite_quotient_map():
         bad = [target.index_of(((1, 0), 0)), target.index_of(((0, 1), 0)),
                target.index_of(((1, 0), 0))]      # sigma-letter not an involution
         QuotientMap(g, target, bad)
+
+
+def test_surjectivity_walks_only_images_other_than_the_generators(
+        monkeypatch):
+    from l2mult import word_groups
+    walked = []
+    walk = word_groups.cayley_walk
+
+    def recorded(group, gens):
+        walked.append(tuple(gens))
+        return walk(group, gens)
+    monkeypatch.setattr(word_groups, "cayley_walk", recorded)
+    z, f2 = FreeAbelianGroup(1), FreeGroup(2)
+    c4, z44 = cyclic_group(4), abelian_group([4, 4])
+    # the target's own generators: its table walk has shown they generate
+    QuotientMap(z, c4, c4.generators)
+    QuotientMap(f2, z44, z44.generators)
+    assert walked == []
+    # any other image set is walked, and one that generates passes
+    QuotientMap(z, c4, [3])
+    assert walked == [(3,)]
+    x, y = z44.generators
+    for images in ([x, x], [x, z44.index_of((0, 2))]):
+        with pytest.raises(WordGroupError, match="do not generate"):
+            QuotientMap(f2, z44, images)
+    with pytest.raises(WordGroupError, match="do not generate"):
+        QuotientMap(z, c4, [2])
