@@ -152,6 +152,14 @@ BIGON_COMPLEX = {
 }
 
 
+BIGON_RUN = {"group": {"family": "free", "rank": 2}, "complex": BIGON_COMPLEX,
+             "chain": {"template": "abelianized_mod", "base": 2, "depth": 2}}
+DINF_REFLECTION = {"group": {"family": "dihedral_infinite"},
+                   "complex": "line_dinf",
+                   "chain": {"template": "dihedral", "orders": [2, 4]},
+                   "h_words": ["1", "b"]}
+
+
 def _flip_first_sign_of_d2(kw):
     col = kw["boundaries"][2][1][0]
     row = min(col)
@@ -164,13 +172,8 @@ def _flip_first_sign_of_reflection_on_edges(kw):
 
 
 @pytest.mark.parametrize("config, fault, error, message", [
-    ({"group": {"family": "free", "rank": 2}, "complex": BIGON_COMPLEX,
-      "chain": {"template": "abelianized_mod", "base": 2, "depth": 2}},
-     _flip_first_sign_of_d2, NotAComplex, "d_1 . d_2 != 0"),
-    ({"group": {"family": "dihedral_infinite"}, "complex": "line_dinf",
-      "chain": {"template": "dihedral", "orders": [2, 4]},
-      "h_words": ["1", "b"]},
-     _flip_first_sign_of_reflection_on_edges, ComplexError,
+    (BIGON_RUN, _flip_first_sign_of_d2, NotAComplex, "d_1 . d_2 != 0"),
+    (DINF_REFLECTION, _flip_first_sign_of_reflection_on_edges, ComplexError,
      "action does not commute with boundary 1"),
 ], ids=["d_d", "action"])
 def test_chain_complex_validation_catches_faulty_quotients(
@@ -276,16 +279,9 @@ def _forest_without_symmetry(forest):
     return faulty
 
 
-DINF_REFLECTION = {"group": {"family": "dihedral_infinite"},
-                   "complex": "line_dinf",
-                   "chain": {"template": "dihedral", "orders": [2, 4]},
-                   "h_words": ["1", "b"]}
-
-
 @pytest.mark.parametrize("config, fault, error, message", [
-    ({"group": {"family": "free", "rank": 2}, "complex": BIGON_COMPLEX,
-      "chain": {"template": "abelianized_mod", "base": 2, "depth": 2}},
-     _flip_root_signs(_first_subtree), NotAComplex, "d_1 . d_2 != 0"),
+    (BIGON_RUN, _flip_root_signs(_first_subtree), NotAComplex,
+     "d_1 . d_2 != 0"),
     (DINF_REFLECTION, _flip_root_signs(_first_subtree), ComplexError,
      "action does not commute with boundary 1"),
     (DINF_REFLECTION, _forest_without_symmetry, ComplexError,
