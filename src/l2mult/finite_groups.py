@@ -44,9 +44,10 @@ reads the left translation of its element.
 
 The raw product remains where single pairs are asked for: the structure
 constants of ``character_table``, the generating set above, action checks,
-the H part of a free-by-finite word product, and the coset blocks of
-``spectral.induced_rep``.  A ``FiniteSubgroup`` checks its closure by a walk
-of a greedy generating set through the parent's right translations.
+the H part of a free-by-finite word product, the coset blocks of
+``spectral.induced_rep``, and the closure check of ``FiniteSubgroup``: a
+walk of a greedy generating set of the members, one raw product per member
+and generator.
 
 Induced characters go through one formula, ``induced_value``: the value at
 g is sum_h i(g, h) chi(h) over the elements h of a finite subgroup, with the
@@ -362,18 +363,19 @@ class FiniteSubgroup:
         if any(inverses[a] not in mem for a in self.members):
             raise GroupError("subgroup not closed under inverse")
         # a greedy generating set: each member that the earlier generators
-        # do not reach becomes one, and the walk takes the reached elements
-        # through its right translation, so every element takes each step
-        # once; a step that leaves the members breaks closure
-        reached, seen, moves = [0], {0}, []
+        # do not reach becomes one, and the walk multiplies the reached
+        # elements by it, so every element takes each step once, O(|K| k)
+        # raw products for k generators; a step that leaves the members
+        # breaks closure
+        reached, seen, gens = [0], {0}, []
         for a in self.members:
             if a in seen:
                 continue
-            moves.append(parent.right(a))
+            gens.append(a)
             old = len(reached)
             for i, x in enumerate(reached):
-                for move in moves if i >= old else moves[-1:]:
-                    y = move[x]
+                for g in gens if i >= old else gens[-1:]:
+                    y = parent.mul(x, g)
                     if y not in seen:
                         if y not in mem:
                             raise GroupError(

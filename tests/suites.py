@@ -184,6 +184,22 @@ C4_ROTATION = {
     "chain": {"template": "semidirect_mod", "base": 2, "depth": 3},
     "h_words": ["1", "c"]}
 
+# F_2 : (C_2 x C_2) with c: a <-> b and d: a -> a^-1, b -> b^-1 on the free
+# group's tree: the edge orbit {1, a^-1 d} with the flip acting by -1.  From
+# level 1 on, the quotient has vertices whose stabilizer is each of the
+# three subgroups of order 2, so no isotypic block of C_0 is empty after
+# the Morse reduction.
+KLEIN_SWAP = {
+    "group": {"family": "free_by_finite", "rank": 2, "h": "abelian:2,2",
+              "action": {"0": ["b", "a"], "1": ["a'", "b'"]}},
+    "complex": {
+        "cells": {"0": [{"label": "v", "stabilizer": ["1", "c", "d", "cd"]}],
+                  "1": [{"label": "e", "stabilizer": ["1", "a'd"],
+                         "signs": [1, -1]}]},
+        "boundaries": {"1": [["1*1 + -1*a"]]}},
+    "chain": {"template": "semidirect_mod", "base": 2, "depth": 3},
+    "h_words": ["1", "c", "d"]}
+
 
 def suite_sum_rule(cases=200) -> int:
     rng = make_rng(104)

@@ -396,22 +396,34 @@ def test_finite_group_crosscheck_three_term_cyclic():
 
 
 def test_quotient_boundaries_and_elimination_stay_in_ints():
-    from suites import _dinf_quotient, _tree_quotient
-    for qc in (_dinf_quotient(8), _tree_quotient(2)):
+    from suites import KLEIN_SWAP, _dinf_quotient, _tree_quotient
+    # F_2 : (C2 x C2) at level 1 keeps a critical vertex orbit for each
+    # stabilizer of order 2, so every Galois block of d_1 has nonzero rank
+    klein = [qc for name, _, qc in _chain_quotients(("klein", KLEIN_SWAP))
+             if name == "klein level 1"]
+    for qc in (_dinf_quotient(8), _tree_quotient(2), *klein):
         for _, cols in qc.boundaries.values():
             assert {type(v) for col in cols for v in col.values()} == {int}
-        report = qc.multiplicities(character_table(qc.sym_group))
-        # one block elimination per boundary and Galois orbit (C2 has two)
-        assert len(qc._block_elims) == 2 * len(qc.boundaries)
-        assert {type(v) for elim in qc._block_elims.values()
-                for col in elim._cols for v in col.values()} == {int}
+        table = character_table(qc.sym_group)
+        report = qc.multiplicities(table)
+        # one block elimination per boundary and Galois orbit
+        assert len(qc._block_elims) == \
+            len(galois_orbits(table)) * len(qc.boundaries)
+        for elim in qc._block_elims.values():
+            # a block of rank 0 stores no column
+            assert {type(v) for col in elim._cols for v in col.values()} \
+                == ({int} if elim.rank else set())
+        # the traces stay exact Fractions
+        assert all(type(t) is Fraction for t in report.traces.values())
+    assert [elim.rank for elim in klein[0]._block_elims.values()] \
+        == [4, 1, 1, 1]
+    for qc in (_dinf_quotient(8), _tree_quotient(2)):
+        qc.multiplicities(character_table(qc.sym_group))
         # the Morse reduction leaves only the vertices fixed by the
         # involution, which span no sign block, so d_1 has rank 0 there
         fixed = morse_reduce(qc).n_cells[0]
         assert {key: elim.rank for key, elim in qc._block_elims.items()} \
             == {(1, 0): fixed - 1, (1, 1): 0}
-        # the traces stay exact Fractions
-        assert all(type(t) is Fraction for t in report.traces.values())
 
 
 DINF_CHAIN = {"group": {"family": "dihedral_infinite"}, "complex": "line_dinf",
@@ -435,9 +447,11 @@ def _chain_quotients(*configs):
 
 
 def test_block_ranks_match_union_find_oracle():
-    # every level of the two graph chains, against union-find and Lefschetz
+    # every level of the graph chains, against union-find and Lefschetz
+    from suites import KLEIN_SWAP
     for name, ctx, qc in _chain_quotients(("dinf", DINF_CHAIN),
-                                          ("fbf", FBF_CHAIN)):
+                                          ("fbf", FBF_CHAIN),
+                                          ("klein", KLEIN_SWAP)):
         report = qc.multiplicities(ctx.table)
         betti, mult, traces = graph_homology_oracle(qc, ctx.table)
         assert report.betti == betti, name
@@ -466,10 +480,11 @@ def _check_morse_reduction(c: FiniteChainComplex, name: str):
 
 
 def test_morse_reduction_keeps_betti_and_lefschetz_numbers():
-    from suites import C4_ROTATION
+    from suites import C4_ROTATION, KLEIN_SWAP
     for name, ctx, qc in _chain_quotients(("dinf", DINF_CHAIN),
                                           ("fbf", FBF_CHAIN),
-                                          ("c4", C4_ROTATION)):
+                                          ("c4", C4_ROTATION),
+                                          ("klein", KLEIN_SWAP)):
         reduced = _check_morse_reduction(qc, name)
         # connected graphs with an H-fixed vertex: every free vertex orbit
         # is paired, and only the vertices with a stabilizer stay critical
