@@ -401,7 +401,8 @@ def test_quotient_boundaries_and_elimination_stay_in_ints():
     # stabilizer of order 2, so every Galois block of d_1 has nonzero rank
     klein = [qc for name, _, qc in _chain_quotients(("klein", KLEIN_SWAP))
              if name == "klein level 1"]
-    for qc in (_dinf_quotient(8), _tree_quotient(2), *klein):
+    involutions = (_dinf_quotient(8), _tree_quotient(2))
+    for qc in (*involutions, *klein):
         for _, cols in qc.boundaries.values():
             assert {type(v) for col in cols for v in col.values()} == {int}
         table = character_table(qc.sym_group)
@@ -417,8 +418,7 @@ def test_quotient_boundaries_and_elimination_stay_in_ints():
         assert all(type(t) is Fraction for t in report.traces.values())
     assert [elim.rank for elim in klein[0]._block_elims.values()] \
         == [4, 1, 1, 1]
-    for qc in (_dinf_quotient(8), _tree_quotient(2)):
-        qc.multiplicities(character_table(qc.sym_group))
+    for qc in involutions:
         # the Morse reduction leaves only the vertices fixed by the
         # involution, which span no sign block, so d_1 has rank 0 there
         fixed = morse_reduce(qc).n_cells[0]
