@@ -112,10 +112,6 @@ def column_reduce(columns: list[SparseCol]) -> ColumnReduction:
     return red
 
 
-def sparse_rank(columns: list[SparseCol]) -> int:
-    return column_reduce(columns).rank
-
-
 # ---------------------------------------------------------------------------
 # Integer characteristic polynomials via CRT
 # ---------------------------------------------------------------------------

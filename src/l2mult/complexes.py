@@ -7,6 +7,12 @@ double coset, S\\Q/K for each orbit with stabilizer image S and fiber K; an
 element reached twice in that fill is a stabilizer surviving in the
 quotient, so freeness is read off the fill and needs no pass of its own.
 
+Every finite chain complex carries H and its action in one format: per
+degree p, two int64 arrays perms and signs of shape (|H|, n_p) with
+h e_c = signs[h, c] e_{perms[h, c]}.  A complex given no group, such as a
+quotient without ``h_words``, carries the trivial group with identity rows,
+so traces, multiplicities and the Morse reduction have no second mode.
+
 Multiplicities are dimensions of rational isotypic blocks.  For a Galois
 orbit [chi] of irreducibles of H, the integer weights t = sum of chi' over
 [chi] give E = sum_h t(h^-1) h, a nonzero multiple of the central idempotent
@@ -48,7 +54,7 @@ from ._linalg import (ColumnReduction, SparseCol, apply_columns, axpy,
                       column_reduce, int_entries)
 from .finite_groups import (CharacterTable, FiniteGroup, FiniteSubgroup,
                             L2MultError, NotIntegral, NumericalDegeneracy,
-                            character_table)
+                            trivial_group)
 from .characters import (CrossCheckFailed, check_normalizes,
                          finite_word_subgroup)
 from .spectral import (NotAComplex, induced_rep, irreducible_rep,
@@ -369,20 +375,25 @@ def _block_elim(cols: list[SparseCol], basis: list[SparseCol],
 
 class FiniteChainComplex:
     """Rational chain complex with a signed permutation action of a finite
-    symmetry group; boundaries are stored as exact sparse columns."""
+    symmetry group H; boundaries are stored as exact sparse columns.
+
+    ``actions[p] = (perms, signs)``, two int64 arrays of shape (|H|, n_p):
+    h e_c = signs[h, c] e_{perms[h, c]}.  Without a group, H is the trivial
+    group acting by identity rows."""
 
     def __init__(self, n_cells: dict[int, int],
                  boundaries: dict[int, tuple[int, list[SparseCol]]],
                  sym_group: FiniteGroup | None = None,
-                 actions: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
+                 actions: dict[int, tuple[np.ndarray, np.ndarray]]
                  | None = None):
         self.n_cells = dict(n_cells)
         self.boundaries = boundaries
-        self.sym_group = sym_group
-        self.actions = actions or {}
+        self.sym_group = sym_group or trivial_group()
+        self.actions = actions if actions is not None else {
+            p: (np.arange(n, dtype=np.int64)[None],
+                np.ones((1, n), dtype=np.int64))
+            for p, n in self.n_cells.items()}
         self._elims: dict[int, ColumnReduction | None] = {}
-        # (degree, Galois orbit) -> elimination of the last multiplicities()
-        self._block_elims: dict[tuple[int, int], ColumnReduction] = {}
         self._validate()
 
     def dims(self):
@@ -401,26 +412,28 @@ class FiniteChainComplex:
             if any(apply_columns(cols, upper[1])):
                 raise NotAComplex(f"d_{p} . d_{p + 1} != 0")
         # symmetry: signed permutations commuting with the boundaries
-        for (h, p), (perm, signs) in self.actions.items():
-            if sorted(perm.tolist()) != list(range(self.n_cells[p])):
+        if set(self.actions) != set(self.n_cells):
+            raise ComplexError("the action does not cover the degrees of "
+                               "the cells")
+        for p, (perms, signs) in self.actions.items():
+            shape = (self.sym_group.order, self.n_cells[p])
+            if perms.shape != shape or signs.shape != shape:
+                raise ComplexError(f"the action on degree {p} is not "
+                                   f"|H| x n_{p}")
+            if (np.sort(perms, axis=1) != np.arange(shape[1])).any():
                 raise ComplexError("action is not a permutation")
-            if not np.all(np.abs(signs) == 1):
+            if (np.abs(signs) != 1).any():
                 raise ComplexError("action signs must be +-1")
-            bnd = self.boundaries.get(p)
-            if bnd is None:
-                continue
-            lower = self.actions.get((h, p - 1))
-            if lower is None:
-                continue
-            nrows, cols = bnd
-            lperm, lsigns = lower[0].tolist(), lower[1].tolist()
-            for j, (pj, sj) in enumerate(zip(perm.tolist(), signs.tolist())):
-                lhs: SparseCol = {lperm[r]: lsigns[r] * v
-                                  for r, v in cols[j].items()}
-                rhs = {r: sj * v for r, v in cols[pj].items()}
-                if lhs != rhs:
-                    raise ComplexError(
-                        f"action does not commute with boundary {p}")
+        for p, (_, cols) in self.boundaries.items():
+            rows = zip(*(a.tolist() for a in self.actions[p]),
+                       *(a.tolist() for a in self.actions[p - 1]))
+            for perm, sign, lperm, lsign in rows:
+                for j, (pj, sj) in enumerate(zip(perm, sign)):
+                    lhs: SparseCol = {lperm[r]: lsign[r] * v
+                                      for r, v in cols[j].items()}
+                    if lhs != {r: sj * v for r, v in cols[pj].items()}:
+                        raise ComplexError(
+                            f"action does not commute with boundary {p}")
 
     def _elim(self, p: int) -> ColumnReduction | None:
         if p not in self._elims:
@@ -439,53 +452,31 @@ class FiniteChainComplex:
         return {p: self.betti(p) for p in self.dims()}
 
     def cell_trace(self, h: int, p: int) -> Fraction:
-        perm, signs = self.actions[(h, p)]
-        fixed = perm == np.arange(self.n_cells[p])
-        return Fraction(int(np.sum(signs[fixed])))
-
-    def action_trace(self, h: int, p: int) -> Fraction:
-        if self.sym_group is None:
-            raise ComplexError("complex carries no symmetry action")
-        table = character_table(self.sym_group)
-        return self.multiplicities(table).traces[(p, h)]
-
-    def action_perms(self, p: int) -> np.ndarray:
-        """perms[h, c] = the cell h e_c lands on, one row per element of H
-        (the identity alone without a symmetry group)."""
-        if self.sym_group is None:
-            return np.arange(self.n_cells[p])[None]
-        return np.array([self.actions[(h, p)][0]
-                         for h in range(self.sym_group.order)])
+        perms, signs = self.actions[p]
+        fixed = perms[h] == np.arange(self.n_cells[p])
+        return Fraction(int(np.sum(signs[h, fixed])))
 
     def multiplicities(self, table: CharacterTable) -> HomologyReport:
         """Betti numbers, multiplicities of the irreducibles of ``table`` and
         traces of the symmetry on homology, from the isotypic block ranks of
         the Morse reduction of the complex."""
-        if self.sym_group is None or table.group is not self.sym_group:
+        if table.group is not self.sym_group:
             raise ComplexError("character table of a different group")
         reduced = morse_reduce(self)
         order = self.sym_group.order
         class_of = table.classes.class_of
         dims = reduced.dims()
         orbits = galois_orbits(table)
-        # h e_c = signs[q][h, c] e_{perms[q][h, c]}
-        perms = {q: reduced.action_perms(q) for q in dims}
-        signs = {q: np.array([reduced.actions[(h, q)][1]
-                              for h in range(order)]) for q in dims}
-        self._block_elims = {}
         block_dim = dict.fromkeys(dims, 0)
         betti = dict.fromkeys(dims, 0)
         mult, trace = {}, {(p, h): 0 for p in dims for h in range(order)}
-        for o, (members, weights) in enumerate(orbits):
+        for members, weights in orbits:
             t = [weights[class_of[h]] for h in range(order)]
             degree = table.irreducibles[members[0]].degree
-            blocks = {q: _isotypic_basis(perms[q], signs[q], t, degree)
+            blocks = {q: _isotypic_basis(*reduced.actions[q], t, degree)
                       for q in dims}
-            rank = {}
-            for q, (_, cols) in reduced.boundaries.items():
-                elim = _block_elim(cols, blocks[q][0], blocks[q - 1][1])
-                self._block_elims[(q, o)] = elim
-                rank[q] = elim.rank
+            rank = {q: _block_elim(cols, blocks[q][0], blocks[q - 1][1]).rank
+                    for q, (_, cols) in reduced.boundaries.items()}
             for p in dims:
                 block_dim[p] += len(blocks[p][0])
                 dim_h = (len(blocks[p][0]) - rank.get(p, 0)
@@ -588,8 +579,8 @@ def morse_reduce(c: FiniteChainComplex) -> FiniteChainComplex:
     if 1 not in c.boundaries:
         return c
     d1 = c.boundaries[1][1]
-    paired, root, coef = _spanning_forest(d1, c.action_perms(0),
-                                          c.action_perms(1))
+    paired, root, coef = _spanning_forest(d1, c.actions[0][0],
+                                          c.actions[1][0])
     paired_edges = np.zeros(len(d1), dtype=bool)
     paired_edges[[e for e in paired if e >= 0]] = True
     critical = {0: np.flatnonzero(np.array(paired) < 0),
@@ -615,10 +606,9 @@ def morse_reduce(c: FiniteChainComplex) -> FiniteChainComplex:
                                        if new1[r] >= 0}
                                       for col in boundaries[2][1]])
     actions = dict(c.actions)
-    for (h, p), (perm, signs) in c.actions.items():
-        if p in critical:
-            cells = critical[p]
-            actions[(h, p)] = (new_index[p][perm[cells]], signs[cells])
+    for p, cells in critical.items():
+        perms, signs = c.actions[p]
+        actions[p] = (new_index[p][perms[:, cells]], signs[:, cells])
     reduced = FiniteChainComplex(n_cells, boundaries, sym_group=c.sym_group,
                                  actions=actions)
     # d f = a v + b w with v = -a b w: a coef(v) + b coef(w) = 0
@@ -644,17 +634,19 @@ class QuotientOrbit:
 
 class QuotientComplex(FiniteChainComplex):
     def __init__(self, index: int, orbits: dict[int, list[QuotientOrbit]],
-                 h_group: FiniteGroup | None, **kw):
+                 **kw):
         self.index = index
         self.orbits = orbits
-        super().__init__(sym_group=h_group, **kw)
+        super().__init__(**kw)
 
 
 def quotient_complex(cw: EquivariantCWData, gamma: FiniteIndexSubgroup,
                      h_words: list[Word] | None = None,
                      h_ctx=None) -> QuotientComplex:
     """Quotient of the equivariant complex by the finite-index subgroup,
-    carrying the residual action of the words in ``h_words``.
+    carrying the residual action of the words in ``h_words`` (of the trivial
+    group without them; ``h_ctx`` passes their abstract group and element
+    words when already built).
 
     Cells in the quotient are double cosets S\\Q/K with canonical minimal
     representatives; signs come from decomposing elements as s.rep.k.
@@ -674,9 +666,9 @@ def quotient_complex(cw: EquivariantCWData, gamma: FiniteIndexSubgroup,
     elif h_words:
         h_abs, h_elem_words = finite_word_subgroup(h_words)
     else:
-        h_abs, h_elem_words = None, []
+        h_abs, h_elem_words = trivial_group(), [cw.group.identity()]
     h_images = [qmap.evaluate(w) for w in h_elem_words]
-    if h_abs is not None and len(set(h_images)) != h_abs.order:
+    if len(set(h_images)) != h_abs.order:
         raise ComplexError("symmetry group collapses in the quotient")
     check_normalizes(gamma, h_images)
 
@@ -736,21 +728,22 @@ def quotient_complex(cw: EquivariantCWData, gamma: FiniteIndexSubgroup,
                 cols.append(col)
         boundaries[p] = (n_cells[p - 1], cols)
 
+    # h e_c = e_{c h}: the cell of rep u goes to dec[u h] of its orbit, for
+    # every h and u of an orbit in one gather
+    rights = np.array([q.right(him) for him in h_images], dtype=np.int64)
     actions = {}
-    if h_abs is not None:
-        for h_local, him in enumerate(h_images):
-            right = q.right(him)
-            for p in cw.dims():
-                perm, signs = [], []
-                for orbit in orbits[p]:
-                    for u in orbit.cell_reps:
-                        tgt, sgn = orbit.dec[right[u]]
-                        perm.append(orbit.offset + tgt)
-                        signs.append(sgn)
-                actions[(h_local, p)] = (np.array(perm, dtype=np.int64),
-                                         np.array(signs, dtype=np.int64))
+    for p in cw.dims():
+        perms = np.empty((len(h_images), n_cells[p]), dtype=np.int64)
+        signs = np.empty_like(perms)
+        for orbit in orbits[p]:
+            moved = np.array(orbit.dec, dtype=np.int64)[
+                rights[:, orbit.cell_reps]]
+            cells = slice(orbit.offset, orbit.offset + len(orbit.cell_reps))
+            perms[:, cells] = orbit.offset + moved[..., 0]
+            signs[:, cells] = moved[..., 1]
+        actions[p] = (perms, signs)
 
-    return QuotientComplex(index=gamma.index, orbits=orbits, h_group=h_abs,
+    return QuotientComplex(index=gamma.index, orbits=orbits, sym_group=h_abs,
                            n_cells=n_cells, boundaries=boundaries,
                            actions=actions)
 
@@ -794,13 +787,13 @@ def materialize_regular(group: FiniteGroup,
     cols = {p: operator_columns_exact(mat, rho)
             for p, mat in boundaries.items()}
     h_abs, _ = h_sub.abstract_group()
+    # h e_(i, x) = e_(i, h x), for all h, i and x in one broadcast
+    lefts = np.array([group.left(h) for h in h_sub.members], dtype=np.int64)
     actions = {}
-    for h_local, h in enumerate(h_sub.members):
-        left = np.array(group.left(h), dtype=np.int64)
-        for p, n_mod in sizes.items():
-            perm = (np.arange(n_mod)[:, None] * order + left).ravel()
-            actions[(h_local, p)] = (perm, np.ones(n_mod * order,
-                                                   dtype=np.int64))
+    for p, n_mod in sizes.items():
+        perms = (np.arange(n_mod)[:, None] * order + lefts[:, None]).reshape(
+            len(lefts), -1)
+        actions[p] = (perms, np.ones_like(perms))
     return FiniteChainComplex(n_cells, cols, sym_group=h_abs, actions=actions)
 
 

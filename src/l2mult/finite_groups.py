@@ -19,10 +19,7 @@ Everything else is a lookup, filled in O(|G|) without a raw product:
   ``left(g^-1)``.
 
 The translations by the identity and the generators are kept; the others are
-computed per call.  A group given without generators, such as the abstract
-copy of a subgroup, gets a small generating set, each generator the least
-element outside the subgroup that the earlier ones generate, so that its
-walk is not |G|^2.
+computed per call.
 
 Everything defined on a group by its values on generators goes through one
 breadth-first walk of the right Cayley graph: ``cayley_walk`` yields the
@@ -43,11 +40,11 @@ goes through one test as well, ``FiniteSubgroup.normalized_by``, which
 reads the left translation of its element.
 
 The raw product remains where single pairs are asked for: the structure
-constants of ``character_table``, the generating set above, action checks,
-the H part of a free-by-finite word product, the coset blocks of
-``spectral.induced_rep``, and the closure check of ``FiniteSubgroup``: a
-walk of a greedy generating set of the members, one raw product per member
-and generator.
+constants of ``character_table``, action checks, the H part of a
+free-by-finite word product, the coset blocks of ``spectral.induced_rep``,
+and the closure check of ``FiniteSubgroup``: a walk of a greedy generating
+set of the members, one raw product per member and generator.  Those
+generators are the abstract copy's, so that its walk is not |K|^2.
 
 Induced characters go through one formula, ``induced_value``: the value at
 g is sum_h i(g, h) chi(h) over the elements h of a finite subgroup, with the
@@ -96,7 +93,7 @@ class ConjugacyData:
 
 
 class FiniteGroup:
-    def __init__(self, elements, mul_raw, name="G", generators=None,
+    def __init__(self, elements, mul_raw, generators, name="G",
                  labels=None, moduli=None):
         self.elements = list(elements)
         self.order = len(self.elements)
@@ -108,8 +105,7 @@ class FiniteGroup:
         if len(self._index) != self.order:
             raise GroupError("duplicate elements")
         self._mul_raw = mul_raw
-        self.generators = list(generators) if generators is not None else \
-            self._generating_set()
+        self.generators = list(generators)
         self._labels = labels
         # filled by ``_walk`` on first use
         self._right: list[list[int]] | None = None
@@ -138,23 +134,6 @@ class FiniteGroup:
         if self._labels is not None:
             return self._labels[i]
         return str(self.elements[i])
-
-    def _generating_set(self) -> list[int]:
-        """Each generator the least element outside the subgroup that the
-        earlier ones generate, found with raw products: at most log2 |G|
-        generators, in O(|G| log^2 |G|) products."""
-        gens, seen = [], {0}
-        for a in range(self.order):
-            if a not in seen:
-                gens.append(a)
-                reached, seen = [0], {0}
-                for x in reached:
-                    for g in gens:
-                        y = self.mul(x, g)
-                        if y not in seen:
-                            seen.add(y)
-                            reached.append(y)
-        return gens
 
     # -- translation tables ------------------------------------------------
 
@@ -366,7 +345,7 @@ class FiniteSubgroup:
         # do not reach becomes one, and the walk multiplies the reached
         # elements by it, so every element takes each step once, O(|K| k)
         # raw products for k generators; a step that leaves the members
-        # breaks closure
+        # breaks closure.  The abstract copy walks these generators.
         reached, seen, gens = [0], {0}, []
         for a in self.members:
             if a in seen:
@@ -384,6 +363,7 @@ class FiniteSubgroup:
                         reached.append(y)
         if parent.order % len(self.members):
             raise GroupError("Lagrange violation (bad subgroup data)")
+        self.generators = gens
         self._abstract = None
 
     @property
@@ -431,6 +411,7 @@ class FiniteSubgroup:
                 return locals_[parent.mul(mem[a], mem[b])]
 
             grp = FiniteGroup(range(len(mem)), mul,
+                              generators=[locals_[g] for g in self.generators],
                               name=f"{parent.name}-sub{len(mem)}",
                               labels=[parent.label(m) for m in mem])
             self._abstract = (grp, locals_)

@@ -628,6 +628,3 @@ def emit(records: list[LevelRecord], report: dict, out_dir, fmt: str = "both"):
         paths.append(path)
     return paths
 
-
-def report_round_trip(report: dict) -> dict:
-    return json.loads(json.dumps(report))

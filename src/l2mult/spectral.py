@@ -41,7 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._linalg import SparseCol, charpoly_trailing, sparse_rank
+from ._linalg import SparseCol, charpoly_trailing, column_reduce
 from .characters import CrossCheckFailed, check_action
 from .finite_groups import (FiniteGroup, FiniteSubgroup, GroupHom,
                             L2MultError, OrdinaryCharacter, cayley_walk,
@@ -516,7 +516,7 @@ def _operator_rank(a, rho, svd_tol: float, scale=None) -> int:
     representations, else the number of singular values above svd_tol *
     max(1, sup-norm of ``scale``), which defaults to a."""
     if rho.is_rational:
-        return sparse_rank(operator_columns_exact(a, rho)[1])
+        return column_reduce(operator_columns_exact(a, rho)[1]).rank
     op = operator_matrix(a, rho)
     svals = np.linalg.svd(op, compute_uv=False) if op.size else np.array([])
     norm = float((a if scale is None else scale).sup_norm_bound())

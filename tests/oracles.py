@@ -87,9 +87,9 @@ def hodge_trace(qc, h, p):
         u, s, _ = np.linalg.svd(m, full_matrices=False)
         cols = u[:, s > 1e-9 * max(1.0, s[0] if len(s) else 1.0)]
         proj -= cols @ cols.T
-    perm, signs = qc.actions[(h, p)]
+    perms, signs = qc.actions[p]
     act = np.zeros((n, n))
-    act[perm, np.arange(n)] = signs
+    act[perms[h], np.arange(n)] = signs[h]
     return float(np.trace(act @ proj))
 
 
@@ -108,7 +108,7 @@ def graph_homology_oracle(qc, table):
     if sorted(qc.n_cells) != [0, 1] or set(qc.boundaries) != {1}:
         raise ValueError("not a 1-dimensional complex")
     order = qc.sym_group.order
-    if any(np.any(qc.actions[(h, 0)][1] != 1) for h in range(order)):
+    if np.any(qc.actions[0][1] != 1):
         raise ValueError("vertex signs must be +1")
     parent = list(range(qc.n_cells[0]))
 
@@ -129,7 +129,7 @@ def graph_homology_oracle(qc, table):
     betti = {0: len(roots), 1: qc.n_cells[1] - qc.n_cells[0] + len(roots)}
     traces = {}
     for h in range(order):
-        perm = qc.actions[(h, 0)][0]
+        perm = qc.actions[0][0][h]
         fixed = sum(1 for r in roots if find(int(perm[r])) == r)
         lefschetz = qc.cell_trace(h, 0) - qc.cell_trace(h, 1)
         traces[(0, h)] = Fraction(fixed)

@@ -2,6 +2,7 @@
 checked (assertions fire inside).  Shared between the per-module property
 tests and the acceptance gate."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -244,16 +245,15 @@ def suite_action_commutes(cases=200) -> int:
                  for m in range(2, 27) for k in range(4)]
     complexes.extend(_tree_quotient(n) for n in (1, 2))
     for qc in complexes:
-        for (h, p), (perm, signs) in qc.actions.items():
-            if h == 0:
-                continue
+        for h, p in itertools.product(range(1, qc.sym_group.order),
+                                      qc.dims()):
+            perm, signs = (a[h] for a in qc.actions[p])
             bnd = qc.boundaries.get(p)
             if bnd is None:
                 done += 1
                 continue
             nrows, cols = bnd
-            lower = qc.actions[(h, p - 1)]
-            lperm, lsigns = lower
+            lperm, lsigns = (a[h] for a in qc.actions[p - 1])
             for j in range(len(cols)):
                 lhs = {int(lperm[r]): int(lsigns[r]) * v
                        for r, v in cols[j].items()}

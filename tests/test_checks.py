@@ -167,8 +167,8 @@ def _flip_first_sign_of_d2(kw):
 
 
 def _flip_first_sign_of_reflection_on_edges(kw):
-    _, signs = kw["actions"][(1, 1)]
-    signs[0] = -signs[0]
+    _, signs = kw["actions"][1]
+    signs[1, 0] = -signs[1, 0]
 
 
 @pytest.mark.parametrize("config, fault, error, message", [

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from l2mult import (EquivariantCWData, FiniteIndexSubgroup, FreeAbelianGroup,
@@ -11,6 +12,7 @@ from l2mult import (EquivariantCWData, FiniteIndexSubgroup, FreeAbelianGroup,
                     cw_from_json, cw_to_json, cyclic_group, dihedral_group,
                     export_boundaries_csv, finite_group_crosscheck,
                     from_generators, quotient_complex)
+from l2mult import complexes
 from l2mult.characters import HNotNormalizing, UnsupportedFamily
 from l2mult.complexes import (ComplexError, FiniteChainComplex, NotFree,
                               galois_orbits, materialize_regular,
@@ -176,7 +178,7 @@ def test_dinf_action_traces_and_multiplicities():
         for p in (0, 1):
             for h in (0, 1):
                 assert abs(hodge_trace(qc, h, p) -
-                           float(qc.action_trace(h, p))) < 1e-8
+                           float(report.traces[(p, h)])) < 1e-8
 
 
 def test_exact_traces_match_hodge_oracle_randomized():
@@ -189,9 +191,10 @@ def test_exact_traces_match_hodge_oracle_randomized():
             d = cw.group
             qc = quotient_complex(cw, level,
                                   h_words=[d.identity(), d.word(reflection)])
+            traces = qc.multiplicities(character_table(qc.sym_group)).traces
             for p in (0, 1):
                 for h in range(qc.sym_group.order):
-                    exact = float(qc.action_trace(h, p))
+                    exact = float(traces[(p, h)])
                     assert abs(hodge_trace(qc, h, p) - exact) < 1e-7
                     cases += 1
     assert cases == 7 * 3 * 4
@@ -234,7 +237,7 @@ def test_tree_free_by_finite_quotients():
         for p in (0, 1):
             for h in (0, 1):
                 assert abs(hodge_trace(qc, h, p) -
-                           float(qc.action_trace(h, p))) < 1e-7
+                           float(report.traces[(p, h)])) < 1e-7
 
 
 def test_tree_rejects_non_monomial_action():
@@ -301,6 +304,31 @@ def test_user_supplied_torus_complex():
         assert euler == 0
 
 
+def test_quotients_without_h_words_carry_the_trivial_group():
+    z2 = FreeAbelianGroup(2)
+    torus = cw_from_json(z2, TORUS)
+    target = abelian_group([3, 3])
+    torus_level = FiniteIndexSubgroup(
+        QuotientMap(z2, target, target.generators), target.subgroup([0]))
+    for cw, level in ((torus, torus_level), line_z_level(6)):
+        qc = quotient_complex(cw, level)
+        assert qc.sym_group.order == 1
+        report = qc.multiplicities(character_table(qc.sym_group))
+        assert report.betti == qc.betti_numbers()
+    # a degree with no cells: (|H|, 0) action arrays, the same Betti numbers
+    z = FreeAbelianGroup(1)
+    circle = cw_from_json(z, {"cells": {"0": [{"label": "v"}],
+                                        "1": [{"label": "e"}], "2": []},
+                              "boundaries": {"1": [["1*1 + -1*a"]]}})
+    c4 = cyclic_group(4)
+    qc = quotient_complex(circle, FiniteIndexSubgroup(
+        QuotientMap(z, c4, [1]), c4.subgroup([0])))
+    assert [a.shape for a in qc.actions[2]] == [(1, 0), (1, 0)]
+    assert qc.betti_numbers() == {0: 1, 1: 1, 2: 0}
+    report = qc.multiplicities(character_table(qc.sym_group))
+    assert report.betti == {0: 1, 1: 1, 2: 0}
+
+
 def test_cw_json_round_trip():
     cw = builtin_line_Dinf(InfiniteDihedralGroup())
     data = cw_to_json(cw)
@@ -324,13 +352,36 @@ def test_action_commutes_validation():
     cw, level = dinf_level(4)
     d = cw.group
     qc = quotient_complex(cw, level, h_words=[d.identity(), d.word("b")])
-    actions = dict(qc.actions)
-    perm, signs = actions[(1, 1)]
+    perms, signs = qc.actions[1]
     bad_signs = signs.copy()
-    bad_signs[0] = -bad_signs[0]
-    actions[(1, 1)] = (perm, bad_signs)
+    bad_signs[1, 0] = -bad_signs[1, 0]
+    actions = {**qc.actions, 1: (perms, bad_signs)}
     with pytest.raises(ComplexError):
         FiniteChainComplex(qc.n_cells, qc.boundaries, qc.sym_group, actions)
+
+
+def test_chain_complex_checks_the_action_arrays():
+    cw, level = dinf_level(4)
+    d = cw.group
+    qc = quotient_complex(cw, level, h_words=[d.identity(), d.word("b")])
+    assert all(a.shape == (2, qc.n_cells[p]) and a.dtype == np.int64
+               for p, arrays in qc.actions.items() for a in arrays)
+    perms, signs = qc.actions[1]
+    # a degree without rows, and a degree with the row of h = s dropped
+    no_edges = {0: qc.actions[0]}
+    one_row = {0: qc.actions[0], 1: (perms[:1], signs[:1])}
+    for actions, message in ((no_edges, "does not cover the degrees"),
+                             (one_row, "action on degree 1 is not")):
+        with pytest.raises(ComplexError, match=message):
+            FiniteChainComplex(qc.n_cells, qc.boundaries, qc.sym_group,
+                               actions)
+    # without a group, H is trivial and acts by identity rows
+    plain = FiniteChainComplex(qc.n_cells, qc.boundaries)
+    assert plain.sym_group.order == 1
+    assert plain.actions[1][0].tolist() == [list(range(qc.n_cells[1]))]
+    # a group of order 2 needs its own rows
+    with pytest.raises(ComplexError, match="action on degree 0 is not"):
+        FiniteChainComplex(qc.n_cells, qc.boundaries, qc.sym_group)
 
 
 def test_chain_complex_rejects_nonzero_dd():
@@ -395,35 +446,41 @@ def test_finite_group_crosscheck_three_term_cyclic():
     assert out
 
 
-def test_quotient_boundaries_and_elimination_stay_in_ints():
+def test_quotient_boundaries_and_elimination_stay_in_ints(monkeypatch):
     from suites import KLEIN_SWAP, _dinf_quotient, _tree_quotient
     # F_2 : (C2 x C2) at level 1 keeps a critical vertex orbit for each
     # stabilizer of order 2, so every Galois block of d_1 has nonzero rank
     klein = [qc for name, _, qc in _chain_quotients(("klein", KLEIN_SWAP))
              if name == "klein level 1"]
     involutions = (_dinf_quotient(8), _tree_quotient(2))
+    block_elim, elims = complexes._block_elim, []
+
+    def recorded(*args):
+        elims.append(block_elim(*args))
+        return elims[-1]
+    monkeypatch.setattr(complexes, "_block_elim", recorded)
+    ranks = []
     for qc in (*involutions, *klein):
         for _, cols in qc.boundaries.values():
             assert {type(v) for col in cols for v in col.values()} == {int}
         table = character_table(qc.sym_group)
+        elims.clear()
         report = qc.multiplicities(table)
         # one block elimination per boundary and Galois orbit
-        assert len(qc._block_elims) == \
-            len(galois_orbits(table)) * len(qc.boundaries)
-        for elim in qc._block_elims.values():
+        assert len(elims) == len(galois_orbits(table)) * len(qc.boundaries)
+        for elim in elims:
             # a block of rank 0 stores no column
             assert {type(v) for col in elim._cols for v in col.values()} \
                 == ({int} if elim.rank else set())
         # the traces stay exact Fractions
         assert all(type(t) is Fraction for t in report.traces.values())
-    assert [elim.rank for elim in klein[0]._block_elims.values()] \
-        == [4, 1, 1, 1]
-    for qc in involutions:
+        ranks.append([elim.rank for elim in elims])
+    assert ranks[2] == [4, 1, 1, 1]
+    for qc, block_ranks in zip(involutions, ranks):
         # the Morse reduction leaves only the vertices fixed by the
         # involution, which span no sign block, so d_1 has rank 0 there
         fixed = morse_reduce(qc).n_cells[0]
-        assert {key: elim.rank for key, elim in qc._block_elims.items()} \
-            == {(1, 0): fixed - 1, (1, 1): 0}
+        assert block_ranks == [fixed - 1, 0]
 
 
 DINF_CHAIN = {"group": {"family": "dihedral_infinite"}, "complex": "line_dinf",
@@ -463,10 +520,8 @@ def test_block_ranks_match_union_find_oracle():
 
 
 def _lefschetz_numbers(c: FiniteChainComplex) -> list:
-    """sum_p (-1)^p Tr(h | C_p) for every h of the symmetry group; the Euler
-    characteristic without one."""
-    if c.sym_group is None:
-        return [sum((-1) ** p * n for p, n in c.n_cells.items())]
+    """sum_p (-1)^p Tr(h | C_p) for every h of the symmetry group, the Euler
+    characteristic at h = 1."""
     return [sum((-1) ** p * c.cell_trace(h, p) for p in c.dims())
             for h in range(c.sym_group.order)]
 
@@ -488,7 +543,7 @@ def test_morse_reduction_keeps_betti_and_lefschetz_numbers():
         reduced = _check_morse_reduction(qc, name)
         # connected graphs with an H-fixed vertex: every free vertex orbit
         # is paired, and only the vertices with a stabilizer stay critical
-        fixed = sum((qc.action_perms(0) == range(qc.n_cells[0])).sum(axis=0)
+        fixed = sum((qc.actions[0][0] == range(qc.n_cells[0])).sum(axis=0)
                     > 1)
         assert reduced.n_cells[0] == fixed, name
         assert reduced.n_cells[1] == \
