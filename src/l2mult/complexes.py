@@ -9,22 +9,25 @@ quotient, so freeness is read off the fill and needs no pass of its own.
 
 Every finite chain complex carries H and its action in one format: per
 degree p, two int64 arrays perms and signs of shape (|H|, n_p) with
-h e_c = signs[h, c] e_{perms[h, c]}.  A complex given no group, such as a
-quotient without ``h_words``, carries the trivial group with identity rows,
-so traces, multiplicities and the Morse reduction have no second mode.
+h e_c = signs[h, c] e_{perms[h, c]}, a left action of H.  A complex given no
+group, such as a quotient without ``h_words``, carries the trivial group
+with identity rows, so traces, multiplicities and the Morse reduction have
+no second mode.
 
-Multiplicities are dimensions of rational isotypic blocks.  For a Galois
-orbit [chi] of irreducibles of H, the integer weights t = sum of chi' over
-[chi] give E = sum_h t(h^-1) h, a nonzero multiple of the central idempotent
-e_[chi], and
+Multiplicities are dimensions of rational isotypic parts, read on the image
+side with no isotypic basis.  For a Galois orbit [chi] of irreducibles of H,
+the integer weights t = sum of chi' over [chi] give E = sum_h t(h) h, a
+nonzero multiple of the central idempotent e_[chi] (t is rational, so
+t(h) = t(h^-1)), and
 
-    dim e_[chi] H_p = dim e_[chi] C_p - rank(d_p on e_[chi] C_p)
-                      - rank(d_{p+1} on e_[chi] C_{p+1}).
+    dim e_[chi] H_p = dim e_[chi] C_p - rank_[chi](d_p) - rank_[chi](d_{p+1}).
 
-Each block is spanned orbit by orbit by the columns E c; a block rank is the
-exact elimination of d applied to that basis, restricted to the pivot rows of
-the target block, onto which the block projects injectively.  Every chi in
-[chi] occurs dim e_[chi] H_p / (chi(1) |[chi]|) times, and the traces are
+The block dimension is chi(1)/|H| sum_h t(h) Tr(h | C_p), from the signed
+fixed cells.  d commutes with E, so d(e_[chi] C_q) = E im d_q: the block
+rank rank_[chi](d_q) is the rank of E applied to the stored pivot columns of
+the plain elimination of d_q, which span im d_q.  The block dimensions sum
+to n_p and the block ranks to rank d_q.  Every chi in [chi] occurs
+dim e_[chi] H_p / (chi(1) |[chi]|) times, and the traces are
 Tr(h | H_p) = sum_chi m_chi chi(h).
 
 The blocks are taken on the equivariant Morse reduction of the complex
@@ -318,59 +321,22 @@ def galois_orbits(table: CharacterTable) -> list[tuple[list[int], list[int]]]:
     return out
 
 
-def _isotypic_basis(perms: np.ndarray, signs: np.ndarray, t: list[int],
-                    degree: int) -> tuple[list[SparseCol], dict[int, int]]:
-    """Basis of E C for E = sum_h t(h) h = sum_h t(h^-1) h (t is rational),
-    where h e_c = signs[h, c] e_{perms[h, c]} and chi(1) = ``degree``, and
-    a scale for each of its pivot rows.
-
-    Orbit by orbit, columns E e_c (c in the H-orbit O) enter one elimination
-    until they span E span(O), of dimension chi(1)/|H| sum_h t(h) Tr(h|O).
-    Orbits have disjoint supports, so the projection onto the pivot rows is
-    injective on E C.  The columns of an orbit are signed permutations of
-    each other, so integral vectors of E C are divisible at a pivot row by
-    their content: that is the row's scale.
-    """
-    n = perms.shape[1]
-    lead = perms.min(axis=0)    # the orbit of c, by its least cell
-    fixed = np.where(perms == np.arange(n), signs, 0)
-    traces = np.bincount(lead, weights=np.array(t) @ fixed, minlength=n)
-    need, rest = np.divmod(degree * np.rint(traces).astype(np.int64), len(t))
-    if rest.any():
-        raise NotIntegral("isotypic block of an orbit has no integral "
-                          "dimension")
-    need, lead_of = need.tolist(), lead.tolist()
-    cell_perms, cell_signs = perms.T.tolist(), signs.T.tolist()
+def _image_rank(elim: ColumnReduction, action: tuple[np.ndarray, np.ndarray],
+                t: list[int]) -> int:
+    """The rank of E = sum_h t(h) h on im d, for the elimination ``elim`` of d
+    and the action (perms, signs) on d's target: the rank of E applied to
+    the stored pivot columns, which span im d."""
+    perms, signs = action
     red = ColumnReduction()
-    basis: list[SparseCol] = []
-    scale: dict[int, int] = {}
-    for c in np.argsort(lead, kind="stable").tolist():
-        o = lead_of[c]
-        if not need[o]:
-            continue
-        col: SparseCol = {}
-        for w, r, sign in zip(t, cell_perms[c], cell_signs[c]):
+    for k, col in enumerate(elim._cols):
+        rows, vals = list(col), list(col.values())
+        image: SparseCol = {}
+        for w, perm, sign in zip(t, perms[:, rows].tolist(),
+                                 signs[:, rows].tolist()):
             if w:
-                axpy(col, w * sign, {r: 1})
-        if red.add_column(c, col):
-            need[o] -= 1
-            basis.append(col)
-            scale[red.pivot_rows[-1]] = math.gcd(*col.values())
-    if any(need):
-        raise ComplexError("the symmetry does not act as a group")
-    return basis, scale
-
-
-def _block_elim(cols: list[SparseCol], basis: list[SparseCol],
-                row_scale: dict[int, int]) -> ColumnReduction:
-    """Elimination of d on one block: d of the block's basis, restricted to
-    the target block's pivot rows and divided by their scales.  A vertex u
-    fixed by an involution has E u = 2u in the trivial block; without the
-    division its row would give pivots of 2 and Fractions."""
-    return column_reduce(
-        [{r: v if row_scale[r] == 1 else Fraction(v, row_scale[r])
-          for r, v in col.items() if r in row_scale}
-         for col in apply_columns(cols, basis)])
+                axpy(image, w, {r: s * v for r, s, v in zip(perm, sign, vals)})
+        red.add_column(k, image)
+    return red.rank
 
 
 class FiniteChainComplex:
@@ -378,8 +344,10 @@ class FiniteChainComplex:
     symmetry group H; boundaries are stored as exact sparse columns.
 
     ``actions[p] = (perms, signs)``, two int64 arrays of shape (|H|, n_p):
-    h e_c = signs[h, c] e_{perms[h, c]}.  Without a group, H is the trivial
-    group acting by identity rows."""
+    h e_c = signs[h, c] e_{perms[h, c]}.  The rows are a left action of
+    ``sym_group``: row 0 is the identity and row(a) row(b) = row(a b), signs
+    included.  Without a group, H is the trivial group acting by identity
+    rows."""
 
     def __init__(self, n_cells: dict[int, int],
                  boundaries: dict[int, tuple[int, list[SparseCol]]],
@@ -424,9 +392,12 @@ class FiniteChainComplex:
                 raise ComplexError("action is not a permutation")
             if (np.abs(signs) != 1).any():
                 raise ComplexError("action signs must be +-1")
+        # commutation with the boundaries on the generator rows; with the
+        # group action checked below, every row commutes then
+        gens = self.sym_group.generators
         for p, (_, cols) in self.boundaries.items():
-            rows = zip(*(a.tolist() for a in self.actions[p]),
-                       *(a.tolist() for a in self.actions[p - 1]))
+            rows = zip(*(a[gens].tolist() for a in self.actions[p]),
+                       *(a[gens].tolist() for a in self.actions[p - 1]))
             for perm, sign, lperm, lsign in rows:
                 for j, (pj, sj) in enumerate(zip(perm, sign)):
                     lhs: SparseCol = {lperm[r]: lsign[r] * v
@@ -434,6 +405,16 @@ class FiniteChainComplex:
                     if lhs != {r: sj * v for r, v in cols[pj].items()}:
                         raise ComplexError(
                             f"action does not commute with boundary {p}")
+        # a left action: row 0 is the identity, and for each generator g and
+        # every h, (g h) e_c = signs[h, c] g e_{perms[h, c]}
+        lefts = [self.sym_group.left(g) for g in gens]
+        for p, (perms, signs) in self.actions.items():
+            if (perms[0] != np.arange(self.n_cells[p])).any() or \
+                    (signs[0] != 1).any() or any(
+                        (perms[gh] != perms[g][perms]).any()
+                        or (signs[gh] != signs * signs[g][perms]).any()
+                        for g, gh in zip(gens, lefts)):
+                raise ComplexError("the symmetry does not act as a group")
 
     def _elim(self, p: int) -> ColumnReduction | None:
         if p not in self._elims:
@@ -458,29 +439,35 @@ class FiniteChainComplex:
 
     def multiplicities(self, table: CharacterTable) -> HomologyReport:
         """Betti numbers, multiplicities of the irreducibles of ``table`` and
-        traces of the symmetry on homology, from the isotypic block ranks of
-        the Morse reduction of the complex."""
+        traces of the symmetry on homology, from the isotypic block
+        dimensions and image ranks of the Morse reduction of the complex."""
         if table.group is not self.sym_group:
             raise ComplexError("character table of a different group")
         reduced = morse_reduce(self)
         order = self.sym_group.order
         class_of = table.classes.class_of
         dims = reduced.dims()
-        orbits = galois_orbits(table)
         block_dim = dict.fromkeys(dims, 0)
+        block_rank = dict.fromkeys(reduced.boundaries, 0)
         betti = dict.fromkeys(dims, 0)
         mult, trace = {}, {(p, h): 0 for p in dims for h in range(order)}
-        for members, weights in orbits:
+        for members, weights in galois_orbits(table):
             t = [weights[class_of[h]] for h in range(order)]
             degree = table.irreducibles[members[0]].degree
-            blocks = {q: _isotypic_basis(*reduced.actions[q], t, degree)
-                      for q in dims}
-            rank = {q: _block_elim(cols, blocks[q][0], blocks[q - 1][1]).rank
-                    for q, (_, cols) in reduced.boundaries.items()}
+            rank = {q: _image_rank(reduced._elim(q), reduced.actions[q - 1], t)
+                    for q in reduced.boundaries}
+            for q, r in rank.items():
+                block_rank[q] += r
             for p in dims:
-                block_dim[p] += len(blocks[p][0])
-                dim_h = (len(blocks[p][0]) - rank.get(p, 0)
-                         - rank.get(p + 1, 0))
+                dim_c, rest = divmod(degree * sum(
+                    w * reduced.cell_trace(h, p) for h, w in enumerate(t)),
+                    order)
+                if rest:
+                    raise NotIntegral(
+                        f"isotypic block of irreducible {members[0]} in C_{p} "
+                        f"has no integral dimension")
+                block_dim[p] += dim_c
+                dim_h = dim_c - rank.get(p, 0) - rank.get(p + 1, 0)
                 size = degree * len(members)
                 m, rest = divmod(dim_h, size)
                 if rest:
@@ -494,6 +481,10 @@ class FiniteChainComplex:
         for p in dims:
             if block_dim[p] != reduced.n_cells[p]:
                 raise ComplexError(f"sum rule fails in degree {p}")
+        for q, r in block_rank.items():
+            if r != reduced.rank(q):
+                raise ComplexError(f"block ranks of d_{q} do not sum to its "
+                                   f"rank")
         return HomologyReport(betti, dict(sorted(mult.items())),
                               {k: Fraction(v) for k, v in trace.items()})
 
@@ -728,9 +719,10 @@ def quotient_complex(cw: EquivariantCWData, gamma: FiniteIndexSubgroup,
                 cols.append(col)
         boundaries[p] = (n_cells[p - 1], cols)
 
-    # h e_c = e_{c h}: the cell of rep u goes to dec[u h] of its orbit, for
-    # every h and u of an orbit in one gather
-    rights = np.array([q.right(him) for him in h_images], dtype=np.int64)
+    # h e_c = e_{c h^-1}, a left action: the cell of rep u goes to
+    # dec[u h^-1] of its orbit, for every h and u of an orbit in one gather
+    rights = np.array([q.right(h_images[h]) for h in h_abs.inverses],
+                      dtype=np.int64)
     actions = {}
     for p in cw.dims():
         perms = np.empty((len(h_images), n_cells[p]), dtype=np.int64)

@@ -202,6 +202,21 @@ KLEIN_SWAP = {
     "h_words": ["1", "c", "d"]}
 
 
+# F_3 : S_3 with S_3 permuting the free generators on the free group's tree:
+# d swaps a and b, e cycles a -> b -> c -> a, and the edge orbit of e_a has
+# the stabilizer {1, de}, which fixes a.  S_3 is not abelian, so a quotient
+# action must compose as S_3 does, not in the opposite order.
+S3_PERMUTING = {
+    "group": {"family": "free_by_finite", "rank": 3, "h": "sym:3",
+              "action": {"0": ["b", "a", "c"], "1": ["b", "c", "a"]}},
+    "complex": {
+        "cells": {"0": [{"label": "v",
+                         "stabilizer": ["1", "d", "e", "de", "de'", "e'"]}],
+                  "1": [{"label": "e", "stabilizer": ["1", "de"]}]},
+        "boundaries": {"1": [["1*1 + -1*a"]]}},
+    "chain": {"template": "semidirect_mod", "base": 2, "depth": 2},
+    "h_words": ["1", "d", "e"]}
+
 def suite_sum_rule(cases=200) -> int:
     rng = make_rng(104)
     done = 0

@@ -10,7 +10,7 @@ from l2mult import (FreeAbelianGroup, GroupRingMatrix, QuotientMap,
                     character_table, cyclic_group, dihedral_group,
                     induced_rep, irreducible_rep, luck_bound_check,
                     moments_check, push_matrix, regular_rep,
-                    validate_chain)
+                    trivial_group, validate_chain)
 from l2mult import complexes, runner, spectral
 from l2mult.characters import CrossCheckFailed
 from l2mult.complexes import ComplexError
@@ -171,11 +171,20 @@ def _flip_first_sign_of_reflection_on_edges(kw):
     signs[1, 0] = -signs[1, 0]
 
 
+def _negate_reflection_on_edges(kw):
+    """-s on the edges is still an action of C2, but it anticommutes with
+    d_1."""
+    _, signs = kw["actions"][1]
+    signs[1] = -signs[1]
+
+
 @pytest.mark.parametrize("config, fault, error, message", [
     (BIGON_RUN, _flip_first_sign_of_d2, NotAComplex, "d_1 . d_2 != 0"),
     (DINF_REFLECTION, _flip_first_sign_of_reflection_on_edges, ComplexError,
      "action does not commute with boundary 1"),
-], ids=["d_d", "action"])
+    (DINF_REFLECTION, _negate_reflection_on_edges, ComplexError,
+     "action does not commute with boundary 1"),
+], ids=["d_d", "action", "generator_row"])
 def test_chain_complex_validation_catches_faulty_quotients(
         monkeypatch, config, fault, error, message):
     config = runner.ExperimentConfig.from_json(config)
@@ -194,6 +203,29 @@ def test_chain_complex_validation_catches_faulty_quotients(
     assert [r.error for r in records] == [recorded, recorded]
     assert report["levels"][0]["error"] == recorded
 
+
+
+@pytest.mark.parametrize("group, rows", [
+    (cyclic_group(2), [0, 1]),
+    (trivial_group(), [1]),
+], ids=["c2_by_rotation", "trivial_by_rotation"])
+def test_chain_complex_validation_catches_rows_that_are_no_action(group,
+                                                                  rows):
+    # the rotation c of F_2 : C_4, element 1 of H, is a signed permutation of
+    # order 4 that commutes with d; as the involution of C2, or as the
+    # identity of the trivial group, it does not make an action
+    from suites import C4_ROTATION
+    ctx = runner.ExperimentContext(
+        runner.ExperimentConfig.from_json(C4_ROTATION))
+    qc = complexes.quotient_complex(ctx.cw, ctx.chain.levels[0],
+                                    h_ctx=(ctx.h_abs, ctx.h_elems))
+    assert ctx.h_elems[1] == ctx.cw.group.word("c")
+    actions = {p: (perms[rows], signs[rows])
+               for p, (perms, signs) in qc.actions.items()}
+    with pytest.raises(ComplexError,
+                       match="the symmetry does not act as a group"):
+        complexes.FiniteChainComplex(qc.n_cells, qc.boundaries, group,
+                                     actions)
 
 def test_validate_chain_catches_fiber_outside_fiber(monkeypatch):
     config = runner.ExperimentConfig.from_json({
@@ -303,23 +335,50 @@ def test_morse_reduction_checks_catch_faulty_forests(
     assert report["levels"][1]["error"] == recorded
 
 
-def test_multiplicity_divisibility_catches_a_lost_basis_vector(monkeypatch):
+def _rank_moved(on_orbit):
+    """The rank of d_1 on the Galois orbit with weights t is one larger
+    where ``on_orbit(t)`` holds."""
+    def fault(image_rank):
+        return lambda elim, action, t: \
+            image_rank(elim, action, t) + on_orbit(t)
+    return fault
+
+
+def _weight_moved(orbits):
+    """The trivial orbit's weight on the class of element 1 is one
+    larger."""
+    def moved(table):
+        out = orbits(table)
+        out[0][1][table.classes.class_of[1]] += 1
+        return out
+    return moved
+
+
+@pytest.mark.parametrize("patched, fault, recorded", [
+    # chi = i and -i form one Galois orbit with t(1) = 2: its block of H_0
+    # gets dimension 0 - 1, and each chi occurs dim / 2 times
+    ("_image_rank", _rank_moved(lambda t: t[0] == 2),
+     "NotIntegral: multiplicity -1/2 of irreducible 2 in H_0 is not "
+     "integral"),
+    # the sign character is a Galois orbit of its own and of degree 1, so
+    # every dimension divides; only the rank sum rule sees the fault
+    ("_image_rank", _rank_moved(lambda t: t[0] == 1 and min(t) < 0),
+     "ComplexError: block ranks of d_1 do not sum to its rank"),
+    # element 1 is the rotation c, which fixes 2 of the 4 critical
+    # vertices: the trivial block of C_0 would have dimension 14/4
+    ("galois_orbits", _weight_moved,
+     "NotIntegral: isotypic block of irreducible 0 in C_0 has no integral "
+     "dimension"),
+], ids=["divisibility", "rank_sum_rule", "block_dimension"])
+def test_multiplicity_checks_catch_faulty_blocks(monkeypatch, patched, fault,
+                                                 recorded):
     from suites import C4_ROTATION
     config = runner.ExperimentConfig.from_json(C4_ROTATION)
     records, _ = runner.run(config)
     assert [r.error for r in records] == [None] * 3
     # chi = i and -i form one Galois orbit: each occurs dim / 2 times
     assert [r.raw[(1, 2)] for r in records] == [2, 5, 17]
-    isotypic_basis = complexes._isotypic_basis
-
-    def lost_vector(perms, signs, t, degree):
-        """Every isotypic block loses the last vector of its basis."""
-        basis, scale = isotypic_basis(perms, signs, t, degree)
-        return basis[:-1], scale
-    monkeypatch.setattr(complexes, "_isotypic_basis", lost_vector)
+    monkeypatch.setattr(complexes, patched, fault(getattr(complexes, patched)))
     records, report = runner.run(config)
-    # the block of {i, -i} in C_1 has odd dimension 4 - 1, 10 - 1, 34 - 1
-    recorded = [f"NotIntegral: multiplicity {k}/2 of irreducible 2 in H_1 is "
-                f"not integral" for k in (3, 9, 33)]
-    assert [r.error for r in records] == recorded
-    assert [level["error"] for level in report["levels"]] == recorded
+    assert [r.error for r in records] == [recorded] * 3
+    assert [level["error"] for level in report["levels"]] == [recorded] * 3

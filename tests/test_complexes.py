@@ -453,34 +453,50 @@ def test_quotient_boundaries_and_elimination_stay_in_ints(monkeypatch):
     klein = [qc for name, _, qc in _chain_quotients(("klein", KLEIN_SWAP))
              if name == "klein level 1"]
     involutions = (_dinf_quotient(8), _tree_quotient(2))
-    block_elim, elims = complexes._block_elim, []
+    image_rank, calls = complexes._image_rank, []
 
-    def recorded(*args):
-        elims.append(block_elim(*args))
-        return elims[-1]
-    monkeypatch.setattr(complexes, "_block_elim", recorded)
+    def recorded(elim, action, t):
+        calls.append((elim, image_rank(elim, action, t)))
+        return calls[-1][1]
+    monkeypatch.setattr(complexes, "_image_rank", recorded)
     ranks = []
     for qc in (*involutions, *klein):
         for _, cols in qc.boundaries.values():
             assert {type(v) for col in cols for v in col.values()} == {int}
         table = character_table(qc.sym_group)
-        elims.clear()
+        calls.clear()
         report = qc.multiplicities(table)
-        # one block elimination per boundary and Galois orbit
-        assert len(elims) == len(galois_orbits(table)) * len(qc.boundaries)
-        for elim in elims:
-            # a block of rank 0 stores no column
+        # one image rank per boundary and Galois orbit
+        assert len(calls) == len(galois_orbits(table)) * len(qc.boundaries)
+        for elim, _ in calls:
+            # the plain elimination of the reduced d; of rank 0, it stores
+            # no column
             assert {type(v) for col in elim._cols for v in col.values()} \
                 == ({int} if elim.rank else set())
         # the traces stay exact Fractions
         assert all(type(t) is Fraction for t in report.traces.values())
-        ranks.append([elim.rank for elim in elims])
+        ranks.append([rank for _, rank in calls])
     assert ranks[2] == [4, 1, 1, 1]
     for qc, block_ranks in zip(involutions, ranks):
         # the Morse reduction leaves only the vertices fixed by the
         # involution, which span no sign block, so d_1 has rank 0 there
         fixed = morse_reduce(qc).n_cells[0]
         assert block_ranks == [fixed - 1, 0]
+
+
+def test_quotient_action_is_a_left_action():
+    # S3 permutes the generators of F_3, so H is not abelian and a right
+    # action, row(a) row(b) = row(b a), would differ from a left one
+    from suites import S3_PERMUTING
+    for name, ctx, qc in _chain_quotients(("s3", S3_PERMUTING)):
+        h = qc.sym_group
+        assert h.order == 6
+        for perms, signs in qc.actions.values():
+            for a in range(h.order):
+                for b in range(h.order):
+                    ab = h.mul(a, b)
+                    assert (perms[ab] == perms[a][perms[b]]).all(), name
+                    assert (signs[ab] == signs[b] * signs[a][perms[b]]).all()
 
 
 DINF_CHAIN = {"group": {"family": "dihedral_infinite"}, "complex": "line_dinf",
@@ -505,10 +521,11 @@ def _chain_quotients(*configs):
 
 def test_block_ranks_match_union_find_oracle():
     # every level of the graph chains, against union-find and Lefschetz
-    from suites import KLEIN_SWAP
+    from suites import KLEIN_SWAP, S3_PERMUTING
     for name, ctx, qc in _chain_quotients(("dinf", DINF_CHAIN),
                                           ("fbf", FBF_CHAIN),
-                                          ("klein", KLEIN_SWAP)):
+                                          ("klein", KLEIN_SWAP),
+                                          ("s3", S3_PERMUTING)):
         report = qc.multiplicities(ctx.table)
         betti, mult, traces = graph_homology_oracle(qc, ctx.table)
         assert report.betti == betti, name
