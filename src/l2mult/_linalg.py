@@ -11,14 +11,25 @@ polynomials of integer matrices are computed exactly by Hessenberg reduction
 modulo word-sized primes followed by CRT reconstruction, one connected
 component of the matrix's support graph at a time: the trailing nonzero
 coefficient is the product of the blocks' ones.  Only that coefficient needs
-a reconstruction bound.  The callers derive one from the coefficient
-sup-norm of the group-ring matrix; each block uses the smaller of it and
-its own Gershgorin bound ``R_b ** n_b`` (largest absolute row sum R_b, size
-n_b), with the fewest primes whose product exceeds four times that bound.
+a reconstruction bound, and each block takes the smallest of three:
+
+* the caller's, derived from the coefficient sup-norm of the group-ring
+  matrix, which bounds every block since each block coefficient is a
+  nonzero integer dividing the whole one;
+* Gershgorin's ``R_b ** n_b`` (largest absolute row sum R_b, size n_b);
+* Schur's: the coefficient is +-the product of the k nonzero eigenvalues,
+  and sum |lambda_i|**2 <= F, the sum of the squared entries, for every
+  square complex matrix (Schur triangularization, so neither symmetry nor
+  positivity is needed), which by AM-GM bounds it by (F/k)**(k/2).
+
+The block then takes the fewest primes whose product exceeds four times its
+bound.  The Hessenberg reduction touches, per column, only the rows with a
+nonzero entry to clear.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -171,12 +182,17 @@ def _hessenberg_mod(mat: np.ndarray, p: int) -> np.ndarray:
         if piv != j + 1:
             h[[j + 1, piv], :] = h[[piv, j + 1], :]
             h[:, [j + 1, piv]] = h[:, [piv, j + 1]]
+        # after the swap, row piv holds the old row j + 1, zero in column
+        # j; the rows to clear are the later nonzeros, and a row or column
+        # with a zero multiplier is left as it is
+        rows = nz[1:] + j + 1
+        if rows.size == 0:
+            continue
         inv = pow(int(h[j + 1, j]), p - 2, p)
-        mult = (h[j + 2:, j] * inv) % p
-        if mult.any():
-            # row j + 1 is zero left of column j
-            h[j + 2:, j:] = (h[j + 2:, j:] - np.outer(mult, h[j + 1, j:])) % p
-            h[:, j + 1] = (h[:, j + 1] + h[:, j + 2:] @ mult) % p
+        mult = (h[rows, j] * inv) % p
+        # row j + 1 is zero left of column j
+        h[rows, j:] = (h[rows, j:] - np.outer(mult, h[j + 1, j:])) % p
+        h[:, j + 1] = (h[:, j + 1] + h[:, rows] @ mult) % p
     return h
 
 
@@ -261,6 +277,25 @@ def _block_trailing(mat: np.ndarray, bound: int) -> tuple[int, int]:
                                    primes)
 
 
+def _schur_bound(block: np.ndarray) -> int:
+    """Schur's bound on the trailing coefficient of the n x n integer
+    ``block``: the largest ``isqrt(F**k // k**k)`` over 1 <= k <= n, and at
+    least 1, with F the sum of the squared entries.
+
+    A coefficient c with k nonzero eigenvalues has c**2 <= (F/k)**k, so
+    |c| <= isqrt(floor((F/k)**k)), c being an integer.  k * log(F/k) is
+    concave with its maximum at F/e, so the largest term is at
+    min(n, floor(F/e)) or the next integer.  The float floor of F/e, with F
+    capped at 3n (F/e > n from there on, and the division cannot
+    overflow), may be off by one, so its neighbours are taken too.
+    """
+    n = block.shape[0]
+    frob = sum(v * v for v in block[np.nonzero(block)].tolist())
+    k0 = min(n, int(min(frob, 3 * n) / math.e))
+    return max([1] + [math.isqrt(frob ** k // k ** k)
+                      for k in range(max(1, k0 - 1), min(n, k0 + 1) + 1)])
+
+
 def charpoly_trailing(mat: np.ndarray, bound: int) -> tuple[int, int]:
     """Exact rank and trailing nonzero characteristic-polynomial coefficient
     of an integer matrix.
@@ -275,16 +310,22 @@ def charpoly_trailing(mat: np.ndarray, bound: int) -> tuple[int, int]:
     of the blocks' polynomials, so the rank is the sum of the block ranks
     and the coefficient the product of the block coefficients.  Block b,
     of size n_b and largest absolute row sum R_b, gets the bound
-    ``min(bound, max(1, R_b) ** n_b)``: R_b bounds each of its eigenvalues
-    (Gershgorin), and its coefficient is +-the product of at most n_b of
-    them; ``bound`` bounds it too, since it is a nonzero integer dividing
-    the whole coefficient.
+    ``min(bound, max(1, R_b) ** n_b, _schur_bound(b))``, each of which
+    holds on its own.  Its coefficient is +-the product of its k <= n_b
+    nonzero eigenvalues.  R_b bounds each of them (Gershgorin).  Their
+    squared moduli sum to at most F, the sum of the squared entries of b,
+    by Schur's inequality, which holds for every square complex matrix;
+    by AM-GM the coefficient is then at most (F/k)**(k/2).  ``bound``
+    bounds it too, since it is a nonzero integer dividing the whole
+    coefficient.  Any valid bound certifies the result: see
+    ``_block_trailing``.
     """
     rank, coeff = 0, 1
     for idx in _components(mat):
         block = mat[np.ix_(idx, idx)]
         growth = max(1, int(np.abs(block).sum(axis=1).max()))
-        r, c = _block_trailing(block, min(bound, growth ** len(idx)))
+        r, c = _block_trailing(block, min(bound, growth ** len(idx),
+                                          _schur_bound(block)))
         rank += r
         coeff *= c
     return rank, coeff

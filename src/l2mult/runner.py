@@ -137,13 +137,24 @@ def build_group(spec: dict) -> BuiltinGroup:
         raw_action = spec.get("action")
         if raw_action is None:
             raise ConfigInvalid("free_by_finite needs an action")
+        if not isinstance(raw_action, dict):
+            raise ConfigInvalid(f"the action must be a JSON object, "
+                                f"got {raw_action!r}")
         gens = h_group.generators
         action = {}
         for k, v in raw_action.items():
             i = _int(k, "action key")
             if not 0 <= i < len(gens):
                 raise ConfigInvalid(f"H has no generator {i}")
+            if not isinstance(v, list) or \
+                    not all(isinstance(w, str) for w in v):
+                raise ConfigInvalid(f"the action of H generator {i} must be "
+                                    f"a list of words, got {v!r}")
             action[gens[i]] = v
+        missing = [i for i, g in enumerate(gens) if g not in action]
+        if missing:
+            raise ConfigInvalid(f"the action gives no images for H "
+                                f"generator {missing[0]}")
         return FreeByFiniteGroup(rank, h_group, action)
     raise ConfigInvalid(f"unknown group family {family!r}")
 

@@ -98,11 +98,7 @@ def test_charpoly_exact_matches_numpy_roots():
 def test_charpoly_trailing_large_symmetric():
     # N-cycle Laplacian: product of nonzero eigenvalues is N * N
     for n in (3, 12, 33):
-        mat = np.zeros((n, n), dtype=np.int64)
-        for i in range(n):
-            mat[i, i] = 2
-            mat[i, (i + 1) % n] -= 1
-            mat[i, (i - 1) % n] -= 1
+        mat = _cycle_laplacian(n)
         rank, coeff = charpoly_trailing(mat, 4 ** n)
         assert rank == n - 1
         assert abs(coeff) == n * n
@@ -171,7 +167,18 @@ def test_charpoly_trailing_f2_instance_matches_unsplit():
     assert charpoly_trailing(dense, bound) == _block_trailing(dense, bound)
 
 
-def test_charpoly_trailing_uses_fewest_primes_per_block(monkeypatch):
+def _cycle_laplacian(n):
+    mat = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        mat[i, i] = 2
+        mat[i, (i + 1) % n] -= 1
+        mat[i, (i - 1) % n] -= 1
+    return mat
+
+
+def _primes_per_block(monkeypatch, mat, bound):
+    """``(block, primes)`` for each block that ``charpoly_trailing`` hands
+    to ``_charpoly_mod``."""
     calls = []
     charpoly_mod = _linalg._charpoly_mod
 
@@ -180,20 +187,93 @@ def test_charpoly_trailing_uses_fewest_primes_per_block(monkeypatch):
         return charpoly_mod(mat, p)
 
     monkeypatch.setattr(_linalg, "_charpoly_mod", record)
-    mat = _block_diagonal_case(make_rng(11))
-    bound = _caller_bound(mat)
     charpoly_trailing(mat, bound)
     blocks = {}
     for block, p in calls:
         blocks.setdefault(id(block), (block, []))[1].append(p)
     assert sum(block.shape[0] for block, _ in blocks.values()) == mat.shape[0]
-    assert max(len(primes) for _, primes in blocks.values()) > 1
-    for block, primes in blocks.values():
+    return list(blocks.values())
+
+
+def _schur(block):
+    """max over 1 <= k <= n of floor((F/k)**(k/2)), at least 1, by a loop
+    over every k."""
+    frob = int((block.astype(object) ** 2).sum())
+    return max([1] + [math.isqrt(frob ** k // k ** k)
+                      for k in range(1, block.shape[0] + 1)])
+
+
+def test_charpoly_trailing_uses_fewest_primes_per_block(monkeypatch):
+    # block b gets min(bound, R_b ** n_b, Schur's bound) and the fewest
+    # primes whose product exceeds four times it
+    mat = _block_diagonal_case(make_rng(11))
+    bound = _caller_bound(mat)
+    blocks = _primes_per_block(monkeypatch, mat, bound)
+    assert max(len(primes) for _, primes in blocks) > 1
+    for block, primes in blocks:
         growth = max(1, int(np.abs(block).sum(axis=1).max()))
-        block_bound = min(bound, growth ** block.shape[0])
+        block_bound = min(bound, growth ** block.shape[0], _schur(block))
         prod = math.prod(primes)
         assert prod > 4 * block_bound
         assert prod // primes[-1] <= 4 * block_bound
+
+
+def test_charpoly_trailing_schur_bound_saves_primes(monkeypatch):
+    # the Z/64 cycle Laplacian: Schur's bound 6**32 is below both the
+    # caller's 4**64 and Gershgorin's 4**64, so 4 primes serve, not 6
+    mat = _cycle_laplacian(64)
+    assert _schur(mat) == math.isqrt(6 ** 64) < 4 ** 64
+    [(block, primes)] = _primes_per_block(monkeypatch, mat, 4 ** 64)
+    assert len(primes) == 4
+    assert len(_crt_primes(4 ** 64)) == 6
+    assert charpoly_trailing(mat, 4 ** 64) == (63, -64 * 64)
+
+
+def _schur_cases(rng):
+    """Integer matrices of every kind the Schur bound must hold for."""
+    for n in range(1, 8):
+        # non-symmetric
+        yield np.array([[rng.randint(-5, 5) for _ in range(n)]
+                        for _ in range(n)], dtype=np.int64)
+        # a nilpotent Jordan part next to a random block: the rank exceeds
+        # the number of nonzero eigenvalues
+        k = rng.randint(0, n)
+        mat = np.zeros((n + 2, n + 2), dtype=np.int64)
+        mat[0, 1] = rng.choice([-3, -1, 2, 4])
+        mat[2:, 2:] = [[rng.randint(-3, 3) for _ in range(n)]
+                       for _ in range(n)]
+        mat[2:2 + k, 0] = 1
+        yield mat
+        # strictly upper triangular: nilpotent, trailing coefficient 1
+        yield np.triu([[rng.randint(-9, 9) for _ in range(n + 1)]
+                       for _ in range(n + 1)], 1).astype(np.int64)
+        # rank one
+        u = [rng.randint(-4, 4) for _ in range(n)]
+        v = [rng.randint(-4, 4) for _ in range(n)]
+        yield np.outer(u, v).astype(np.int64)
+        # a permutation matrix: R_b ** n_b = 1 is below Schur's bound
+        yield np.eye(n, dtype=np.int64)[rng.sample(range(n), n)]
+        yield np.zeros((n, n), dtype=np.int64)
+    # entries near 2**31: their squares sum past int64
+    big = 2 ** 31 - 1
+    yield np.array([[big, -big, big], [big, big - 1, -big],
+                    [-big, big, big - 2]], dtype=np.int64)
+
+
+def test_schur_bound_dominates_exact_trailing_coefficient():
+    rng = make_rng(13)
+    saw_gershgorin_smaller = False
+    for mat in _schur_cases(rng):
+        coeffs = charpoly_exact(mat.tolist())
+        nz = [i for i, c in enumerate(coeffs) if c]
+        schur = _linalg._schur_bound(mat)
+        assert schur == _schur(mat)
+        assert abs(coeffs[nz[0]]) <= schur
+        growth = max(1, int(np.abs(mat).sum(axis=1).max()))
+        saw_gershgorin_smaller |= growth ** mat.shape[0] < schur
+        rank, coeff = charpoly_trailing(mat, 10 ** 40)
+        assert (rank, coeff) == (mat.shape[0] - nz[0], coeffs[nz[0]])
+    assert saw_gershgorin_smaller
 
 
 def _entry_types(cols):
@@ -244,6 +324,19 @@ def _charpoly_cases(rng):
         k = n // 2
         yield [[rng.randint(-3, 3) if (i < k) == (j < k) else 0
                 for j in range(n)] for i in range(n)]
+        # sparse columns, where only some rows below the diagonal are
+        # cleared: a cycle Laplacian under a random permutation, a lower
+        # band, and an upper triangle whose column 0 has its one nonzero
+        # below the diagonal in the last row, so the pivot swap leaves no
+        # row to clear
+        perm = rng.sample(range(n), n)
+        yield _cycle_laplacian(n)[np.ix_(perm, perm)].tolist()
+        yield [[rng.randint(-3, 3) if 0 <= i - j <= 2 else 0
+                for j in range(n)] for i in range(n)]
+        mat = [[rng.randint(-3, 3) if j >= i else 0 for j in range(n)]
+               for i in range(n)]
+        mat[n - 1][0] = rng.randint(1, 3)
+        yield mat
 
 
 def test_charpoly_mod_matches_exact_residues():

@@ -1,3 +1,4 @@
+import copy
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -13,6 +14,7 @@ from l2mult.cli import main as cli_main
 from l2mult.runner import (ConfigInvalid, ExperimentConfig, ExperimentContext,
                            LevelRecord, build_chain, build_group)
 
+from conftest import make_rng
 from oracles import fixed_coset_count_oracle
 
 
@@ -600,3 +602,100 @@ def test_run_golden_variants_write_a_report(tmp_path, capsys, name,
                                     "for free_by_finite")
         else:
             assert "error" not in row and len(row["observed"]) == 2
+
+
+# Config mutations: values of the wrong type for any field, and for some
+# fields values out of range or of another family, H or action
+WRONG_TYPES = [None, "x", 3, -1, 2.5, True, [], [1, "a"], {}, {"0": 1}]
+OUT_OF_RANGE = {
+    ("group", "family"): ["free", "free_abelian", "dihedral_infinite",
+                          "free_by_finite", "bogus"],
+    ("group", "rank"): [0, -1, 3],
+    ("group", "h"): ["cyclic:3", "cyclic:1", "cyclic:0", "cyclic:-2",
+                     "dihedral:2", "abelian:2,2", "sym:3", "perm:[[1,0]]",
+                     "perm:x", "perm:[]", "cyclic:x", "abelian:", "bogus"],
+    ("group", "action"): [{"0": ["a", "b"]}, {"0": ["b", "a"]},
+                          {"0": ["a'"]}, {"0": ["x", "y"]}, {"0": "ab"},
+                          {"0": [5, 6]}, {"0": None}, [["a'", "b'"]],
+                          {"0": ["a'", "b'"], "1": ["a", "b"]},
+                          {"x": ["a'", "b'"]}, {"0": ["c", "b"]}],
+    ("chain", "base"): [0, 1, -2],
+    ("chain", "depth"): [0, -1],
+    ("chain", "orders"): [[-2, 4], [0], [3, 4], [4, 2], [2, "x"]],
+    ("chain", "template"): ["cyclic_mod", "abelianized_mod", "dihedral",
+                            "semidirect_mod", "bogus"],
+    ("degrees",): [[-1], [2], [0, 0]],
+    ("irreducibles",): [[-1], [99], "none"],
+    ("char_convergence",): [-1, 99, 0, 1, None],
+    ("infinite_centralizers",): [True, False],
+    ("b2",): [{"-1": "1"}, {"x": "1"}, {"1": "x"}, {"1": None}],
+    ("h_words",): [["1", "x"], ["1", "a"], ["c"]],
+}
+DROP = object()
+
+
+def _field_paths(data: dict) -> list[tuple]:
+    return [(k,) for k in data] + [(k, k2) for k in ("group", "chain")
+                                   if isinstance(data.get(k), dict)
+                                   for k2 in data[k]]
+
+
+def _mutate(data: dict, path: tuple, value) -> None:
+    target = data
+    for key in path[:-1]:
+        if not isinstance(target.get(key), dict):
+            target[key] = {}
+        target = target[key]
+    if value is DROP:
+        target.pop(path[-1], None)
+    else:
+        target[path[-1]] = value
+
+
+def config_mutants(rng, count: int):
+    """``count`` (label, config) pairs: a golden config at depth 2 with one
+    or two fields dropped, given a value of the wrong type, or given a value
+    out of range or of another family, H or action."""
+    for _ in range(count):
+        name = rng.choice(sorted(GOLDEN_CONFIGS))
+        data = copy.deepcopy(_two_levels(GOLDEN_CONFIGS[name]))
+        label = [name]
+        for _ in range(rng.randint(1, 2)):
+            kind = rng.choice(["drop", "type", "range"])
+            if kind == "range":
+                path = rng.choice(sorted(OUT_OF_RANGE))
+                value = rng.choice(OUT_OF_RANGE[path])
+            else:
+                path = rng.choice(_field_paths(data))
+                value = DROP if kind == "drop" else rng.choice(WRONG_TYPES)
+            _mutate(data, path, value if value is DROP
+                    else copy.deepcopy(value))
+            label.append(".".join(path) + ("" if value is DROP
+                                           else f"={value!r}"))
+        yield " ".join(label), data
+
+
+def test_cli_run_mutated_configs_never_crash(tmp_path, capsys):
+    # each mutant writes a report whose levels are records or recorded level
+    # errors (exit 0, or 2 when a level failed), or is refused with one
+    # "error: ..." line (exit 1); a library exception escaping cli.main
+    # fails the test
+    path = tmp_path / "cfg.json"
+    codes = set()
+    for i, (label, data) in enumerate(config_mutants(make_rng(60), 300)):
+        path.write_text(json.dumps(data))
+        out = tmp_path / str(i)
+        code = cli_main(["run", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        codes.add(code)
+        assert "Traceback" not in err, label
+        if code == 1:
+            assert err.startswith("error: ") and err.count("\n") == 1, label
+            continue
+        levels = json.loads((out / "report.json").read_text())["levels"]
+        assert [lv["level"] for lv in levels] == list(range(len(levels)))
+        assert levels, label
+        failed = [lv["error"] for lv in levels if lv["error"] is not None]
+        assert code == (2 if failed else 0), label
+        assert all(isinstance(e, str) and e for e in failed), label
+    assert codes == {0, 1, 2}
