@@ -23,8 +23,14 @@ a reconstruction bound, and each block takes the smallest of three:
   positivity is needed), which by AM-GM bounds it by (F/k)**(k/2).
 
 The block then takes the fewest primes whose product exceeds four times its
-bound.  The Hessenberg reduction touches, per column, only the rows with a
-nonzero entry to clear.
+bound, and one stacked pass serves all of them: the block is reduced to
+Hessenberg form modulo every prime at once, as one (n, n, P) array.  Each
+prime pivots on its own first nonzero row below the diagonal, and a column
+clears the union over the primes of the rows with a nonzero entry, where a
+zero entry gives that prime a zero multiplier.  The recurrence for the
+characteristic polynomial then runs modulo x**k, which is exact for the
+coefficients below x**k: k starts at 2 and doubles while every prime sees
+only zeros there.
 """
 
 from __future__ import annotations
@@ -138,7 +144,7 @@ def _is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -151,8 +157,8 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-# 25-bit primes, largest first; they keep all modular numpy arithmetic
-# inside int64.
+# 25-bit primes, largest first: a sum of up to 2**13 products of two
+# residues stays inside int64, which covers every block of up to 8192 rows.
 _PRIME_CACHE: list[int] = []
 
 
@@ -170,62 +176,101 @@ def _crt_primes(bound: int) -> list[int]:
     return _PRIME_CACHE[:count]
 
 
-def _hessenberg_mod(mat: np.ndarray, p: int) -> np.ndarray:
-    h = np.mod(mat, p).astype(np.int64)
+def _hessenberg_mod(mat: np.ndarray, primes: list[int]) -> np.ndarray:
+    """Upper Hessenberg forms of the integer matrix ``mat`` modulo each of
+    ``primes``, as one (n, n, P) stack: ``h[:, :, i]`` is similar to
+    ``mat`` modulo ``primes[i]``.
+
+    Each prime takes as the pivot of column j the first row below the
+    diagonal that is nonzero modulo it, so the primes may swap different
+    rows.  The rows cleared are the union over the primes of the rows with
+    a nonzero entry to clear; where the entry is zero modulo a prime, its
+    multiplier is 0 and that prime's row and column are left as they are.
+    """
+    ps = np.array(primes, dtype=np.int64)
+    h = np.mod(np.asarray(mat, dtype=np.int64)[:, :, None], ps)
     n = h.shape[0]
     for j in range(n - 2):
-        col = h[j + 1:, j]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        piv = int(nz[0]) + j + 1
-        if piv != j + 1:
-            h[[j + 1, piv], :] = h[[piv, j + 1], :]
-            h[:, [j + 1, piv]] = h[:, [piv, j + 1]]
-        # after the swap, row piv holds the old row j + 1, zero in column
-        # j; the rows to clear are the later nonzeros, and a row or column
-        # with a zero multiplier is left as it is
-        rows = nz[1:] + j + 1
+        pivots = h[j + 1, j].tolist()
+        if 0 in pivots:
+            nz = np.logical_or.reduce(h[j + 1:, j], axis=1).nonzero()[0]
+            if nz.size == 0:
+                continue
+            k = int(nz[0]) + j + 1
+            if 0 not in h[k, j].tolist():
+                # every prime pivots on row k
+                h[[j + 1, k]] = h[[k, j + 1]]
+                h[:, [j + 1, k]] = h[:, [k, j + 1]]
+            else:
+                # each prime pivots on its own first nonzero row; one whose
+                # column is zero below the diagonal keeps row j + 1
+                piv = (h[j + 1:, j] != 0).argmax(axis=0) + j + 1
+                every = np.arange(len(primes))
+                top = h[j + 1, :, every]
+                h[j + 1, :, every] = h[piv, :, every]
+                h[piv, :, every] = top
+                left = h[:, j + 1, every]
+                h[:, j + 1, every] = h[:, piv, every]
+                h[:, piv, every] = left
+            pivots = h[j + 1, j].tolist()
+        rows = np.logical_or.reduce(h[j + 2:, j], axis=1).nonzero()[0]
         if rows.size == 0:
             continue
-        inv = pow(int(h[j + 1, j]), p - 2, p)
-        mult = (h[rows, j] * inv) % p
+        rows += j + 2
+        inv = np.array([pow(a, -1, p) if a else 0
+                        for a, p in zip(pivots, primes)], dtype=np.int64)
         # row j + 1 is zero left of column j
-        h[rows, j:] = (h[rows, j:] - np.outer(mult, h[j + 1, j:])) % p
-        h[:, j + 1] = (h[:, j + 1] + h[:, rows] @ mult) % p
+        block = h[rows, j:]
+        mult = block[:, 0] * inv % ps
+        block -= mult[:, None] * h[j + 1, j:]
+        block %= ps
+        h[rows, j:] = block
+        col = h[:, j + 1]
+        col += (h[:, rows] * mult).sum(axis=1)
+        col %= ps
     return h
 
 
-def _charpoly_mod(mat: np.ndarray, p: int) -> np.ndarray:
-    """Coefficients (index = power of x) of det(x*I - mat) mod p."""
-    n = mat.shape[0]
-    if n == 0:
-        return np.array([1], dtype=np.int64)
-    h = _hessenberg_mod(mat, p)
-    polys = np.zeros((n + 1, n + 1), dtype=np.int64)
+def _charpoly_mod(h: np.ndarray, primes: list[int], k: int) -> np.ndarray:
+    """Coefficients of x**0 .. x**(k-1) of det(x*I - h[:, :, i]) modulo
+    ``primes[i]``, as a (k, P) array, for an (n, n, P) stack of upper
+    Hessenberg matrices.
+
+    The recurrence p_m = x p_{m-1} - sum_r h[r, m-1] w_r p_r, over r < m
+    with w_r the product of the subdiagonal entries h[t, t-1] for
+    r < t < m, only multiplies by x and combines earlier polynomials, so
+    it is exact modulo x**k.
+    """
+    n, _, nprimes = h.shape
+    ps = np.array(primes, dtype=np.int64)
+    polys = np.zeros((n + 1, k, nprimes), dtype=np.int64)
     polys[0, 0] = 1
-    # prods[i - 1] = h[m-1, m-2] * ... * h[m-i, m-i-1] mod p, for i < m
-    prods = np.zeros(0, dtype=np.int64)
+    sub = np.diagonal(h, -1).T
+    # w[r] = w_r at step m, for lo <= r < m; w_r = 0 for r < lo, lo being
+    # past the last subdiagonal entry that is zero modulo every prime
+    w = np.ones((n, nprimes), dtype=np.int64)
+    zero = (~sub.any(axis=1)).tolist()
+    lo = 0
     for m in range(1, n + 1):
-        prev = polys[m - 1]
-        cur = np.zeros(n + 1, dtype=np.int64)
-        cur[1:] = prev[:-1]
-        cur = (cur - (int(h[m - 1, m - 1]) * prev) % p) % p
         if m >= 2:
-            prods = (int(h[m - 1, m - 2]) * np.concatenate(([1], prods))) % p
-            coefs = (h[m - 2::-1, m - 1] * prods) % p
-            if coefs.any():
-                # polys[m - 1 - i] has degree m - 1 - i < m - 1
-                acc = (coefs @ polys[m - 2::-1, : m - 1]) % p
-                cur[: m - 1] = (cur[: m - 1] - acc) % p
-        polys[m] = cur
+            if zero[m - 2]:
+                lo = m - 1
+            else:
+                part = w[lo:m - 1]
+                part *= sub[m - 2]
+                part %= ps
+        coef = h[lo:m, m - 1] * w[lo:m] % ps
+        cur = polys[m]
+        cur[1:] = polys[m - 1, :-1]
+        cur -= np.einsum("rp,rkp->kp", coef, polys[lo:m])
+        cur %= ps
     return polys[n]
 
 
-def _crt(residues: list[int], primes: list[int]) -> int:
+def _crt(residues: np.ndarray, primes: list[int]) -> int:
     modulus = 1
     value = 0
-    for r, p in zip(residues, primes):
+    for r, p in zip(residues.tolist(), primes):
         inc = ((r - value) * pow(modulus, -1, p)) % p
         value += modulus * inc
         modulus *= p
@@ -264,17 +309,21 @@ def _block_trailing(mat: np.ndarray, bound: int) -> tuple[int, int]:
     that product, so it cannot vanish modulo all of the primes, while every
     lower coefficient vanishes modulo each: the primes that certify the
     reconstruction also certify the rank, and no spare prime is needed.
+    One stacked Hessenberg reduction serves every prime, and the
+    recurrence keeps only the coefficients below x**k, from k = 2.  When
+    every prime sees zeros there, the trailing coefficient lies higher, so
+    k doubles; at k = n + 1 the leading coefficient 1 ends the search.
     """
     n = mat.shape[0]
     primes = _crt_primes(bound)
-    polys = [_charpoly_mod(mat, p) for p in primes]
-    first_nonzero = n
-    for coeffs in polys:
-        nz = np.nonzero(coeffs)[0]
-        if nz.size and nz[0] < first_nonzero:
-            first_nonzero = int(nz[0])
-    return n - first_nonzero, _crt([int(c[first_nonzero]) for c in polys],
-                                   primes)
+    h = _hessenberg_mod(mat, primes)
+    k = 2
+    while True:
+        low = _charpoly_mod(h, primes, min(k, n + 1))
+        seen = np.flatnonzero(low.any(axis=1))
+        if seen.size:
+            return n - int(seen[0]), _crt(low[seen[0]], primes)
+        k *= 2
 
 
 def _schur_bound(block: np.ndarray) -> int:

@@ -55,9 +55,9 @@ import numpy as np
 
 from ._linalg import (ColumnReduction, SparseCol, apply_columns, axpy,
                       column_reduce, int_entries)
-from .finite_groups import (CharacterTable, FiniteGroup, FiniteSubgroup,
-                            L2MultError, NotIntegral, NumericalDegeneracy,
-                            trivial_group)
+from .finite_groups import (CharacterTable, ConfigInvalid, FiniteGroup,
+                            FiniteSubgroup, L2MultError, NotIntegral,
+                            NumericalDegeneracy, trivial_group)
 from .characters import (CrossCheckFailed, check_normalizes,
                          finite_word_subgroup)
 from .spectral import (NotAComplex, induced_rep, irreducible_rep,
@@ -241,20 +241,57 @@ def builtin_tree_free_by_finite(group: FreeByFiniteGroup) -> EquivariantCWData:
     return EquivariantCWData(group, {0: [vertex], 1: cells1}, {1: boundary})
 
 
+_JSON_KINDS = {str: "strings", int: "integers", dict: "JSON objects",
+               list: "lists"}
+
+
+def _json_list(value, what: str, kind: type) -> list:
+    """``value`` if it is a list of ``kind``, else ``ConfigInvalid``."""
+    if not (isinstance(value, list)
+            and all(isinstance(v, kind) for v in value)):
+        raise ConfigInvalid(f"{what} must be a list of {_JSON_KINDS[kind]}, "
+                            f"got {value!r}")
+    return value
+
+
+def _by_degree(data: dict, key: str) -> list[tuple[int, object]]:
+    """The entries of the JSON object ``data[key]``, keyed by degree."""
+    table = data.get(key, {})
+    if not isinstance(table, dict):
+        raise ConfigInvalid(f"complex {key} must be a JSON object keyed by "
+                            f"degree, got {table!r}")
+    for p in table:
+        if not (isinstance(p, str) and p.isdecimal()):
+            raise ConfigInvalid(f"complex {key} has a degree {p!r} that is "
+                                f"not a non-negative integer")
+    return [(int(p), value) for p, value in table.items()]
+
+
 def cw_from_json(group: BuiltinGroup, data: dict) -> EquivariantCWData:
     """Equivariant complex from its JSON form: per dimension, orbit cells
-    with stabilizer word lists, and boundary entries as group-ring sums."""
+    with stabilizer word lists, and boundary entries as group-ring sums.
+    Input of the wrong shape raises ``ConfigInvalid``."""
+    if not (isinstance(data, dict) and "cells" in data):
+        raise ConfigInvalid(f"a complex must be a JSON object with cells, "
+                            f"got {data!r}")
     cells = {}
-    for p_str, orbit_list in data["cells"].items():
+    for p, orbit_list in _by_degree(data, "cells"):
         out = []
-        for record in orbit_list:
-            stab = tuple(group.word(w) for w in record.get("stabilizer", ["1"]))
-            signs = tuple(record.get("signs", [1] * len(stab)))
-            out.append(OrbitCell(stab, signs, record.get("label", "cell")))
-        cells[int(p_str)] = out
+        for record in _json_list(orbit_list, f"the cells of degree {p}",
+                                 dict):
+            stab = _json_list(record.get("stabilizer", ["1"]),
+                              "a stabilizer", str)
+            signs = _json_list(record.get("signs", [1] * len(stab)),
+                               "signs", int)
+            out.append(OrbitCell(tuple(group.word(w) for w in stab),
+                                 tuple(signs), record.get("label", "cell")))
+        cells[p] = out
     boundaries = {}
-    for p_str, rows in data.get("boundaries", {}).items():
-        boundaries[int(p_str)] = GroupRingMatrix.from_strings(group, rows)
+    for p, rows in _by_degree(data, "boundaries"):
+        rows = _json_list(rows, f"boundary {p}", list)
+        boundaries[p] = GroupRingMatrix.from_strings(
+            group, [_json_list(row, f"a row of boundary {p}", str)
+                    for row in rows])
     return EquivariantCWData(group, cells, boundaries)
 
 

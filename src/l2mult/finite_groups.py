@@ -68,6 +68,10 @@ class L2MultError(Exception):
     """Root of the package's errors: bad input and failed checks."""
 
 
+class ConfigInvalid(L2MultError):
+    """A configuration, or JSON input it names, of the wrong shape."""
+
+
 class GroupError(L2MultError):
     pass
 

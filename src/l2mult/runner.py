@@ -13,9 +13,10 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .finite_groups import (FiniteGroup, L2MultError, abelian_group,
-                            character_table, cyclic_group, dihedral_group,
-                            induced_value, semidirect_vector_group)
+from .finite_groups import (ConfigInvalid, FiniteGroup, L2MultError,
+                            abelian_group, character_table, cyclic_group,
+                            dihedral_group, induced_value,
+                            semidirect_vector_group)
 from .characters import (HNotNormalizing, LimitCharacterSpec,
                          check_normalizes, finite_word_subgroup,
                          fixed_coset_count, limit_value)
@@ -28,10 +29,6 @@ from .word_groups import (BuiltinGroup, FiniteIndexSubgroup, FreeAbelianGroup,
                           QuotientChain, QuotientMap, UnsupportedFamily, Word,
                           WordGroupError, intersection_heuristic,
                           validate_chain)
-
-
-class ConfigInvalid(L2MultError):
-    pass
 
 
 def _frac(x) -> Fraction:
@@ -179,7 +176,11 @@ def finite_group_from_spec(spec) -> FiniteGroup:
 
 def build_complex(spec, group: BuiltinGroup) -> EquivariantCWData:
     if isinstance(spec, dict) and "file" in spec:
-        with open(spec["file"]) as fh:
+        path = spec["file"]
+        if not isinstance(path, str):
+            raise ConfigInvalid(f"the complex file must be a path, got "
+                                f"{path!r}")
+        with open(path) as fh:
             return cw_from_json(group, json.load(fh))
     if isinstance(spec, dict) and "cells" in spec:
         return cw_from_json(group, spec)

@@ -5,7 +5,8 @@ import numpy as np
 
 from l2mult import FreeGroup, GroupRingMatrix, _linalg
 from l2mult._linalg import (_block_trailing, _charpoly_mod, _components,
-                            _crt_primes, charpoly_trailing, column_reduce)
+                            _crt_primes, _hessenberg_mod, charpoly_trailing,
+                            column_reduce)
 from l2mult.spectral import WordPermRep, operator_columns_exact
 
 from conftest import make_rng
@@ -178,21 +179,18 @@ def _cycle_laplacian(n):
 
 def _primes_per_block(monkeypatch, mat, bound):
     """``(block, primes)`` for each block that ``charpoly_trailing`` hands
-    to ``_charpoly_mod``."""
+    to the stacked ``_hessenberg_mod``."""
     calls = []
-    charpoly_mod = _linalg._charpoly_mod
+    hessenberg_mod = _linalg._hessenberg_mod
 
-    def record(mat, p):
-        calls.append((mat, p))
-        return charpoly_mod(mat, p)
+    def record(block, primes):
+        calls.append((block, primes))
+        return hessenberg_mod(block, primes)
 
-    monkeypatch.setattr(_linalg, "_charpoly_mod", record)
+    monkeypatch.setattr(_linalg, "_hessenberg_mod", record)
     charpoly_trailing(mat, bound)
-    blocks = {}
-    for block, p in calls:
-        blocks.setdefault(id(block), (block, []))[1].append(p)
-    assert sum(block.shape[0] for block, _ in blocks.values()) == mat.shape[0]
-    return list(blocks.values())
+    assert sum(block.shape[0] for block, _ in calls) == mat.shape[0]
+    return calls
 
 
 def _schur(block):
@@ -337,13 +335,51 @@ def _charpoly_cases(rng):
                for i in range(n)]
         mat[n - 1][0] = rng.randint(1, 3)
         yield mat
+        if n >= 3:
+            # primes that pivot on different rows: column 0 reads 3, then
+            # 1, below the diagonal, so modulo 3 the pivot is row 2 and
+            # modulo every other prime row 1; and a column 0 of multiples
+            # of 6, zero below the diagonal modulo 2 and 3 only
+            mat = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            mat[1][0], mat[2][0] = 3, 1
+            yield mat
+            mat = [row[:] for row in mat]
+            for i in range(1, n):
+                mat[i][0] = 6 * rng.randint(-2, 2)
+            yield mat
 
 
 def test_charpoly_mod_matches_exact_residues():
+    # one stacked pass serves every prime; each prime's residues, and each
+    # truncation modulo x**k, match the exact polynomial
     rng = make_rng(8)
-    primes = (2, 3, 5, 7) + tuple(_crt_primes(1 << 40))
+    primes = [2, 3, 5, 7] + _crt_primes(1 << 40)
     for mat in _charpoly_cases(rng):
+        n = len(mat)
         exact = charpoly_exact([[Fraction(x) for x in row] for row in mat])
-        for p in primes:
-            residues = _charpoly_mod(np.array(mat, dtype=np.int64), p)
-            assert residues.tolist() == [int(c) % p for c in exact]
+        h = _hessenberg_mod(np.array(mat, dtype=np.int64), primes)
+        assert h.shape == (n, n, len(primes))
+        assert not np.tril(np.moveaxis(h, 2, 0), -2).any()
+        residues = _charpoly_mod(h, primes, n + 1)
+        assert residues.T.tolist() == [[int(c) % p for c in exact]
+                                       for p in primes]
+        for k in range(1, n + 1):
+            assert np.array_equal(_charpoly_mod(h, primes, k), residues[:k])
+
+
+def test_charpoly_trailing_doubles_k_past_zero_coefficients():
+    # the truncated recurrence starts at x**2; a trailing coefficient at
+    # x**5 or x**33 needs k to double up to n + 1
+    for n in (5, 33):
+        jordan = np.eye(n, k=1, dtype=np.int64)
+        assert charpoly_trailing(jordan, 1) == (0, 1)
+    # a connected block whose zero eigenvalue has algebraic multiplicity 3:
+    # det(x*I - mat) = x**3 (x - 2)(x + 3)
+    rng = make_rng(14)
+    mat = np.triu([[rng.choice([-2, -1, 1, 2]) for _ in range(5)]
+                   for _ in range(5)], 1).astype(np.int64)
+    mat[3, 3], mat[4, 4] = 2, -3
+    assert len(_components(mat)) == 1
+    coeffs = charpoly_exact(mat.tolist())
+    assert coeffs[:4] == [0, 0, 0, -6]
+    assert charpoly_trailing(mat, 10 ** 6) == (2, -6)

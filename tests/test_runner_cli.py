@@ -11,6 +11,7 @@ from l2mult import (FiniteIndexSubgroup, FreeAbelianGroup,
                     rel_farber_diagnostic, run)
 from l2mult.characters import biset_character
 from l2mult.cli import main as cli_main
+from l2mult import runner
 from l2mult.runner import (ConfigInvalid, ExperimentConfig, ExperimentContext,
                            LevelRecord, build_chain, build_group)
 
@@ -463,6 +464,58 @@ def test_cli_run_bad_configs_print_errors(tmp_path, capsys):
         assert "Traceback" not in err, name
         if name == "semidirect_base_1":
             assert err == "error: chain base must be at least 2, got 1\n"
+
+
+_VERTEX = [{"label": "v"}]
+# inline complex specs over Z; all but the last two have the wrong JSON
+# shape, which cw_from_json refuses with ConfigInvalid
+BAD_COMPLEX_SPECS = {
+    "cells_int": {"cells": 5},
+    "cells_list": {"cells": []},
+    "orbits_int": {"cells": {"0": 5}},
+    "record_int": {"cells": {"0": [5]}},
+    "degree_x": {"cells": {"x": []}},
+    "stabilizer_int": {"cells": {"0": [{"stabilizer": 5}]}},
+    "stabilizer_string": {"cells": {"0": [{"stabilizer": "1"}]}},
+    "stabilizer_word_int": {"cells": {"0": [{"stabilizer": [5]}]}},
+    "signs_int": {"cells": {"0": [{"signs": 5}]}},
+    "boundaries_int": {"cells": {"0": _VERTEX}, "boundaries": 5},
+    "boundary_int": {"cells": {"0": _VERTEX}, "boundaries": {"1": 5}},
+    "boundary_row_int": {"cells": {"0": _VERTEX}, "boundaries": {"1": [5]}},
+    "boundary_entry_int": {"cells": {"0": _VERTEX},
+                           "boundaries": {"1": [[5]]}},
+    "boundary_degree_x": {"cells": {"0": _VERTEX},
+                          "boundaries": {"x": [["1"]]}},
+    # right shape, wrong content: refused by OrbitCell and Word parsing
+    "signs_strings": {"cells": {"0": [{"signs": ["a"]}]}},
+    "stabilizer_unknown_letter": {"cells": {"0": [{"stabilizer": ["zz"]}]}},
+}
+
+
+def test_cli_run_malformed_complex_specs_print_errors(tmp_path, capsys,
+                                                      monkeypatch):
+    # each is refused with exit 1 and one "error: ..." line; a complex
+    # "file" that is not a path is refused before anything is opened
+    opened = []
+    monkeypatch.setattr(runner, "open", lambda *a: opened.append(a),
+                        raising=False)
+    specs = dict(BAD_COMPLEX_SPECS, file_int={"file": 5})
+    for name, spec in specs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({
+            "group": {"family": "free_abelian", "rank": 1},
+            "complex": spec,
+            "chain": {"template": "cyclic_mod", "depth": 2}}))
+        assert cli_main(["run", str(path), "--out",
+                         str(tmp_path / name)]) == 1, name
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, name
+        shape_error = name not in ("signs_strings",
+                                   "stabilizer_unknown_letter")
+        if shape_error:
+            with pytest.raises(ConfigInvalid):
+                runner.build_complex(spec, FreeAbelianGroup(1))
+    assert opened == []
 
 
 # One config per chain template.  tests/data/reports.json holds what each
