@@ -193,25 +193,19 @@ def _hessenberg_mod(mat: np.ndarray, primes: list[int]) -> np.ndarray:
     for j in range(n - 2):
         pivots = h[j + 1, j].tolist()
         if 0 in pivots:
-            nz = np.logical_or.reduce(h[j + 1:, j], axis=1).nonzero()[0]
-            if nz.size == 0:
+            below = h[j + 1:, j] != 0
+            if not below.any():
                 continue
-            k = int(nz[0]) + j + 1
-            if 0 not in h[k, j].tolist():
-                # every prime pivots on row k
-                h[[j + 1, k]] = h[[k, j + 1]]
-                h[:, [j + 1, k]] = h[:, [k, j + 1]]
-            else:
-                # each prime pivots on its own first nonzero row; one whose
-                # column is zero below the diagonal keeps row j + 1
-                piv = (h[j + 1:, j] != 0).argmax(axis=0) + j + 1
-                every = np.arange(len(primes))
-                top = h[j + 1, :, every]
-                h[j + 1, :, every] = h[piv, :, every]
-                h[piv, :, every] = top
-                left = h[:, j + 1, every]
-                h[:, j + 1, every] = h[:, piv, every]
-                h[:, piv, every] = left
+            # each prime pivots on its own first nonzero row; one whose
+            # column is zero below the diagonal keeps row j + 1
+            piv = below.argmax(axis=0) + j + 1
+            every = np.arange(len(primes))
+            top = h[j + 1, :, every]
+            h[j + 1, :, every] = h[piv, :, every]
+            h[piv, :, every] = top
+            left = h[:, j + 1, every]
+            h[:, j + 1, every] = h[:, piv, every]
+            h[:, piv, every] = left
             pivots = h[j + 1, j].tolist()
         rows = np.logical_or.reduce(h[j + 2:, j], axis=1).nonzero()[0]
         if rows.size == 0:
@@ -246,23 +240,17 @@ def _charpoly_mod(h: np.ndarray, primes: list[int], k: int) -> np.ndarray:
     polys = np.zeros((n + 1, k, nprimes), dtype=np.int64)
     polys[0, 0] = 1
     sub = np.diagonal(h, -1).T
-    # w[r] = w_r at step m, for lo <= r < m; w_r = 0 for r < lo, lo being
-    # past the last subdiagonal entry that is zero modulo every prime
+    # w[r] = w_r at step m, for r < m
     w = np.ones((n, nprimes), dtype=np.int64)
-    zero = (~sub.any(axis=1)).tolist()
-    lo = 0
     for m in range(1, n + 1):
         if m >= 2:
-            if zero[m - 2]:
-                lo = m - 1
-            else:
-                part = w[lo:m - 1]
-                part *= sub[m - 2]
-                part %= ps
-        coef = h[lo:m, m - 1] * w[lo:m] % ps
+            part = w[:m - 1]
+            part *= sub[m - 2]
+            part %= ps
+        coef = h[:m, m - 1] * w[:m] % ps
         cur = polys[m]
         cur[1:] = polys[m - 1, :-1]
-        cur -= np.einsum("rp,rkp->kp", coef, polys[lo:m])
+        cur -= np.einsum("rp,rkp->kp", coef, polys[:m])
         cur %= ps
     return polys[n]
 

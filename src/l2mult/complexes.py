@@ -246,9 +246,11 @@ _JSON_KINDS = {str: "strings", int: "integers", dict: "JSON objects",
 
 
 def _json_list(value, what: str, kind: type) -> list:
-    """``value`` if it is a list of ``kind``, else ``ConfigInvalid``."""
+    """``value`` if it is a list of ``kind``, else ``ConfigInvalid``.  JSON
+    ``true`` and ``false`` are not integers."""
     if not (isinstance(value, list)
-            and all(isinstance(v, kind) for v in value)):
+            and all(isinstance(v, kind) and not isinstance(v, bool)
+                    for v in value)):
         raise ConfigInvalid(f"{what} must be a list of {_JSON_KINDS[kind]}, "
                             f"got {value!r}")
     return value

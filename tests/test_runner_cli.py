@@ -479,6 +479,7 @@ BAD_COMPLEX_SPECS = {
     "stabilizer_string": {"cells": {"0": [{"stabilizer": "1"}]}},
     "stabilizer_word_int": {"cells": {"0": [{"stabilizer": [5]}]}},
     "signs_int": {"cells": {"0": [{"signs": 5}]}},
+    "signs_bool": {"cells": {"0": [{"stabilizer": ["1"], "signs": [True]}]}},
     "boundaries_int": {"cells": {"0": _VERTEX}, "boundaries": 5},
     "boundary_int": {"cells": {"0": _VERTEX}, "boundaries": {"1": 5}},
     "boundary_row_int": {"cells": {"0": _VERTEX}, "boundaries": {"1": [5]}},
