@@ -270,22 +270,27 @@ def _crt(residues: np.ndarray, primes: list[int]) -> int:
 def _components(mat: np.ndarray) -> list[np.ndarray]:
     """Index sets, each sorted, of the connected components of the support
     graph of ``mat``: i and j are joined when mat[i, j] or mat[j, i] is
-    nonzero."""
-    adj = np.asarray(mat != 0, dtype=bool)
-    adj |= adj.T
-    unseen = np.ones(adj.shape[0], dtype=bool)
-    blocks = []
-    for start in range(adj.shape[0]):
-        if not unseen[start]:
-            continue
-        unseen[start] = False
-        members = frontier = np.array([start])
-        while frontier.size:
-            frontier = np.nonzero(adj[frontier].any(axis=0) & unseen)[0]
-            unseen[frontier] = False
-            members = np.concatenate((members, frontier))
-        blocks.append(np.sort(members))
-    return blocks
+    nonzero.  One union-find pass over the nonzero entries, each root the
+    smallest index of its component; the components come in the order of
+    their smallest index."""
+    n = mat.shape[0]
+    if n == 0:
+        return []
+    root = list(range(n))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    rows, cols = np.nonzero(mat)
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        a, b = find(i), find(j)
+        if a != b:
+            root[max(a, b)] = min(a, b)
+    labels = np.array([find(x) for x in range(n)], dtype=np.int64)
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 
 
 def _block_trailing(mat: np.ndarray, bound: int) -> tuple[int, int]:

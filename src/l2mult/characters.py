@@ -196,10 +196,18 @@ def finite_word_subgroup(words: list[Word], cap: int = 512):
                     elems.append(u)
                     frontier.append(u)
 
-    # products of closure words are already in canonical form
-    h_abs = FiniteGroup(elems, lambda a, b: a * b, name="H",
+    def mul(xs, y):
+        # products of closure words are already in canonical form
+        w = elems[y[0]]
+        return np.array([[seen[elems[x] * w]] for x in xs[:, 0]],
+                        dtype=np.int64).reshape(len(xs), 1)
+
+    # element i is the row (i,)
+    h_abs = FiniteGroup(np.arange(len(elems)), mul, name="H",
                         generators=sorted({seen[g] for g in gens}),
-                        labels=[str(w) for w in elems])
+                        label=lambda i: str(elems[i]),
+                        index=lambda rows: rows[:, 0],
+                        encode=lambda w: seen[w])
     return h_abs, elems
 
 

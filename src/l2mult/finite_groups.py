@@ -1,22 +1,28 @@
 """Exact arithmetic for finite groups on integer element indices.
 
-Element 0 is always the identity.  Groups carry their elements in a canonical
-raw form (permutation tuples, residue tuples, ...) and one raw product on
-them; ``FiniteGroup.mul`` is that product for one arbitrary pair.
+Element 0 is always the identity.  A group holds its elements as one
+(|G|, w) int64 array, ``FiniteGroup.rows``, and one raw product that
+multiplies a batch of rows by one element: ``products(xs, g)`` is x g for
+every x of the index list xs, one array operation, and ``mul(i, j)`` is the
+same product on one row.  An index map takes rows back to element indices:
+mixed radix for the cyclic, abelian, dihedral and semidirect families, so
+no constructor scans a list of elements, and a dict of row bytes for
+permutation groups and the default.  The abstract copy of a subgroup keeps
+its parent's rows, product and index map, the last read through a
+parent-to-local array.
 
 Translation tables.  On first use a group walks its right Cayley graph once,
-breadth first from the identity over its own ``generators``, with the raw
-product.  The walk fills ``right[k][x] = x * generators[k]`` and a spanning
-tree, x = parent[x] * generators[letter[x]], and raises ``GroupError`` when
-the generators do not reach every element.  Its memory is O(|G| k), never a
-|G| x |G| table, and it is the only place where raw products run at scale.
-Everything else is a lookup, filled in O(|G|) without a raw product:
+breadth first from the identity over its own ``generators``.  Each
+generator's table ``right[k][x] = x * generators[k]`` is one batched raw
+product over every row; the walk itself is a loop of lookups in those lists
+that fills a spanning tree, x = parent[x] * generators[letter[x]], and
+raises ``GroupError`` when the generators do not reach every element.  Its
+memory is O(|G| k), never a |G| x |G| table.  The rest is filled in O(|G|):
 
 * ``left(g)``, x -> g x, along the tree: g x = (g parent[x]) letter[x];
 * ``inverses``, along the tree too: x^-1 = letter[x]^-1 parent[x]^-1, the
   left translation of the letter inverted as a permutation;
-* ``right(g)``, x -> x g = (g^-1 x^-1)^-1, from the inverses and
-  ``left(g^-1)``.
+* ``right(g)``, x -> x g, one batched raw product.
 
 The translations by the identity and the generators are kept; the others are
 computed per call.
@@ -39,12 +45,16 @@ fixed-coset counts of the Farber diagnostics all come from it.  Normality
 goes through one test as well, ``FiniteSubgroup.normalized_by``, which
 reads the left translation of its element.
 
-The raw product remains where single pairs are asked for: the structure
-constants of ``character_table``, action checks, the H part of a
-free-by-finite word product, the coset blocks of ``spectral.induced_rep``,
-and the closure check of ``FiniteSubgroup``: a walk of a greedy generating
-set of the members, one raw product per member and generator.  Those
-generators are the abstract copy's, so that its walk is not |K|^2.
+Many single pairs are read off translation tables, not multiplied one by
+one: the structure constants of ``character_table`` (one ``right`` per
+class), the coset blocks of ``spectral.induced_rep`` (one ``left`` per
+element and per coset representative), and the closure check of
+``FiniteSubgroup``, which multiplies every member by each generator of a
+greedy generating set of the members in one batched product.  Those
+generators are the abstract copy's, so that its walk is not |K|^2.  A
+group-ring product (``word_groups.ring_mul``) makes one batched product per
+term of its right factor, and a free-by-finite word product reads its H part
+off H's right translations.
 
 Induced characters go through one formula, ``induced_value``: the value at
 g is sum_h i(g, h) chi(h) over the elements h of a finite subgroup, with the
@@ -55,9 +65,7 @@ built-in infinite group (``characters.limit_value``) alike.
 
 from __future__ import annotations
 
-import itertools
-import operator
-from collections import deque
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -97,20 +105,37 @@ class ConjugacyData:
 
 
 class FiniteGroup:
-    def __init__(self, elements, mul_raw, generators, name="G",
-                 labels=None, moduli=None):
-        self.elements = list(elements)
-        self.order = len(self.elements)
+    """A finite group on element indices 0..|G|-1, element 0 the identity.
+
+    ``rows`` holds one int64 row per element (a 1-D sequence gives rows of
+    width 1).  ``mul(xs, y)`` is the raw product: the (m, w) array of the
+    products x y of every row x of the (m, w) array ``xs`` by the one row
+    ``y``.  ``index(rows)`` gives the element index of every row as an int64
+    array; by default it is a dict of row bytes.  ``encode`` takes an
+    element in its family's own form to its row, for ``index_of``; by default
+    an int or nested tuples of ints are flattened.  ``label(i)`` names
+    element i; by default it prints its row as a tuple.
+    """
+
+    def __init__(self, rows, mul, generators, name="G", label=None,
+                 moduli=None, index=None, encode=None):
+        rows = np.asarray(rows, dtype=np.int64)
+        self.rows = rows.reshape(len(rows), -1)
+        self.order = len(self.rows)
         self.name = name
         # cyclic factors (m_1, ..., m_r) of an abelian group whose element i
         # is np.unravel_index(i, moduli) in Z/m_1 x ... x Z/m_r; else None
         self.moduli = moduli
-        self._index = {e: i for i, e in enumerate(self.elements)}
-        if len(self._index) != self.order:
+        self._mul_rows = mul
+        if index is None:
+            index = _bytes_index({r.tobytes(): i
+                                  for i, r in enumerate(self.rows)})
+        self._index = index
+        if not np.array_equal(index(self.rows), np.arange(self.order)):
             raise GroupError("duplicate elements")
-        self._mul_raw = mul_raw
+        self._encode = _flat if encode is None else encode
         self.generators = list(generators)
-        self._labels = labels
+        self._label = label
         # filled by ``_walk`` on first use
         self._right: list[list[int]] | None = None
         self._tree: tuple[list[int], list[int], list[int]] | None = None
@@ -124,41 +149,55 @@ class FiniteGroup:
 
     # -- basic structure ---------------------------------------------------
 
+    def products(self, xs, g: int) -> list[int]:
+        """x g for every element x of the index list (or slice) ``xs``: one
+        batched raw product."""
+        return self._index(self._mul_rows(self.rows[xs],
+                                          self.rows[g])).tolist()
+
     def mul(self, i: int, j: int) -> int:
-        """The raw product of one arbitrary pair."""
-        return self._index[self._mul_raw(self.elements[i], self.elements[j])]
+        """The raw product of one pair: the batched product on one row."""
+        return self.products([i], j)[0]
 
     def inv(self, i: int) -> int:
         return self.inverses[i]
 
     def index_of(self, raw) -> int:
-        return self._index[raw]
+        """The index of an element given in its family's form; KeyError when
+        no element has that form."""
+        try:
+            row = np.array(self._encode(raw), dtype=np.int64).reshape(1, -1)
+            i = int(self._index(row)[0]) \
+                if row.shape[1] == self.rows.shape[1] else -1
+        except (TypeError, ValueError, KeyError, IndexError):
+            i = -1
+        if not 0 <= i < self.order or (self.rows[i] != row[0]).any():
+            raise KeyError(raw)
+        return i
 
     def label(self, i: int) -> str:
-        if self._labels is not None:
-            return self._labels[i]
-        return str(self.elements[i])
+        if self._label is not None:
+            return self._label(i)
+        return str(tuple(self.rows[i].tolist()))
 
     # -- translation tables ------------------------------------------------
 
     def _walk(self):
-        """The one breadth-first walk with the raw product: right[k][x] =
-        x * generators[k] for every x, and the spanning tree of the walk,
-        x = parent[x] * generators[letter[x]], with its elements in the
-        order reached.  The generators' left translations and the inverse
-        array are filled along the tree."""
-        n, elems, index, mul = self.order, self.elements, self._index, \
-            self._mul_raw
-        gens = [elems[g] for g in self.generators]
-        right = [[0] * n for _ in gens]
+        """The one breadth-first walk of the right Cayley graph: right[k][x]
+        = x * generators[k] for every x, one batched raw product per
+        generator, and the spanning tree of the walk, x = parent[x] *
+        generators[letter[x]], with its elements in the order reached.  The
+        generators' left translations and the inverse array are filled
+        along the tree."""
+        n = self.order
+        right = [self.products(slice(None), g) for g in self.generators]
         parent, letter = [0] * n, [0] * n
         seen = bytearray(n)
         seen[0] = 1
         reached = [0]
         for x in reached:
-            ex = elems[x]
-            for k, g in enumerate(gens):
-                y = right[k][x] = index[mul(ex, g)]
+            for k, table in enumerate(right):
+                y = table[x]
                 if not seen[y]:
                     seen[y] = 1
                     parent[y], letter[y] = x, k
@@ -213,16 +252,12 @@ class FiniteGroup:
 
     def right(self, g: int) -> list[int]:
         """x -> x g for every element: the walk's table for the identity and
-        the generators, (g^-1 x^-1)^-1 in O(|G|) for the others.  The list
+        the generators, one batched raw product for the others.  The list
         may be shared; callers do not modify it."""
         if self._right is None:
             self._walk()
         out = self._rights.get(g)
-        if out is None:
-            inv = self._inverses
-            left = self.left(inv[g])
-            out = [inv[left[y]] for y in inv]
-        return out
+        return out if out is not None else self.products(slice(None), g)
 
     # -- conjugacy ---------------------------------------------------------
 
@@ -346,23 +381,26 @@ class FiniteSubgroup:
         if any(inverses[a] not in mem for a in self.members):
             raise GroupError("subgroup not closed under inverse")
         # a greedy generating set: each member that the earlier generators
-        # do not reach becomes one, and the walk multiplies the reached
-        # elements by it, so every element takes each step once, O(|K| k)
-        # raw products for k generators; a step that leaves the members
-        # breaks closure.  The abstract copy walks these generators.
-        reached, seen, gens = [0], {0}, []
+        # do not reach becomes one.  Its products with every member are one
+        # batched raw product, which must stay among the members; the walk
+        # then multiplies the reached elements by it through that table, so
+        # every element takes each step once, O(|K| k) for k generators.
+        # The abstract copy walks these generators.
+        pos = {m: i for i, m in enumerate(self.members)}
+        reached, seen, gens, tables = [0], {0}, [], []
         for a in self.members:
             if a in seen:
                 continue
+            table = parent.products(list(self.members), a)
+            if not mem.issuperset(table):
+                raise GroupError("subgroup not closed under product")
             gens.append(a)
+            tables.append(table)
             old = len(reached)
             for i, x in enumerate(reached):
-                for g in gens if i >= old else gens[-1:]:
-                    y = parent.mul(x, g)
+                for t in tables if i >= old else tables[-1:]:
+                    y = t[pos[x]]
                     if y not in seen:
-                        if y not in mem:
-                            raise GroupError(
-                                "subgroup not closed under product")
                         seen.add(y)
                         reached.append(y)
         if parent.order % len(self.members):
@@ -405,19 +443,18 @@ class FiniteSubgroup:
         return all(self.normalized_by(g) for g in self.parent.generators)
 
     def abstract_group(self) -> tuple[FiniteGroup, dict[int, int]]:
-        """The subgroup as a standalone FiniteGroup plus parent->local map."""
+        """The subgroup as a standalone FiniteGroup plus parent->local map:
+        the parent's rows of the members, with the parent's raw product."""
         if self._abstract is None:
-            parent = self.parent
-            locals_ = {m: i for i, m in enumerate(self.members)}
-            mem = self.members
-
-            def mul(a, b):
-                return locals_[parent.mul(mem[a], mem[b])]
-
-            grp = FiniteGroup(range(len(mem)), mul,
+            parent, mem = self.parent, self.members
+            locals_ = {m: i for i, m in enumerate(mem)}
+            local = np.full(parent.order, -1, dtype=np.int64)
+            local[list(mem)] = np.arange(len(mem))
+            grp = FiniteGroup(parent.rows[list(mem)], parent._mul_rows,
                               generators=[locals_[g] for g in self.generators],
                               name=f"{parent.name}-sub{len(mem)}",
-                              labels=[parent.label(m) for m in mem])
+                              label=lambda i: parent.label(mem[i]),
+                              index=lambda rows: local[parent._index(rows)])
             self._abstract = (grp, locals_)
         return self._abstract
 
@@ -445,60 +482,88 @@ class GroupHom:
 # Constructors
 # ---------------------------------------------------------------------------
 
+def _flat(raw) -> list:
+    """The row of an element given as an int or as nested tuples of ints."""
+    if isinstance(raw, (tuple, list)):
+        return [y for x in raw for y in _flat(x)]
+    return [raw]
+
+
+def _bytes_index(positions: dict):
+    """The index map of rows whose bytes are keys of ``positions``."""
+    def index(rows):
+        return np.fromiter((positions[r.tobytes()] for r in rows),
+                           dtype=np.int64, count=len(rows))
+    return index
+
+
+def _radix_index(strides):
+    """The mixed-radix index map sum_c row[c] * strides[c]."""
+    strides = np.asarray(strides, dtype=np.int64)
+    return lambda rows: rows @ strides
+
+
+def _vectors(moduli) -> np.ndarray:
+    """Z/m_1 x ... x Z/m_r as rows, the first coordinate most significant:
+    row i is np.unravel_index(i, moduli)."""
+    return np.indices(moduli).reshape(len(moduli), math.prod(moduli)).T
+
+
+def _strides(moduli) -> list[int]:
+    """The mixed-radix strides of ``_vectors(moduli)``."""
+    return [math.prod(moduli[c + 1:]) for c in range(len(moduli))]
+
+
 def trivial_group() -> FiniteGroup:
-    return FiniteGroup([0], lambda a, b: 0, name="1",
-                       generators=[], labels=["e"])
+    return FiniteGroup([0], lambda xs, y: xs, name="1", generators=[],
+                       label=lambda i: "e", index=_radix_index([0]))
 
 
 def cyclic_group(n: int) -> FiniteGroup:
     if n <= 0:
         raise GroupError("order must be positive")
-    labels = ["e"] + [f"g^{k}" if k > 1 else "g" for k in range(1, n)]
-    return FiniteGroup(list(range(n)), lambda a, b: (a + b) % n,
-                       name=f"C{n}",
-                       generators=[1] if n > 1 else [], labels=labels,
-                       moduli=(n,))
+    return FiniteGroup(np.arange(n), lambda xs, y: (xs + y) % n,
+                       name=f"C{n}", generators=[1] if n > 1 else [],
+                       label=lambda k: "e" if k == 0 else
+                       ("g" if k == 1 else f"g^{k}"),
+                       moduli=(n,), index=_radix_index([1]))
 
 
 def abelian_group(moduli) -> FiniteGroup:
     moduli = tuple(moduli)
     if any(m <= 0 for m in moduli):
         raise GroupError("moduli must be positive")
-    elems = list(itertools.product(*[range(m) for m in moduli]))
-
-    def mul(a, b):
-        return tuple((x + y) % m for x, y, m in zip(a, b, moduli))
-
-    gens = []
-    for i in range(len(moduli)):
-        if moduli[i] > 1:
-            e = [0] * len(moduli)
-            e[i] = 1
-            gens.append(elems.index(tuple(e)))
+    mods = np.array(moduli, dtype=np.int64)
+    strides = _strides(moduli)
+    gens = [strides[i] for i in range(len(moduli)) if moduli[i] > 1]
     name = "x".join(f"C{m}" for m in moduli)
-    return FiniteGroup(elems, mul, name=name, generators=gens,
-                       moduli=moduli)
+    return FiniteGroup(_vectors(moduli), lambda xs, y: (xs + y) % mods,
+                       name=name, generators=gens, moduli=moduli,
+                       index=_radix_index(strides))
 
 
 def dihedral_group(m: int) -> FiniteGroup:
-    """Dihedral group of order 2m: rotations (k,0) and reflections (k,1)."""
+    """Dihedral group of order 2m: rotations (k,0) and reflections (k,1),
+    element k + m e."""
     if m <= 0:
         raise GroupError("m must be positive")
-    elems = [(k, e) for e in (0, 1) for k in range(m)]
+    idx = np.arange(2 * m)
 
-    def mul(a, b):
-        k1, e1 = a
-        k2, e2 = b
-        return ((k1 + (k2 if e1 == 0 else -k2)) % m, e1 ^ e2)
+    def mul(xs, y):
+        # (k1, e1)(k2, e2) = (k1 + (-1)^e1 k2, e1 + e2)
+        return np.column_stack([(xs[:, 0] + (1 - 2 * xs[:, 1]) * y[0]) % m,
+                                xs[:, 1] ^ y[1]])
 
-    gens = [elems.index((1 % m, 0)), elems.index((0, 1))]
-    if m == 1:
-        gens = [elems.index((0, 1))]
-    labels = [("e" if k == 0 and e == 0 else
-               (f"r^{k}" if e == 0 else (f"r^{k}s" if k else "s")))
-              for (k, e) in elems]
-    return FiniteGroup(elems, mul, name=f"Dih{2*m}", generators=gens,
-                       labels=labels)
+    def label(i):
+        k, e = i % m, i // m
+        if e == 0:
+            return f"r^{k}" if k else "e"
+        return f"r^{k}s" if k else "s"
+
+    gens = [1 % m, m] if m > 1 else [m]
+    return FiniteGroup(np.column_stack([idx % m, idx // m]), mul,
+                       name=f"Dih{2*m}", generators=gens, label=label,
+                       index=_radix_index([1, m]))
 
 
 def from_generators(perms, cap: int = 10 ** 6) -> FiniteGroup:
@@ -510,29 +575,34 @@ def from_generators(perms, cap: int = 10 ** 6) -> FiniteGroup:
     for p in perms:
         if len(p) != degree or sorted(p) != list(range(degree)):
             raise GroupError("generators must be bijections on one finite set")
-    ident = tuple(range(degree))
+    gen_rows = np.array(perms, dtype=np.int64)
 
-    def compose(a, b):
-        # (a*b)(x) = a(b(x))
-        return tuple(a[b[x]] for x in range(degree))
+    def compose(xs, y):
+        # (x*y)(i) = x(y(i))
+        return xs[:, y]
 
-    elems = [ident]
-    seen = {ident: 0}
-    queue = deque([ident])
-    while queue:
-        x = queue.popleft()
-        for p in perms:
-            y = compose(x, p)
-            if y not in seen:
-                if len(elems) >= cap:
+    # breadth first, one layer at a time: the layer's products by every
+    # generator, in the order of the one-element-at-a-time walk
+    frontier = np.arange(degree, dtype=np.int64)[None]
+    seen = {frontier[0].tobytes(): 0}
+    rows = [frontier[0]]
+    while len(frontier):
+        new = []
+        for y in frontier[:, gen_rows].reshape(len(frontier) * len(perms),
+                                               degree):
+            key = y.tobytes()
+            if key not in seen:
+                if len(rows) >= cap:
                     raise ClosureTooLarge(f"closure exceeds cap {cap}")
-                seen[y] = len(elems)
-                elems.append(y)
-                queue.append(y)
+                seen[key] = len(rows)
+                rows.append(y)
+                new.append(y)
+        frontier = np.array(new, dtype=np.int64).reshape(len(new), degree)
 
-    gens = [seen[p] for p in perms if p != ident]
-    return FiniteGroup(elems, compose, name=f"Perm{len(elems)}",
-                       generators=sorted(set(gens)))
+    gens = [seen[g.tobytes()] for g in gen_rows]
+    return FiniteGroup(rows, compose, name=f"Perm{len(rows)}",
+                       generators=sorted(set(gens) - {0}),
+                       index=_bytes_index(seen))
 
 
 def symmetric_group(n: int) -> FiniteGroup:
@@ -548,10 +618,14 @@ def semidirect_vector_group(moduli, h_group: FiniteGroup,
     """(Z/m1 x ... x Z/mr) : H with H acting through integer matrices.
 
     ``gen_matrices`` maps H generator indices to r x r integer matrices; the
-    assignment is extended to all of H and checked for consistency.
+    assignment is extended to all of H and checked for consistency.  The
+    element (v, h) is the row (v_1, ..., v_r, h), element h |V| + i for the
+    vector v = np.unravel_index(i, moduli).
     """
     moduli = tuple(moduli)
     r = len(moduli)
+    if r * max(moduli, default=1) ** 2 >= 2 ** 63:
+        raise GroupError("moduli too large for int64 rows")
     ident_mat = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
 
     def mat_mul(a, b):
@@ -559,29 +633,28 @@ def semidirect_vector_group(moduli, h_group: FiniteGroup,
                  for j in range(r)] for i in range(r)]
 
     # action is a left action: M(x*g) = M(x) M(g)
-    mats = extend(h_group, gen_matrices, mat_mul, ident_mat)
+    mats = np.array(extend(h_group, gen_matrices, mat_mul, ident_mat),
+                    dtype=np.int64).reshape(h_group.order, r, r)
+    mods = np.array(moduli, dtype=np.int64)
+    h_rows, h_mul, h_index = h_group.rows, h_group._mul_rows, h_group._index
 
-    vec_elems = list(itertools.product(*[range(m) for m in moduli]))
-    elems = [(v, h) for h in range(h_group.order) for v in vec_elems]
+    def mul(xs, y):
+        # (v1, h1)(v2, h2) = (v1 + M(h1) v2, h1 h2)
+        h = xs[:, r]
+        vec = (xs[:, :r] + (mats @ y[:r])[h]) % mods
+        return np.column_stack([vec, h_index(h_mul(h_rows[h], h_rows[y[r]]))])
 
-    def mul(a, b):
-        v1, h1 = a
-        v2, h2 = b
-        return (tuple([sum(map(operator.mul, row, v2), x) % mod
-                       for x, row, mod in zip(v1, mats[h1], moduli)]),
-                h_group.mul(h1, h2))
-
-    gens = []
-    for i in range(r):
-        if moduli[i] > 1:
-            e = [0] * r
-            e[i] = 1
-            gens.append(elems.index((tuple(e), 0)))
-    zero = tuple([0] * r)
-    for g in h_group.generators:
-        gens.append(elems.index((zero, g)))
+    size = math.prod(moduli)
+    strides = _strides(moduli) + [size]
+    rows = np.column_stack([np.tile(_vectors(moduli), (h_group.order, 1)),
+                            np.repeat(np.arange(h_group.order), size)])
+    gens = [strides[i] for i in range(r) if moduli[i] > 1]
+    gens += [size * g for g in h_group.generators]
     name = "x".join(f"C{m}" for m in moduli) + f":{h_group.name}"
-    return FiniteGroup(elems, mul, name=name, generators=gens)
+    return FiniteGroup(rows, mul, name=name, generators=gens,
+                       label=lambda i: str((tuple(rows[i, :r].tolist()),
+                                            int(rows[i, r]))),
+                       index=_radix_index(strides))
 
 
 # ---------------------------------------------------------------------------
@@ -656,15 +729,15 @@ def character_table(group: FiniteGroup, max_order: int = 2000,
         raise GroupError(f"order {group.order} exceeds cap {max_order}")
     classes = group.conjugacy_classes()
     k = len(classes.representatives)
-    rep_pos = {rep: idx for idx, rep in enumerate(classes.representatives)}
     # structure constants a[i][j][l]: #{(x,y) in C_i x C_j : xy = rep_l}
     a = np.zeros((k, k, k), dtype=np.int64)
-    for i in range(k):
-        for x in classes.members[i]:
-            for rep_l, l in rep_pos.items():
+    inv, class_of = group.inverses, classes.class_of
+    for l, rep_l in enumerate(classes.representatives):
+        right = group.right(rep_l)
+        for i in range(k):
+            for x in classes.members[i]:
                 # count y with x*y = rep_l  <=>  y = x^-1 rep_l, then tally class
-                y = group.mul(group.inv(x), rep_l)
-                a[i][classes.class_of[y]][l] += 1
+                a[i][class_of[right[inv[x]]]][l] += 1
     rng = np.random.default_rng(20240531)
     for attempt in range(attempts):
         coeffs = rng.standard_normal(k)

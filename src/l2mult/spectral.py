@@ -281,14 +281,16 @@ def _coset_action(q_group: FiniteGroup, h_sub: FiniteSubgroup):
     abstract subgroup."""
     _, to_local = h_sub.abstract_group()
     reps, coset_of = h_sub.cosets()
-    mul, inv = q_group.mul, q_group.inv
+    # h = t_i^-1 g t_j, one left translation per coset representative
+    back = [q_group.left(q_group.inv(t)) for t in reps]
 
     def blocks(g):
+        left = q_group.left(g)
         out = []
         for t in reps:
-            u = mul(g, t)
+            u = left[t]
             i = coset_of[u]
-            out.append((i, to_local[mul(inv(reps[i]), u)]))
+            out.append((i, to_local[back[i][u]]))
         return out
     return blocks
 
@@ -323,7 +325,7 @@ def induced_rep(q_group: FiniteGroup, h_sub: FiniteSubgroup, rho_h,
     # on the generators also sees where the other blocks go
     for s, t in itertools.product(q_group.generators, repeat=2):
         (dest_s, blocks_s), (dest_t, blocks_t) = rep.pair(s), rep.pair(t)
-        dest, blocks = rep.pair(q_group.mul(s, t))
+        dest, blocks = rep.pair(q_group.right(t)[s])
         if (dest != dest_s[dest_t]).any() or blocks is not None \
                 and np.abs(blocks - blocks_s[dest_t] @ blocks_t).max() > tol:
             raise CrossCheckFailed("induced rep is not a homomorphism on the "

@@ -68,6 +68,10 @@ class BuiltinGroup:
     def mul(self, w1: "Word", w2: "Word") -> "Word":
         return w1 * w2
 
+    def products(self, xs, g: "Word") -> list["Word"]:
+        """x g for every word x of ``xs``."""
+        return [x * g for x in xs]
+
     def inv(self, w: "Word") -> "Word":
         return w.inverse()
 
@@ -347,6 +351,8 @@ class FreeByFiniteGroup(BuiltinGroup):
             raise WordGroupError("alphabet is limited to 26 letters")
         self._aut = self._extend_action(action)
         self._h_words = self._shortest_h_words()
+        # H's multiplication table by columns: h1 h2 = self._h_right[h2][h1]
+        self._h_right = [h_group.right(g) for g in range(h_group.order)]
 
     def _parse_free(self, w):
         if isinstance(w, str):
@@ -410,7 +416,7 @@ class FreeByFiniteGroup(BuiltinGroup):
         u1, h1 = d1
         u2, h2 = d2
         return (self.free.mul_data(u1, self.apply_aut(h1, u2)),
-                self.h_group.mul(h1, h2))
+                self._h_right[h2][h1])
 
     def inv_data(self, d):
         u, h = d
@@ -476,11 +482,12 @@ def format_ring_sum(terms: dict) -> str:
 def ring_mul(group, t1: dict, t2: dict) -> dict:
     """Product of two group-ring elements, each a dict from elements of
     ``group`` to coefficients."""
-    mul = group.mul
+    # g1 g2 for every g1 of t1, one batch per g2
+    cols = [group.products(list(t1), g2) for g2 in t2]
     out: dict = {}
-    for g1, c1 in t1.items():
+    for i, c1 in enumerate(t1.values()):
         # g -> g1 * g is injective, so each shifted copy of t2 is a plain dict
-        axpy(out, c1, {mul(g1, g2): c2 for g2, c2 in t2.items()})
+        axpy(out, c1, {col[i]: c2 for col, c2 in zip(cols, t2.values())})
     return out
 
 

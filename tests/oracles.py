@@ -1,12 +1,13 @@
 """Independent oracles for the exact routes of the library.
 
 None of them is used by the library itself.  Each recomputes a number by a
-different method: a floating harmonic projector, union-find on a graph,
-Hessenberg reduction over Fractions, an exhaustive scan of a group law, of
-its inverses or of its conjugation action, a loop over coset
-representatives, a conjugation scan over a whole quotient, ordinary
-induction summed over every conjugator, or a dense homology computation on
-a Cayley graph built without the package.
+different method: a floating harmonic projector, union-find on a graph, a
+dense breadth-first search of a support graph, Hessenberg reduction over
+Fractions, an exhaustive scan of a group law, of its inverses or of its
+conjugation action, a Cayley walk with one raw product per pair, a loop
+over coset representatives, a conjugation scan over a whole quotient,
+ordinary induction summed over every conjugator, or a dense homology
+computation on a Cayley graph built without the package.
 """
 
 from fractions import Fraction
@@ -44,6 +45,41 @@ def closed_by_scan(group, members) -> bool:
     """Whether a member set is closed under the raw product of every pair."""
     mem = set(members)
     return all(group.mul(a, b) in mem for a in mem for b in mem)
+
+
+def walk_by_pairs(group):
+    """The breadth-first walk of the right Cayley graph with one raw product
+    per (element, generator) pair: the right translations of the
+    generators, the spanning tree (reached, parent, letter) with x =
+    parent[x] * generators[letter[x]], the left translations of the
+    generators filled along the tree, and the inverses filled along it."""
+    n, gens = group.order, group.generators
+    right = [[0] * n for _ in gens]
+    parent, letter = [0] * n, [0] * n
+    seen = bytearray(n)
+    seen[0] = 1
+    reached = [0]
+    for x in reached:
+        for k, g in enumerate(gens):
+            y = right[k][x] = group.mul(x, g)
+            if not seen[y]:
+                seen[y] = 1
+                parent[y], letter[y] = x, k
+                reached.append(y)
+    if len(reached) != n:
+        raise GroupError("the generators do not generate")
+    lefts = []
+    for g in gens:
+        left = [0] * n
+        left[0] = g
+        for x in reached[1:]:
+            left[x] = right[letter[x]][left[parent[x]]]
+        lefts.append(left)
+    inverses = [0] * n
+    for x in reached[1:]:
+        # x = p s gives x^-1 = s^-1 p^-1, and s^-1 y is the y' with s y' = y
+        inverses[x] = lefts[letter[x]].index(inverses[parent[x]])
+    return right, (reached, parent, letter), lefts, inverses
 
 
 def conjugacy_classes_by_scan(group):
@@ -144,6 +180,27 @@ def graph_homology_oracle(qc, table):
                 raise ValueError(f"multiplicity {total} is not integral")
             mult[(p, i)] = m
     return betti, mult, traces
+
+
+def components_by_search(mat):
+    """Sorted index sets of the connected components of the support graph of
+    ``mat`` (i ~ j when mat[i, j] or mat[j, i] is nonzero), by a dense
+    breadth-first search from each unvisited index in turn."""
+    adj = np.asarray(mat != 0, dtype=bool)
+    adj |= adj.T
+    unseen = np.ones(adj.shape[0], dtype=bool)
+    blocks = []
+    for start in range(adj.shape[0]):
+        if not unseen[start]:
+            continue
+        unseen[start] = False
+        members = frontier = np.array([start])
+        while frontier.size:
+            frontier = np.nonzero(adj[frontier].any(axis=0) & unseen)[0]
+            unseen[frontier] = False
+            members = np.concatenate((members, frontier))
+        blocks.append(np.sort(members))
+    return blocks
 
 
 def charpoly_exact(mat):

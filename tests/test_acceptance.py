@@ -188,7 +188,7 @@ def _crosscheck_corpus():
         [s4.generators[0]]).members), cayley(s4)))
     # S3 < S4, the stabilizer of point 3: its degree-2 irreducible induces
     # a dense rep, which takes phi_betti's numeric route
-    corpus.append((s4, [x for x in range(s4.order) if s4.elements[x][3] == 3],
+    corpus.append((s4, [x for x in range(s4.order) if s4.rows[x, 3] == 3],
                    cayley(s4)))
     corpus.append((d24, [0, d24.index_of((6, 0)), d24.index_of((0, 1)),
                          d24.index_of((6, 1))], cayley(d24)))

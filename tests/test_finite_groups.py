@@ -11,7 +11,7 @@ from l2mult.runner import build_chain, build_group
 
 from conftest import make_rng
 from oracles import (check_axioms, closed_by_scan, conjugacy_classes_by_scan,
-                     induce_ordinary_oracle, inverse_by_scan)
+                     induce_ordinary_oracle, inverse_by_scan, walk_by_pairs)
 
 S3_GENS = [(1, 0, 2), (0, 2, 1)]
 
@@ -358,6 +358,49 @@ def test_translation_tables_match_the_raw_product(name):
     assert classes.sizes == [len(m) for m in classes.members]
 
 
+WALK_CORPUS = dict(TABLE_CORPUS, fbf4=lambda: _fbf_quotient(4),
+                   fbf5=lambda: _fbf_quotient(5),
+                   C1024=lambda: cyclic_group(1024))
+
+
+@pytest.mark.parametrize("name", WALK_CORPUS)
+def test_walk_matches_the_pair_product_walk(name):
+    group = WALK_CORPUS[name]()
+    right, tree, lefts, inverses = walk_by_pairs(group)
+    assert group.inverses == inverses
+    assert group._tree == tree
+    assert [group.right(g) for g in group.generators] == right
+    assert [group.left(g) for g in group.generators] == lefts
+
+
+def test_fbf_quotient_tables_take_no_single_pair_product(monkeypatch):
+    # every raw product made while the depth-5 chain and its tables are
+    # built multiplies every row of its group, or of the semidirect product
+    # that calls it, by one element
+    calls = []
+    init = FiniteGroup.__init__
+
+    def recording_init(self, rows, mul, *args, **kwargs):
+        def recorded(xs, y):
+            calls.append((self, len(xs)))
+            return mul(xs, y)
+        init(self, rows, recorded, *args, **kwargs)
+
+    def no_pair(self, i, j):
+        raise AssertionError("single-pair raw product")
+
+    monkeypatch.setattr(FiniteGroup, "__init__", recording_init)
+    monkeypatch.setattr(FiniteGroup, "mul", no_pair)
+    target = _fbf_quotient(5)
+    assert target.order == 2048
+    sizes = {group.order for group, _ in calls}
+    assert all(batch in sizes for _, batch in calls)
+    assert min(batch for _, batch in calls) > 1
+    own = [batch for group, batch in calls if group is target]
+    # the walk's three generators and two inverse letters of QuotientMap
+    assert own == [2048] * 5
+
+
 def test_abstract_subgroup_walks_a_small_generating_set():
     s4 = symmetric_group(4)
     h_abs, _ = s4.subgroup(range(s4.order)).abstract_group()
@@ -374,6 +417,32 @@ def test_generators_that_do_not_generate_are_rejected():
         c4.right(1)
     with pytest.raises(GroupError):
         c4.conjugacy_class(1)
+
+
+def test_index_of_reads_rows_in_the_family_form():
+    from l2mult import semidirect_vector_group
+    d4 = dihedral_group(4)
+    assert [d4.index_of((k, e)) for e in (0, 1) for k in range(4)] \
+        == list(range(8))
+    g = semidirect_vector_group([4, 4], cyclic_group(2),
+                                {1: [[-1, 0], [0, -1]]})
+    assert g.index_of(((1, 2), 1)) == 16 + 4 + 2
+    assert g.label(22) == "((1, 2), 1)"
+    s3 = symmetric_group(3)
+    # (a b)(x) = a(b(x))
+    assert s3.mul(s3.index_of((1, 0, 2)), s3.index_of((0, 2, 1))) \
+        == s3.index_of((1, 2, 0))
+    c4 = FiniteGroup(range(4), lambda a, b: (a + b) % 4, name="C4",
+                     generators=[1])
+    assert c4.index_of(3) == 3
+    # forms that no element has: out of range, the wrong width or type
+    for group, raw in ((d4, (5, 0)), (d4, (-1, 0)), (d4, (1, 0, 0)),
+                       (d4, "r"), (g, ((4, 0), 0)), (g, (1, 0)),
+                       (s3, (0, 0, 1)), (c4, 4)):
+        with pytest.raises(KeyError):
+            group.index_of(raw)
+    with pytest.raises(GroupError, match="duplicate elements"):
+        FiniteGroup([0, 1, 1], lambda a, b: a, generators=[])
 
 
 def test_subgroup_closure_walk_matches_the_raw_product():

@@ -10,7 +10,7 @@ from l2mult._linalg import (_block_trailing, _charpoly_mod, _components,
 from l2mult.spectral import WordPermRep, operator_columns_exact
 
 from conftest import make_rng
-from oracles import charpoly_exact
+from oracles import charpoly_exact, components_by_search
 
 
 def _random_matrix(rng, nrows, ncols, density=0.6, span=3):
@@ -383,3 +383,20 @@ def test_charpoly_trailing_doubles_k_past_zero_coefficients():
     coeffs = charpoly_exact(mat.tolist())
     assert coeffs[:4] == [0, 0, 0, -6]
     assert charpoly_trailing(mat, 10 ** 6) == (2, -6)
+
+
+def test_components_match_breadth_first_search():
+    # random supports of every density, permutations (cycles) and the empty
+    # matrix: the same sorted blocks in the same order
+    rng = np.random.default_rng(make_rng(40).randrange(2 ** 32))
+    cases = [np.zeros((0, 0), dtype=np.int64), np.eye(5, dtype=np.int64)]
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        cases.append((rng.random((n, n)) < rng.random() * 0.2)
+                     * rng.integers(-3, 4, (n, n)))
+        cases.append(2 * np.eye(n, dtype=np.int64)
+                     - np.eye(n, dtype=np.int64)[rng.permutation(n)])
+    for mat in cases:
+        got, want = _components(mat), components_by_search(mat)
+        assert len(got) == len(want)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
