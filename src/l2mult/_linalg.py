@@ -1,17 +1,23 @@
 """Exact linear algebra kernels: sparse rational elimination and integer
 characteristic polynomials.
 
-Matrices are handled column-wise as ``dict[row_index, int | Fraction]`` so
-that the boundary matrices of quotient complexes (a handful of entries per
-column) and operator matrices of permutation representations stay cheap.
-Integral entries are Python ``int``: elimination turns them into ints when a
-column enters and divides only by pivots other than +-1, so a Fraction appears
-only after such a pivot, and results stay exact either way.  Characteristic
-polynomials of integer matrices are computed exactly by Hessenberg reduction
-modulo word-sized primes followed by CRT reconstruction, one connected
-component of the matrix's support graph at a time: the trailing nonzero
-coefficient is the product of the blocks' ones.  Only that coefficient needs
-a reconstruction bound, and each block takes the smallest of three:
+The exact elimination handles matrices column-wise as
+``dict[row_index, int | Fraction]``, so that the boundary matrices of
+quotient complexes (a handful of entries per column) and operator matrices
+of permutation representations stay cheap.  Integral entries are Python
+``int``: elimination turns them into ints when a column enters and divides
+only by pivots other than +-1, so a Fraction appears only after such a
+pivot, and results stay exact either way.  Boundaries are kept as one
+``ColumnStore`` each, CSC arrays whose entries are int64 when every entry
+is an integer inside int64 and exact Python numbers otherwise; products
+that could leave int64 are taken on Python integers (``exact_mul``).
+
+Characteristic polynomials of integer matrices are computed exactly by
+Hessenberg reduction modulo word-sized primes followed by CRT
+reconstruction, one connected component of the matrix's support graph at a
+time: the trailing nonzero coefficient is the product of the blocks' ones.
+Only that coefficient needs a reconstruction bound, and each block takes
+the smallest of three:
 
 * the caller's, derived from the coefficient sup-norm of the group-ring
   matrix, which bounds every block since each block coefficient is a
@@ -60,16 +66,127 @@ def axpy(acc: SparseCol, scale, col: SparseCol) -> None:
             acc.pop(r, None)
 
 
-def apply_columns(op_cols: list[SparseCol],
-                  vecs: list[SparseCol]) -> list[SparseCol]:
-    """Sparse columns of op @ V, with op and V given by their columns."""
-    out = []
-    for v in vecs:
-        acc: SparseCol = {}
-        for idx, c in v.items():
-            axpy(acc, c, op_cols[idx])
-        out.append(acc)
+_INT64_LIMIT = 1 << 63
+
+
+def exact_array(values: list) -> np.ndarray:
+    """The exact numbers ``values`` as one array: int64 when every value is
+    an integer inside int64 (an integral Fraction counts), else an object
+    array of the values, integral Fractions made ints."""
+    arr = np.array(values)
+    if not values or arr.dtype == np.int64 and arr.min() > -_INT64_LIMIT:
+        return arr.astype(np.int64)
+    values = [v.numerator if isinstance(v, Fraction) and v.denominator == 1
+              else v for v in values]
+    if all(type(v) is int and -_INT64_LIMIT < v < _INT64_LIMIT
+           for v in values):
+        return np.array(values, dtype=np.int64)
+    out = np.empty(len(values), dtype=object)
+    out[:] = values
     return out
+
+
+def exact_mul(a, b, terms: int = 1) -> np.ndarray:
+    """a * b elementwise and exactly, such that sums of up to ``terms`` of
+    the products stay exact too: in int64 when the largest such sum fits,
+    else on Python integers in an object array."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.dtype != object and b.dtype != object and a.size and b.size and \
+            int(np.abs(a).max()) * int(np.abs(b).max()) * terms \
+            >= _INT64_LIMIT:
+        a = a.astype(object)
+    return a * b
+
+
+class ColumnStore:
+    """Sparse columns in one compressed store (CSC): column j holds the rows
+    ``rows[indptr[j]:indptr[j + 1]]``, sorted and without zeros, with the
+    entries ``vals`` at the same positions.  ``vals`` is int64 when every
+    entry is an integer inside int64, and otherwise an object array of
+    exact ints and Fractions; one array code serves both.
+
+    ``len`` is the number of columns, and ``store[j]`` and iteration give
+    the columns as ``SparseCol`` dicts for the exact elimination."""
+
+    __slots__ = ("indptr", "rows", "vals")
+
+    def __init__(self, indptr: np.ndarray, rows: np.ndarray,
+                 vals: np.ndarray):
+        self.indptr, self.rows, self.vals = indptr, rows, vals
+
+    @classmethod
+    def from_dicts(cls, cols: list[SparseCol]) -> "ColumnStore":
+        cols = [sorted((r, v) for r, v in col.items() if v) for col in cols]
+        indptr = np.zeros(len(cols) + 1, dtype=np.int64)
+        indptr[1:] = np.cumsum([len(col) for col in cols])
+        entries = [e for col in cols for e in col]
+        return cls(indptr, np.array([r for r, _ in entries], dtype=np.int64),
+                   exact_array([v for _, v in entries]))
+
+    @classmethod
+    def from_entries(cls, ncols: int, nrows: int, cols: np.ndarray,
+                     rows: np.ndarray, vals: np.ndarray) -> "ColumnStore":
+        """The store of the entries (cols[i], rows[i], vals[i]), those at
+        one position summed and the sums that vanish dropped: one sort and
+        one segmented sum."""
+        key = cols * max(nrows, 1) + rows
+        order = np.argsort(key)
+        key, vals = key[order], vals[order]
+        if key.size:
+            new = np.empty(key.size, dtype=bool)
+            new[0] = True
+            np.not_equal(key[1:], key[:-1], out=new[1:])
+            starts = np.flatnonzero(new)
+            key, vals = key[starts], np.add.reduceat(vals, starts)
+            nonzero = vals != 0
+            key, vals = key[nonzero], vals[nonzero]
+        col, row = np.divmod(key, max(nrows, 1))
+        indptr = np.zeros(ncols + 1, dtype=np.int64)
+        np.cumsum(np.bincount(col, minlength=ncols), out=indptr[1:])
+        return cls(indptr, row, vals)
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def __getitem__(self, j: int) -> SparseCol:
+        a, b = self.indptr[j], self.indptr[j + 1]
+        return dict(zip(self.rows[a:b].tolist(), self.vals[a:b].tolist()))
+
+    def __iter__(self):
+        ptr = self.indptr.tolist()
+        rows, vals = self.rows.tolist(), self.vals.tolist()
+        for a, b in zip(ptr, ptr[1:]):
+            yield dict(zip(rows[a:b], vals[a:b]))
+
+    def lengths(self) -> np.ndarray:
+        """The number of entries of every column."""
+        return self.indptr[1:] - self.indptr[:-1]
+
+    def col_index(self) -> np.ndarray:
+        """The column of every entry."""
+        return np.repeat(np.arange(len(self)), self.lengths())
+
+    def take(self, cols: np.ndarray) -> "ColumnStore":
+        """The store of the columns ``cols``, in that order: one gather of
+        the entries of each."""
+        starts = self.indptr[cols]
+        lengths = self.indptr[cols + 1] - starts
+        indptr = np.zeros(len(cols) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        at = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+        return ColumnStore(indptr, self.rows[at], self.vals[at])
+
+    def product(self, other: "ColumnStore", nrows: int) -> "ColumnStore":
+        """The columns of A B, for A this store with ``nrows`` rows and B
+        ``other``: each entry b at (k, j) of B meets every entry a of
+        column k of A, and the products a b are sorted and summed."""
+        met = self.take(other.rows)
+        lengths = met.lengths()
+        vals = exact_mul(met.vals, np.repeat(other.vals, lengths),
+                         int(other.lengths().max(initial=0)))
+        return ColumnStore.from_entries(
+            len(other), nrows, np.repeat(other.col_index(), lengths),
+            met.rows, vals)
 
 
 class ColumnReduction:

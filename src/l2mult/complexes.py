@@ -1,11 +1,16 @@
 """Equivariant CW chain data over the built-in groups, finite quotient
 complexes with residual symmetry, exact homology, traces and multiplicities.
 
-A quotient complex stores exact rational boundary columns, and its symmetry
-group H permutes cells up to sign.  Its cells are filled double coset by
-double coset, S\\Q/K for each orbit with stabilizer image S and fiber K; an
-element reached twice in that fill is a stabilizer surviving in the
-quotient, so freeness is read off the fill and needs no pass of its own.
+A finite chain complex stores each boundary as one ``ColumnStore``, CSC
+arrays of exact entries (int64 for every integer boundary), and its
+symmetry group H permutes cells up to sign.  The quotient complex, the
+checks of the constructor and the Morse reduction work on these arrays
+with gathers and one sort-and-sum where entries meet; only the exact
+elimination reads columns as dicts.  The cells of a quotient are the
+double cosets S\\Q/K of each orbit, with stabilizer image S and fiber K,
+filled for every element at once by one gather; a double coset with
+repeated elements is a stabilizer surviving in the quotient, so freeness
+is read off the fill and needs no pass of its own.
 
 Every finite chain complex carries H and its action in one format: per
 degree p, two int64 arrays perms and signs of shape (|H|, n_p) with
@@ -37,12 +42,13 @@ first over the orbits: vertices with a nontrivial stabilizer are its roots
 and stay critical, and a free vertex orbit is paired with the free edge
 orbit that first reaches it, when the incidence is +-1 and the edge's other
 end lies in an orbit already reached.  The Morse boundary of a critical edge
-is the signed sum of its ends' roots, a 2-cell boundary loses the rows of
-the paired edges, and H acts on the critical cells by the restricted signed
-permutations.  The reduced complex is H-equivariantly chain-homotopy
-equivalent to the original, so it has the same multiplicities and traces;
-on a connected graph with an H-fixed vertex, only the vertices with a
-nontrivial stabilizer are left in degree 0.
+is the signed sum of its ends' roots, gathered from the root and
+coefficient arrays, a 2-cell boundary loses the rows of the paired edges,
+and H acts on the critical cells by the restricted signed permutations.
+The reduced complex is H-equivariantly chain-homotopy equivalent to the
+original, so it has the same multiplicities and traces; on a connected
+graph with an H-fixed vertex, only the vertices with a nontrivial
+stabilizer are left in degree 0.
 """
 
 from __future__ import annotations
@@ -53,8 +59,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._linalg import (ColumnReduction, SparseCol, apply_columns, axpy,
-                      column_reduce, int_entries)
+from ._linalg import (ColumnReduction, ColumnStore, SparseCol, axpy,
+                      exact_array, exact_mul, int_entries)
 from .finite_groups import (CharacterTable, ConfigInvalid, FiniteGroup,
                             FiniteSubgroup, L2MultError, NotIntegral,
                             NumericalDegeneracy, trivial_group)
@@ -380,7 +386,13 @@ def _image_rank(elim: ColumnReduction, action: tuple[np.ndarray, np.ndarray],
 
 class FiniteChainComplex:
     """Rational chain complex with a signed permutation action of a finite
-    symmetry group H; boundaries are stored as exact sparse columns.
+    symmetry group H.
+
+    ``boundaries[p] = (nrows, cols)``: d_p has ``nrows`` rows and its columns
+    in one ``ColumnStore`` (CSC arrays, int64 entries for every integer
+    boundary); a list of ``SparseCol`` dicts is converted once.  The checks
+    and the Morse reduction work on the arrays; the exact elimination reads
+    the columns as dicts.
 
     ``actions[p] = (perms, signs)``, two int64 arrays of shape (|H|, n_p):
     h e_c = signs[h, c] e_{perms[h, c]}.  The rows are a left action of
@@ -389,12 +401,16 @@ class FiniteChainComplex:
     rows."""
 
     def __init__(self, n_cells: dict[int, int],
-                 boundaries: dict[int, tuple[int, list[SparseCol]]],
+                 boundaries: dict[int, tuple[int, ColumnStore
+                                             | list[SparseCol]]],
                  sym_group: FiniteGroup | None = None,
                  actions: dict[int, tuple[np.ndarray, np.ndarray]]
                  | None = None):
         self.n_cells = dict(n_cells)
-        self.boundaries = boundaries
+        self.boundaries = {
+            p: (nrows, cols if isinstance(cols, ColumnStore)
+                else ColumnStore.from_dicts(cols))
+            for p, (nrows, cols) in boundaries.items()}
         self.sym_group = sym_group or trivial_group()
         self.actions = actions if actions is not None else {
             p: (np.arange(n, dtype=np.int64)[None],
@@ -411,12 +427,10 @@ class FiniteChainComplex:
             if len(cols) != self.n_cells.get(p, -1) or \
                     nrows != self.n_cells.get(p - 1, -1):
                 raise ComplexError(f"boundary {p} shape mismatch")
-        # d d = 0, exactly
-        for p, (_, cols) in self.boundaries.items():
+        # d d = 0, exactly: the sorted and summed product has no entry
+        for p, (nrows, cols) in self.boundaries.items():
             upper = self.boundaries.get(p + 1)
-            if upper is None:
-                continue
-            if any(apply_columns(cols, upper[1])):
+            if upper is not None and cols.product(upper[1], nrows).rows.size:
                 raise NotAComplex(f"d_{p} . d_{p + 1} != 0")
         # symmetry: signed permutations commuting with the boundaries
         if set(self.actions) != set(self.n_cells):
@@ -432,18 +446,26 @@ class FiniteChainComplex:
             if (np.abs(signs) != 1).any():
                 raise ComplexError("action signs must be +-1")
         # commutation with the boundaries on the generator rows; with the
-        # group action checked below, every row commutes then
+        # group action checked below, every row commutes then.  g d e_j =
+        # d g e_j sends each entry v at (r, j) to sign[j] lsign[r] v at
+        # (lperm[r], perm[j]), and d commutes with g exactly when these
+        # images, sorted into store order by one argsort, are the entries
+        # of d again
         gens = self.sym_group.generators
-        for p, (_, cols) in self.boundaries.items():
-            rows = zip(*(a[gens].tolist() for a in self.actions[p]),
-                       *(a[gens].tolist() for a in self.actions[p - 1]))
-            for perm, sign, lperm, lsign in rows:
-                for j, (pj, sj) in enumerate(zip(perm, sign)):
-                    lhs: SparseCol = {lperm[r]: lsign[r] * v
-                                      for r, v in cols[j].items()}
-                    if lhs != {r: sj * v for r, v in cols[pj].items()}:
-                        raise ComplexError(
-                            f"action does not commute with boundary {p}")
+        for p, (nrows, cols) in self.boundaries.items():
+            (perms, signs), (lperms, lsigns) = self.actions[p], \
+                self.actions[p - 1]
+            at_col = cols.col_index()
+            keys = at_col * nrows + cols.rows
+            for g in gens:
+                moved = perms[g][at_col] * nrows + lperms[g][cols.rows]
+                order = np.argsort(moved)
+                if not (np.array_equal(moved[order], keys)
+                        and np.array_equal((signs[g][at_col]
+                                            * lsigns[g][cols.rows]
+                                            * cols.vals)[order], cols.vals)):
+                    raise ComplexError(
+                        f"action does not commute with boundary {p}")
         # a left action: row 0 is the identity, and for each generator g and
         # every h, (g h) e_c = signs[h, c] g e_{perms[h, c]}
         lefts = [self.sym_group.left(g) for g in gens]
@@ -458,7 +480,15 @@ class FiniteChainComplex:
     def _elim(self, p: int) -> ColumnReduction | None:
         if p not in self._elims:
             bnd = self.boundaries.get(p)
-            self._elims[p] = None if bnd is None else column_reduce(bnd[1])
+            if bnd is None:
+                self._elims[p] = None
+            else:
+                # an empty column adds no rank, so only the others are read
+                cols = bnd[1]
+                nonempty = np.flatnonzero(cols.lengths())
+                elim = self._elims[p] = ColumnReduction()
+                for j, col in zip(nonempty.tolist(), cols.take(nonempty)):
+                    elim.add_column(j, col)
         return self._elims[p]
 
     def rank(self, p: int) -> int:
@@ -471,10 +501,15 @@ class FiniteChainComplex:
     def betti_numbers(self) -> dict[int, int]:
         return {p: self.betti(p) for p in self.dims()}
 
-    def cell_trace(self, h: int, p: int) -> Fraction:
+    def cell_traces(self, p: int) -> list[int]:
+        """Tr(h | C_p) for every h of H: the signed counts of the cells that
+        h fixes, one reduction over the (|H|, n_p) action."""
         perms, signs = self.actions[p]
-        fixed = perms[h] == np.arange(self.n_cells[p])
-        return Fraction(int(np.sum(signs[h, fixed])))
+        fixed = perms == np.arange(self.n_cells[p])
+        return np.where(fixed, signs, 0).sum(axis=1).tolist()
+
+    def cell_trace(self, h: int, p: int) -> Fraction:
+        return Fraction(self.cell_traces(p)[h])
 
     def multiplicities(self, table: CharacterTable) -> HomologyReport:
         """Betti numbers, multiplicities of the irreducibles of ``table`` and
@@ -490,6 +525,7 @@ class FiniteChainComplex:
         block_rank = dict.fromkeys(reduced.boundaries, 0)
         betti = dict.fromkeys(dims, 0)
         mult, trace = {}, {(p, h): 0 for p in dims for h in range(order)}
+        cell_traces = {p: reduced.cell_traces(p) for p in dims}
         for members, weights in galois_orbits(table):
             t = [weights[class_of[h]] for h in range(order)]
             degree = table.irreducibles[members[0]].degree
@@ -499,8 +535,7 @@ class FiniteChainComplex:
                 block_rank[q] += r
             for p in dims:
                 dim_c, rest = divmod(degree * sum(
-                    w * reduced.cell_trace(h, p) for h, w in enumerate(t)),
-                    order)
+                    w * c for w, c in zip(t, cell_traces[p])), order)
                 if rest:
                     raise NotIntegral(
                         f"isotypic block of irreducible {members[0]} in C_{p} "
@@ -532,15 +567,9 @@ class FiniteChainComplex:
 # Equivariant Morse reduction
 # ---------------------------------------------------------------------------
 
-def _other_end(col: SparseCol, x: int) -> tuple[int, int]:
-    """The row and entry of a two-entry column other than row x."""
-    (r, a), (s, b) = col.items()
-    return (s, b) if r == x else (r, a)
-
-
-def _spanning_forest(d1: list[SparseCol], perms0: np.ndarray,
-                     perms1: np.ndarray) -> tuple[list[int], list[int],
-                                                  list[int]]:
+def _spanning_forest(d1: ColumnStore, perms0: np.ndarray,
+                     perms1: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                                  np.ndarray]:
     """An H-invariant acyclic matching of vertices with edges, grown
     breadth first over the orbits of the graph.
 
@@ -548,20 +577,28 @@ def _spanning_forest(d1: list[SparseCol], perms0: np.ndarray,
     orbit where the search has to restart.  A free vertex orbit is paired
     with the free edge orbit that first reaches it, when the edge has two
     ends, the unreached one with incidence +-1, the other already reached:
-    v is paired with e and h v with h e for every h.  Returns, per vertex,
-    the paired edge (-1 for a critical vertex), and the root r and integer
-    coefficient c with v = c r modulo the boundaries of the paired edges:
-    from d e = a v + b w, v = -a b w.
+    v is paired with e and h v with h e for every h.  Returns three arrays:
+    per vertex, the paired edge (-1 for a critical vertex), and the root r
+    and integer coefficient c with v = c r modulo the boundaries of the
+    paired edges: from d e = a v + b w, v = -a b w.
     """
-    order, n0 = perms0.shape
-    free0 = ((perms0 == np.arange(n0)).sum(axis=0) == 1).tolist()
-    free1 = ((perms1 == np.arange(len(d1))).sum(axis=0) == 1).tolist()
+    n0, n1 = perms0.shape[1], len(d1)
+    free0 = (perms0 == np.arange(n0)).sum(axis=0) == 1
+    free1 = (perms1 == np.arange(n1)).sum(axis=0) == 1
+    # the search reads Python lists; coefficients stay ints
+    rows, vals, ptr = d1.rows.tolist(), d1.vals.tolist(), d1.indptr.tolist()
     p0, p1 = perms0.tolist(), perms1.tolist()
-    incident: list[list[int]] = [[] for _ in range(n0)]
-    for e, col in enumerate(d1):
-        if free1[e] and len(col) == 2:
-            for r in col:
-                incident[r].append(e)
+    # the incidences x -> v through the free two-ended edges e, with entry
+    # +-1 at v: each vertex's edges in increasing order, as the search
+    # meets them
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(n0)]
+    for e in np.flatnonzero(free1 & (d1.lengths() == 2)).tolist():
+        k = ptr[e]
+        x, y = rows[k], rows[k + 1]
+        if vals[k + 1] in (1, -1):
+            incident[x].append((y, e))
+        if vals[k] in (1, -1):
+            incident[y].append((x, e))
     paired, root, coef = [-1] * n0, [-1] * n0, [0] * n0
     queue: list[int] = []
 
@@ -570,25 +607,29 @@ def _spanning_forest(d1: list[SparseCol], perms0: np.ndarray,
             root[u], coef[u] = u, 1
             queue.append(u)
 
-    make_roots(v for v in range(n0) if not free0[v])
-    head = 0
+    make_roots(np.flatnonzero(~free0).tolist())
+    pos = 0
     for start in range(n0):
         if root[start] < 0:
             make_roots(sorted({row[start] for row in p0}))
-        while head < len(queue):
-            x = queue[head]
-            head += 1
-            for e in incident[x]:
-                v, a = _other_end(d1[e], x)
-                if root[v] >= 0 or a not in (1, -1):
+        while pos < len(queue):
+            x = queue[pos]
+            pos += 1
+            for v, e in incident[x]:
+                if root[v] >= 0:
                     continue
-                for h in range(order):
-                    u, f = p0[h][v], p1[h][e]
-                    w, b = _other_end(d1[f], u)
+                for row0, row1 in zip(p0, p1):
+                    u, f = row0[v], row1[e]
+                    k = ptr[f]
+                    if rows[k] == u:
+                        w, a_u, a_w = rows[k + 1], vals[k], vals[k + 1]
+                    else:
+                        w, a_u, a_w = rows[k], vals[k + 1], vals[k]
                     paired[u], root[u] = f, root[w]
-                    coef[u] = -d1[f][u] * b * coef[w]
+                    coef[u] = -a_u * a_w * coef[w]
                     queue.append(u)
-    return paired, root, coef
+    return (np.array(paired, dtype=np.int64), np.array(root, dtype=np.int64),
+            exact_array(coef))
 
 
 def morse_reduce(c: FiniteChainComplex) -> FiniteChainComplex:
@@ -598,7 +639,8 @@ def morse_reduce(c: FiniteChainComplex) -> FiniteChainComplex:
 
     The cells left unpaired by ``_spanning_forest`` are critical.  The
     Morse boundary of a critical edge is the sum of its ends' roots with the
-    coefficients of the forest; a 2-cell boundary drops the rows of the
+    coefficients of the forest, gathered from the root and coefficient
+    arrays and summed by one sort; a 2-cell boundary drops the rows of the
     paired edges; higher degrees are kept.  The complex is H-equivariantly
     chain-homotopy equivalent to ``c``, and H acts on it by the restricted
     signed permutations.  The constructor checks d.d = 0 and that the action
@@ -611,43 +653,43 @@ def morse_reduce(c: FiniteChainComplex) -> FiniteChainComplex:
     d1 = c.boundaries[1][1]
     paired, root, coef = _spanning_forest(d1, c.actions[0][0],
                                           c.actions[1][0])
-    paired_edges = np.zeros(len(d1), dtype=bool)
-    paired_edges[[e for e in paired if e >= 0]] = True
-    critical = {0: np.flatnonzero(np.array(paired) < 0),
-                1: np.flatnonzero(~paired_edges)}
+    # each entry v at row r of d_1 goes to the root of r, times the
+    # coefficient of r: the columns of the critical edges are the Morse
+    # boundary, and those of the paired edges vanish
+    flow = ColumnStore.from_entries(
+        len(d1), c.n_cells[0], d1.col_index(), root[d1.rows],
+        exact_mul(coef[d1.rows], d1.vals, int(d1.lengths().max(initial=0))))
+    paired_edges = paired[paired >= 0]
+    unpaired = np.ones(len(d1), dtype=bool)
+    unpaired[paired_edges] = False
+    critical = {0: np.flatnonzero(paired < 0), 1: np.flatnonzero(unpaired)}
     new_index = {}
     for p, cells in critical.items():
         new_index[p] = np.full(c.n_cells[p], -1, dtype=np.int64)
         new_index[p][cells] = np.arange(len(cells))
-    new0 = new_index[0].tolist()
-    cols1 = []
-    for e in critical[1].tolist():
-        col: SparseCol = {}
-        for r, v in d1[e].items():
-            axpy(col, coef[r] * v, {new0[root[r]]: 1})
-        cols1.append(col)
     n_cells = dict(c.n_cells)
     n_cells.update((p, len(cells)) for p, cells in critical.items())
     boundaries = dict(c.boundaries)
-    boundaries[1] = (n_cells[0], cols1)
+    # roots are critical, and new_index keeps their order
+    d1_new = flow.take(critical[1])
+    d1_new.rows = new_index[0][d1_new.rows]
+    boundaries[1] = (n_cells[0], d1_new)
     if 2 in boundaries:
-        new1 = new_index[1].tolist()
-        boundaries[2] = (n_cells[1], [{new1[r]: v for r, v in col.items()
-                                       if new1[r] >= 0}
-                                      for col in boundaries[2][1]])
+        d2 = boundaries[2][1]
+        rows = new_index[1][d2.rows]
+        on = rows >= 0
+        boundaries[2] = (n_cells[1], ColumnStore.from_entries(
+            len(d2), n_cells[1], d2.col_index()[on], rows[on], d2.vals[on]))
     actions = dict(c.actions)
     for p, cells in critical.items():
         perms, signs = c.actions[p]
         actions[p] = (new_index[p][perms[:, cells]], signs[:, cells])
     reduced = FiniteChainComplex(n_cells, boundaries, sym_group=c.sym_group,
                                  actions=actions)
-    # d f = a v + b w with v = -a b w: a coef(v) + b coef(w) = 0
-    for v, f in enumerate(paired):
-        if f >= 0:
-            w, b = _other_end(d1[f], v)
-            if root[v] != root[w] or d1[f][v] * coef[v] + b * coef[w]:
-                raise ComplexError("the Morse flow does not vanish on the "
-                                   "boundary of a paired edge")
+    # d f = a v + b w with v = -a b w: a coef(v) + b coef(w) = 0 at one root
+    if flow.lengths()[paired_edges].any():
+        raise ComplexError("the Morse flow does not vanish on the "
+                           "boundary of a paired edge")
     return reduced
 
 
@@ -657,9 +699,9 @@ def morse_reduce(c: FiniteChainComplex) -> FiniteChainComplex:
 
 @dataclass
 class QuotientOrbit:
-    cell_reps: list[int]                    # canonical double coset reps
+    cell_reps: np.ndarray                   # canonical double coset reps
     offset: int
-    dec: list[tuple[int, int]]              # Q element -> (cell id, sign)
+    dec: tuple[np.ndarray, np.ndarray]      # Q element -> cell id, sign
 
 
 class QuotientComplex(FiniteChainComplex):
@@ -668,6 +710,38 @@ class QuotientComplex(FiniteChainComplex):
         self.index = index
         self.orbits = orbits
         super().__init__(**kw)
+
+
+def _concat(parts: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+
+
+def _fill_orbit(q: FiniteGroup, cell: OrbitCell, stab_images: list[int],
+                fiber_rights: np.ndarray, offset: int) -> QuotientOrbit:
+    """The cells of one orbit in the quotient: the double cosets S u K,
+    each filled as s (u k) by one gather of the fiber's right tables over
+    the stabilizer images' left tables.
+
+    The reps are the elements that are the least of their double coset.
+    S u K has fewer than |S| |K| elements exactly when some u^-1 s u with
+    s != 1 lies in K, which holds for all of S u K or none of it; the least
+    rep whose images repeat names the coset where ``NotFree`` is raised."""
+    n = q.order
+    lefts = np.array([q.left(s) for s in stab_images], dtype=np.int64)
+    # images[k |S| + i, u] = s_i u k
+    images = fiber_rights[:, lefts].reshape(-1, n)
+    reps = np.flatnonzero(images.min(axis=0) == np.arange(n))
+    cosets = images[:, reps]
+    ranked = np.sort(cosets, axis=0)
+    repeats = (ranked[1:] == ranked[:-1]).any(axis=0)
+    if repeats.any():
+        raise NotFree(f"{cell.label}: stabilizer survives at coset "
+                      f"{q.label(int(reps[repeats.argmax()]))}")
+    cell_id = np.empty(n, dtype=np.int64)
+    sign = np.empty(n, dtype=np.int64)
+    cell_id[cosets] = np.arange(len(reps))
+    sign[cosets] = np.tile(cell.signs, len(fiber_rights))[:, None]
+    return QuotientOrbit(reps, offset, (cell_id, sign))
 
 
 def quotient_complex(cw: EquivariantCWData, gamma: FiniteIndexSubgroup,
@@ -679,18 +753,15 @@ def quotient_complex(cw: EquivariantCWData, gamma: FiniteIndexSubgroup,
     words when already built).
 
     Cells in the quotient are double cosets S\\Q/K with canonical minimal
-    representatives; signs come from decomposing elements as s.rep.k.
-    Freeness is read off this fill: S u K has fewer than |S| |K| elements
-    exactly when some u^-1 s u with s != 1 lies in K, which holds for all of
-    S u K or none of it.  So the first element reached twice names the
-    least coset u at which a stabilizer survives, and ``NotFree`` is raised
-    there.
+    representatives; signs come from decomposing elements as s.rep.k, and
+    each orbit's decomposition is two int64 arrays filled by one gather
+    (``_fill_orbit``), where freeness is read off too.  Each boundary is
+    one gather per group-ring term and one sort-and-sum per degree.
     """
     if cw.group is not gamma.group:
         raise ComplexError("complex and subgroup over different groups")
     qmap = gamma.via
     q = qmap.target
-    fiber = gamma.fiber.members
     if h_ctx is not None:
         h_abs, h_elem_words = h_ctx
     elif h_words:
@@ -702,61 +773,49 @@ def quotient_complex(cw: EquivariantCWData, gamma: FiniteIndexSubgroup,
         raise ComplexError("symmetry group collapses in the quotient")
     check_normalizes(gamma, h_images)
 
-    # S u K is filled as s (u k): left translations by the stabilizer
-    # images, right translations by the fiber
-    fiber_moves = [q.right(k) for k in fiber]
+    fiber_rights = np.array([q.right(k) for k in gamma.fiber.members],
+                            dtype=np.int64)
     orbits: dict[int, list[QuotientOrbit]] = {}
     n_cells: dict[int, int] = {}
     for p in cw.dims():
         orbit_list = []
         offset = 0
         for cell in cw.cells[p]:
-            stab_images = [(qmap.evaluate(w), sgn)
-                           for w, sgn in zip(cell.stabilizer, cell.signs)]
-            if len({im for im, _ in stab_images}) != len(stab_images):
+            stab_images = [qmap.evaluate(w) for w in cell.stabilizer]
+            if len(set(stab_images)) != len(stab_images):
                 raise NotFree(f"stabilizer of {cell.label} collapses "
                               f"in the quotient")
-            stab_moves = [(q.left(im), sgn) for im, sgn in stab_images]
-            dec: list[tuple[int, int] | None] = [None] * q.order
-            reps = []
-            for u in range(q.order):
-                if dec[u] is not None:
-                    continue
-                cell_id = len(reps)
-                reps.append(u)
-                for left, sgn in stab_moves:
-                    su = left[u]
-                    for right in fiber_moves:
-                        v = right[su]
-                        if dec[v] is not None:
-                            raise NotFree(
-                                f"{cell.label}: stabilizer survives at coset "
-                                f"{q.label(u)}")
-                        dec[v] = (cell_id, sgn)
-            orbit_list.append(QuotientOrbit(reps, offset, dec))
-            offset += len(reps)
+            orbit = _fill_orbit(q, cell, stab_images, fiber_rights, offset)
+            orbit_list.append(orbit)
+            offset += len(orbit.cell_reps)
         orbits[p] = orbit_list
         n_cells[p] = offset
 
-    boundaries: dict[int, tuple[int, list[SparseCol]]] = {}
+    # the term c g of entry (i, j) sends the cell of rep u of source orbit j
+    # to c times the cell of g u in target orbit i
+    boundaries: dict[int, tuple[int, ColumnStore]] = {}
+    lefts: dict[int, np.ndarray] = {}
     for p, mat in cw.boundaries.items():
         # integral coefficients become ints, so integer boundaries stay ints
         collected = {key: int_entries(terms) for key, terms
                      in push_matrix(qmap, mat).entries.items()}
-        lefts = {g: q.left(g) for terms in collected.values() for g in terms}
-        cols: list[SparseCol] = []
-        for j, src_orbit in enumerate(orbits[p]):
-            for u in src_orbit.cell_reps:
-                col: SparseCol = {}
-                for i, tgt_orbit in enumerate(orbits[p - 1]):
-                    terms = collected.get((i, j))
-                    if not terms:
-                        continue
-                    for g, c in terms.items():
-                        cell_id, sgn = tgt_orbit.dec[lefts[g][u]]
-                        axpy(col, sgn * c, {tgt_orbit.offset + cell_id: 1})
-                cols.append(col)
-        boundaries[p] = (n_cells[p - 1], cols)
+        # every sum is of at most ``terms`` products, so int64 pieces sum
+        # exactly; a piece that could leave int64 is an object array
+        terms = sum(len(entry) for entry in collected.values())
+        cols, rows, vals = [], [], []
+        for (i, j), entry in collected.items():
+            src, tgt = orbits[p][j], orbits[p - 1][i]
+            cell_id, sign = tgt.dec
+            for g, c in entry.items():
+                if g not in lefts:
+                    lefts[g] = np.array(q.left(g), dtype=np.int64)
+                moved = lefts[g][src.cell_reps]
+                cols.append(src.offset + np.arange(len(moved)))
+                rows.append(tgt.offset + cell_id[moved])
+                vals.append(exact_mul(sign[moved], exact_array([c]), terms))
+        boundaries[p] = (n_cells[p - 1], ColumnStore.from_entries(
+            n_cells[p], n_cells[p - 1], _concat(cols), _concat(rows),
+            _concat(vals)))
 
     # h e_c = e_{c h^-1}, a left action: the cell of rep u goes to
     # dec[u h^-1] of its orbit, for every h and u of an orbit in one gather
@@ -767,11 +826,11 @@ def quotient_complex(cw: EquivariantCWData, gamma: FiniteIndexSubgroup,
         perms = np.empty((len(h_images), n_cells[p]), dtype=np.int64)
         signs = np.empty_like(perms)
         for orbit in orbits[p]:
-            moved = np.array(orbit.dec, dtype=np.int64)[
-                rights[:, orbit.cell_reps]]
+            moved = rights[:, orbit.cell_reps]
+            cell_id, sign = orbit.dec
             cells = slice(orbit.offset, orbit.offset + len(orbit.cell_reps))
-            perms[:, cells] = orbit.offset + moved[..., 0]
-            signs[:, cells] = moved[..., 1]
+            perms[:, cells] = orbit.offset + cell_id[moved]
+            signs[:, cells] = sign[moved]
         actions[p] = (perms, signs)
 
     return QuotientComplex(index=gamma.index, orbits=orbits, sym_group=h_abs,
@@ -787,12 +846,12 @@ def export_boundaries_csv(qc: FiniteChainComplex, directory):
     directory.mkdir(parents=True, exist_ok=True)
     paths = []
     for p, (nrows, cols) in sorted(qc.boundaries.items()):
+        dense = np.zeros((nrows, len(cols)), dtype=cols.vals.dtype)
+        dense[cols.rows, cols.col_index()] = cols.vals
         path = directory / f"boundary_{p}.csv"
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for r in range(nrows):
-                writer.writerow([str(cols[j].get(r, 0))
-                                 for j in range(len(cols))])
+            csv.writer(fh).writerows([str(v) for v in row]
+                                     for row in dense.tolist())
         paths.append(path)
     return paths
 

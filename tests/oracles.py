@@ -6,15 +6,22 @@ dense breadth-first search of a support graph, Hessenberg reduction over
 Fractions, an exhaustive scan of a group law, of its inverses or of its
 conjugation action, a Cayley walk with one raw product per pair, a loop
 over coset representatives, a conjugation scan over a whole quotient,
-ordinary induction summed over every conjugator, or a dense homology
-computation on a Cayley graph built without the package.
+ordinary induction summed over every conjugator, a dense homology
+computation on a Cayley graph built without the package, a quotient complex
+filled with dict columns one double coset at a time, or a spanning forest
+searched on dict columns.
 """
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
-from l2mult.finite_groups import GroupError
+from l2mult._linalg import SparseCol, axpy, int_entries
+from l2mult.characters import check_normalizes, finite_word_subgroup
+from l2mult.complexes import ComplexError, NotFree, QuotientOrbit
+from l2mult.finite_groups import GroupError, trivial_group
+from l2mult.word_groups import push_matrix
 
 
 def check_axioms(group):
@@ -331,3 +338,151 @@ def involution_homology_oracle(n):
     m_triv = (b1 + trace_h1) / 2
     m_sign = (b1 - trace_h1) / 2
     return int(round(m_triv)), int(round(m_sign)), int(round(trace_h1))
+
+
+def quotient_by_dicts(cw, gamma, h_words=None, h_ctx=None):
+    """The quotient complex filled with dict columns, one double coset and
+    one group-ring term at a time: ``quotient_complex`` as it was before
+    its fill ran on arrays.  Returns the pieces unchecked: ``n_cells``,
+    ``orbits`` (reps and ``dec`` lists of (cell id, sign)), ``boundaries``
+    as (nrows, list of ``SparseCol``), ``actions`` and ``sym_group``."""
+    if cw.group is not gamma.group:
+        raise ComplexError("complex and subgroup over different groups")
+    qmap = gamma.via
+    q = qmap.target
+    fiber = gamma.fiber.members
+    if h_ctx is not None:
+        h_abs, h_elem_words = h_ctx
+    elif h_words:
+        h_abs, h_elem_words = finite_word_subgroup(h_words)
+    else:
+        h_abs, h_elem_words = trivial_group(), [cw.group.identity()]
+    h_images = [qmap.evaluate(w) for w in h_elem_words]
+    if len(set(h_images)) != h_abs.order:
+        raise ComplexError("symmetry group collapses in the quotient")
+    check_normalizes(gamma, h_images)
+
+    # S u K is filled as s (u k): left translations by the stabilizer
+    # images, right translations by the fiber
+    fiber_moves = [q.right(k) for k in fiber]
+    orbits: dict[int, list[QuotientOrbit]] = {}
+    n_cells: dict[int, int] = {}
+    for p in cw.dims():
+        orbit_list = []
+        offset = 0
+        for cell in cw.cells[p]:
+            stab_images = [(qmap.evaluate(w), sgn)
+                           for w, sgn in zip(cell.stabilizer, cell.signs)]
+            if len({im for im, _ in stab_images}) != len(stab_images):
+                raise NotFree(f"stabilizer of {cell.label} collapses "
+                              f"in the quotient")
+            stab_moves = [(q.left(im), sgn) for im, sgn in stab_images]
+            dec: list[tuple[int, int] | None] = [None] * q.order
+            reps = []
+            for u in range(q.order):
+                if dec[u] is not None:
+                    continue
+                cell_id = len(reps)
+                reps.append(u)
+                for left, sgn in stab_moves:
+                    su = left[u]
+                    for right in fiber_moves:
+                        v = right[su]
+                        if dec[v] is not None:
+                            raise NotFree(
+                                f"{cell.label}: stabilizer survives at coset "
+                                f"{q.label(u)}")
+                        dec[v] = (cell_id, sgn)
+            orbit_list.append(QuotientOrbit(reps, offset, dec))
+            offset += len(reps)
+        orbits[p] = orbit_list
+        n_cells[p] = offset
+
+    boundaries: dict[int, tuple[int, list[SparseCol]]] = {}
+    for p, mat in cw.boundaries.items():
+        # integral coefficients become ints, so integer boundaries stay ints
+        collected = {key: int_entries(terms) for key, terms
+                     in push_matrix(qmap, mat).entries.items()}
+        lefts = {g: q.left(g) for terms in collected.values() for g in terms}
+        cols: list[SparseCol] = []
+        for j, src_orbit in enumerate(orbits[p]):
+            for u in src_orbit.cell_reps:
+                col: SparseCol = {}
+                for i, tgt_orbit in enumerate(orbits[p - 1]):
+                    terms = collected.get((i, j))
+                    if not terms:
+                        continue
+                    for g, c in terms.items():
+                        cell_id, sgn = tgt_orbit.dec[lefts[g][u]]
+                        axpy(col, sgn * c, {tgt_orbit.offset + cell_id: 1})
+                cols.append(col)
+        boundaries[p] = (n_cells[p - 1], cols)
+
+    # h e_c = e_{c h^-1}, a left action: the cell of rep u goes to
+    # dec[u h^-1] of its orbit, for every h and u of an orbit in one gather
+    rights = np.array([q.right(h_images[h]) for h in h_abs.inverses],
+                      dtype=np.int64)
+    actions = {}
+    for p in cw.dims():
+        perms = np.empty((len(h_images), n_cells[p]), dtype=np.int64)
+        signs = np.empty_like(perms)
+        for orbit in orbits[p]:
+            moved = np.array(orbit.dec, dtype=np.int64)[
+                rights[:, orbit.cell_reps]]
+            cells = slice(orbit.offset, orbit.offset + len(orbit.cell_reps))
+            perms[:, cells] = orbit.offset + moved[..., 0]
+            signs[:, cells] = moved[..., 1]
+        actions[p] = (perms, signs)
+
+    return SimpleNamespace(index=gamma.index, orbits=orbits,
+                           sym_group=h_abs, n_cells=n_cells,
+                           boundaries=boundaries, actions=actions)
+
+
+def _other_end(col, x):
+    """The row and entry of a two-entry column other than row x."""
+    (r, a), (s, b) = col.items()
+    return (s, b) if r == x else (r, a)
+
+
+def forest_by_queue(d1, perms0, perms1):
+    """The H-invariant spanning forest of ``complexes._spanning_forest``,
+    searched as it was before it read the column store: the dict columns
+    ``d1`` and one Python queue, each edge's other end looked up in its
+    dict.  Returns the lists (paired, root, coef)."""
+    order, n0 = perms0.shape
+    free0 = ((perms0 == np.arange(n0)).sum(axis=0) == 1).tolist()
+    free1 = ((perms1 == np.arange(len(d1))).sum(axis=0) == 1).tolist()
+    p0, p1 = perms0.tolist(), perms1.tolist()
+    incident: list[list[int]] = [[] for _ in range(n0)]
+    for e, col in enumerate(d1):
+        if free1[e] and len(col) == 2:
+            for r in col:
+                incident[r].append(e)
+    paired, root, coef = [-1] * n0, [-1] * n0, [0] * n0
+    queue: list[int] = []
+
+    def make_roots(cells):
+        for u in cells:
+            root[u], coef[u] = u, 1
+            queue.append(u)
+
+    make_roots(v for v in range(n0) if not free0[v])
+    head = 0
+    for start in range(n0):
+        if root[start] < 0:
+            make_roots(sorted({row[start] for row in p0}))
+        while head < len(queue):
+            x = queue[head]
+            head += 1
+            for e in incident[x]:
+                v, a = _other_end(d1[e], x)
+                if root[v] >= 0 or a not in (1, -1):
+                    continue
+                for h in range(order):
+                    u, f = p0[h][v], p1[h][e]
+                    w, b = _other_end(d1[f], u)
+                    paired[u], root[u] = f, root[w]
+                    coef[u] = -d1[f][u] * b * coef[w]
+                    queue.append(u)
+    return paired, root, coef

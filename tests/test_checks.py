@@ -161,9 +161,9 @@ DINF_REFLECTION = {"group": {"family": "dihedral_infinite"},
 
 
 def _flip_first_sign_of_d2(kw):
-    col = kw["boundaries"][2][1][0]
-    row = min(col)
-    col[row] = -col[row]
+    """The entry of column 0 of d_2 at its least row changes sign."""
+    cols = kw["boundaries"][2][1]
+    cols.vals[cols.indptr[0]] *= -1
 
 
 def _flip_first_sign_of_reflection_on_edges(kw):
@@ -283,13 +283,14 @@ def _flip_root_signs(select):
 def _first_subtree(d1, paired):
     """The vertex of the first pairing and every vertex below it, which
     inherits its sign: one branch of one orbit."""
+    paired = paired.tolist()
     top = paired.index(min(e for e in paired if e >= 0))
 
     def below(u):
         while paired[u] >= 0:
             if u == top:
                 return True
-            u = complexes._other_end(d1[paired[u]], u)[0]
+            u = next(r for r in d1[paired[u]] if r != u)
         return False
     return [u for u in range(len(paired)) if below(u)]
 

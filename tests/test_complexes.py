@@ -12,7 +12,8 @@ from l2mult import (EquivariantCWData, FiniteIndexSubgroup, FreeAbelianGroup,
                     cw_from_json, cw_to_json, cyclic_group, dihedral_group,
                     export_boundaries_csv, finite_group_crosscheck,
                     from_generators, quotient_complex)
-from l2mult import complexes
+from l2mult import _linalg, complexes
+from l2mult._linalg import ColumnStore
 from l2mult.characters import HNotNormalizing, UnsupportedFamily
 from l2mult.complexes import (ComplexError, FiniteChainComplex, NotFree,
                               galois_orbits, materialize_regular,
@@ -22,7 +23,8 @@ from l2mult.spectral import NotAComplex
 from l2mult.word_groups import FiniteAlgebraMatrix
 
 from conftest import make_rng
-from oracles import freeness_oracle, graph_homology_oracle, hodge_trace
+from oracles import (forest_by_queue, freeness_oracle, graph_homology_oracle,
+                     hodge_trace, quotient_by_dicts)
 
 S3_GENS = [(1, 0, 2), (0, 2, 1)]
 
@@ -384,6 +386,22 @@ def test_chain_complex_checks_the_action_arrays():
         FiniteChainComplex(qc.n_cells, qc.boundaries, qc.sym_group)
 
 
+def test_cell_traces_count_fixed_cells_with_their_signs():
+    # the interval [v0, v1] with C2 swapping its ends: the flip fixes the
+    # edge with sign -1, so Tr(s | C_1) = -1, and H_0 is the trivial rep
+    c2 = cyclic_group(2)
+    actions = {0: (np.array([[0, 1], [1, 0]]), np.ones((2, 2), dtype=int)),
+               1: (np.array([[0], [0]]), np.array([[1], [-1]]))}
+    interval = FiniteChainComplex({0: 2, 1: 1}, {1: (2, [{0: -1, 1: 1}])},
+                                  c2, actions)
+    assert [interval.cell_traces(p) for p in (0, 1)] == [[2, 0], [1, -1]]
+    assert interval.cell_trace(1, 1) == Fraction(-1)
+    report = interval.multiplicities(character_table(c2))
+    assert report.multiplicities == {(0, 0): 1, (0, 1): 0, (1, 0): 0,
+                                     (1, 1): 0}
+    assert report.traces[(0, 1)] == 1
+
+
 def test_chain_complex_rejects_nonzero_dd():
     # d_1 = d_2 = [1] on one cell per degree: d_1 . d_2 = [1] != 0
     with pytest.raises(NotAComplex):
@@ -626,3 +644,134 @@ def test_galois_orbit_weights_give_central_idempotents():
                 large_orbits.add(name)
         assert identity == [1] + [0] * (g.order - 1), name
     assert large_orbits == {"C5", "A4"}
+
+
+def _chain_levels(*configs):
+    """(name, complex, level, H context) for every level of each chain, and
+    for the n x n torus quotients, n = 2, 3, 4, without H."""
+    for name, config in configs:
+        ctx = ExperimentContext(ExperimentConfig.from_json(config))
+        for n, level in enumerate(ctx.chain.levels):
+            yield f"{name} level {n}", ctx.cw, level, (ctx.h_abs, ctx.h_elems)
+    z2 = FreeAbelianGroup(2)
+    torus = cw_from_json(z2, TORUS)
+    for n in (2, 3, 4):
+        target = abelian_group([n, n])
+        yield f"torus {n}", torus, FiniteIndexSubgroup(
+            QuotientMap(z2, target, target.generators),
+            target.subgroup([0])), None
+
+
+def test_quotient_fill_matches_the_dict_fill():
+    from suites import C4_ROTATION, KLEIN_SWAP, S3_PERMUTING
+    levels = 0
+    for name, cw, level, h_ctx in _chain_levels(
+            ("dinf", DINF_CHAIN), ("fbf", FBF_CHAIN), ("c4", C4_ROTATION),
+            ("klein", KLEIN_SWAP), ("s3", S3_PERMUTING)):
+        qc = quotient_complex(cw, level, h_ctx=h_ctx)
+        expected = quotient_by_dicts(cw, level, h_ctx=h_ctx)
+        assert qc.n_cells == expected.n_cells, name
+        assert qc.sym_group.order == expected.sym_group.order, name
+        for p, orbits in expected.orbits.items():
+            for orbit, want in zip(qc.orbits[p], orbits, strict=True):
+                assert orbit.cell_reps.tolist() == want.cell_reps, name
+                assert orbit.offset == want.offset, name
+                cell_id, sign = orbit.dec
+                assert list(zip(cell_id.tolist(), sign.tolist())) == \
+                    want.dec, name
+        assert qc.boundaries.keys() == expected.boundaries.keys(), name
+        for p, (nrows, cols) in expected.boundaries.items():
+            assert qc.boundaries[p][0] == nrows, name
+            assert list(qc.boundaries[p][1]) == cols, name
+            assert qc.boundaries[p][1].vals.dtype == np.int64, name
+        for p, (perms, signs) in expected.actions.items():
+            assert np.array_equal(qc.actions[p][0], perms), name
+            assert np.array_equal(qc.actions[p][1], signs), name
+        levels += 1
+    assert levels == 11 + 6 + 3 + 3 + 2 + 3
+
+
+def _forest_corpus():
+    """Complexes for the spanning forest: every level of the graph chains,
+    and graphs without symmetry whose edges have entries other than +-1
+    (2, 1/2, 2**40 and a one-ended edge) and a vertex that no edge meets,
+    where the search restarts."""
+    from suites import C4_ROTATION, KLEIN_SWAP, S3_PERMUTING
+    for name, cw, level, h_ctx in _chain_levels(
+            ("dinf", DINF_CHAIN), ("fbf", FBF_CHAIN), ("c4", C4_ROTATION),
+            ("klein", KLEIN_SWAP), ("s3", S3_PERMUTING)):
+        yield name, quotient_complex(cw, level, h_ctx=h_ctx)
+    big = 2 ** 40
+    for name, scale in (("ints", 2), ("fractions", Fraction(1, 2)),
+                        ("beyond int64", big)):
+        cols = [{0: 1, 1: -1}, {1: scale, 2: -1}, {2: -1, 3: scale},
+                {3: scale, 4: 1}, {4: -scale, 5: 1}, {0: 3},
+                {1: -1, 5: scale}]
+        yield name, FiniteChainComplex({0: 7, 1: len(cols)}, {1: (7, cols)})
+
+
+def test_spanning_forest_matches_the_queue_search():
+    for name, c in _forest_corpus():
+        d1 = c.boundaries[1][1]
+        perms0, perms1 = c.actions[0][0], c.actions[1][0]
+        paired, root, coef = complexes._spanning_forest(d1, perms0, perms1)
+        assert (paired.tolist(), root.tolist(), coef.tolist()) == \
+            forest_by_queue(list(d1), perms0, perms1), name
+        reduced = morse_reduce(c)
+        assert reduced.betti_numbers() == c.betti_numbers(), name
+        if name == "beyond int64":
+            # the coefficients grow to 2**80, exactly
+            assert coef.dtype == object and max(map(abs, coef)) == 2 ** 80
+
+
+def test_column_store_keeps_exact_entries():
+    ints = ColumnStore.from_dicts([{3: 1, 0: -2}, {}, {1: Fraction(4, 2)}])
+    assert ints.vals.dtype == np.int64
+    assert ints.indptr.tolist() == [0, 2, 2, 3]
+    assert list(ints) == [{0: -2, 3: 1}, {}, {1: 2}] and ints[2] == {1: 2}
+    for value in (Fraction(1, 2), 2 ** 63, -2 ** 63):
+        exact = ColumnStore.from_dicts([{0: value, 1: 0}])
+        assert exact.vals.dtype == object and list(exact) == [{0: value}]
+    # int64 products would wrap: 2**62 * 4 = 2**64 reads 0
+    with pytest.raises(NotAComplex):
+        FiniteChainComplex({0: 1, 1: 1, 2: 1},
+                           {1: (1, [{0: 2 ** 62}]), 2: (1, [{0: 4}])})
+    # rational and very large boundaries of the line through the quotient
+    z = FreeAbelianGroup(1)
+    for coefficient in ("1/2", str(2 ** 70)):
+        line = cw_from_json(z, {
+            "cells": {"0": [{"label": "v"}], "1": [{"label": "e"}]},
+            "boundaries": {"1": [[f"{coefficient}*1 + -{coefficient}*a"]]}})
+        for n in (1, 4):
+            c = cyclic_group(n)
+            qc = quotient_complex(line, FiniteIndexSubgroup(
+                QuotientMap(z, c, [1 % n]), c.subgroup([0])))
+            # on one vertex the two terms cancel, and d_1 is empty
+            assert qc.boundaries[1][1].vals.dtype == \
+                (object if n > 1 else np.int64)
+            assert qc.betti_numbers() == {0: 1, 1: 1}
+            report = qc.multiplicities(character_table(qc.sym_group))
+            assert report.betti == {0: 1, 1: 1}
+
+
+def test_fbf_quotients_are_built_checked_and_reduced_on_arrays(monkeypatch):
+    # no dict arithmetic on cells, and no column read as a dict, while the
+    # depth-5 quotients are filled, validated and Morse-reduced
+    calls = []
+
+    def counted(name):
+        def record(*args, **kwargs):
+            calls.append(name)
+        return record
+    for module in (_linalg, complexes):
+        monkeypatch.setattr(module, "axpy", counted("axpy"))
+    for method in ("__getitem__", "__iter__"):
+        monkeypatch.setattr(ColumnStore, method, counted(method))
+    config = dict(FBF_CHAIN, chain={**FBF_CHAIN["chain"], "depth": 5})
+    ctx = ExperimentContext(ExperimentConfig.from_json(config))
+    sizes = []
+    for level in ctx.chain.levels:
+        qc = quotient_complex(ctx.cw, level, h_ctx=(ctx.h_abs, ctx.h_elems))
+        sizes.append(morse_reduce(qc).n_cells)
+    assert calls == []
+    assert sizes[-1] == {0: 4, 1: 4 ** 5 + 4}
