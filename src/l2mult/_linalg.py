@@ -23,10 +23,7 @@ the smallest of three:
   matrix, which bounds every block since each block coefficient is a
   nonzero integer dividing the whole one;
 * Gershgorin's ``R_b ** n_b`` (largest absolute row sum R_b, size n_b);
-* Schur's: the coefficient is +-the product of the k nonzero eigenvalues,
-  and sum |lambda_i|**2 <= F, the sum of the squared entries, for every
-  square complex matrix (Schur triangularization, so neither symmetry nor
-  positivity is needed), which by AM-GM bounds it by (F/k)**(k/2).
+* Schur's, from the sum of the squared entries (``_schur_bound``).
 
 The block then takes the fewest primes whose product exceeds four times its
 bound, and one stacked pass serves all of them: the block is reduced to
@@ -441,12 +438,15 @@ def _schur_bound(block: np.ndarray) -> int:
     ``block``: the largest ``isqrt(F**k // k**k)`` over 1 <= k <= n, and at
     least 1, with F the sum of the squared entries.
 
-    A coefficient c with k nonzero eigenvalues has c**2 <= (F/k)**k, so
-    |c| <= isqrt(floor((F/k)**k)), c being an integer.  k * log(F/k) is
-    concave with its maximum at F/e, so the largest term is at
-    min(n, floor(F/e)) or the next integer.  The float floor of F/e, with F
-    capped at 3n (F/e > n from there on, and the division cannot
-    overflow), may be off by one, so its neighbours are taken too.
+    The coefficient c is +-the product of the k nonzero eigenvalues, and
+    sum |lambda_i|**2 <= F for every square complex matrix (Schur
+    triangularization, so neither symmetry nor positivity is needed), so by
+    AM-GM c**2 <= (F/k)**k and |c| <= isqrt(floor((F/k)**k)), c being an
+    integer.  k * log(F/k) is concave with its maximum at F/e, so the
+    largest term is at min(n, floor(F/e)) or the next integer.  The float
+    floor of F/e, with F capped at 3n (F/e > n from there on, and the
+    division cannot overflow), may be off by one, so its neighbours are
+    taken too.
     """
     n = block.shape[0]
     frob = sum(v * v for v in block[np.nonzero(block)].tolist())
@@ -470,14 +470,8 @@ def charpoly_trailing(mat: np.ndarray, bound: int) -> tuple[int, int]:
     and the coefficient the product of the block coefficients.  Block b,
     of size n_b and largest absolute row sum R_b, gets the bound
     ``min(bound, max(1, R_b) ** n_b, _schur_bound(b))``, each of which
-    holds on its own.  Its coefficient is +-the product of its k <= n_b
-    nonzero eigenvalues.  R_b bounds each of them (Gershgorin).  Their
-    squared moduli sum to at most F, the sum of the squared entries of b,
-    by Schur's inequality, which holds for every square complex matrix;
-    by AM-GM the coefficient is then at most (F/k)**(k/2).  ``bound``
-    bounds it too, since it is a nonzero integer dividing the whole
-    coefficient.  Any valid bound certifies the result: see
-    ``_block_trailing``.
+    holds on its own (module docstring).  Any valid bound certifies the
+    result: see ``_block_trailing``.
     """
     rank, coeff = 0, 1
     for idx in _components(mat):

@@ -15,7 +15,6 @@ i-function of the built-in group G in place of a finite quotient's.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -89,32 +88,31 @@ def trivial_character(group: FiniteGroup) -> FiniteCharacter:
     return FiniteCharacter(group, [1.0] * k)
 
 
-def check_action(group: FiniteGroup, act, n_points: int, rng=None,
-                 samples: int = 50):
-    if rng is None:
-        rng = random.Random(1729)
-    for x in range(n_points):
-        if act(0, x) != x:
-            raise NotAnAction("identity does not act trivially")
-    pairs = [(g, h) for g in group.generators for h in group.generators]
-    pairs += [(rng.randrange(group.order), rng.randrange(group.order))
-              for _ in range(samples)]
-    for g, h in pairs:
-        gh = group.mul(g, h)
-        for x in range(min(n_points, 64)):
-            if act(gh, x) != act(h, act(g, x)):
-                raise NotAnAction(f"({g},{h}) breaks associativity of the action")
+def check_action(group: FiniteGroup, act, n_points: int) -> np.ndarray:
+    """The table P[g][x] = act(g, x) = x.g of a right action on the points
+    0..n_points-1, else ``NotAnAction``: the identity fixes every point and
+    P[x s] = P[s][P[x]] for every x and generator s, one gather each, which
+    gives x.(g h) = (x.g).h for every pair by induction on word length."""
+    perms = np.array([[act(g, x) for x in range(n_points)]
+                      for g in range(group.order)],
+                     dtype=np.int64).reshape(group.order, n_points)
+    if ((perms < 0) | (perms >= n_points)).any():
+        raise NotAnAction("the action leaves the points")
+    if (perms[0] != np.arange(n_points)).any():
+        raise NotAnAction("identity does not act trivially")
+    for s in group.generators:
+        if (perms[group.right(s)] != perms[s][perms]).any():
+            raise NotAnAction(f"generator {s} breaks associativity of the "
+                              f"action")
+    return perms
 
 
 def perm_character(group: FiniteGroup, act, n_points: int) -> FiniteCharacter:
     """Fixed-point fraction character of a right action act(g, x) = x.g."""
-    check_action(group, act, n_points)
-    classes = group.conjugacy_classes()
-    values = []
-    for rep in classes.representatives:
-        fixed = sum(1 for x in range(n_points) if act(rep, x) == x)
-        values.append(fixed / n_points)
-    return FiniteCharacter(group, values)
+    perms = check_action(group, act, n_points)
+    reps = group.conjugacy_classes().representatives
+    fixed = (perms[reps] == np.arange(n_points)).sum(axis=1)
+    return FiniteCharacter(group, fixed / n_points)
 
 
 # ---------------------------------------------------------------------------

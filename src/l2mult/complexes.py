@@ -508,9 +508,6 @@ class FiniteChainComplex:
         fixed = perms == np.arange(self.n_cells[p])
         return np.where(fixed, signs, 0).sum(axis=1).tolist()
 
-    def cell_trace(self, h: int, p: int) -> Fraction:
-        return Fraction(self.cell_traces(p)[h])
-
     def multiplicities(self, table: CharacterTable) -> HomologyReport:
         """Betti numbers, multiplicities of the irreducibles of ``table`` and
         traces of the symmetry on homology, from the isotypic block

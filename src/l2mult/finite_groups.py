@@ -11,39 +11,34 @@ permutation groups and the default.  The abstract copy of a subgroup keeps
 its parent's rows, product and index map, the last read through a
 parent-to-local array.
 
-Translation tables.  On first use a group walks its right Cayley graph once,
-breadth first from the identity over its own ``generators``.  Each
-generator's table ``right[k][x] = x * generators[k]`` is one batched raw
-product over every row; the walk itself is a loop of lookups in those lists
-that fills a spanning tree, x = parent[x] * generators[letter[x]], and
-raises ``GroupError`` when the generators do not reach every element.  Its
-memory is O(|G| k), never a |G| x |G| table.  The rest is filled in O(|G|):
+One breadth-first search, ``_bfs``, runs over permutation tables from a
+root.  ``FiniteGroup.walk(gens)`` is that search over the right translations
+of ``gens`` from the identity: the elements reached, in order, and the tree
+edges y = parent[i] * gens[letter[i]] for y = reached[i + 1].  In a finite
+group g^-1 is a positive power of g, so g-edges suffice.  A group's walk over
+its own ``generators`` runs on first use, kept as ``_tree``, and raises
+``GroupError`` unless it reaches every element.  It also keeps each
+generator's table right[k][x] = x * generators[k], one batched raw product
+over every row, so its memory is O(|G| k).  Along its tree, in O(|G|):
 
-* ``left(g)``, x -> g x, along the tree: g x = (g parent[x]) letter[x];
-* ``inverses``, along the tree too: x^-1 = letter[x]^-1 parent[x]^-1, the
-  left translation of the letter inverted as a permutation;
-* ``right(g)``, x -> x g, one batched raw product.
+* ``left(g)``, x -> g x: g x = (g p) s for the tree edge x = p s;
+* ``inverses``: x^-1 = s^-1 p^-1, the left translation of s inverted;
+* ``right(g)``, x -> x g, is one batched raw product.
 
-The translations by the identity and the generators are kept; the others are
-computed per call.
+The translations by the identity and the generators are kept.  A map fixed
+by values on generators is filled along the tree of ``walk`` and checked on
+every Cayley edge: ``extend`` builds f(x*g) = step(f(x), value of g), then
+compares step(f(x), value of g) with f(x g) for all x, one comparison over
+``right(g)`` per key.  Homomorphisms, the matrices of a semidirect product
+and the H-action of a free-by-finite group are built on it, and
+``spectral.UnitaryRep`` the same way.
 
-Everything defined on a group by its values on generators goes through one
-breadth-first walk of the right Cayley graph: ``cayley_walk`` yields the
-edges x -> x*g from the identity, read off ``right(g)``, and ``extend``
-builds f(x*g) = step(f(x), value of g) along them, checking every edge.  In
-a finite group g^-1 is a positive power of g, so the walk follows g-edges
-only.  Generated subgroups, homomorphisms (each step a lookup in the
-target's right translation), the matrices of a semidirect product and the
-H-action of a free-by-finite group are all built this way.
-
-Everything read off the conjugation action goes through one orbit routine:
-``FiniteGroup.conjugacy_class`` computes the class of an element once, as
-its orbit under the conjugations y -> s y s^-1 by the generators, and
-shares it among its members.  The class partition, class sizes (hence
-centralizer indices), the i-function ``FiniteGroup.i_value`` and the
-fixed-coset counts of the Farber diagnostics all come from it.  Normality
-goes through one test as well, ``FiniteSubgroup.normalized_by``, which
-reads the left translation of its element.
+The conjugation action has one orbit routine: ``conjugacy_class`` computes
+the class of an element once, its ``_bfs`` orbit under y -> s y s^-1 for the
+generators s, and shares it among its members.  The class partition, class
+sizes, the i-function ``i_value`` and the fixed-coset counts of the Farber
+diagnostics all come from it.  Normality has one test as well,
+``FiniteSubgroup.normalized_by``, which reads the left translation of g.
 
 Many single pairs are read off translation tables, not multiplied one by
 one: the structure constants of ``character_table`` (one ``right`` per
@@ -183,29 +178,17 @@ class FiniteGroup:
     # -- translation tables ------------------------------------------------
 
     def _walk(self):
-        """The one breadth-first walk of the right Cayley graph: right[k][x]
-        = x * generators[k] for every x, one batched raw product per
-        generator, and the spanning tree of the walk, x = parent[x] *
-        generators[letter[x]], with its elements in the order reached.  The
-        generators' left translations and the inverse array are filled
-        along the tree."""
+        """The table walk: right[k][x] = x * generators[k] for every x, one
+        batched raw product per generator, and the tree of ``walk`` over
+        them.  The generators' left translations and the inverse array are
+        filled along the tree."""
         n = self.order
         right = [self.products(slice(None), g) for g in self.generators]
-        parent, letter = [0] * n, [0] * n
-        seen = bytearray(n)
-        seen[0] = 1
-        reached = [0]
-        for x in reached:
-            for k, table in enumerate(right):
-                y = table[x]
-                if not seen[y]:
-                    seen[y] = 1
-                    parent[y], letter[y] = x, k
-                    reached.append(y)
+        reached, parent, letter = tree = _bfs(right, 0, n)
         if len(reached) != n:
             raise GroupError(f"the generators of {self.name} reach "
                              f"{len(reached)} of its {n} elements")
-        self._right, self._tree = right, (reached, parent, letter)
+        self._right, self._tree = right, tree
         ident = list(range(n))
         self._lefts = {0: ident}
         self._rights = {0: ident}
@@ -220,9 +203,23 @@ class FiniteGroup:
                 out[y] = x
             left_inv.append(out)
         inverses = [0] * n
-        for x in reached[1:]:
-            inverses[x] = left_inv[letter[x]][inverses[parent[x]]]
+        for x, p, k in zip(reached[1:], parent, letter):
+            inverses[x] = left_inv[k][inverses[p]]
         self._inverses = inverses
+
+    def walk(self, gens) -> tuple[list[int], list[int], list[int]]:
+        """The breadth-first walk of the right Cayley graph from the identity
+        over ``gens``: (reached, parent, letter), the elements in the order
+        reached and, aligned with ``reached[1:]``, the tree edges that reach
+        them, y = parent[i] * gens[letter[i]] for y = reached[i + 1].  Only
+        the subgroup that ``gens`` generate is reached.  For the group's own
+        generators it is the kept table-walk tree, which callers share."""
+        gens = list(gens)
+        if gens != self.generators:
+            return _bfs([self.right(g) for g in gens], 0, self.order)
+        if self._tree is None:
+            self._walk()
+        return self._tree
 
     def _left_along_tree(self, g: int) -> list[int]:
         # g x = (g p) s for x = p s, parents before children
@@ -230,8 +227,8 @@ class FiniteGroup:
         right = self._right
         out = [0] * self.order
         out[0] = g
-        for x in reached[1:]:
-            out[x] = right[letter[x]][out[parent[x]]]
+        for x, p, k in zip(reached[1:], parent, letter):
+            out[x] = right[k][out[p]]
         return out
 
     @property
@@ -272,34 +269,22 @@ class FiniteGroup:
                 self._conjugations = [[left[inv[left[y]]] for y in inv]
                                       for left in map(self.left,
                                                       self.generators)]
-            orbit, seen = [x], {x}
-            for y in orbit:
-                for conj in self._conjugations:
-                    z = conj[y]
-                    if z not in seen:
-                        seen.add(z)
-                        orbit.append(z)
-            cls = frozenset(orbit)
+            cls = frozenset(_bfs(self._conjugations, x, self.order)[0])
             for y in cls:
                 self._class_cache[y] = cls
         return cls
 
     def conjugacy_classes(self) -> ConjugacyData:
         if self._classes is None:
-            n = self.order
-            class_of = [-1] * n
-            reps, sizes, members = [], [], []
-            for x in range(n):
-                if class_of[x] >= 0:
-                    continue
-                orbit = sorted(self.conjugacy_class(x))
-                k = len(reps)
-                for y in orbit:
-                    class_of[y] = k
-                reps.append(orbit[0])
-                sizes.append(len(orbit))
-                members.append(orbit)
-            self._classes = ConjugacyData(class_of, reps, sizes, members)
+            class_of, members = [-1] * self.order, []
+            for x in range(self.order):
+                if class_of[x] < 0:
+                    orbit = sorted(self.conjugacy_class(x))
+                    for y in orbit:
+                        class_of[y] = len(members)
+                    members.append(orbit)
+            self._classes = ConjugacyData(class_of, [m[0] for m in members],
+                                          [len(m) for m in members], members)
         return self._classes
 
     def class_of_element(self, x: int) -> int:
@@ -318,55 +303,50 @@ class FiniteGroup:
         return FiniteSubgroup(self, members)
 
     def subgroup_generated(self, gens) -> "FiniteSubgroup":
-        return FiniteSubgroup(self, [0] + [y for _, _, y, new in
-                                           cayley_walk(self, gens) if new])
+        return FiniteSubgroup(self, self.walk(gens)[0])
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
 
 
-def cayley_walk(group: FiniteGroup, gens):
-    """Breadth-first walk of the right Cayley graph from the identity.
-
-    Yields every edge (x, k, y, new) with y = x * gens[k], read off the right
-    translation of gens[k]; ``new`` is true on the edge that first reaches y.
-    Only the subgroup that ``gens`` generate is visited.
-    """
-    rights = [group.right(g) for g in gens]
-    seen = bytearray(group.order)
-    seen[0] = 1
-    queue = [0]
-    for x in queue:
-        for k, right in enumerate(rights):
-            y = right[x]
-            new = not seen[y]
-            if new:
+def _bfs(tables, root: int, n: int):
+    """Breadth-first search over the permutations ``tables`` of 0..n-1 from
+    ``root``: the points reached, in order, and the edges that reach them,
+    y = tables[letter[i]][parent[i]] for y = reached[i + 1].  Past one
+    n-byte mark array its memory is that of the orbit, so that the many
+    small orbits of a large group stay cheap."""
+    seen = bytearray(n)
+    seen[root] = 1
+    reached, parent, letter = [root], [], []
+    for x in reached:
+        for k, table in enumerate(tables):
+            y = table[x]
+            if not seen[y]:
                 seen[y] = 1
-                queue.append(y)
-            yield x, k, y, new
+                reached.append(y)
+                parent.append(x)
+                letter.append(k)
+    return reached, parent, letter
 
 
 def extend(group: FiniteGroup, gen_values: dict, step, start,
            error=GroupError) -> list:
     """The map f on the group with f(1) = start and f(x*g) = step(f(x),
-    gen_values[g]) for every key g, as a list indexed by element.
-
-    Raises ``error`` when two paths to an element give different values, or
-    when the keys do not generate the group.
-    """
+    gen_values[g]) for every key g, as a list indexed by element: filled
+    along the tree of ``group.walk`` over the keys, then checked on every
+    Cayley edge, one comparison over ``right(g)`` per key.  Raises ``error``
+    when the keys do not generate the group or a check fails."""
     values = list(gen_values.values())
+    reached, parent, letter = group.walk(gen_values)
+    if len(reached) != group.order:
+        raise error("generators do not generate the group")
     out = [None] * group.order
     out[0] = start
-    reached = 1
-    for x, k, y, new in cayley_walk(group, list(gen_values)):
-        fy = step(out[x], values[k])
-        if new:
-            out[y] = fy
-            reached += 1
-        elif out[y] != fy:
+    for y, p, k in zip(reached[1:], parent, letter):
+        out[y] = step(out[p], values[k])
+    for g, v in gen_values.items():
+        if [step(fx, v) for fx in out] != [out[y] for y in group.right(g)]:
             raise error("generator values disagree along two paths")
-    if reached != group.order:
-        raise error("generators do not generate the group")
     return out
 
 
@@ -460,11 +440,9 @@ class FiniteSubgroup:
 
 
 class GroupHom:
-    """Homomorphism fixed by the images of some source elements, extended
-    through the Cayley graph, each step a lookup in the right translation of
-    an image.  Two paths that disagree mean the assignment is not a
-    homomorphism, and keys that do not generate leave it undefined; both
-    raise ``error``."""
+    """Homomorphism fixed by the images of some source elements: ``extend``
+    with each step a lookup in the right translation of an image, raising
+    ``error`` when the assignment is not a homomorphism or is undefined."""
 
     def __init__(self, source: FiniteGroup, target: FiniteGroup,
                  gen_images: dict[int, int], error=GroupError):

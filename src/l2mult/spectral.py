@@ -44,8 +44,7 @@ import numpy as np
 from ._linalg import SparseCol, charpoly_trailing, column_reduce
 from .characters import CrossCheckFailed, check_action
 from .finite_groups import (FiniteGroup, FiniteSubgroup, GroupHom,
-                            L2MultError, OrdinaryCharacter, cayley_walk,
-                            induce_ordinary)
+                            L2MultError, OrdinaryCharacter, induce_ordinary)
 from .word_groups import BuiltinGroup, GroupRingMatrix, format_letters
 
 
@@ -124,21 +123,27 @@ class Rep:
 def UnitaryRep(group: FiniteGroup, gen_matrices: dict[int, np.ndarray],
                tol: float = 1e-9) -> Rep:
     """The one-block rep of a finite group generated from unitary generator
-    images, filled along the Cayley graph: the numeric rep of an
-    irreducible of degree >= 2."""
+    images, filled along the tree of ``group.walk`` and checked on every
+    Cayley edge within ``tol``: the numeric rep of an irreducible of degree
+    >= 2."""
     if not gen_matrices:
         raise SpectralError("generator images required")
-    dim = next(iter(gen_matrices.values())).shape[0]
-    for m in gen_matrices.values():
+    images = list(gen_matrices.values())
+    dim = images[0].shape[0]
+    for m in images:
         if np.max(np.abs(m.conj().T @ m - np.eye(dim))) > tol:
             raise SpectralError("generator image is not unitary")
-    mats = {0: np.eye(dim, dtype=complex)}
-    images = list(gen_matrices.values())
-    for x, k, y, new in cayley_walk(group, list(gen_matrices)):
-        if new:
-            mats[y] = mats[x] @ images[k]
-    if len(mats) != group.order:
+    reached, parent, letter = group.walk(gen_matrices)
+    if len(reached) != group.order:
         raise SpectralError("generator images do not generate the group")
+    mats = np.empty((group.order, dim, dim), dtype=complex)
+    mats[0] = np.eye(dim)
+    for y, p, k in zip(reached[1:], parent, letter):
+        mats[y] = mats[p] @ images[k]
+    for g, m in gen_matrices.items():
+        if np.abs(mats @ m - mats[group.right(g)]).max() > tol:
+            raise SpectralError("generator images break a relation of the "
+                                "group")
     dest = np.zeros(1, dtype=np.int64)
     return Rep(group, dim, lambda g: (dest, mats[g][None]), is_rational=False)
 
@@ -175,13 +180,8 @@ def WordPermRep(group: BuiltinGroup, letter_perms) -> Rep:
 def rep_from_action(group: FiniteGroup, act, n_points: int) -> Rep:
     """Permutation representation on a finite right G-set, given by
     act(g, y) = y.g: rho(g) e_y = e_{y.g^-1}."""
-    check_action(group, act, n_points)
-
-    def pair_of(g):
-        ginv = group.inv(g)
-        return np.array([act(ginv, y) for y in range(n_points)],
-                        dtype=np.int64), None
-    return Rep(group, n_points, pair_of)
+    perms = check_action(group, act, n_points)
+    return Rep(group, n_points, lambda g: (perms[group.inv(g)], None))
 
 
 def _coset_translation_rep(group: FiniteGroup, reps, coset_of) -> Rep:
@@ -297,8 +297,9 @@ def _coset_action(q_group: FiniteGroup, h_sub: FiniteSubgroup):
 
 def induced_rep(q_group: FiniteGroup, h_sub: FiniteSubgroup, rho_h,
                 tol: float = 1e-8) -> Rep:
-    """Representation induced along H <= Q on the left cosets t_j H; the
-    character is cross-checked against ordinary character induction.
+    """Representation induced along H <= Q on the left cosets t_j H.  rho_h
+    is checked on every Cayley edge of H, the character against ordinary
+    character induction, and rho on every pair of generators of Q.
 
     With g t_j = t_i h, rho(g) sends block j to block i by rho_h(h): each
     element's pair is rho_h's pair of h, moved to coset i.
@@ -306,6 +307,11 @@ def induced_rep(q_group: FiniteGroup, h_sub: FiniteSubgroup, rho_h,
     h_abs, _ = h_sub.abstract_group()
     if rho_h.group is not h_abs:
         raise SpectralError("rho_h must live on the abstract subgroup")
+    # the character check sees rho_h only through its traces
+    if not all(_composes(rho_h, x, s, tol) for s in h_abs.generators
+               for x in range(h_abs.order)):
+        raise CrossCheckFailed("rho_h is not a homomorphism on the Cayley "
+                               "edges of H")
     action = _coset_action(q_group, h_sub)
 
     def pair_of(g):
@@ -323,14 +329,20 @@ def induced_rep(q_group: FiniteGroup, h_sub: FiniteSubgroup, rho_h,
         raise CrossCheckFailed("induced character does not match the formula")
     # the character reads only the diagonal blocks; rho(s) rho(t) = rho(st)
     # on the generators also sees where the other blocks go
-    for s, t in itertools.product(q_group.generators, repeat=2):
-        (dest_s, blocks_s), (dest_t, blocks_t) = rep.pair(s), rep.pair(t)
-        dest, blocks = rep.pair(q_group.right(t)[s])
-        if (dest != dest_s[dest_t]).any() or blocks is not None \
-                and np.abs(blocks - blocks_s[dest_t] @ blocks_t).max() > tol:
-            raise CrossCheckFailed("induced rep is not a homomorphism on the "
-                                   "generators")
+    if not all(_composes(rep, s, t, tol) for s, t in
+               itertools.product(q_group.generators, repeat=2)):
+        raise CrossCheckFailed("induced rep is not a homomorphism on the "
+                               "generators")
     return rep
+
+
+def _composes(rep: Rep, x, s, tol: float) -> bool:
+    """rho(x) rho(s) = rho(x s): ``dest`` exactly, blocks within ``tol``."""
+    (dest_x, blocks_x), (dest_s, blocks_s) = rep.pair(x), rep.pair(s)
+    dest, blocks = rep.pair(rep.group.right(s)[x])
+    return (dest == dest_x[dest_s]).all() and (
+        blocks is None or np.abs(blocks - blocks_x[dest_s] @ blocks_s).max()
+        <= tol)
 
 
 def pullback_rep(hom: GroupHom, rho) -> Rep:

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from ._linalg import axpy
 from .finite_groups import (FiniteGroup, FiniteSubgroup, GroupHom,
-                            L2MultError, cayley_walk, extend)
+                            L2MultError, extend)
 
 
 class WordGroupError(L2MultError):
@@ -391,10 +391,10 @@ class FreeByFiniteGroup(BuiltinGroup):
         letters = [(self.h_letter_of[g], e)
                    for g in h.generators for e in (1, -1)]
         gens = [g if e > 0 else h.inv(g) for g in h.generators for e in (1, -1)]
+        reached, parent, letter = h.walk(gens)
         words = [()] * h.order
-        for x, k, y, new in cayley_walk(h, gens):
-            if new:
-                words[y] = words[x] + (letters[k],)
+        for y, p, k in zip(reached[1:], parent, letter):
+            words[y] = words[p] + (letters[k],)
         return words
 
     def apply_aut(self, h_idx: int, free_data):
@@ -617,15 +617,12 @@ class QuotientMap:
         self._check_surjective()
 
     def _check_surjective(self):
-        target = self.target
-        if set(target.generators) <= set(self.generator_images):
+        target, images = self.target, self.generator_images
+        if set(target.generators) <= set(images):
             # the target's table walk, which left(0) runs if nothing has
             # yet, checks that its own generators reach every element
             target.left(0)
-            return
-        reached = 1 + sum(new for _, _, _, new in
-                          cayley_walk(target, self.generator_images))
-        if reached != target.order:
+        elif len(target.walk(images)[0]) != target.order:
             raise WordGroupError("generator images do not generate the target")
 
     def evaluate(self, word: Word) -> int:

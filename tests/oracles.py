@@ -54,38 +54,47 @@ def closed_by_scan(group, members) -> bool:
     return all(group.mul(a, b) in mem for a in mem for b in mem)
 
 
-def walk_by_pairs(group):
-    """The breadth-first walk of the right Cayley graph with one raw product
-    per (element, generator) pair: the right translations of the
-    generators, the spanning tree (reached, parent, letter) with x =
-    parent[x] * generators[letter[x]], the left translations of the
-    generators filled along the tree, and the inverses filled along it."""
-    n, gens = group.order, group.generators
+def tree_by_pairs(group, gens):
+    """The breadth-first walk of the right Cayley graph from the identity
+    over ``gens``, with one raw product per (element, generator) pair: the
+    right translations of ``gens``, filled on the elements reached, and the
+    spanning tree (reached, parent, letter): the elements in the order
+    reached and y = parent[i] * gens[letter[i]] for y = reached[i + 1].
+    Only the subgroup that ``gens`` generate is reached."""
+    n = group.order
     right = [[0] * n for _ in gens]
-    parent, letter = [0] * n, [0] * n
-    seen = bytearray(n)
-    seen[0] = 1
+    parent, letter = {}, {}
     reached = [0]
     for x in reached:
         for k, g in enumerate(gens):
             y = right[k][x] = group.mul(x, g)
-            if not seen[y]:
-                seen[y] = 1
+            if y and y not in parent:
                 parent[y], letter[y] = x, k
                 reached.append(y)
+    return right, (reached, [parent[y] for y in reached[1:]],
+                   [letter[y] for y in reached[1:]])
+
+
+def walk_by_pairs(group):
+    """``tree_by_pairs`` over the group's own generators, which must reach
+    every element, with the left translations of the generators filled
+    along the tree and the inverses filled along it."""
+    n, gens = group.order, group.generators
+    right, (reached, parent, letter) = tree_by_pairs(group, gens)
     if len(reached) != n:
         raise GroupError("the generators do not generate")
+    edges = list(zip(reached[1:], parent, letter))
     lefts = []
     for g in gens:
         left = [0] * n
         left[0] = g
-        for x in reached[1:]:
-            left[x] = right[letter[x]][left[parent[x]]]
+        for x, p, k in edges:
+            left[x] = right[k][left[p]]
         lefts.append(left)
     inverses = [0] * n
-    for x in reached[1:]:
+    for x, p, k in edges:
         # x = p s gives x^-1 = s^-1 p^-1, and s^-1 y is the y' with s y' = y
-        inverses[x] = lefts[letter[x]].index(inverses[parent[x]])
+        inverses[x] = lefts[k].index(inverses[p])
     return right, (reached, parent, letter), lefts, inverses
 
 
@@ -174,7 +183,7 @@ def graph_homology_oracle(qc, table):
     for h in range(order):
         perm = qc.actions[0][0][h]
         fixed = sum(1 for r in roots if find(int(perm[r])) == r)
-        lefschetz = qc.cell_trace(h, 0) - qc.cell_trace(h, 1)
+        lefschetz = qc.cell_traces(0)[h] - qc.cell_traces(1)[h]
         traces[(0, h)] = Fraction(fixed)
         traces[(1, h)] = fixed - lefschetz
     mult = {}

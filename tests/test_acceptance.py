@@ -333,8 +333,8 @@ def _lefschetz_numbers(config):
     numbers = []
     for level in ctx.chain.levels:
         qc = quotient_complex(ctx.cw, level, h_ctx=(ctx.h_abs, ctx.h_elems))
-        numbers.append({h: sum((-1) ** p * qc.cell_trace(h, p)
-                               for p in qc.dims())
+        traces = {p: qc.cell_traces(p) for p in qc.dims()}
+        numbers.append({h: sum((-1) ** p * t[h] for p, t in traces.items())
                         for h in range(1, ctx.h_abs.order)})
     return numbers
 

@@ -10,7 +10,7 @@ from l2mult import (FiniteCharacter, FreeAbelianGroup, FreeGroup,
                     induce_ordinary, induce_via, limit_value, perm_character,
                     regular_character)
 from l2mult.characters import (CannotInduce, CharacterError, HNotNormalizing,
-                               NotAnAction, UnsupportedFamily,
+                               NotAnAction, UnsupportedFamily, check_action,
                                finite_word_subgroup)
 from l2mult.word_groups import FiniteIndexSubgroup
 
@@ -60,6 +60,22 @@ def test_perm_character_rejects_non_action():
     g = cyclic_group(4)
     with pytest.raises(NotAnAction):
         perm_character(g, lambda e, x: (x + e * e) % 3, 3)
+
+
+def test_check_action_reads_every_point():
+    # C6 fixes the points 0..63 and turns 64..69: by e steps it acts, by one
+    # step for every e other than the identity it does not, and only the
+    # points >= 64 show it
+    c6 = cyclic_group(6)
+
+    def turn(steps):
+        return lambda e, x: x if x < 64 else 64 + (x - 64 + steps(e)) % 6
+    with pytest.raises(NotAnAction, match="associativity"):
+        check_action(c6, turn(lambda e: min(e, 1)), 70)
+    assert check_action(c6, turn(lambda e: e), 70).shape == (6, 70)
+    # a point sent off 0..69 would wrap around in the gather
+    with pytest.raises(NotAnAction, match="leaves the points"):
+        check_action(c6, lambda e, x: x - e, 70)
 
 
 def test_i_finite_trivial_subgroup_is_regular():

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from l2mult import (FreeAbelianGroup, GroupRingMatrix, QuotientMap,
-                    character_table, cyclic_group, dihedral_group,
-                    induced_rep, irreducible_rep, luck_bound_check,
-                    moments_check, push_matrix, regular_rep,
+                    character_of, character_table, cyclic_group,
+                    dihedral_group, induced_rep, irreducible_rep,
+                    luck_bound_check, moments_check, push_matrix, regular_rep,
                     trivial_group, validate_chain)
 from l2mult import complexes, runner, spectral
 from l2mult.characters import CrossCheckFailed
@@ -97,6 +97,27 @@ def test_induced_rep_homomorphism_check_catches_swapped_cosets(monkeypatch,
     monkeypatch.setattr(spectral, "_coset_action", swapped)
     with pytest.raises(CrossCheckFailed, match="not a homomorphism"):
         induced_rep(q, sub, rho_h)
+
+
+def test_induced_rep_checks_rho_h_on_the_cayley_edges_of_h():
+    # rho_h(r^2 s) alone conjugated by a rotation: its trace, and so every
+    # character the other checks read, is unchanged, but rho_h is no longer
+    # a homomorphism
+    q, sub, rho_h = _degree_two_of_d3()
+    h_abs, to_local = sub.abstract_group()
+    moved = to_local[q.index_of((2, 1))]
+    c, s = np.cos(0.7), np.sin(0.7)
+    u = np.array([[c, -s], [s, c]])
+
+    def pair_of(h):
+        dest, blocks = rho_h.pair(h)
+        return (dest, u @ blocks @ u.T) if h == moved else (dest, blocks)
+    faulty = spectral.Rep(h_abs, rho_h.dim, pair_of, rho_h.is_rational)
+    assert np.allclose(character_of(faulty).values,
+                       character_of(rho_h).values)
+    induced_rep(q, sub, rho_h)
+    with pytest.raises(CrossCheckFailed, match="Cayley edges of H"):
+        induced_rep(q, sub, faulty)
 
 
 def test_finite_group_crosscheck_catches_wrong_irreducible(monkeypatch):

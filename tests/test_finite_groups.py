@@ -11,7 +11,8 @@ from l2mult.runner import build_chain, build_group
 
 from conftest import make_rng
 from oracles import (check_axioms, closed_by_scan, conjugacy_classes_by_scan,
-                     induce_ordinary_oracle, inverse_by_scan, walk_by_pairs)
+                     induce_ordinary_oracle, inverse_by_scan, tree_by_pairs,
+                     walk_by_pairs)
 
 S3_GENS = [(1, 0, 2), (0, 2, 1)]
 
@@ -369,8 +370,28 @@ def test_walk_matches_the_pair_product_walk(name):
     right, tree, lefts, inverses = walk_by_pairs(group)
     assert group.inverses == inverses
     assert group._tree == tree
+    assert group.walk(group.generators) is group._tree
     assert [group.right(g) for g in group.generators] == right
     assert [group.left(g) for g in group.generators] == lefts
+
+
+@pytest.mark.parametrize("name, gens_of, order", [
+    ("S4", lambda g: g.generators[::-1], 24),
+    ("D5", lambda g: [y for x in g.generators for y in (x, g.inv(x))], 10),
+    ("C2xC3xC4", lambda g: [g.index_of((1, 1, 1))], 12),
+    ("C2xC3xC4", lambda g: [g.index_of((0, 2, 2)), 0], 6),
+    ("D5", lambda g: [g.index_of((2, 0))], 5),
+    ("S4", lambda g: [g.index_of((1, 0, 2, 3)), g.index_of((0, 1, 3, 2))], 4),
+    ("fbf3", lambda g: g.generators[:2], 64),
+])
+def test_walk_over_other_generators_matches_the_pair_product_walk(
+        name, gens_of, order):
+    # generators that are not the group's own, some of a proper subgroup
+    group = WALK_CORPUS[name]()
+    gens = gens_of(group)
+    tree = group.walk(gens)
+    assert tree == tree_by_pairs(group, gens)[1]
+    assert len(tree[0]) == order and closed_by_scan(group, tree[0])
 
 
 def test_fbf_quotient_tables_take_no_single_pair_product(monkeypatch):

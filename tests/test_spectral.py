@@ -649,3 +649,10 @@ def test_unitary_rep_rejects_images_that_do_not_generate():
     # the square of the generator generates a subgroup of index 2
     with pytest.raises(SpectralError, match="do not generate"):
         UnitaryRep(cyclic_group(4), {2: np.array([[-1.0]])})
+
+
+def test_unitary_rep_rejects_images_that_break_a_relation():
+    # g -> -1 generates C3 and is unitary, but rho(g)^3 = -1 != rho(1): only
+    # the edge g^2 -> g^3 = 1 shows it
+    with pytest.raises(SpectralError, match="break a relation"):
+        UnitaryRep(cyclic_group(3), {1: np.array([[-1.0]])})

@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from l2mult import (FreeAbelianGroup, FreeByFiniteGroup, FreeGroup,
-                    GroupRingMatrix, InfiniteDihedralGroup, QuotientChain,
-                    QuotientMap, abelian_group, cyclic_group, dihedral_group,
-                    normal_form, push_matrix, validate_chain)
+from l2mult import (FiniteGroup, FreeAbelianGroup, FreeByFiniteGroup,
+                    FreeGroup, GroupRingMatrix, InfiniteDihedralGroup,
+                    QuotientChain, QuotientMap, abelian_group, cyclic_group,
+                    dihedral_group, normal_form, push_matrix, validate_chain)
 from l2mult.word_groups import (ChainBroken, FiniteIndexSubgroup,
                                 WordGroupError, format_ring_sum,
                                 intersection_heuristic, parse_ring_sum)
@@ -329,14 +329,13 @@ def test_free_by_finite_quotient_map():
 
 def test_surjectivity_walks_only_images_other_than_the_generators(
         monkeypatch):
-    from l2mult import word_groups
     walked = []
-    walk = word_groups.cayley_walk
+    walk = FiniteGroup.walk
 
     def recorded(group, gens):
         walked.append(tuple(gens))
         return walk(group, gens)
-    monkeypatch.setattr(word_groups, "cayley_walk", recorded)
+    monkeypatch.setattr(FiniteGroup, "walk", recorded)
     z, f2 = FreeAbelianGroup(1), FreeGroup(2)
     c4, z44 = cyclic_group(4), abelian_group([4, 4])
     # the target's own generators: its table walk has shown they generate
