@@ -25,6 +25,21 @@ the smallest of three:
 * Gershgorin's ``R_b ** n_b`` (largest absolute row sum R_b, size n_b);
 * Schur's, from the sum of the squared entries (``_schur_bound``).
 
+Each block comes in the depth-first preorder of its support graph.  That
+is a permutation similarity P M P^T, which leaves det(x*I - M), and so
+the rank and every coefficient, unchanged, and which moves no entry from
+one row sum or from the sum of squares to another, so every bound and the
+number of primes stay the same too.  What it changes is the work of the
+Hessenberg reduction.  Column j needs a pivot swap when its subdiagonal
+entry is zero and clears only the rows below j + 1 with a nonzero entry.
+In preorder a path or a cycle, such as a block of a permutation
+representation's 2 - s - s^-1, is walked along: its block is tridiagonal
+apart from one corner, with -1, a unit modulo every prime, all along the
+subdiagonal, so no column swaps and the corner's one entry below the
+subdiagonal is the only row to clear.  In index order the same block has
+its entries at random places, and nearly every column swaps and clears a
+row.
+
 The block then takes the fewest primes whose product exceeds four times its
 bound, and one stacked pass serves all of them: the block is reduced to
 Hessenberg form modulo every prime at once, as one (n, n, P) array.  Each
@@ -382,29 +397,38 @@ def _crt(residues: np.ndarray, primes: list[int]) -> int:
 
 
 def _components(mat: np.ndarray) -> list[np.ndarray]:
-    """Index sets, each sorted, of the connected components of the support
-    graph of ``mat``: i and j are joined when mat[i, j] or mat[j, i] is
-    nonzero.  One union-find pass over the nonzero entries, each root the
-    smallest index of its component; the components come in the order of
-    their smallest index."""
+    """The connected components of the support graph of ``mat``, each in
+    depth-first preorder: i and j are joined when mat[i, j] or mat[j, i] is
+    nonzero.  The components come in the order of their smallest index,
+    where each search starts, and a search visits the neighbours of a
+    vertex in increasing order.
+
+    In preorder every vertex after a block's first is adjacent to an
+    earlier one, and a path or a cycle is walked along: the block of a
+    cycle is tridiagonal apart from its two corners, which spares its
+    Hessenberg reduction the pivot swaps and the rows to clear of an index
+    order (module docstring)."""
     n = mat.shape[0]
-    if n == 0:
-        return []
-    root = list(range(n))
-
-    def find(x):
-        while root[x] != x:
-            root[x] = x = root[root[x]]
-        return x
-
-    rows, cols = np.nonzero(mat)
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        a, b = find(i), find(j)
-        if a != b:
-            root[max(a, b)] = min(a, b)
-    labels = np.array([find(x) for x in range(n)], dtype=np.int64)
-    order = np.argsort(labels, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+    support = mat != 0
+    rows, cols = np.nonzero(support | support.T)
+    starts = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    neighbours = cols.tolist()
+    seen = [False] * n
+    blocks = []
+    for root in range(n):
+        if seen[root]:
+            continue
+        block, stack = [], [root]
+        while stack:
+            v = stack.pop()
+            if seen[v]:
+                continue
+            seen[v] = True
+            block.append(v)
+            a, b = starts[v], starts[v + 1]
+            stack.extend(w for w in reversed(neighbours[a:b]) if not seen[w])
+        blocks.append(np.array(block, dtype=np.int64))
+    return blocks
 
 
 def _block_trailing(mat: np.ndarray, bound: int) -> tuple[int, int]:
@@ -467,7 +491,11 @@ def charpoly_trailing(mat: np.ndarray, bound: int) -> tuple[int, int]:
     The matrix is solved one connected component of its support graph at a
     time.  Permuted to block-diagonal form, det(x*I - mat) is the product
     of the blocks' polynomials, so the rank is the sum of the block ranks
-    and the coefficient the product of the block coefficients.  Block b,
+    and the coefficient the product of the block coefficients.  Each block
+    is taken in the depth-first preorder of ``_components``, which spares
+    paths and cycles most Hessenberg work; a permutation similarity
+    changes neither the polynomial nor any bound below, so the result is
+    that of any other order.  Block b,
     of size n_b and largest absolute row sum R_b, gets the bound
     ``min(bound, max(1, R_b) ** n_b, _schur_bound(b))``, each of which
     holds on its own (module docstring).  Any valid bound certifies the

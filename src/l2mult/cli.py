@@ -75,7 +75,7 @@ def _cmd_spectral(args) -> int:
     mu = spectral_measure(gram, rho)
     print(json.dumps(mu.to_json()))
     print(f"fk_det = {fk_det(mu):.12g}")
-    for row in moments_check(gram, rho, args.kmax):
+    for row in moments_check(gram, rho, args.kmax, mu=mu):
         print(f"moment {row['k']}: measure {row['moment']:.9g} "
               f"trace {row['trace']:.9g} delta {row['delta']:.3g}")
     return 0

@@ -26,10 +26,12 @@ On the regular representation of an abelian group with known cyclic factors
 (``FiniteGroup.moduli``) the blocks are the character blocks
 sum_g a_g conj(chi(g)), one n x n block per character, all from one FFT of
 the coefficients: mu_reg(a) = sum_chi mu_chi(a) / |Q|.  Every other
-representation gives the dense operator as its one block.  On a regular
-representation each operator entry is one coefficient, so the Hermitian
-test reads a = a^* off the coefficients.  Clustering is relative to the
-sup-norm bound of the matrix.
+representation gives the dense operator as its one block, which is real
+when every block of the representation is (a permutation, +-1 monomials),
+so that the eigensolve and the singular values run in real arithmetic.  On
+a regular representation each operator entry is one coefficient, so the
+Hermitian test reads a = a^* off the coefficients.  Clustering is relative
+to the sup-norm bound of the matrix.
 """
 
 from __future__ import annotations
@@ -364,17 +366,25 @@ def operator_matrix(a, rho) -> np.ndarray:
     """Dense block operator of the left-multiplication action in rho, one
     scatter per term: viewed as (rows, k, b, cols, k, b), the term c g of
     entry (i, j) adds c * blocks at [i, dest, :, j, y, :] for y < k, with
-    (dest, blocks) = rho.pair(g)."""
+    (dest, blocks) = rho.pair(g).
+
+    The coefficients are rational, so the operator is real when every block
+    it scatters is: a permutation, a +-1 monomial or a real dense block.
+    It is then a float64 array, and the Hermitian test, the eigensolve and
+    the singular values that read it run in real arithmetic; otherwise it
+    is complex."""
     _check_compat(a, rho)
     d = rho.dim
-    out = np.zeros((a.rows * d, a.cols * d), dtype=complex)
-    for (i, j), terms in a.entries.items():
-        for elem, c in terms.items():
-            dest, blocks = rho.pair(elem)
-            k, b = len(dest), 1 if blocks is None else blocks.shape[-1]
-            view = out.reshape(a.rows, k, b, a.cols, k, b)
-            view[i, dest, :, j, np.arange(k), :] += \
-                complex(c) if blocks is None else complex(c) * blocks
+    terms = [(i, j, float(c), *rho.pair(elem))
+             for (i, j), row in a.entries.items() for elem, c in row.items()]
+    dtype = np.result_type(np.float64, *(blocks.dtype for *_, blocks in terms
+                                         if blocks is not None))
+    out = np.zeros((a.rows * d, a.cols * d), dtype=dtype)
+    for i, j, c, dest, blocks in terms:
+        k, b = len(dest), 1 if blocks is None else blocks.shape[-1]
+        view = out.reshape(a.rows, k, b, a.cols, k, b)
+        view[i, dest, :, j, np.arange(k), :] += \
+            c if blocks is None else c * blocks
     return out
 
 
@@ -550,11 +560,16 @@ def rank_nullity(a, rho, svd_tol: float = 1e-8):
     return a.cols - nullity, nullity
 
 
-def moments_check(a, rho, kmax: int, tol: float = 1e-6):
-    """Compare measure moments with normalized operator traces of powers."""
+def moments_check(a, rho, kmax: int, tol: float = 1e-6,
+                  mu: SpectralMeasure | None = None):
+    """Compare measure moments with normalized operator traces of powers.
+
+    ``mu`` is the spectral measure of ``a`` under ``rho`` when the caller
+    has it already, and is computed here when None."""
     if a.rows != a.cols:
         raise SpectralError("moments need a square matrix")
-    mu = spectral_measure(a, rho)
+    if mu is None:
+        mu = spectral_measure(a, rho)
     c = max(1.0, float(a.sup_norm_bound()))
     rows = []
     power = a
@@ -597,13 +612,16 @@ def luck_bound_check(a, rho, d: int) -> LuckReport:
     bound = c ** (-(d - 1) * a.rows) if c > 0 else 1.0
     report = LuckReport(det=det, bound=bound, passed=det >= bound * (1 - 1e-9))
     if d == 1 and rho.is_rational:
-        nrows, cols = operator_columns_exact(a, rho)
+        _, cols = operator_columns_exact(a, rho)
         size = a.cols * rho.dim
+        rows = np.array([r for col in cols for r in col], dtype=np.int64)
+        vals = [v for col in cols for v in col.values()]
+        # on Python ints, which may exceed int64
+        if max(map(abs, vals), default=0) >= 2 ** 31:
+            raise SpectralError("operator entries too large")
         dense = np.zeros((size, size), dtype=np.int64)
-        for j, col in enumerate(cols):
-            if any(abs(v) >= 2 ** 31 for v in col.values()):
-                raise SpectralError("operator entries too large")
-            dense[list(col), j] = list(col.values())
+        at = np.repeat(np.arange(size), [len(col) for col in cols])
+        dense[rows, at] = vals
         growth = max(2, math.ceil(c))
         rank, coeff = charpoly_trailing(dense, growth ** size)
         report.rank = rank

@@ -14,7 +14,7 @@ from l2mult import (FreeAbelianGroup, GroupRingMatrix, QuotientMap,
 from l2mult import complexes, runner, spectral
 from l2mult.characters import CrossCheckFailed
 from l2mult.complexes import ComplexError
-from l2mult.spectral import MomentMismatch, NotAComplex
+from l2mult.spectral import MomentMismatch, NotAComplex, SpectralError
 from l2mult.word_groups import ChainBroken
 
 
@@ -38,6 +38,21 @@ def test_moments_check_catches_faulty_fourier_blocks(monkeypatch):
         moments_check(gram, rho, 4)
     # the gap that crt_det reads against the exact CRT coefficient
     assert luck_bound_check(gram, rho, 1).log_gap > 1e-8
+
+
+@pytest.mark.parametrize("coeff", [2 ** 31, 2 ** 70])
+def test_luck_bound_check_rejects_operator_entries_past_2_31(coeff):
+    # the CRT kernel takes int64 entries below 2**31; a larger coefficient,
+    # even one past int64, is refused before the operator is filled
+    target = cyclic_group(3)
+    rho = regular_rep(target)
+
+    def scalar(c):
+        return GroupRingMatrix(target, 1, 1, {(0, 0): {0: Fraction(c)}})
+    below = 2 ** 31 - 1
+    assert luck_bound_check(scalar(below), rho, 1).char_trailing == below ** 3
+    with pytest.raises(SpectralError, match="operator entries too large"):
+        luck_bound_check(scalar(coeff), rho, 1)
 
 
 def _sign_of_reflection():

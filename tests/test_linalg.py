@@ -227,6 +227,35 @@ def test_charpoly_trailing_schur_bound_saves_primes(monkeypatch):
     assert charpoly_trailing(mat, 4 ** 64) == (63, -64 * 64)
 
 
+def test_charpoly_trailing_walks_a_permuted_cycle(monkeypatch):
+    # the 120-cycle Laplacian with its vertices shuffled reaches the
+    # Hessenberg reduction in cycle order: tridiagonal but for one corner
+    perm = make_rng(15).sample(range(120), 120)
+    mat = _cycle_laplacian(120)[np.ix_(perm, perm)]
+    assert np.count_nonzero(np.tril(mat, -2)) > 60
+    [(block, _)] = _primes_per_block(monkeypatch, mat, 4 ** 120)
+    assert np.count_nonzero(np.tril(block, -2)) <= 1
+    assert charpoly_trailing(mat, 4 ** 120) == (119, -120 * 120)
+
+
+def test_charpoly_trailing_is_invariant_under_permutation_similarity():
+    # P M P^T has the characteristic polynomial of M, and the order the
+    # blocks come in changes neither their bounds nor their primes
+    rng = make_rng(16)
+    cases = list(_schur_cases(rng)) + [_block_diagonal_case(rng)
+                                       for _ in range(2)]
+    for mat in cases:
+        n = mat.shape[0]
+        coeffs = charpoly_exact(mat.tolist())
+        nz = [i for i, c in enumerate(coeffs) if c]
+        want = (n - nz[0], coeffs[nz[0]])
+        bound = _caller_bound(mat)
+        assert charpoly_trailing(mat, bound) == want
+        for _ in range(3):
+            perm = rng.sample(range(n), n)
+            assert charpoly_trailing(mat[np.ix_(perm, perm)], bound) == want
+
+
 def _schur_cases(rng):
     """Integer matrices of every kind the Schur bound must hold for."""
     for n in range(1, 8):
@@ -387,16 +416,27 @@ def test_charpoly_trailing_doubles_k_past_zero_coefficients():
 
 def test_components_match_breadth_first_search():
     # random supports of every density, permutations (cycles) and the empty
-    # matrix: the same sorted blocks in the same order
+    # matrix: the same partition, blocks in the same order, each block in
+    # a preorder where every vertex after the first is adjacent to an
+    # earlier one; on a permutation Laplacian each block is its cycle,
+    # walked along
     rng = np.random.default_rng(make_rng(40).randrange(2 ** 32))
-    cases = [np.zeros((0, 0), dtype=np.int64), np.eye(5, dtype=np.int64)]
+    cases = [(np.zeros((0, 0), dtype=np.int64), False),
+             (np.eye(5, dtype=np.int64), True)]
     for _ in range(300):
         n = int(rng.integers(1, 40))
-        cases.append((rng.random((n, n)) < rng.random() * 0.2)
-                     * rng.integers(-3, 4, (n, n)))
-        cases.append(2 * np.eye(n, dtype=np.int64)
-                     - np.eye(n, dtype=np.int64)[rng.permutation(n)])
-    for mat in cases:
+        cases.append(((rng.random((n, n)) < rng.random() * 0.2)
+                      * rng.integers(-3, 4, (n, n)), False))
+        cases.append((2 * np.eye(n, dtype=np.int64)
+                      - np.eye(n, dtype=np.int64)[rng.permutation(n)], True))
+    for mat, is_cycles in cases:
         got, want = _components(mat), components_by_search(mat)
         assert len(got) == len(want)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        adj = (mat != 0) | (mat.T != 0)
+        for block, sorted_block in zip(got, want):
+            assert np.array_equal(np.sort(block), sorted_block)
+            assert block[0] == sorted_block[0]
+            for t in range(1, len(block)):
+                assert adj[block[t], block[:t]].any()
+                if is_cycles:
+                    assert adj[block[t], block[t - 1]]

@@ -586,6 +586,37 @@ def test_monomial_reps_multiply_and_match_exact_columns():
                                  - operator_matrix(cancel, rho))) < 1e-12
 
 
+def test_operator_matrix_is_real_for_real_representations():
+    # permutation reps give a float64 operator and complex blocks a complex
+    # one; either way its eigenvalues are those of the operator assembled
+    # from rho.matrix
+    s3, c5, d4 = from_generators(S3_GENS), cyclic_group(5), dihedral_group(4)
+    omega = [ch for ch in character_table(c5).irreducibles
+             if np.max(np.abs(ch.values.imag)) > 0.1][0]
+    f2 = FreeGroup(2)
+    rng = make_rng(44)
+    rot = np.array([[0, -1], [1, 0]], dtype=complex)
+    flip = np.array([[1, 0], [0, -1]], dtype=complex)
+    cases = [
+        (regular_rep(s3), [1, 2], np.float64),
+        (coset_rep(s3, s3.subgroup_generated([s3.index_of((1, 0, 2))])),
+         [1, 2], np.float64),
+        (WordPermRep(f2, [rng.sample(range(30), 30) for _ in range(2)]),
+         [f2.word("ab"), f2.word("b'a")], np.float64),
+        (irreducible_rep(c5, omega), [1, 2], np.complex128),
+        (UnitaryRep(d4, {d4.index_of((1, 0)): rot,
+                         d4.index_of((0, 1)): flip}), [1, 5], np.complex128),
+    ]
+    for rho, (x, y), dtype in cases:
+        a = GroupRingMatrix(rho.group, 1, 1, {(0, 0): {
+            x: Fraction(1), y: Fraction(-2)}})
+        gram = a.adjoint() @ a
+        op = operator_matrix(gram, rho)
+        assert op.dtype == dtype
+        want = np.linalg.eigvalsh(_block_placed_operator(gram, rho))
+        assert np.max(np.abs(np.linalg.eigvalsh(op) - want)) < 1e-12
+
+
 def test_word_perm_rep_multiplies_and_matches_exact_columns():
     rng = make_rng(43)
     f2 = FreeGroup(2)
