@@ -35,10 +35,10 @@ entry is zero and clears only the rows below j + 1 with a nonzero entry.
 In preorder a path or a cycle, such as a block of a permutation
 representation's 2 - s - s^-1, is walked along: its block is tridiagonal
 apart from one corner, with -1, a unit modulo every prime, all along the
-subdiagonal, so no column swaps and the corner's one entry below the
-subdiagonal is the only row to clear.  In index order the same block has
-its entries at random places, and nearly every column swaps and clears a
-row.
+subdiagonal, so no column swaps and a column clears at most one row, which
+is updated through views.  In index order nearly every column swaps and
+clears a row.  ``spectral.luck_bound_check`` splits its operator once and
+solves the same blocks here and in its eigensolve.
 
 The block then takes the fewest primes whose product exceeds four times its
 bound, and one stacked pass serves all of them: the block is reduced to
@@ -342,6 +342,15 @@ def _hessenberg_mod(mat: np.ndarray, primes: list[int]) -> np.ndarray:
         rows += j + 2
         inv = np.array([pow(a, -1, p) if a else 0
                         for a, p in zip(pivots, primes)], dtype=np.int64)
+        if rows.size == 1:
+            # the usual column of a preorder block: one row, through views
+            r = int(rows[0])
+            mult = h[r, j] * inv % ps
+            h[r, j:] -= mult * h[j + 1, j:]
+            h[r, j:] %= ps
+            h[:, j + 1] += h[:, r] * mult
+            h[:, j + 1] %= ps
+            continue
         # row j + 1 is zero left of column j
         block = h[rows, j:]
         mult = block[:, 0] * inv % ps
@@ -409,8 +418,9 @@ def _components(mat: np.ndarray) -> list[np.ndarray]:
     Hessenberg reduction the pivot swaps and the rows to clear of an index
     order (module docstring)."""
     n = mat.shape[0]
-    support = mat != 0
-    rows, cols = np.nonzero(support | support.T)
+    rows, cols = np.nonzero(mat)
+    key = np.unique(np.concatenate([rows * n + cols, cols * n + rows]))
+    rows, cols = np.divmod(key, max(n, 1))
     starts = np.searchsorted(rows, np.arange(n + 1)).tolist()
     neighbours = cols.tolist()
     seen = [False] * n
@@ -488,24 +498,26 @@ def charpoly_trailing(mat: np.ndarray, bound: int) -> tuple[int, int]:
     Returns ``(rank, coeff)`` with ``coeff`` the coefficient of
     ``x**(n-rank)`` in ``det(x*I - mat)``.
 
-    The matrix is solved one connected component of its support graph at a
-    time.  Permuted to block-diagonal form, det(x*I - mat) is the product
-    of the blocks' polynomials, so the rank is the sum of the block ranks
-    and the coefficient the product of the block coefficients.  Each block
-    is taken in the depth-first preorder of ``_components``, which spares
-    paths and cycles most Hessenberg work; a permutation similarity
-    changes neither the polynomial nor any bound below, so the result is
-    that of any other order.  Block b,
-    of size n_b and largest absolute row sum R_b, gets the bound
-    ``min(bound, max(1, R_b) ** n_b, _schur_bound(b))``, each of which
-    holds on its own (module docstring).  Any valid bound certifies the
-    result: see ``_block_trailing``.
-    """
+    The matrix is solved one support block of ``_components`` at a time
+    (``_trailing_product``)."""
+    return _trailing_product([mat[np.ix_(idx, idx)]
+                              for idx in _components(mat)], bound)
+
+
+def _trailing_product(blocks: list[np.ndarray], bound: int) -> tuple[int, int]:
+    """``charpoly_trailing`` of an integer matrix split into ``blocks``, its
+    support blocks in depth-first preorder, which spares paths and cycles
+    most Hessenberg work.  det(x*I - mat) is the product of the blocks'
+    polynomials, so the rank is the sum of the block ranks and the
+    coefficient the product of the block coefficients, in any order of
+    each block (module docstring).  Block b, of size n_b and largest
+    absolute row sum R_b, gets the bound ``min(bound, max(1, R_b) ** n_b,
+    _schur_bound(b))``, each of which holds on its own.  Any valid bound
+    certifies the result: see ``_block_trailing``."""
     rank, coeff = 0, 1
-    for idx in _components(mat):
-        block = mat[np.ix_(idx, idx)]
+    for block in blocks:
         growth = max(1, int(np.abs(block).sum(axis=1).max()))
-        r, c = _block_trailing(block, min(bound, growth ** len(idx),
+        r, c = _block_trailing(block, min(bound, growth ** len(block),
                                           _schur_bound(block)))
         rank += r
         coeff *= c

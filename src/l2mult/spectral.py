@@ -20,18 +20,18 @@ representation is rational, i.e. its blocks are +-1 scalars; everything else
 falls back to dense numerics with thresholds tied to the coefficient
 sup-norm bound of the matrix.
 
-``spectral_measure`` solves a stack of Hermitian blocks with one
-``eigvalsh`` call, then sorts and clusters all their eigenvalues together.
+``spectral_measure`` solves Hermitian blocks, then sorts and clusters all
+their eigenvalues together, relative to the sup-norm bound of the matrix.
 On the regular representation of an abelian group with known cyclic factors
 (``FiniteGroup.moduli``) the blocks are the character blocks
 sum_g a_g conj(chi(g)), one n x n block per character, all from one FFT of
-the coefficients: mu_reg(a) = sum_chi mu_chi(a) / |Q|.  Every other
-representation gives the dense operator as its one block, which is real
-when every block of the representation is (a permutation, +-1 monomials),
-so that the eigensolve and the singular values run in real arithmetic.  On
-a regular representation each operator entry is one coefficient, so the
-Hermitian test reads a = a^* off the coefficients.  Clustering is relative
-to the sup-norm bound of the matrix.
+the coefficients and one ``eigvalsh`` call: mu_reg(a) = sum_chi mu_chi(a) /
+|Q|.  There each operator entry is one coefficient, so the Hermitian test
+reads a = a^* off the coefficients in one pass.  Every other representation
+gives the dense operator, real when every block of the representation is (a
+permutation, +-1 monomials), solved one support block of
+``_linalg._components`` at a time, a permutation similarity.  The exact
+route of ``luck_bound_check`` gives those blocks to the CRT pass as well.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._linalg import SparseCol, charpoly_trailing, column_reduce
+from ._linalg import (SparseCol, _components, _trailing_product,
+                      column_reduce)
 from .characters import CrossCheckFailed, check_action
 from .finite_groups import (FiniteGroup, FiniteSubgroup, GroupHom,
                             L2MultError, OrdinaryCharacter, induce_ordinary)
@@ -474,55 +475,64 @@ def _fourier_blocks(a, moduli) -> np.ndarray:
     return np.moveaxis(spectrum.reshape(n, n, -1), -1, 0)
 
 
-def _hermitian_blocks(a, rho, herm_tol: float) -> np.ndarray:
-    """A stack of Hermitian blocks whose spectra, taken together, are the
-    spectrum of the operator of ``a`` under ``rho``.
+def _hermitian_gap(a) -> tuple[float, float]:
+    """The largest |a_g^{ij}| and the largest |a_g^{ij} - a_{g^-1}^{ji}| (the
+    coefficients are rational), in one pass over the coefficients of ``a``:
+    the gap is symmetric under (i, j, g) -> (j, i, g^-1)."""
+    inv = a.group.inv
+    scale = gap = 0
+    for (i, j), terms in a.entries.items():
+        mirror = a.entry(j, i)
+        for g, c in terms.items():
+            scale = max(scale, abs(c))
+            gap = max(gap, abs(c - mirror.get(inv(g), 0)))
+    return float(scale), float(gap)
 
-    The regular representation of an abelian group with known cyclic
-    factors gives the Fourier blocks; every other representation gives the
-    dense operator as its one block.  On the regular representation
-    distinct elements move every point to distinct places, so each operator
-    entry is one coefficient of ``a``, and the operator is Hermitian
-    exactly when a = a^* coefficient by coefficient."""
+
+def _measure(a, rho, herm_tol: float = 1e-9, cluster_tol: float = 1e-10,
+             op: np.ndarray | None = None):
+    """``spectral_measure``, and the ``_components`` of the dense operator
+    ``op`` that the caller may pass (None without it).  Blocks are solved in
+    index order, so an operator of one block is solved as a whole."""
     _check_compat(a, rho)
     if a.rows != a.cols:
         raise NotHermitian("operator is not square")
-    if rho.is_regular and rho.group.moduli is not None:
-        def largest(mat):
-            return float(max((abs(c) for terms in mat.entries.values()
-                              for c in terms.values()), default=0))
-        scale, gap = largest(a), largest(a - a.adjoint())
-        blocks = _fourier_blocks(a, rho.group.moduli)
+    fourier = rho.is_regular and rho.group.moduli is not None
+    if fourier:
+        # each operator entry is one coefficient of a (module docstring)
+        scale, gap = _hermitian_gap(a)
     else:
-        op = operator_matrix(a, rho)
+        op = operator_matrix(a, rho) if op is None else op
         scale = float(np.max(np.abs(op), initial=0.0))
         gap = float(np.max(np.abs(op - op.conj().T), initial=0.0))
-        blocks = op[None]
     if gap > herm_tol * max(1.0, scale):
         raise NotHermitian("operator differs from its adjoint")
-    return (blocks + blocks.conj().swapaxes(-1, -2)) / 2
-
-
-def spectral_measure(a, rho, herm_tol: float = 1e-9,
-                     cluster_tol: float = 1e-10) -> SpectralMeasure:
-    """Eigenvalue atoms of the operator of a self-adjoint matrix, normalized
-    by the representation dimension.
-
-    One ``eigvalsh`` call solves the stack of Hermitian blocks (the Fourier
-    blocks on an abelian group's regular representation, else the dense
-    operator); the eigenvalues are sorted and clustered together.  Sorted
-    neighbours closer than cluster_tol * max(1, sup-norm bound of a) share
-    an atom, the mean of the cluster, and an atom that close to 0 is 0.
-    """
-    eigs = np.sort(np.linalg.eigvalsh(_hermitian_blocks(a, rho, herm_tol)),
-                   axis=None)
+    parts = None if op is None else _components(op)
+    blocks = [_fourier_blocks(a, rho.group.moduli)] if fourier else \
+        [op if len(idx) == len(op) else op[np.ix_(idx, idx)]
+         for idx in map(np.sort, parts)]
+    eigs = np.sort(np.concatenate([np.empty(0)] + [
+        np.linalg.eigvalsh((b + b.conj().swapaxes(-1, -2)) / 2).ravel()
+        for b in blocks]))
     tol = cluster_tol * max(1.0, float(a.sup_norm_bound()))
     starts = np.flatnonzero(np.diff(eigs, prepend=-np.inf) > tol)
     counts = np.diff(starts, append=len(eigs))
     values = np.add.reduceat(eigs, starts) / counts
     values[np.abs(values) <= tol] = 0.0
     return SpectralMeasure([(float(v), int(m)) for v, m in zip(values, counts)],
-                           rho.dim, a.cols)
+                           rho.dim, a.cols), parts
+
+
+def spectral_measure(a, rho, herm_tol: float = 1e-9,
+                     cluster_tol: float = 1e-10) -> SpectralMeasure:
+    """Eigenvalue atoms of the operator of a self-adjoint matrix, normalized
+    by the representation dimension: the Fourier blocks in one ``eigvalsh``
+    call, or the dense operator one support block at a time (module
+    docstring).  Sorted eigenvalues closer than cluster_tol * max(1,
+    sup-norm bound of a) share an atom, the mean of the cluster, and an atom
+    that close to 0 is 0.
+    """
+    return _measure(a, rho, herm_tol, cluster_tol)[0]
 
 
 def fk_det(mu: SpectralMeasure) -> float:
@@ -601,29 +611,39 @@ class LuckReport:
 def luck_bound_check(a, rho, d: int) -> LuckReport:
     """det(mu) >= c_A^{-(d-1)n} for integer self-adjoint positive matrices;
     for d = 1 and rational representations the trailing coefficient of the
-    exact characteristic polynomial certifies det^dim as a nonzero integer."""
+    exact characteristic polynomial certifies det^dim as a nonzero integer.
+
+    There the operator is filled once, from the exact columns, and split
+    once by ``_components``: each block feeds ``eigvalsh`` (but on the
+    Fourier route) and, as int64, the CRT pass.  Checks fire in the order
+    Hermitian test, ``2**31`` guard, vanishing coefficient, bound."""
     if not a.is_integral():
         raise SpectralError("integer coefficients required")
     if a.rows != a.cols:
         raise SpectralError("square matrix required")
-    mu = spectral_measure(a, rho)
-    det = fk_det(mu)
-    c = float(a.sup_norm_bound())
-    bound = c ** (-(d - 1) * a.rows) if c > 0 else 1.0
-    report = LuckReport(det=det, bound=bound, passed=det >= bound * (1 - 1e-9))
-    if d == 1 and rho.is_rational:
+    exact = d == 1 and rho.is_rational
+    op = None
+    if exact:
         _, cols = operator_columns_exact(a, rho)
         size = a.cols * rho.dim
         rows = np.array([r for col in cols for r in col], dtype=np.int64)
         vals = [v for col in cols for v in col.values()]
         # on Python ints, which may exceed int64
-        if max(map(abs, vals), default=0) >= 2 ** 31:
+        too_large = max(map(abs, vals), default=0) >= 2 ** 31
+        op = np.zeros((size, size))
+        op[rows, np.repeat(np.arange(size), [len(col) for col in cols])] = vals
+    mu, parts = _measure(a, rho, op=op)
+    det = fk_det(mu)
+    c = float(a.sup_norm_bound())
+    bound = c ** (-(d - 1) * a.rows) if c > 0 else 1.0
+    report = LuckReport(det=det, bound=bound, passed=det >= bound * (1 - 1e-9))
+    if exact:
+        if too_large:
             raise SpectralError("operator entries too large")
-        dense = np.zeros((size, size), dtype=np.int64)
-        at = np.repeat(np.arange(size), [len(col) for col in cols])
-        dense[rows, at] = vals
         growth = max(2, math.ceil(c))
-        rank, coeff = charpoly_trailing(dense, growth ** size)
+        rank, coeff = _trailing_product(
+            [op[np.ix_(idx, idx)].astype(np.int64) for idx in parts],
+            growth ** size)
         report.rank = rank
         report.char_trailing = int(abs(coeff))
         log_c = math.log(abs(coeff)) if coeff else 0.0
@@ -633,9 +653,7 @@ def luck_bound_check(a, rho, d: int) -> LuckReport:
             report.integrality_gap = abs(det ** rho.dim - abs(coeff))
         if coeff == 0:
             raise BoundViolated("vanishing characteristic coefficient")
-        if not report.passed:
-            raise BoundViolated(f"det {det} below bound {bound}")
-    elif not report.passed:
+    if not report.passed:
         raise BoundViolated(f"det {det} below bound {bound}")
     return report
 

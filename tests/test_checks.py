@@ -10,11 +10,12 @@ from l2mult import (FreeAbelianGroup, GroupRingMatrix, QuotientMap,
                     character_of, character_table, cyclic_group,
                     dihedral_group, induced_rep, irreducible_rep,
                     luck_bound_check, moments_check, push_matrix, regular_rep,
-                    trivial_group, validate_chain)
+                    spectral_measure, trivial_group, validate_chain)
 from l2mult import complexes, runner, spectral
 from l2mult.characters import CrossCheckFailed
 from l2mult.complexes import ComplexError
-from l2mult.spectral import MomentMismatch, NotAComplex, SpectralError
+from l2mult.spectral import (MomentMismatch, NotAComplex, NotHermitian,
+                             SpectralError)
 from l2mult.word_groups import ChainBroken
 
 
@@ -38,6 +39,36 @@ def test_moments_check_catches_faulty_fourier_blocks(monkeypatch):
         moments_check(gram, rho, 4)
     # the gap that crt_det reads against the exact CRT coefficient
     assert luck_bound_check(gram, rho, 1).log_gap > 1e-8
+
+
+def test_fourier_hermitian_gap_catches_one_coefficient():
+    # a 2 x 2 gram on Z/6, whose operator the Fourier route never builds:
+    # moving any one coefficient a_g^{ij} other than its own mirror
+    # a_{g^-1}^{ji}, or adding one where the gram has none, by 1e-6 breaks
+    # a = a^*; 1e-12 stays within tolerance.  The gap equals the largest
+    # coefficient of a - a^*
+    target = cyclic_group(6)
+    rho = regular_rep(target)
+    b = GroupRingMatrix(target, 2, 2, {(0, 0): {0: 1, 1: -1}, (0, 1): {2: 2},
+                                       (1, 1): {3: 1, 5: 1}})
+    gram = b.adjoint() @ b
+    spots = [((i, j), g) for (i, j), terms in gram.entries.items()
+             for g in terms if (i, j, g) != (j, i, target.inv(g))]
+    spots.append(((0, 1), 4))
+    assert len(spots) == 9
+    assert 4 not in gram.entry(0, 1)
+    for (i, j), g in spots:
+        for eps, fires in ((Fraction(1, 10 ** 6), True),
+                           (Fraction(1, 10 ** 12), False)):
+            moved = gram + GroupRingMatrix(target, 2, 2, {(i, j): {g: eps}})
+            largest = max(abs(c) for terms in (moved - moved.adjoint())
+                          .entries.values() for c in terms.values())
+            assert spectral._hermitian_gap(moved)[1] == float(largest)
+            if fires:
+                with pytest.raises(NotHermitian):
+                    spectral_measure(moved, rho)
+            else:
+                spectral_measure(moved, rho)
 
 
 @pytest.mark.parametrize("coeff", [2 ** 31, 2 ** 70])

@@ -440,3 +440,37 @@ def test_components_match_breadth_first_search():
                 assert adj[block[t], block[:t]].any()
                 if is_cycles:
                     assert adj[block[t], block[t - 1]]
+
+
+def test_hessenberg_mod_clears_one_row_many_rows_or_swaps():
+    # column 0 of the input decides the path of the first step: exactly
+    # one row to clear below a pivot that is a unit modulo every prime
+    # (the view update), several rows, or a pivot that is zero modulo some
+    # prime (the swap); later columns take whichever path they reach.  Each
+    # prime's slice is upper Hessenberg with the exact polynomial's residues
+    rng = make_rng(16)
+    primes = [3, 5, 7] + _crt_primes(1 << 60)
+    ps = np.array(primes)
+    for shape in ("one", "many", "swap") * 8:
+        n = rng.randint(4, 9)
+        mat = np.array([[rng.randint(-4, 4) for _ in range(n)]
+                        for _ in range(n)], dtype=np.int64)
+        mat[1:, 0] = 0
+        if shape == "swap":
+            mat[1, 0] = rng.choice([0, 3, 5])
+            mat[rng.randint(2, n - 1), 0] = 1
+        else:
+            mat[1, 0] = rng.choice([-1, 1])
+            below = rng.sample(range(2, n), 1 if shape == "one" else 2)
+            mat[below, 0] = [rng.choice([-2, -1, 1, 2]) for _ in below]
+        pivots = mat[1, 0] % ps
+        rows = np.flatnonzero((mat[2:, 0, None] % ps).any(axis=1))
+        path = ("swap" if not pivots.all() else
+                "one" if rows.size == 1 else "many" if rows.size else None)
+        assert path == shape
+        h = _hessenberg_mod(mat, primes)
+        assert not np.tril(np.moveaxis(h, 2, 0), -2).any()
+        exact = charpoly_exact(mat.tolist())
+        for i, p in enumerate(primes):
+            got = charpoly_exact(h[:, :, i].tolist())
+            assert [int(c) % p for c in got] == [int(c) % p for c in exact]

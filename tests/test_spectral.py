@@ -1,3 +1,5 @@
+import collections
+import itertools
 import math
 from fractions import Fraction
 
@@ -11,9 +13,11 @@ from l2mult import (FreeAbelianGroup, FreeGroup, GroupRingMatrix,
                     moments_check, operator_matrix, phi_betti, pullback_rep,
                     push_matrix, rank_nullity, regular_rep, rep_from_action,
                     spectral_measure)
-from l2mult import spectral
+from l2mult import _linalg, spectral
+from l2mult._linalg import _components, charpoly_trailing
 from l2mult.finite_groups import GroupHom, induce_ordinary
-from l2mult.spectral import (NotAComplex, NotHermitian, SpectralMeasure,
+from l2mult.spectral import (BoundViolated, NotAComplex, NotHermitian,
+                             SpectralMeasure,
                              SpectralError, UnitaryRep, WordPermRep, coset_rep,
                              operator_columns_exact)
 from l2mult.word_groups import FiniteAlgebraMatrix
@@ -687,3 +691,115 @@ def test_unitary_rep_rejects_images_that_break_a_relation():
     # the edge g^2 -> g^3 = 1 shows it
     with pytest.raises(SpectralError, match="break a relation"):
         UnitaryRep(cyclic_group(3), {1: np.array([[-1.0]])})
+
+
+def _crt_det_gram(rng, f2, n_mat=1):
+    """A gram b^* b of F2 in the shape of criterion 2's instances: each
+    entry of b is a difference of two random words (crt_det's permutation
+    instances are the 1 x 1 case)."""
+    def word():
+        return f2.word("".join(rng.choice(["a", "a'", "b", "b'"])
+                               for _ in range(rng.randint(1, 4))))
+    entries = {}
+    for key in itertools.product(range(n_mat), repeat=2):
+        w1, w2 = word(), word()
+        while w2 == w1:
+            w2 = word()
+        entries[key] = {w1: 1, w2: -1}
+    b = GroupRingMatrix(f2, n_mat, n_mat, entries)
+    return b.adjoint() @ b
+
+
+def test_block_eigensolve_matches_one_dense_eigensolve():
+    # the measure is solved one support block at a time, and so is the
+    # exact route of luck_bound_check; one eigvalsh of the dense operator
+    # is the oracle.  Multi-cycle permutation instances, a UnitaryRep
+    # operator of two blocks, and a 2 x 2 gram of one block
+    rng = make_rng(46)
+    f2 = FreeGroup(2)
+    cases = [(_crt_det_gram(rng, f2),
+              WordPermRep(f2, [rng.sample(range(size), size)
+                               for _ in range(2)])) for size in (25, 75, 131)]
+    d4 = dihedral_group(4)
+    rho = UnitaryRep(d4, {d4.index_of((1, 0)): np.array([[0, -1], [1, 0]]),
+                          d4.index_of((0, 1)): np.array([[1, 0], [0, -1]])})
+    b = GroupRingMatrix(d4, 2, 2, {(0, 0): {1: 1, 5: -2}, (1, 1): {2: 1, 0: 1}})
+    cases.append((b.adjoint() @ b, rho))
+    for gram, rho in cases:
+        assert len(_components(operator_matrix(gram, rho))) > 1
+    cases.append((_crt_det_gram(rng, f2, 2),
+                  WordPermRep(f2, [rng.sample(range(40), 40)
+                                   for _ in range(2)])))
+    for gram, rho in cases:
+        expected = _clustered_oracle(gram, rho)
+        mu = spectral_measure(gram, rho)
+        assert [m for _, m in mu.atoms] == [m for _, m in expected]
+        assert max(abs(v - w) for (v, _), (w, _)
+                   in zip(mu.atoms, expected)) < 1e-12
+        want = fk_det(SpectralMeasure(expected, rho.dim, gram.cols))
+        report = luck_bound_check(gram, rho, 1 if rho.is_rational else 2)
+        assert abs(report.det / want - 1) < 1e-12
+
+
+def test_luck_bound_check_raises_in_the_order_of_its_checks(monkeypatch):
+    # the Hermitian test, then the 2**31 guard, then a vanishing
+    # coefficient, then the bound, on the block route (a 5-cycle of F2)
+    # and on the Fourier route (Z/5)
+    f2, c5 = FreeGroup(2), cyclic_group(5)
+    cycle = [1, 2, 3, 4, 0]
+    cases = [(WordPermRep(f2, [cycle, list(range(5))]),
+              f2.word(""), f2.word("a"), f2.word("a'")),
+             (regular_rep(c5), 0, 1, 4)]
+    fk_det_of = spectral.fk_det
+    for rho, one, shift, back in cases:
+        def scalar(terms):
+            return GroupRingMatrix(rho.group, 1, 1, {(0, 0): terms})
+        gram = scalar({one: 2, shift: -1, back: -1})
+        assert luck_bound_check(gram, rho, 1).char_trailing == 25
+        for c in (1, 2 ** 31):
+            with pytest.raises(NotHermitian):
+                luck_bound_check(scalar({shift: c}), rho, 1)
+        monkeypatch.setattr(spectral, "fk_det", lambda mu: 0.5)
+        with pytest.raises(SpectralError, match="operator entries too large"):
+            luck_bound_check(scalar({one: 2 ** 31}), rho, 1)
+        with pytest.raises(BoundViolated, match="below bound"):
+            luck_bound_check(gram, rho, 1)
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "_trailing_product", lambda blocks, bound:
+                      (0, 0))
+            with pytest.raises(BoundViolated, match="vanishing"):
+                luck_bound_check(gram, rho, 1)
+        monkeypatch.setattr(spectral, "fk_det", fk_det_of)
+
+
+def test_luck_bound_check_builds_and_splits_its_operator_once(monkeypatch):
+    # one crt_det permutation instance: the exact columns once, one support
+    # split shared by the eigensolve and the characteristic polynomial,
+    # and no float operator of its own
+    rng = make_rng(47)
+    f2 = FreeGroup(2)
+    gram = _crt_det_gram(rng, f2)
+    rho = WordPermRep(f2, [rng.sample(range(131), 131) for _ in range(2)])
+    dense = _dense_columns(*operator_columns_exact(gram, rho)).astype(np.int64)
+    assert len(_components(dense)) > 1
+    bound = max(2, math.ceil(float(gram.sup_norm_bound()))) ** 131
+    rank, coeff = charpoly_trailing(dense, bound)
+    calls = collections.Counter()
+
+    def count(module, name):
+        call = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return call(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    for module, name in ((spectral, "operator_columns_exact"),
+                         (spectral, "operator_matrix"),
+                         (spectral, "_components"),
+                         (_linalg, "_components")):
+        count(module, name)
+    report = luck_bound_check(gram, rho, 1)
+    assert calls["operator_columns_exact"] == 1
+    assert calls["_components"] == 1
+    assert calls["operator_matrix"] == 0
+    assert (report.rank, report.char_trailing) == (rank, abs(coeff))
