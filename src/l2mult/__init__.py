@@ -12,8 +12,8 @@ from .finite_groups import (CharacterTable, FiniteGroup, FiniteSubgroup,
 from .word_groups import (FiniteAlgebraMatrix, FiniteIndexSubgroup,
                           FreeAbelianGroup, FreeByFiniteGroup, FreeGroup,
                           GroupRingMatrix, InfiniteDihedralGroup,
-                          QuotientChain, QuotientMap, Word, normal_form,
-                          push_matrix, validate_chain)
+                          QuotientChain, QuotientMap, Word, push_matrix,
+                          validate_chain)
 from .characters import (BisetCharacter, FiniteCharacter, LimitCharacterSpec,
                          biset_character, i_finite, induce_via, limit_value,
                          perm_character, regular_character, trivial_character)

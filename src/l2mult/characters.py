@@ -3,9 +3,10 @@
 A ``FiniteCharacter`` is a conjugation-invariant function with value 1 at the
 identity, stored per conjugacy class.  ``BisetCharacter`` couples a finite
 quotient Q with a finite group H and holds the rational fixed-point fractions
-of a Q-H-biset; inducing a character of H through it is a plain weighted sum
-with the normalization built into the defining formula.  ``i_finite`` is the
-biset of the i-function of Q, read from ``FiniteGroup.i_value``.
+of a Q-H-biset; inducing a character of H through it is the one induction
+formula, ``finite_groups.induced_value``, with the biset in place of the
+i-function, divided by its value at the identity.  ``i_finite`` is the biset
+of the i-function of Q, read from ``FiniteGroup.i_value``.
 
 A ``LimitCharacterSpec`` names the limit of a character sequence along a
 chain.  Its ``"induced"`` limit is the one induction formula of
@@ -20,8 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .finite_groups import (FiniteGroup, FiniteSubgroup, L2MultError,
-                            OrdinaryCharacter, induced_value)
+from .finite_groups import (ClosureTooLarge, FiniteGroup, FiniteSubgroup,
+                            L2MultError, OrdinaryCharacter, induced_value)
 from .word_groups import (BuiltinGroup, FreeAbelianGroup, FiniteIndexSubgroup,
                           UnsupportedFamily, Word)
 
@@ -151,30 +152,25 @@ def i_finite(q_group: FiniteGroup, h_sub: FiniteSubgroup) -> BisetCharacter:
     return BisetCharacter(q_group, h_abs, values, tuple(h_sub.members))
 
 
-def induce_via(psi: BisetCharacter, phi: FiniteCharacter,
-               tol: float = 1e-10) -> FiniteCharacter:
-    """Character of Q induced by phi through psi: a ratio of weighted sums
-    over H, normalized by the value at the identity."""
+def induce_via(psi: BisetCharacter, phi: FiniteCharacter) -> FiniteCharacter:
+    """Character of Q induced by phi through psi: ``induced_value`` with psi
+    as the i-function, normalized by its value at the identity, which must
+    exceed 1e-10 in modulus."""
     if phi.group is not psi.h_group:
         raise CharacterError("phi must live on the biset's H")
-    h_order = psi.h_group.order
-    classes = psi.q_group.conjugacy_classes()
-    phi_at = [complex(phi.value(h)) for h in range(h_order)]
-    denom = sum(complex(psi.values.get((0, h), 0)) * phi_at[h]
-                for h in range(h_order))
-    if abs(denom) <= tol:
+    pairs = [(h, complex(phi.value(h))) for h in range(psi.h_group.order)]
+    denom = complex(induced_value(psi.value, 0, pairs))
+    if abs(denom) <= 1e-10:
         raise CannotInduce(f"denominator {denom} vanishes")
-    values = []
-    for cls in range(len(classes.representatives)):
-        num = sum(complex(psi.values.get((cls, h), 0)) * phi_at[h]
-                  for h in range(h_order))
-        values.append(num / denom)
-    return FiniteCharacter(psi.q_group, values)
+    return FiniteCharacter(psi.q_group, [
+        induced_value(psi.value, g, pairs) / denom
+        for g in psi.q_group.conjugacy_classes().representatives])
 
 
-def finite_word_subgroup(words: list[Word], cap: int = 512):
-    """Closure of a word list; returns (H_abs, elements) with elements[i]
-    the word realizing H_abs element i and elements[0] the identity."""
+def finite_word_subgroup(words: list[Word]):
+    """Closure of a word list, of at most 512 elements; returns (H_abs,
+    elements) with elements[i] the word realizing H_abs element i and
+    elements[0] the identity."""
     if not words:
         raise CharacterError("empty generating set")
     group = words[0].group
@@ -188,8 +184,8 @@ def finite_word_subgroup(words: list[Word], cap: int = 512):
         for g in gens:
             for u in (w * g, w * g.inverse()):
                 if u not in seen:
-                    if len(elems) >= cap:
-                        raise CharacterError(f"word closure exceeds cap {cap}")
+                    if len(elems) >= 512:
+                        raise ClosureTooLarge("word closure exceeds cap 512")
                     seen[u] = len(elems)
                     elems.append(u)
                     frontier.append(u)
@@ -312,7 +308,7 @@ def limit_value(spec: LimitCharacterSpec, w: Word) -> complex:
     if spec.kind == "induced":
         if spec.assert_infinite_centralizers:
             return 1.0 if w.is_identity() else 0.0
-        return induced_value(spec.group, w, (
+        return induced_value(spec.group.i_value, w, (
             (h_word, spec.chi.value(k) / spec.chi.degree)
             for h_word, k in zip(spec._h_elems, spec._chi_index)))
     raise CharacterError(f"unknown limit kind {spec.kind!r}")

@@ -3,13 +3,12 @@
 Element 0 is always the identity.  A group holds its elements as one
 (|G|, w) int64 array, ``FiniteGroup.rows``, and one raw product that
 multiplies a batch of rows by one element: ``products(xs, g)`` is x g for
-every x of the index list xs, one array operation, and ``mul(i, j)`` is the
-same product on one row.  An index map takes rows back to element indices:
-mixed radix for the cyclic, abelian, dihedral and semidirect families, so
-no constructor scans a list of elements, and a dict of row bytes for
-permutation groups and the default.  The abstract copy of a subgroup keeps
-its parent's rows, product and index map, the last read through a
-parent-to-local array.
+every x of the index list xs, one array operation.  An index map takes rows
+back to element indices: mixed radix for the cyclic, abelian, dihedral and
+semidirect families, so no constructor scans a list of elements, and a dict
+of row bytes for permutation groups and the default.  The abstract copy of a
+subgroup keeps its parent's rows, product and index map, the last read
+through a parent-to-local array.
 
 One breadth-first search, ``_bfs``, runs over permutation tables from a
 root.  ``FiniteGroup.walk(gens)`` is that search over the right translations
@@ -54,8 +53,9 @@ off H's right translations.
 Induced characters go through one formula, ``induced_value``: the value at
 g is sum_h i(g, h) chi(h) over the elements h of a finite subgroup, with the
 i-function of the group that holds g.  It serves a finite quotient (here, in
-``induce_ordinary``, and in the runner's character convergence rows) and a
-built-in infinite group (``characters.limit_value``) alike.
+``induce_ordinary``, and in the runner's character convergence rows), a
+built-in infinite group (``characters.limit_value``) and a biset character
+(``characters.induce_via``) alike.
 """
 
 from __future__ import annotations
@@ -149,10 +149,6 @@ class FiniteGroup:
         batched raw product."""
         return self._index(self._mul_rows(self.rows[xs],
                                           self.rows[g])).tolist()
-
-    def mul(self, i: int, j: int) -> int:
-        """The raw product of one pair: the batched product on one row."""
-        return self.products([i], j)[0]
 
     def inv(self, i: int) -> int:
         return self.inverses[i]
@@ -673,7 +669,7 @@ class CharacterTable:
         self.irreducibles = irreducibles
         self._validate()
 
-    def _validate(self, tol: float = 1e-8):
+    def _validate(self):
         k = len(self.classes.representatives)
         if len(self.irreducibles) != k:
             raise NumericalDegeneracy("wrong number of irreducibles")
@@ -682,7 +678,7 @@ class CharacterTable:
         sizes = np.array(self.classes.sizes)
         mat = np.array([ch.values for ch in self.irreducibles])
         gram = (mat * sizes) @ np.conj(mat.T) / self.group.order
-        if np.max(np.abs(gram - np.eye(k))) > tol:
+        if np.max(np.abs(gram - np.eye(k))) > 1e-8:
             raise NumericalDegeneracy("row orthogonality fails")
 
     def column_orthogonality_defect(self) -> float:
@@ -693,18 +689,19 @@ class CharacterTable:
         return float(np.max(np.abs(gram - expect)))
 
 
-def character_table(group: FiniteGroup, max_order: int = 2000,
-                    tol: float = 1e-8, attempts: int = 12) -> CharacterTable:
-    """Numeric class-sum eigenvector method (Burnside/Dixon style).
+def character_table(group: FiniteGroup) -> CharacterTable:
+    """Numeric class-sum eigenvector method (Burnside/Dixon style), for
+    groups of order at most 2000.
 
     A random combination of the class-multiplication matrices is
     diagonalized; the common eigenvectors give the central characters, from
-    which degrees and character values follow.
+    which degrees and character values follow.  Up to 12 combinations are
+    tried; a table's orthogonality must hold within 1e-8.
     """
     if group._table is not None:
         return group._table
-    if group.order > max_order:
-        raise GroupError(f"order {group.order} exceeds cap {max_order}")
+    if group.order > 2000:
+        raise GroupError(f"order {group.order} exceeds cap 2000")
     classes = group.conjugacy_classes()
     k = len(classes.representatives)
     # structure constants a[i][j][l]: #{(x,y) in C_i x C_j : xy = rep_l}
@@ -717,7 +714,7 @@ def character_table(group: FiniteGroup, max_order: int = 2000,
                 # count y with x*y = rep_l  <=>  y = x^-1 rep_l, then tally class
                 a[i][class_of[right[inv[x]]]][l] += 1
     rng = np.random.default_rng(20240531)
-    for attempt in range(attempts):
+    for attempt in range(12):
         coeffs = rng.standard_normal(k)
         # (M w)_j = sum_l (sum_i c_i a[i,j,l]) w_l = (sum_i c_i w_i) w_j,
         # so the central characters w are the eigenvectors of M.
@@ -761,20 +758,21 @@ def character_table(group: FiniteGroup, max_order: int = 2000,
             table = CharacterTable(group, irreducibles)
         except NumericalDegeneracy:
             continue
-        if table.column_orthogonality_defect() > tol:
+        if table.column_orthogonality_defect() > 1e-8:
             continue
         group._table = table
         return table
     raise NumericalDegeneracy(
-        f"class-sum eigenspaces not separated after {attempts} attempts")
+        "class-sum eigenspaces not separated after 12 attempts")
 
 
-def induced_value(group, g, pairs):
+def induced_value(i_value, g, pairs):
     """The induced character sum_h i(g, h) v_h over the pairs (h, v_h), with
-    the i-function of ``group``: a finite group on element indices or a
-    built-in group on words.  Only the terms with h ~ g are summed, in the
-    order of ``pairs``; with none, the value is the int 0."""
-    return sum(i * v for h, v in pairs if (i := group.i_value(g, h)))
+    the i-function ``i_value``: that of a finite group on element indices, of
+    a built-in group on words, or a biset character.  Only the terms with
+    i(g, h) != 0 are summed, in the order of ``pairs``; with none, the value
+    is the int 0."""
+    return sum(i * v for h, v in pairs if (i := i_value(g, h)))
 
 
 def induce_ordinary(subgroup: FiniteSubgroup,
@@ -787,7 +785,7 @@ def induce_ordinary(subgroup: FiniteSubgroup,
     # local element k of the abstract subgroup is members[k]
     pairs = [(h, chi.value(k)) for k, h in enumerate(subgroup.members)]
     return OrdinaryCharacter(parent, [
-        subgroup.index * induced_value(parent, rep, pairs)
+        subgroup.index * induced_value(parent.i_value, rep, pairs)
         for rep in parent.conjugacy_classes().representatives])
 
 
@@ -799,16 +797,16 @@ def restrict_ordinary(theta: OrdinaryCharacter,
     return OrdinaryCharacter(h_abs, values)
 
 
-def multiplicity(chi: OrdinaryCharacter, theta: OrdinaryCharacter,
-                 tol: float = 1e-6) -> int:
-    """Multiplicity of the irreducible chi inside theta."""
+def multiplicity(chi: OrdinaryCharacter, theta: OrdinaryCharacter) -> int:
+    """Multiplicity of the irreducible chi inside theta: the inner product,
+    which must be within 1e-6 of an integer."""
     if chi.group is not theta.group:
         raise GroupError("characters live on different groups")
     if not chi.is_irreducible(1e-6):
         raise GroupError("first argument must be irreducible")
     val = theta.inner(chi)
     m = int(round(val.real))
-    if abs(val - m) > tol:
+    if abs(val - m) > 1e-6:
         raise NotIntegral(f"inner product {val} is not integral")
     return m
 

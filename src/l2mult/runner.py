@@ -582,7 +582,8 @@ def _char_convergence_row(n: int, level: FiniteIndexSubgroup, w: Word,
                           pairs, lim: complex | str) -> dict:
     """One row; a limit that raised is recorded in the row."""
     row = {"level": n, "word": str(w)}
-    observed = induced_value(level.via.target, level.via.evaluate(w), pairs)
+    observed = induced_value(level.via.target.i_value, level.via.evaluate(w),
+                             pairs)
     if isinstance(lim, str):
         row["error"] = lim
         return row

@@ -123,18 +123,17 @@ class Rep:
         return complex(np.trace(blocks[fixed], axis1=1, axis2=2).sum())
 
 
-def UnitaryRep(group: FiniteGroup, gen_matrices: dict[int, np.ndarray],
-               tol: float = 1e-9) -> Rep:
+def UnitaryRep(group: FiniteGroup, gen_matrices: dict[int, np.ndarray]) -> Rep:
     """The one-block rep of a finite group generated from unitary generator
     images, filled along the tree of ``group.walk`` and checked on every
-    Cayley edge within ``tol``: the numeric rep of an irreducible of degree
+    Cayley edge within 1e-9: the numeric rep of an irreducible of degree
     >= 2."""
     if not gen_matrices:
         raise SpectralError("generator images required")
     images = list(gen_matrices.values())
     dim = images[0].shape[0]
     for m in images:
-        if np.max(np.abs(m.conj().T @ m - np.eye(dim))) > tol:
+        if np.max(np.abs(m.conj().T @ m - np.eye(dim))) > 1e-9:
             raise SpectralError("generator image is not unitary")
     reached, parent, letter = group.walk(gen_matrices)
     if len(reached) != group.order:
@@ -144,7 +143,7 @@ def UnitaryRep(group: FiniteGroup, gen_matrices: dict[int, np.ndarray],
     for y, p, k in zip(reached[1:], parent, letter):
         mats[y] = mats[p] @ images[k]
     for g, m in gen_matrices.items():
-        if np.abs(mats @ m - mats[group.right(g)]).max() > tol:
+        if np.abs(mats @ m - mats[group.right(g)]).max() > 1e-9:
             raise SpectralError("generator images break a relation of the "
                                 "group")
     dest = np.zeros(1, dtype=np.int64)
@@ -219,8 +218,7 @@ def character_of(rho) -> OrdinaryCharacter:
                              [rho.trace(r) for r in classes.representatives])
 
 
-def irreducible_rep(group: FiniteGroup, chi: OrdinaryCharacter,
-                    attempts: int = 10) -> Rep:
+def irreducible_rep(group: FiniteGroup, chi: OrdinaryCharacter) -> Rep:
     """A unitary representation affording the irreducible character chi.
 
     Degree-1 characters are realized directly as 1x1 blocks (rational when
@@ -255,7 +253,7 @@ def irreducible_rep(group: FiniteGroup, chi: OrdinaryCharacter,
         raise SpectralError("isotypic projector has unexpected rank")
     action = {g: basis.conj().T @ reg.matrix(g) @ basis for g in range(n)}
     rng = np.random.default_rng(97 + group.order)
-    for _ in range(attempts):
+    for _ in range(10):
         x = rng.standard_normal((d * d, d * d))
         x = x + x.T
         t = sum(action[g] @ x @ action[g].conj().T for g in range(n)) / n
@@ -298,11 +296,11 @@ def _coset_action(q_group: FiniteGroup, h_sub: FiniteSubgroup):
     return blocks
 
 
-def induced_rep(q_group: FiniteGroup, h_sub: FiniteSubgroup, rho_h,
-                tol: float = 1e-8) -> Rep:
+def induced_rep(q_group: FiniteGroup, h_sub: FiniteSubgroup, rho_h) -> Rep:
     """Representation induced along H <= Q on the left cosets t_j H.  rho_h
     is checked on every Cayley edge of H, the character against ordinary
-    character induction, and rho on every pair of generators of Q.
+    character induction, and rho on every pair of generators of Q, each
+    within 1e-8.
 
     With g t_j = t_i h, rho(g) sends block j to block i by rho_h(h): each
     element's pair is rho_h's pair of h, moved to coset i.
@@ -311,7 +309,7 @@ def induced_rep(q_group: FiniteGroup, h_sub: FiniteSubgroup, rho_h,
     if rho_h.group is not h_abs:
         raise SpectralError("rho_h must live on the abstract subgroup")
     # the character check sees rho_h only through its traces
-    if not all(_composes(rho_h, x, s, tol) for s in h_abs.generators
+    if not all(_composes(rho_h, x, s) for s in h_abs.generators
                for x in range(h_abs.order)):
         raise CrossCheckFailed("rho_h is not a homomorphism on the Cayley "
                                "edges of H")
@@ -328,24 +326,24 @@ def induced_rep(q_group: FiniteGroup, h_sub: FiniteSubgroup, rho_h,
     rep = Rep(q_group, q_group.order // h_sub.order * rho_h.dim, pair_of,
               rho_h.is_rational)
     induced_char = induce_ordinary(h_sub, character_of(rho_h))
-    if np.max(np.abs(character_of(rep).values - induced_char.values)) > tol:
+    if np.max(np.abs(character_of(rep).values - induced_char.values)) > 1e-8:
         raise CrossCheckFailed("induced character does not match the formula")
     # the character reads only the diagonal blocks; rho(s) rho(t) = rho(st)
     # on the generators also sees where the other blocks go
-    if not all(_composes(rep, s, t, tol) for s, t in
+    if not all(_composes(rep, s, t) for s, t in
                itertools.product(q_group.generators, repeat=2)):
         raise CrossCheckFailed("induced rep is not a homomorphism on the "
                                "generators")
     return rep
 
 
-def _composes(rep: Rep, x, s, tol: float) -> bool:
-    """rho(x) rho(s) = rho(x s): ``dest`` exactly, blocks within ``tol``."""
+def _composes(rep: Rep, x, s) -> bool:
+    """rho(x) rho(s) = rho(x s): ``dest`` exactly, blocks within 1e-8."""
     (dest_x, blocks_x), (dest_s, blocks_s) = rep.pair(x), rep.pair(s)
     dest, blocks = rep.pair(rep.group.right(s)[x])
     return (dest == dest_x[dest_s]).all() and (
         blocks is None or np.abs(blocks - blocks_x[dest_s] @ blocks_s).max()
-        <= tol)
+        <= 1e-8)
 
 
 def pullback_rep(hom: GroupHom, rho) -> Rep:
@@ -489,11 +487,11 @@ def _hermitian_gap(a) -> tuple[float, float]:
     return float(scale), float(gap)
 
 
-def _measure(a, rho, herm_tol: float = 1e-9, cluster_tol: float = 1e-10,
-             op: np.ndarray | None = None):
+def _measure(a, rho, op: np.ndarray | None, norm: float):
     """``spectral_measure``, and the ``_components`` of the dense operator
-    ``op`` that the caller may pass (None without it).  Blocks are solved in
-    index order, so an operator of one block is solved as a whole."""
+    ``op`` that the caller may pass (None without it); ``norm`` is the
+    sup-norm bound of ``a``.  Blocks are solved in index order, so an
+    operator of one block is solved as a whole."""
     _check_compat(a, rho)
     if a.rows != a.cols:
         raise NotHermitian("operator is not square")
@@ -505,7 +503,7 @@ def _measure(a, rho, herm_tol: float = 1e-9, cluster_tol: float = 1e-10,
         op = operator_matrix(a, rho) if op is None else op
         scale = float(np.max(np.abs(op), initial=0.0))
         gap = float(np.max(np.abs(op - op.conj().T), initial=0.0))
-    if gap > herm_tol * max(1.0, scale):
+    if gap > 1e-9 * max(1.0, scale):
         raise NotHermitian("operator differs from its adjoint")
     parts = None if op is None else _components(op)
     blocks = [_fourier_blocks(a, rho.group.moduli)] if fourier else \
@@ -514,7 +512,7 @@ def _measure(a, rho, herm_tol: float = 1e-9, cluster_tol: float = 1e-10,
     eigs = np.sort(np.concatenate([np.empty(0)] + [
         np.linalg.eigvalsh((b + b.conj().swapaxes(-1, -2)) / 2).ravel()
         for b in blocks]))
-    tol = cluster_tol * max(1.0, float(a.sup_norm_bound()))
+    tol = 1e-10 * max(1.0, norm)
     starts = np.flatnonzero(np.diff(eigs, prepend=-np.inf) > tol)
     counts = np.diff(starts, append=len(eigs))
     values = np.add.reduceat(eigs, starts) / counts
@@ -523,16 +521,16 @@ def _measure(a, rho, herm_tol: float = 1e-9, cluster_tol: float = 1e-10,
                            rho.dim, a.cols), parts
 
 
-def spectral_measure(a, rho, herm_tol: float = 1e-9,
-                     cluster_tol: float = 1e-10) -> SpectralMeasure:
+def spectral_measure(a, rho) -> SpectralMeasure:
     """Eigenvalue atoms of the operator of a self-adjoint matrix, normalized
     by the representation dimension: the Fourier blocks in one ``eigvalsh``
     call, or the dense operator one support block at a time (module
-    docstring).  Sorted eigenvalues closer than cluster_tol * max(1,
-    sup-norm bound of a) share an atom, the mean of the cluster, and an atom
-    that close to 0 is 0.
+    docstring).  An operator that differs from its adjoint by more than
+    1e-9 * max(1, largest entry) raises ``NotHermitian``.  Sorted eigenvalues
+    closer than 1e-10 * max(1, sup-norm bound of a) share an atom, the mean
+    of the cluster, and an atom that close to 0 is 0.
     """
-    return _measure(a, rho, herm_tol, cluster_tol)[0]
+    return _measure(a, rho, None, float(a.sup_norm_bound()))[0]
 
 
 def fk_det(mu: SpectralMeasure) -> float:
@@ -545,34 +543,34 @@ def fk_det(mu: SpectralMeasure) -> float:
     return math.exp(log_sum / mu.normalizer)
 
 
-def _operator_rank(a, rho, svd_tol: float, scale=None) -> int:
+def _operator_rank(a, rho, scale=None) -> int:
     """Rank of the operator of a under rho: exact on rational
-    representations, else the number of singular values above svd_tol *
+    representations, else the number of singular values above 1e-8 *
     max(1, sup-norm of ``scale``), which defaults to a."""
     if rho.is_rational:
         return column_reduce(operator_columns_exact(a, rho)[1]).rank
     op = operator_matrix(a, rho)
     svals = np.linalg.svd(op, compute_uv=False) if op.size else np.array([])
     norm = float((a if scale is None else scale).sup_norm_bound())
-    return int(np.count_nonzero(svals > svd_tol * max(1.0, norm)))
+    return int(np.count_nonzero(svals > 1e-8 * max(1.0, norm)))
 
 
-def rank_nullity(a, rho, svd_tol: float = 1e-8):
+def rank_nullity(a, rho):
     """phi-rank and phi-nullity of a (possibly rectangular) matrix: kernel
     dimension of the operator divided by the representation dimension.
 
     Returns exact Fractions on the rational path, floats otherwise.
     """
-    op_rank = _operator_rank(a, rho, svd_tol)
+    op_rank = _operator_rank(a, rho)
     kernel = a.cols * rho.dim - op_rank
     nullity = (Fraction(kernel, rho.dim) if rho.is_rational
                else kernel / rho.dim)
     return a.cols - nullity, nullity
 
 
-def moments_check(a, rho, kmax: int, tol: float = 1e-6,
-                  mu: SpectralMeasure | None = None):
-    """Compare measure moments with normalized operator traces of powers.
+def moments_check(a, rho, kmax: int, mu: SpectralMeasure | None = None):
+    """Compare measure moments with normalized operator traces of powers,
+    within 1e-6 * max(1, sup-norm bound of a)^k at power k.
 
     ``mu`` is the spectral measure of ``a`` under ``rho`` when the caller
     has it already, and is computed here when None."""
@@ -586,11 +584,11 @@ def moments_check(a, rho, kmax: int, tol: float = 1e-6,
     for k in range(1, kmax + 1):
         lhs = mu.moment(k)
         rhs = operator_trace(power, rho) / rho.dim
-        if abs(rhs.imag) > tol * c ** k:
+        if abs(rhs.imag) > 1e-6 * c ** k:
             raise MomentMismatch(k, f"trace not real: {rhs}")
         delta = abs(lhs - rhs.real)
         rows.append({"k": k, "moment": lhs, "trace": rhs.real, "delta": delta})
-        if delta > tol * c ** k:
+        if delta > 1e-6 * c ** k:
             raise MomentMismatch(k, f"|{lhs} - {rhs.real}| = {delta}")
         power = power @ a
     return rows
@@ -632,9 +630,9 @@ def luck_bound_check(a, rho, d: int) -> LuckReport:
         too_large = max(map(abs, vals), default=0) >= 2 ** 31
         op = np.zeros((size, size))
         op[rows, np.repeat(np.arange(size), [len(col) for col in cols])] = vals
-    mu, parts = _measure(a, rho, op=op)
-    det = fk_det(mu)
     c = float(a.sup_norm_bound())
+    mu, parts = _measure(a, rho, op, c)
+    det = fk_det(mu)
     bound = c ** (-(d - 1) * a.rows) if c > 0 else 1.0
     report = LuckReport(det=det, bound=bound, passed=det >= bound * (1 - 1e-9))
     if exact:
@@ -679,8 +677,7 @@ def _averaging_idempotent(group, summands, n_modules):
     return GroupRingMatrix(group, n_modules, n_modules, entries)
 
 
-def phi_betti(boundary_p, boundary_p1, rho, stabilizers=None,
-              svd_tol: float = 1e-8):
+def phi_betti(boundary_p, boundary_p1, rho, stabilizers=None):
     """Twisted Betti number nullity(d_p) - rank(d_{p+1}) of one degree of a
     complex of projective summands, compressed by stabilizer idempotents.
 
@@ -707,7 +704,7 @@ def phi_betti(boundary_p, boundary_p1, rho, stabilizers=None,
         return mat if right is None else mat @ right
 
     def rank(mat):
-        return _operator_rank(mat, rho, svd_tol, boundary_p or boundary_p1)
+        return _operator_rank(mat, rho, boundary_p or boundary_p1)
 
     dim_wp = n_p * rho.dim if e_p is None else rank(e_p)
     rank_p = rank_p1 = 0

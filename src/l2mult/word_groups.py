@@ -14,7 +14,7 @@ oracle, ``is_conjugate`` and ``centralizer_index``, behind the i-function
 ``GroupRingMatrix`` is the one sparse matrix class over a rational group
 ring.  It works over a built-in group, with entries keyed by words, and over
 a finite group, with entries keyed by element indices; products and adjoints
-go through the group's ``mul`` and ``inv``, and ``push_matrix`` carries a
+go through the group's ``products`` and ``inv``, and ``push_matrix`` carries a
 matrix from a built-in group to a finite quotient.  ``FiniteAlgebraMatrix``
 is another name for the same class.
 
@@ -64,9 +64,6 @@ class BuiltinGroup:
 
     def word(self, text: str) -> "Word":
         return Word(self, self.data_from_letters(parse_letters(text)))
-
-    def mul(self, w1: "Word", w2: "Word") -> "Word":
-        return w1 * w2
 
     def products(self, xs, g: "Word") -> list["Word"]:
         """x g for every word x of ``xs``."""
@@ -161,11 +158,6 @@ def format_letters(letters) -> str:
     if not letters:
         return "1"
     return "".join(chr(97 + i) + ("'" if e < 0 else "") for i, e in letters)
-
-
-def normal_form(word: Word) -> Word:
-    """Words are stored normalized; method kept as the public entry point."""
-    return Word(word.group, word.group.data_from_letters(word.letters()))
 
 
 # ---------------------------------------------------------------------------
@@ -727,9 +719,9 @@ def validate_chain(chain: QuotientChain) -> list[ChainLevelReport]:
             for n, lv in enumerate(levels)]
 
 
-def intersection_heuristic(chain: QuotientChain, max_words: int = 20000) -> int:
+def intersection_heuristic(chain: QuotientChain) -> int:
     """Largest L such that no nonidentity word of length <= L lies in the
-    deepest subgroup of the chain (balls enumerated up to ``max_words``)."""
+    deepest subgroup of the chain (balls enumerated up to 20000 words)."""
     deepest = chain.levels[-1]
     grp = chain.group
     fiber = deepest.fiber.member_set
@@ -754,17 +746,7 @@ def intersection_heuristic(chain: QuotientChain, max_words: int = 20000) -> int:
         for u, image in nxt:
             if image in fiber and not u.is_identity():
                 return length - 1
-        if len(seen) > max_words:
+        if len(seen) > 20000:
             return length
         sphere = nxt
 
-
-__all__ = [
-    "BuiltinGroup", "FreeGroup", "FreeAbelianGroup", "InfiniteDihedralGroup",
-    "FreeByFiniteGroup", "Word", "normal_form", "parse_letters",
-    "format_letters", "parse_ring_sum", "format_ring_sum", "ring_mul",
-    "GroupRingMatrix",
-    "FiniteAlgebraMatrix", "QuotientMap", "push_matrix",
-    "FiniteIndexSubgroup", "QuotientChain", "ChainBroken", "validate_chain",
-    "intersection_heuristic", "WordGroupError", "UnsupportedFamily",
-]

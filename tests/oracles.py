@@ -28,30 +28,31 @@ def check_axioms(group):
     """Exhaustive associativity/identity scan; intended for small orders."""
     n = group.order
     for i in range(n):
-        if group.mul(0, i) != i or group.mul(i, 0) != i:
+        if group.products([0], i)[0] != i or group.products([i], 0)[0] != i:
             raise GroupError("identity axiom fails")
         j = group.inv(i)
-        if group.mul(i, j) != 0 or group.mul(j, i) != 0:
+        if group.products([i], j)[0] != 0 or group.products([j], i)[0] != 0:
             raise GroupError("inverse axiom fails")
     for a in range(n):
         for b in range(n):
-            ab = group.mul(a, b)
+            ab = group.products([a], b)[0]
             for c in range(n):
-                if group.mul(ab, c) != group.mul(a, group.mul(b, c)):
+                bc = group.products([b], c)[0]
+                if group.products([ab], c)[0] != group.products([a], bc)[0]:
                     raise GroupError("associativity fails")
 
 
 def inverse_by_scan(group):
     """x^-1 for every element: the y with x y = 1 under the raw product."""
     n = group.order
-    return [next(y for y in range(n) if group.mul(x, y) == 0)
+    return [next(y for y in range(n) if group.products([x], y)[0] == 0)
             for x in range(n)]
 
 
 def closed_by_scan(group, members) -> bool:
     """Whether a member set is closed under the raw product of every pair."""
     mem = set(members)
-    return all(group.mul(a, b) in mem for a in mem for b in mem)
+    return all(group.products([a], b)[0] in mem for a in mem for b in mem)
 
 
 def tree_by_pairs(group, gens):
@@ -67,7 +68,7 @@ def tree_by_pairs(group, gens):
     reached = [0]
     for x in reached:
         for k, g in enumerate(gens):
-            y = right[k][x] = group.mul(x, g)
+            y = right[k][x] = group.products([x], g)[0]
             if y and y not in parent:
                 parent[y], letter[y] = x, k
                 reached.append(y)
@@ -106,7 +107,7 @@ def conjugacy_classes_by_scan(group):
     classes, seen = [], set()
     for x in range(n):
         if x not in seen:
-            cls = sorted({group.mul(group.mul(t, x), inverse[t])
+            cls = sorted({group.products(group.products([t], x), inverse[t])[0]
                           for t in range(n)})
             seen.update(cls)
             classes.append(cls)
@@ -270,8 +271,9 @@ def fixed_coset_count_oracle(level, g, h_image=0):
     representative f of the fiber K."""
     q = level.via.target
     reps, _ = level.fiber.cosets()
-    h_coset = {q.mul(h_image, k) for k in level.fiber.members}
-    return sum(1 for f in reps if q.mul(q.mul(q.inv(f), g), f) in h_coset)
+    h_coset = {q.products([h_image], k)[0] for k in level.fiber.members}
+    return sum(1 for f in reps
+               if q.products(q.products([q.inv(f)], g), f)[0] in h_coset)
 
 
 def induce_ordinary_oracle(subgroup, chi):
@@ -284,7 +286,7 @@ def induce_ordinary_oracle(subgroup, chi):
     for rep in parent.conjugacy_classes().representatives:
         total = 0j
         for t in range(parent.order):
-            c = parent.mul(parent.mul(t, rep), parent.inv(t))
+            c = parent.products(parent.products([t], rep), parent.inv(t))[0]
             if c in to_local:
                 total += chi.value(to_local[c])
         values.append(total / subgroup.order)
@@ -310,7 +312,8 @@ def freeness_oracle(cw, level):
                 return f"stabilizer of {cell.label} collapses in the quotient"
             for u in range(q.order):
                 ui = q.inv(u)
-                if any(q.mul(q.mul(ui, s), u) in fiber for s in images[1:]):
+                if any(q.products(q.products([ui], s), u)[0] in fiber
+                       for s in images[1:]):
                     return (f"{cell.label}: stabilizer survives at coset "
                             f"{q.label(u)}")
     return None

@@ -12,6 +12,7 @@ from l2mult import (FiniteCharacter, FreeAbelianGroup, FreeGroup,
 from l2mult.characters import (CannotInduce, CharacterError, HNotNormalizing,
                                NotAnAction, UnsupportedFamily, check_action,
                                finite_word_subgroup)
+from l2mult.finite_groups import ClosureTooLarge
 from l2mult.word_groups import FiniteIndexSubgroup
 
 S3_GENS = [(1, 0, 2), (0, 2, 1)]
@@ -29,7 +30,7 @@ def test_perm_character_trivial_action():
 
 def test_perm_character_regular_action():
     g = cyclic_group(5)
-    char = perm_character(g, lambda e, x: g.mul(x, e), 5)
+    char = perm_character(g, lambda e, x: g.products([x], e)[0], 5)
     assert abs(char.values[0] - 1) < 1e-12
     assert np.max(np.abs(char.values[1:])) < 1e-12
 
@@ -44,8 +45,8 @@ def test_perm_character_coset_action_s3():
             idx = len(reps)
             reps.append(x)
             for h in mem:
-                coset_of[g.mul(h, x)] = idx
-    char = perm_character(g, lambda e, x: coset_of[g.mul(reps[x], e)], 3)
+                coset_of[g.products([h], x)[0]] = idx
+    char = perm_character(g, lambda e, x: coset_of[g.right(e)[reps[x]]], 3)
     classes = g.conjugacy_classes()
     for c, size in enumerate(classes.sizes):
         if size == 1:
@@ -147,7 +148,7 @@ def test_induce_via_regular_biset_matches_fixed_points():
     for c, rep in enumerate(classes.representatives):
         for h_local, h_parent in enumerate(sub.members):
             fixed = sum(1 for x in range(g.order)
-                        if g.mul(g.mul(rep, x), g.inv(h_parent)) == x)
+                        if g.right(g.inv(h_parent))[g.right(x)[rep]] == x)
             if fixed:
                 values[(c, h_local)] = Fraction(fixed, g.order)
     from l2mult.characters import BisetCharacter
@@ -162,8 +163,8 @@ def test_induce_via_regular_biset_matches_fixed_points():
             idx = len(reps)
             reps.append(x)
             for h in mem:
-                coset_of[g.mul(h, x)] = idx
-    coset_char = perm_character(g, lambda e, x: coset_of[g.mul(reps[x], e)],
+                coset_of[g.products([h], x)[0]] = idx
+    coset_char = perm_character(g, lambda e, x: coset_of[g.right(e)[reps[x]]],
                                 len(reps))
     assert np.max(np.abs(induced.values - coset_char.values)) < 1e-10
 
@@ -302,6 +303,13 @@ def test_limit_values():
         LimitCharacterSpec(z, "circle", z=2.0)
     with pytest.raises(UnsupportedFamily):
         LimitCharacterSpec(FreeGroup(2), "circle", z=1.0)
+
+
+def test_finite_word_subgroup_cap_raises_closure_too_large():
+    # Z is infinite: the closure of a stops at 512 words, with the error
+    # that ``from_generators`` raises at its cap
+    with pytest.raises(ClosureTooLarge, match="word closure exceeds cap 512"):
+        finite_word_subgroup([FreeAbelianGroup(1).word("a")])
 
 
 def test_limit_value_induced_dinf():

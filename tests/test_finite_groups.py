@@ -39,6 +39,14 @@ def test_from_generators_cap():
         from_generators([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], cap=10)
 
 
+def test_character_table_rejects_orders_past_its_cap():
+    g = cyclic_group(2001)
+    with pytest.raises(GroupError, match="order 2001 exceeds cap 2000"):
+        character_table(g)
+    # before any work: no walk, no classes
+    assert g._right is None and g._classes is None
+
+
 def test_from_generators_rejects_non_bijection():
     with pytest.raises(GroupError):
         from_generators([(0, 0, 1)])
@@ -83,7 +91,7 @@ def test_centralizer_index_times_centralizer_is_order():
         for x in range(g.order):
             size = g.conjugacy_class_size(x)
             centralizer = sum(1 for y in range(g.order)
-                              if g.mul(y, x) == g.mul(x, y))
+                              if g.products([y], x) == g.products([x], y))
             assert size * centralizer == g.order
 
 
@@ -164,11 +172,11 @@ def test_induce_from_order_two_subgroup_matches_coset_count():
             idx = len(reps)
             reps.append(x)
             for h in mem:
-                coset_of[g.mul(h, x)] = idx
+                coset_of[g.products([h], x)[0]] = idx
     classes = g.conjugacy_classes()
     for c, rep in enumerate(classes.representatives):
         fixed = sum(1 for i, r in enumerate(reps)
-                    if coset_of[g.mul(r, rep)] == i)
+                    if coset_of[g.products([r], rep)[0]] == i)
         assert abs(induced.values[c] - fixed) < 1e-9
 
 
@@ -309,7 +317,7 @@ def test_semidirect_and_dihedral_structures():
     assert g.order == 32
     s = g.index_of(((0, 0), 1))
     v = g.index_of(((1, 0), 0))
-    assert g.mul(g.mul(s, v), g.inv(s)) == g.index_of(((3, 0), 0))
+    assert g.products(g.products([s], v), g.inv(s)) == [g.index_of(((3, 0), 0))]
     with pytest.raises(GroupError):     # a shear is not an involution mod 4
         semidirect_vector_group([4, 4], c2, {1: [[1, 1], [0, 1]]})
 
@@ -350,8 +358,8 @@ def test_translation_tables_match_the_raw_product(name):
     group = TABLE_CORPUS[name]()
     n = group.order
     for g in range(n):
-        assert group.right(g) == [group.mul(x, g) for x in range(n)]
-        assert group.left(g) == [group.mul(g, x) for x in range(n)]
+        assert group.right(g) == [group.products([x], g)[0] for x in range(n)]
+        assert group.left(g) == [group.products([g], x)[0] for x in range(n)]
     assert group.inverses == inverse_by_scan(group)
     classes = group.conjugacy_classes()
     assert classes.members == conjugacy_classes_by_scan(group)
@@ -407,11 +415,7 @@ def test_fbf_quotient_tables_take_no_single_pair_product(monkeypatch):
             return mul(xs, y)
         init(self, rows, recorded, *args, **kwargs)
 
-    def no_pair(self, i, j):
-        raise AssertionError("single-pair raw product")
-
     monkeypatch.setattr(FiniteGroup, "__init__", recording_init)
-    monkeypatch.setattr(FiniteGroup, "mul", no_pair)
     target = _fbf_quotient(5)
     assert target.order == 2048
     sizes = {group.order for group, _ in calls}
@@ -433,7 +437,7 @@ def test_abstract_subgroup_walks_a_small_generating_set():
 def test_generators_that_do_not_generate_are_rejected():
     c4 = FiniteGroup(range(4), lambda a, b: (a + b) % 4, name="C4",
                      generators=[2])
-    assert c4.mul(1, 2) == 3        # single raw products need no walk
+    assert c4.products([1], 2) == [3]     # single raw products need no walk
     with pytest.raises(GroupError, match="reach 2 of its 4 elements"):
         c4.right(1)
     with pytest.raises(GroupError):
@@ -451,7 +455,7 @@ def test_index_of_reads_rows_in_the_family_form():
     assert g.label(22) == "((1, 2), 1)"
     s3 = symmetric_group(3)
     # (a b)(x) = a(b(x))
-    assert s3.mul(s3.index_of((1, 0, 2)), s3.index_of((0, 2, 1))) \
+    assert s3.products([s3.index_of((1, 0, 2))], s3.index_of((0, 2, 1)))[0] \
         == s3.index_of((1, 2, 0))
     c4 = FiniteGroup(range(4), lambda a, b: (a + b) % 4, name="C4",
                      generators=[1])

@@ -38,7 +38,7 @@ def cycle_gram(n):
 
 def test_rep_from_action_examples():
     g = from_generators(S3_GENS)
-    reg = rep_from_action(g, lambda e, x: g.mul(x, e), g.order)
+    reg = rep_from_action(g, lambda e, x: g.products([x], e)[0], g.order)
     assert reg.dim == 6
     triv = rep_from_action(g, lambda e, x: x, 1)
     assert triv.dim == 1
@@ -84,7 +84,7 @@ def test_irreducible_rep_two_dimensional():
     for _ in range(20):
         x, y = rng.randrange(6), rng.randrange(6)
         prod = rho.matrix(x) @ rho.matrix(y)
-        assert np.max(np.abs(prod - rho.matrix(g.mul(x, y)))) < 1e-9
+        assert np.max(np.abs(prod - rho.matrix(g.products([x], y)[0]))) < 1e-9
         gram = rho.matrix(x).conj().T @ rho.matrix(x)
         assert np.max(np.abs(gram - np.eye(2))) < 1e-9
 
@@ -211,7 +211,7 @@ def test_spectral_measure_fourier_route_rejects_as_dense():
     g = abelian_group([2, 3])
     fourier = regular_rep(g)
     # the same representation, unmarked, takes the dense route
-    dense = rep_from_action(g, lambda e, x: g.mul(x, e), g.order)
+    dense = rep_from_action(g, lambda e, x: g.products([x], e)[0], g.order)
     assert fourier.is_regular and not dense.is_regular
     b = _random_square(g, 2, make_rng(45))
     gram = b.adjoint() @ b
@@ -552,7 +552,7 @@ def test_monomial_reps_multiply_and_match_exact_columns():
         for x in range(g.order):
             for y in range(g.order):
                 assert np.max(np.abs(mats[x] @ mats[y]
-                                     - mats[g.mul(x, y)])) < 1e-12, name
+                                     - mats[g.right(y)[x]])) < 1e-12, name
         # mixed signs, so that coefficients cancel inside blocks; the
         # coefficient of element 1 is a half
         a = FiniteAlgebraMatrix(g, 2, 3, {
@@ -651,8 +651,8 @@ def test_pullback_dense_rep_measure_compatibility():
     r, s = d6.index_of((1, 0)), d6.index_of((0, 1))
     a = FiniteAlgebraMatrix(d6, 2, 2, {
         (0, 0): {0: Fraction(2), r: Fraction(-1)},
-        (0, 1): {s: Fraction(1), d6.mul(r, s): Fraction(1)},
-        (1, 1): {d6.mul(r, r): Fraction(1), d6.index_of((3, 0)): Fraction(-2)}})
+        (0, 1): {s: Fraction(1), d6.right(s)[r]: Fraction(1)},
+        (1, 1): {d6.right(r)[r]: Fraction(1), d6.index_of((3, 0)): Fraction(-2)}})
     gram = a.adjoint() @ a
     pushed_entries = {}
     for key, terms in gram.entries.items():
