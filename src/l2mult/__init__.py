@@ -14,9 +14,6 @@ from .word_groups import (FiniteAlgebraMatrix, FiniteIndexSubgroup,
                           GroupRingMatrix, InfiniteDihedralGroup,
                           QuotientChain, QuotientMap, Word, push_matrix,
                           validate_chain)
-from .characters import (BisetCharacter, FiniteCharacter, LimitCharacterSpec,
-                         biset_character, i_finite, induce_via, limit_value,
-                         perm_character, regular_character, trivial_character)
 from .spectral import (LuckReport, Rep, SpectralMeasure, UnitaryRep,
                        WordPermRep, character_of, fk_det,
                        induced_rep, irreducible_rep, luck_bound_check,

@@ -17,8 +17,7 @@ import sys
 
 from .finite_groups import L2MultError, character_table
 from .runner import (ConfigInvalid, ExperimentConfig, ExperimentContext,
-                     emit, farber_diagnostic, finite_group_from_spec,
-                     rel_farber_diagnostic, run)
+                     emit, farber_diagnostic, finite_group_from_spec, run)
 from .spectral import fk_det, moments_check, regular_rep, spectral_measure
 from .word_groups import (FreeAbelianGroup, GroupRingMatrix,
                           InfiniteDihedralGroup, QuotientMap, push_matrix)
@@ -87,16 +86,16 @@ def _load_config(path: str) -> ExperimentConfig:
 
 
 def _cmd_farber(args) -> int:
-    config = _load_config(args.config)
-    ctx = ExperimentContext(config)
+    ctx = ExperimentContext(_load_config(args.config))
     print("level\tword\tcount\tfraction")
     for row in farber_diagnostic(ctx.chain, ctx.probes):
         print(f"{row['level']}\t{row['word']}\t{row['count']}\t{row['fraction']}")
     if ctx.h_abs.order > 1:
         print("level\tg\th\tvalue\tlimit\tdeviation")
-        for row in rel_farber_diagnostic(ctx.chain, ctx.h_elems, ctx.probes,
-                                         config.infinite_centralizers):
-            print(f"{row['level']}\t{row['g']}\t{row['h']}\t{row['value']}"
+        # no conjugacy oracle, or H not normalizing a fiber: one error row
+        for row in ctx.rel_farber():
+            print(row["error"] if "error" in row else
+                  f"{row['level']}\t{row['g']}\t{row['h']}\t{row['value']}"
                   f"\t{row['limit']}\t{row['deviation']}")
     return 0
 

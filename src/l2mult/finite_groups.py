@@ -53,9 +53,8 @@ off H's right translations.
 Induced characters go through one formula, ``induced_value``: the value at
 g is sum_h i(g, h) chi(h) over the elements h of a finite subgroup, with the
 i-function of the group that holds g.  It serves a finite quotient (here, in
-``induce_ordinary``, and in the runner's character convergence rows), a
-built-in infinite group (``characters.limit_value``) and a biset character
-(``characters.induce_via``) alike.
+``induce_ordinary``, and for the observed values of the runner's character
+convergence rows) and a built-in infinite group (their limits) alike.
 """
 
 from __future__ import annotations
@@ -658,9 +657,6 @@ class OrdinaryCharacter:
     def is_irreducible(self, tol: float = 1e-9) -> bool:
         return abs(self.inner(self) - 1.0) < max(tol, 1e-9)
 
-    def normalized_values(self) -> np.ndarray:
-        return self.values / self.degree
-
 
 class CharacterTable:
     def __init__(self, group: FiniteGroup, irreducibles: list[OrdinaryCharacter]):
@@ -768,10 +764,9 @@ def character_table(group: FiniteGroup) -> CharacterTable:
 
 def induced_value(i_value, g, pairs):
     """The induced character sum_h i(g, h) v_h over the pairs (h, v_h), with
-    the i-function ``i_value``: that of a finite group on element indices, of
-    a built-in group on words, or a biset character.  Only the terms with
-    i(g, h) != 0 are summed, in the order of ``pairs``; with none, the value
-    is the int 0."""
+    the i-function ``i_value``: that of a finite group on element indices or
+    that of a built-in group on words.  Only the terms with i(g, h) != 0 are
+    summed, in the order of ``pairs``; with none, the value is the int 0."""
     return sum(i * v for h, v in pairs if (i := i_value(g, h)))
 
 

@@ -17,9 +17,8 @@ from .finite_groups import (ConfigInvalid, FiniteGroup, L2MultError,
                             abelian_group, character_table, cyclic_group,
                             dihedral_group, induced_value,
                             semidirect_vector_group)
-from .characters import (HNotNormalizing, LimitCharacterSpec,
-                         check_normalizes, finite_word_subgroup,
-                         fixed_coset_count, limit_value)
+from .characters import (HNotNormalizing, check_normalizes,
+                         finite_word_subgroup, fixed_coset_count)
 from .complexes import (EquivariantCWData, ComplexError, builtin_line_Dinf,
                         builtin_line_Z, builtin_rose_free,
                         builtin_tree_free_by_finite, cw_from_json,
@@ -32,6 +31,8 @@ from .word_groups import (BuiltinGroup, FiniteIndexSubgroup, FreeAbelianGroup,
 
 
 def _frac(x) -> Fraction:
+    if isinstance(x, bool):
+        raise ConfigInvalid(f"expected a number, got {x!r}")
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -78,6 +79,12 @@ class ExperimentConfig:
             raise ConfigInvalid(str(exc)) from exc
         if cfg.format not in ("csv", "json", "both"):
             raise ConfigInvalid(f"unknown format {cfg.format!r}")
+        for what in ("infinite_centralizers", "normalize_per_h"):
+            if not isinstance(getattr(cfg, what), bool):
+                raise ConfigInvalid(f"{what} must be true or false, got "
+                                    f"{getattr(cfg, what)!r}")
+        if not isinstance(cfg.out, (str, type(None))):
+            raise ConfigInvalid(f"out must be a path, got {cfg.out!r}")
         for what, spec in (("group", cfg.group), ("chain", cfg.chain)):
             if not isinstance(spec, dict):
                 raise ConfigInvalid(f"the {what} spec must be a JSON object, "
@@ -112,11 +119,14 @@ class ExperimentConfig:
 
 
 def _int(value, what: str) -> int:
+    """int(value), refusing a JSON boolean, which int() would read as 0 or
+    1."""
     try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalid(f"{what} must be an integer, got {value!r}") \
-            from exc
+        if not isinstance(value, bool):
+            return int(value)
+    except (TypeError, ValueError):
+        pass
+    raise ConfigInvalid(f"{what} must be an integer, got {value!r}")
 
 
 def build_group(spec: dict) -> BuiltinGroup:
@@ -454,6 +464,17 @@ class ExperimentContext:
         chi = self.table.irreducibles[chi_idx]
         return Fraction(chi.degree, self.h_abs.order) * cfg.b2[p]
 
+    def rel_farber(self) -> list[dict]:
+        """``rel_farber_diagnostic`` on H and the probes, or one error row
+        for a family without a conjugacy oracle or an H that does not
+        normalize a fiber."""
+        try:
+            return rel_farber_diagnostic(
+                self.chain, self.h_elems, self.probes,
+                assert_infinite=self.config.infinite_centralizers)
+        except (UnsupportedFamily, HNotNormalizing) as exc:
+            return [{"error": f"{type(exc).__name__}: {exc}"}]
+
     def run_level(self, n: int) -> LevelRecord:
         level = self.chain.levels[n]
         record = LevelRecord(level=n, index=level.index,
@@ -513,14 +534,7 @@ def assemble_report(ctx: ExperimentContext, records: list[LevelRecord]) -> dict:
                  if (p, h) in r.traces else None)
                 for r in records]
     farber_rows = farber_diagnostic(ctx.chain, ctx.probes)
-    rel_rows = []
-    if ctx.h_abs.order > 1 or ctx.probes:
-        try:
-            rel_rows = rel_farber_diagnostic(
-                ctx.chain, ctx.h_elems, ctx.probes,
-                assert_infinite=cfg.infinite_centralizers)
-        except (UnsupportedFamily, HNotNormalizing) as exc:
-            rel_rows = [{"error": f"{type(exc).__name__}: {exc}"}]
+    rel_rows = ctx.rel_farber() if ctx.h_abs.order > 1 or ctx.probes else []
     growth = {str(w): centralizer_growth(ctx.chain, w) for w in ctx.probes}
     char_rows = []
     if ctx.char_convergence is not None:
@@ -547,15 +561,11 @@ def _char_convergence_rows(ctx: ExperimentContext, chi_idx: int):
     """Induced character of chi at each probe, per level against its limit:
     one formula, ``induced_value``, with Q_n's i-function and with G's."""
     chi = ctx.table.irreducibles[chi_idx]
-    spec = LimitCharacterSpec(
-        group=ctx.group, kind="induced",
-        h_words=list(ctx.h_elems), chi=chi,
-        assert_infinite_centralizers=ctx.config.infinite_centralizers)
     # chi / chi(1) at element h of H, which h_elems[h] realizes
     chi_at = [complex(chi.value(h) / chi.degree)
               for h in range(ctx.h_abs.order)]
     # the limit does not depend on the level
-    limits = [_limit_or_error(spec, w) for w in ctx.probes]
+    limits = [_limit_or_error(ctx, w, chi_at) for w in ctx.probes]
     rows = []
     for n, level in enumerate(ctx.chain.levels):
         h_images = [level.via.evaluate(w) for w in ctx.h_elems]
@@ -569,11 +579,17 @@ def _char_convergence_rows(ctx: ExperimentContext, chi_idx: int):
     return rows
 
 
-def _limit_or_error(spec: LimitCharacterSpec, w: Word) -> complex | str:
-    """The limit at w, or the error text of a limit that raises, such as a
-    family without a conjugacy oracle."""
+def _limit_or_error(ctx: ExperimentContext, w: Word,
+                    chi_at: list[complex]) -> complex | str:
+    """The limit at w, ``induced_value`` with G's i-function, or the error
+    text of a limit that raises, such as a family without a conjugacy
+    oracle.  Asserted infinite centralizers make it 1 at the identity and 0
+    elsewhere, as in ``rel_farber_diagnostic``."""
+    if ctx.config.infinite_centralizers:
+        return complex(w.is_identity())
     try:
-        return complex(limit_value(spec, w))
+        return complex(induced_value(ctx.group.i_value, w,
+                                     zip(ctx.h_elems, chi_at)))
     except L2MultError as exc:
         return f"{type(exc).__name__}: {exc}"
 

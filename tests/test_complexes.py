@@ -14,13 +14,13 @@ from l2mult import (EquivariantCWData, FiniteIndexSubgroup, FreeAbelianGroup,
                     from_generators, quotient_complex)
 from l2mult import _linalg, complexes
 from l2mult._linalg import ColumnStore
-from l2mult.characters import HNotNormalizing, UnsupportedFamily
+from l2mult.characters import HNotNormalizing
 from l2mult.complexes import (ComplexError, FiniteChainComplex, NotFree,
                               galois_orbits, materialize_regular,
                               morse_reduce)
 from l2mult.runner import ExperimentConfig, ExperimentContext, build_chain
 from l2mult.spectral import NotAComplex
-from l2mult.word_groups import FiniteAlgebraMatrix
+from l2mult.word_groups import FiniteAlgebraMatrix, UnsupportedFamily
 
 from conftest import make_rng
 from oracles import (forest_by_queue, freeness_oracle, graph_homology_oracle,

@@ -1,11 +1,15 @@
 """Every defaulted parameter of a public module-level function of the
-package is one that some caller sets.  A default that no call overrides is a
-fixed value, and it belongs at its point of use.
+package is one that some caller sets, and every public module-level function
+or class is used by the package, perfbench or the demos.  A default that no
+call overrides is a fixed value, and it belongs at its point of use; a
+function that only tests reach repeats one that the program runs, or is
+dead.
 
 A call sets a parameter when it names it, passes it by position, or
 unpacks ``*args`` or ``**kwargs``; calls are matched by the function's name
 alone (through ``import ... as``), so a method of the same name counts
-too.
+too.  A definition is used where its name is read, as a name or an
+attribute, outside the package's ``__init__``.
 """
 
 import ast
@@ -20,10 +24,13 @@ SET_ONLY_BY_TESTS = {
     ("finite_groups", "from_generators", "cap"),
     ("spectral", "phi_betti", "stabilizers"),
     ("complexes", "quotient_complex", "h_words"),
-    ("characters", "biset_character", "h_abs"),
-    ("characters", "biset_character", "h_elems"),
     ("cli", "main", "argv"),
 }
+
+# public functions that only tests use: the export and fault-check routes
+# that tests take directly, and representations that tests build as oracles
+USED_ONLY_BY_TESTS = {"cw_to_json", "export_boundaries_csv", "frobenius_check",
+                      "coset_rep", "pullback_rep", "rep_from_action"}
 
 
 def _defaulted_parameters():
@@ -96,3 +103,37 @@ def test_parameters_left_to_tests_are_set_by_tests():
     for module, func, param in sorted(SET_ONLY_BY_TESTS):
         assert _set_by(calls, func, param,
                        positions[(module, func, param)]), (func, param)
+
+
+def _public_definitions():
+    return {node.name for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")}
+
+
+def _names_read(*dirs):
+    """Every name and attribute read in the Python files under ``dirs``,
+    outside the package's ``__init__``."""
+    out = set()
+    for d in dirs:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            if path == PACKAGE / "__init__.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    out.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    out.add(node.attr)
+    return out
+
+
+def test_every_public_definition_is_used_outside_tests():
+    unused = _public_definitions() - _names_read("src", "perfbench", "demos")
+    # a new definition that only tests reach fails here, and so does an
+    # allowlist entry that the program now uses or that is gone
+    assert unused == USED_ONLY_BY_TESTS
+
+
+def test_definitions_left_to_tests_are_used_by_tests():
+    assert USED_ONLY_BY_TESTS <= _names_read("tests")

@@ -9,7 +9,7 @@ from l2mult import (FiniteIndexSubgroup, FreeAbelianGroup,
                     InfiniteDihedralGroup, QuotientChain, QuotientMap,
                     centralizer_growth, cyclic_group, emit, farber_diagnostic,
                     rel_farber_diagnostic, run)
-from l2mult.characters import biset_character
+from l2mult.characters import check_normalizes, fixed_coset_count
 from l2mult.cli import main as cli_main
 from l2mult import runner
 from l2mult.runner import (ConfigInvalid, ExperimentConfig, ExperimentContext,
@@ -155,11 +155,12 @@ def test_fixed_coset_counts_match_coset_loop(data):
         assert row["value"] == Fraction(
             fixed_coset_count_oracle(level, g, him), level.index), row
     for level in levels:
-        psi = biset_character(level, [], ctx.h_abs, ctx.h_elems)
+        h_images = [level.via.evaluate(w) for w in ctx.h_elems]
+        check_normalizes(level, h_images)
         for g in level.via.target.conjugacy_classes().representatives:
-            for h_local, him in enumerate(psi.h_in_q):
-                assert psi.value(g, h_local) == Fraction(
-                    fixed_coset_count_oracle(level, g, him), level.index)
+            for him in h_images:
+                assert fixed_coset_count(level, g, him) == \
+                    fixed_coset_count_oracle(level, g, him)
 
 
 def test_run_dinf_records_and_report():
@@ -223,14 +224,13 @@ def test_char_convergence_matches_ind_finite():
 
 def test_char_convergence_computes_each_limit_once(monkeypatch):
     # the limit does not depend on the level: one call per probe
-    from l2mult import runner
     calls = []
-    limit_value = runner.limit_value
+    limit_or_error = runner._limit_or_error
 
-    def counted(spec, w):
+    def counted(ctx, w, chi_at):
         calls.append(str(w))
-        return limit_value(spec, w)
-    monkeypatch.setattr(runner, "limit_value", counted)
+        return limit_or_error(ctx, w, chi_at)
+    monkeypatch.setattr(runner, "_limit_or_error", counted)
     config = dinf_config(chain={"template": "dihedral_reflection",
                                 "orders": [2, 4, 8]},
                          probe_words=["1", "a", "b"], char_convergence=1)
@@ -374,6 +374,27 @@ def test_cli_commands(tmp_path, capsys):
     assert cli_main(["run", str(fail_path), "--out",
                      str(tmp_path / "out2")]) == 2
 
+    # a family without a conjugacy oracle is one error row of the
+    # rel-Farber table in both commands, not a configuration error
+    fbf_path = tmp_path / "fbf.json"
+    fbf_path.write_text(json.dumps({
+        "group": {"family": "free_by_finite", "rank": 2, "h": "cyclic:2",
+                  "action": {"0": ["a'", "b'"]}},
+        "complex": "tree_semidirect",
+        "chain": {"template": "semidirect_mod", "base": 2, "depth": 2},
+        "h_words": ["1", "c"], "probe_words": ["a"]}))
+    capsys.readouterr()
+    error = "UnsupportedFamily: no conjugacy oracle for free_by_finite"
+    assert cli_main(["farber", str(fbf_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[-2:] == [
+        "level\tg\th\tvalue\tlimit\tdeviation", error]
+    assert cli_main(["run", str(fbf_path), "--out",
+                     str(tmp_path / "out3")]) == 0
+    report = json.loads((tmp_path / "out3" / "report.json").read_text())
+    assert report["rel_farber"] == [{"error": error}]
+
 
 def test_cli_spectral_bad_input_prints_errors(capsys):
     # malformed specs and coefficients exit 1 with one error line; trivial
@@ -453,6 +474,16 @@ def test_cli_run_bad_configs_print_errors(tmp_path, capsys):
         "b2_list": dinf_data(b2=[1]),
         "h_words_int_item": dinf_data(h_words=[5]),
         "probe_words_int_item": dinf_data(probe_words=[5]),
+        # JSON booleans are no integers or fractions, strings no booleans,
+        # and an out path is a string
+        "infinite_centralizers_string": dinf_data(infinite_centralizers="no"),
+        "normalize_per_h_string": dinf_data(normalize_per_h="no"),
+        "degrees_bool": dinf_data(degrees=[True]),
+        "char_convergence_bool": dinf_data(char_convergence=True),
+        "orders_bool": dinf_data(chain={"template": "dihedral",
+                                        "orders": [True, 2]}),
+        "b2_bool": dinf_data(b2={"1": True}),
+        "out_int": dinf_data(out=5),
     }
     for name, data in bad_configs.items():
         path = tmp_path / f"{name}.json"
@@ -464,6 +495,9 @@ def test_cli_run_bad_configs_print_errors(tmp_path, capsys):
         assert "Traceback" not in err, name
         if name == "semidirect_base_1":
             assert err == "error: chain base must be at least 2, got 1\n"
+    # the out path is checked with the config, not where it is first used
+    with pytest.raises(ConfigInvalid, match="out must be a path"):
+        ExperimentConfig.from_json(bad_configs["out_int"])
 
 
 _VERTEX = [{"label": "v"}]
