@@ -1,9 +1,8 @@
-"""Actions, word subgroups and fixed-coset counts of the character layer.
+"""Word subgroups and fixed-coset counts of the character layer.
 
-``check_action`` reads and checks the table of a right action of a finite
-group.  ``finite_word_subgroup`` closes a list of words into the finite
-subgroup H of a built-in group, as an abstract ``FiniteGroup`` with the word
-of each element.  ``fixed_coset_count`` is the count behind the Farber and
+``finite_word_subgroup`` closes a list of words into the finite subgroup H
+of a built-in group, as an abstract ``FiniteGroup`` with the word of each
+element.  ``fixed_coset_count`` is the count behind the Farber and
 relative-Farber diagnostics at a chain level, once ``check_normalizes`` has
 checked that H normalizes the fiber.
 
@@ -24,35 +23,12 @@ class CharacterError(L2MultError):
     pass
 
 
-class NotAnAction(CharacterError):
-    pass
-
-
 class CrossCheckFailed(CharacterError):
     pass
 
 
 class HNotNormalizing(CharacterError):
     pass
-
-
-def check_action(group: FiniteGroup, act, n_points: int) -> np.ndarray:
-    """The table P[g][x] = act(g, x) = x.g of a right action on the points
-    0..n_points-1, else ``NotAnAction``: the identity fixes every point and
-    P[x s] = P[s][P[x]] for every x and generator s, one gather each, which
-    gives x.(g h) = (x.g).h for every pair by induction on word length."""
-    perms = np.array([[act(g, x) for x in range(n_points)]
-                      for g in range(group.order)],
-                     dtype=np.int64).reshape(group.order, n_points)
-    if ((perms < 0) | (perms >= n_points)).any():
-        raise NotAnAction("the action leaves the points")
-    if (perms[0] != np.arange(n_points)).any():
-        raise NotAnAction("identity does not act trivially")
-    for s in group.generators:
-        if (perms[group.right(s)] != perms[s][perms]).any():
-            raise NotAnAction(f"generator {s} breaks associativity of the "
-                              f"action")
-    return perms
 
 
 def finite_word_subgroup(words: list[Word]):

@@ -15,7 +15,7 @@ is read off the fill and needs no pass of its own.
 Every finite chain complex carries H and its action in one format: per
 degree p, two int64 arrays perms and signs of shape (|H|, n_p) with
 h e_c = signs[h, c] e_{perms[h, c]}, a left action of H.  A complex given no
-group, such as a quotient without ``h_words``, carries the trivial group
+group, such as a quotient without ``h_ctx``, carries the trivial group
 with identity rows, so traces, multiplicities and the Morse reduction have
 no second mode.
 
@@ -64,15 +64,13 @@ from ._linalg import (ColumnReduction, ColumnStore, SparseCol, axpy,
 from .finite_groups import (CharacterTable, ConfigInvalid, FiniteGroup,
                             FiniteSubgroup, L2MultError, NotIntegral,
                             NumericalDegeneracy, trivial_group)
-from .characters import (CrossCheckFailed, check_normalizes,
-                         finite_word_subgroup)
+from .characters import CrossCheckFailed, check_normalizes
 from .spectral import (NotAComplex, induced_rep, irreducible_rep,
                        operator_columns_exact, phi_betti, regular_rep)
 from .word_groups import (BuiltinGroup, FiniteIndexSubgroup,
                           FreeAbelianGroup, FreeGroup, FreeByFiniteGroup,
                           GroupRingMatrix, InfiniteDihedralGroup,
-                          UnsupportedFamily, Word, format_ring_sum,
-                          push_matrix, ring_mul)
+                          UnsupportedFamily, Word, push_matrix, ring_mul)
 
 
 class ComplexError(L2MultError):
@@ -301,19 +299,6 @@ def cw_from_json(group: BuiltinGroup, data: dict) -> EquivariantCWData:
             group, [_json_list(row, f"a row of boundary {p}", str)
                     for row in rows])
     return EquivariantCWData(group, cells, boundaries)
-
-
-def cw_to_json(cw: EquivariantCWData) -> dict:
-    return {
-        "cells": {str(p): [{"stabilizer": [str(w) for w in c.stabilizer],
-                            "signs": list(c.signs), "label": c.label}
-                           for c in cells]
-                  for p, cells in cw.cells.items()},
-        "boundaries": {str(p): [[format_ring_sum(mat.entry(i, j))
-                                 for j in range(mat.cols)]
-                                for i in range(mat.rows)]
-                       for p, mat in cw.boundaries.items()},
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -742,12 +727,11 @@ def _fill_orbit(q: FiniteGroup, cell: OrbitCell, stab_images: list[int],
 
 
 def quotient_complex(cw: EquivariantCWData, gamma: FiniteIndexSubgroup,
-                     h_words: list[Word] | None = None,
                      h_ctx=None) -> QuotientComplex:
     """Quotient of the equivariant complex by the finite-index subgroup,
-    carrying the residual action of the words in ``h_words`` (of the trivial
-    group without them; ``h_ctx`` passes their abstract group and element
-    words when already built).
+    carrying the residual action of a finite subgroup H given as ``h_ctx``,
+    the pair (abstract group, word of each element) that
+    ``finite_word_subgroup`` returns; of the trivial group without it.
 
     Cells in the quotient are double cosets S\\Q/K with canonical minimal
     representatives; signs come from decomposing elements as s.rep.k, and
@@ -761,8 +745,6 @@ def quotient_complex(cw: EquivariantCWData, gamma: FiniteIndexSubgroup,
     q = qmap.target
     if h_ctx is not None:
         h_abs, h_elem_words = h_ctx
-    elif h_words:
-        h_abs, h_elem_words = finite_word_subgroup(h_words)
     else:
         h_abs, h_elem_words = trivial_group(), [cw.group.identity()]
     h_images = [qmap.evaluate(w) for w in h_elem_words]
@@ -835,24 +817,6 @@ def quotient_complex(cw: EquivariantCWData, gamma: FiniteIndexSubgroup,
                            actions=actions)
 
 
-def export_boundaries_csv(qc: FiniteChainComplex, directory):
-    """Dense CSV dumps of the boundary matrices, one file per degree."""
-    import csv
-    from pathlib import Path
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for p, (nrows, cols) in sorted(qc.boundaries.items()):
-        dense = np.zeros((nrows, len(cols)), dtype=cols.vals.dtype)
-        dense[cols.rows, cols.col_index()] = cols.vals
-        path = directory / f"boundary_{p}.csv"
-        with open(path, "w", newline="") as fh:
-            csv.writer(fh).writerows([str(v) for v in row]
-                                     for row in dense.tolist())
-        paths.append(path)
-    return paths
-
-
 # ---------------------------------------------------------------------------
 # Finite-group cross-check
 # ---------------------------------------------------------------------------
@@ -897,17 +861,13 @@ def finite_group_crosscheck(group: FiniteGroup, h_sub: FiniteSubgroup,
     h_abs, _ = h_sub.abstract_group()
     if table.group is not h_abs:
         raise ComplexError("table must belong to the abstract subgroup")
-    sizes = {}
-    for p, mat in boundaries.items():
-        sizes[p] = mat.cols
-        sizes[p - 1] = mat.rows
     complex_b = materialize_regular(group, boundaries, h_sub)
     report = complex_b.multiplicities(table)
     out = {}
     for chi_idx, chi in enumerate(table.irreducibles):
         rho_h = irreducible_rep(h_abs, chi)
         rho = induced_rep(group, h_sub, rho_h)
-        for p in sorted(sizes):
+        for p in complex_b.dims():
             betti_phi = phi_betti(boundaries.get(p), boundaries.get(p + 1), rho)
             lhs = float(betti_phi) * chi.degree / h_sub.order
             rhs = report.multiplicities[(p, chi_idx)] / group.order

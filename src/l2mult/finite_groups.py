@@ -391,13 +391,12 @@ class FiniteSubgroup:
     def index(self) -> int:
         return self.parent.order // self.order
 
-    def cosets(self, right: bool = False) -> tuple[list[int], list[int]]:
-        """Minimal representatives of the left cosets gH (of the right cosets
-        Hg with ``right``) and the coset number of every element."""
+    def cosets(self) -> tuple[list[int], list[int]]:
+        """Minimal representatives of the left cosets gH and the coset number
+        of every element."""
         parent = self.parent
-        # h g for Hg, g h for gH: one translation per member of H
-        moves = [parent.left(h) if right else parent.right(h)
-                 for h in self.members]
+        # g h: one translation per member of H
+        moves = [parent.right(h) for h in self.members]
         reps, coset_of = [], [-1] * parent.order
         for g in range(parent.order):
             if coset_of[g] < 0:
@@ -539,7 +538,10 @@ def dihedral_group(m: int) -> FiniteGroup:
                        index=_radix_index([1, m]))
 
 
-def from_generators(perms, cap: int = 10 ** 6) -> FiniteGroup:
+_CLOSURE_CAP = 10 ** 6
+
+
+def from_generators(perms) -> FiniteGroup:
     """Closure of bijections on {0..d-1} under composition (BFS order)."""
     perms = [tuple(p) for p in perms]
     if not perms:
@@ -565,8 +567,9 @@ def from_generators(perms, cap: int = 10 ** 6) -> FiniteGroup:
                                                degree):
             key = y.tobytes()
             if key not in seen:
-                if len(rows) >= cap:
-                    raise ClosureTooLarge(f"closure exceeds cap {cap}")
+                if len(rows) >= _CLOSURE_CAP:
+                    raise ClosureTooLarge(
+                        f"closure exceeds cap {_CLOSURE_CAP}")
                 seen[key] = len(rows)
                 rows.append(y)
                 new.append(y)
@@ -804,11 +807,3 @@ def multiplicity(chi: OrdinaryCharacter, theta: OrdinaryCharacter) -> int:
     if abs(val - m) > 1e-6:
         raise NotIntegral(f"inner product {val} is not integral")
     return m
-
-
-def frobenius_check(subgroup: FiniteSubgroup, chi: OrdinaryCharacter,
-                    theta: OrdinaryCharacter) -> bool:
-    """m(Ind chi, theta) == m(chi, Res theta) for irreducible chi, theta."""
-    induced = induce_ordinary(subgroup, chi)
-    restricted = restrict_ordinary(theta, subgroup)
-    return multiplicity(theta, induced) == multiplicity(chi, restricted)

@@ -120,9 +120,10 @@ class ExperimentConfig:
 
 def _int(value, what: str) -> int:
     """int(value), refusing a JSON boolean, which int() would read as 0 or
-    1."""
+    1, and a number with a fractional part, which int() would truncate."""
+    fractional = isinstance(value, float) and not value.is_integer()
     try:
-        if not isinstance(value, bool):
+        if not isinstance(value, bool) and not fractional:
             return int(value)
     except (TypeError, ValueError):
         pass

@@ -1,14 +1,11 @@
 """Finite unitary representations and the spectral side of the pipeline:
 operator matrices, atomic spectral measures, Fuglede-Kadison determinants,
 moment checks, the determinant lower bound, and twisted Betti numbers of
-compressed chain complexes.
+free chain complexes.
 
 Every matrix is a ``GroupRingMatrix`` over the representation's group;
 ``operator_columns_exact`` and ``operator_matrix`` turn it into the exact
-and the numeric operator.  Stabilizer compression in ``phi_betti`` is one
-more group-ring matrix, the block-diagonal averaging idempotent
-e_S = |S|^-1 sum_s sign(s) s of each summand, multiplied onto the boundaries
-(Lueck, GAFA 4 (1994)).
+and the numeric operator.
 
 One representation class, ``Rep``: every rep is block-monomial, rho(g)
 sending block y to block dest[y] by the matrix blocks[y].  Permutation reps
@@ -45,9 +42,9 @@ import numpy as np
 
 from ._linalg import (SparseCol, _components, _trailing_product,
                       column_reduce)
-from .characters import CrossCheckFailed, check_action
-from .finite_groups import (FiniteGroup, FiniteSubgroup, GroupHom,
-                            L2MultError, OrdinaryCharacter, induce_ordinary)
+from .characters import CrossCheckFailed
+from .finite_groups import (FiniteGroup, FiniteSubgroup, L2MultError,
+                            OrdinaryCharacter, induce_ordinary)
 from .word_groups import BuiltinGroup, GroupRingMatrix, format_letters
 
 
@@ -179,37 +176,16 @@ def WordPermRep(group: BuiltinGroup, letter_perms) -> Rep:
     return Rep(group, dim, lambda word: (act(word.inverse().letters()), None))
 
 
-def rep_from_action(group: FiniteGroup, act, n_points: int) -> Rep:
-    """Permutation representation on a finite right G-set, given by
-    act(g, y) = y.g: rho(g) e_y = e_{y.g^-1}."""
-    perms = check_action(group, act, n_points)
-    return Rep(group, n_points, lambda g: (perms[group.inv(g)], None))
-
-
-def _coset_translation_rep(group: FiniteGroup, reps, coset_of) -> Rep:
-    """Q on the right cosets H r_x: rho(g) e_x = e_y with H r_y = H r_x g^-1.
-    Since r g^-1 = (g r^-1)^-1, each pair array is one gather through the
-    left translation by g."""
-    inv = np.asarray(group.inverses, dtype=np.int64)
-    reps_inv = inv[np.asarray(reps, dtype=np.int64)]
-    coset_of = np.asarray(coset_of, dtype=np.int64)
-    return Rep(group, len(reps_inv), lambda g: (
-        coset_of[inv[np.asarray(group.left(g))[reps_inv]]], None))
-
-
 def regular_rep(group: FiniteGroup) -> Rep:
     """The regular representation rho(g) e_x = e_{x g^-1}, marked
     ``is_regular`` so that ``spectral_measure`` may split it by characters.
-    """
-    points = range(group.order)
-    rep = _coset_translation_rep(group, points, points)
+    Since x g^-1 = (g x^-1)^-1, each pair array is one gather through the
+    left translation by g."""
+    inv = np.asarray(group.inverses, dtype=np.int64)
+    rep = Rep(group, group.order,
+              lambda g: (inv[np.asarray(group.left(g))[inv]], None))
     rep.is_regular = True
     return rep
-
-
-def coset_rep(group: FiniteGroup, subgroup: FiniteSubgroup) -> Rep:
-    """Permutation representation on right cosets H\\Q."""
-    return _coset_translation_rep(group, *subgroup.cosets(right=True))
 
 
 def character_of(rho) -> OrdinaryCharacter:
@@ -344,12 +320,6 @@ def _composes(rep: Rep, x, s) -> bool:
     return (dest == dest_x[dest_s]).all() and (
         blocks is None or np.abs(blocks - blocks_x[dest_s] @ blocks_s).max()
         <= 1e-8)
-
-
-def pullback_rep(hom: GroupHom, rho) -> Rep:
-    """Composition of a representation with a group homomorphism."""
-    return Rep(hom.source, rho.dim, lambda g: rho.pair(hom(g)),
-               rho.is_rational)
 
 
 # ---------------------------------------------------------------------------
@@ -657,67 +627,30 @@ def luck_bound_check(a, rho, d: int) -> LuckReport:
 
 
 # ---------------------------------------------------------------------------
-# Twisted Betti numbers of compressed complexes
+# Twisted Betti numbers
 # ---------------------------------------------------------------------------
 
-def _averaging_idempotent(group, summands, n_modules):
-    """Block-diagonal averaging idempotent of the stabilizer summands: block
-    j is e_S = |S|^-1 sum_s sign(s) s for summand j = (elements, signs), and
-    the identity for a free summand (None).  None when every summand is
-    free."""
-    stabs = [s if s is not None and len(s[0]) > 1 else None
-             for s in summands or ()]
-    if not any(stabs):
-        return None
-    entries = {}
-    for j in range(n_modules):
-        elems, signs = stabs[j] or ([0], [1])
-        entries[(j, j)] = {g: Fraction(sign, len(elems))
-                           for g, sign in zip(elems, signs)}
-    return GroupRingMatrix(group, n_modules, n_modules, entries)
-
-
-def phi_betti(boundary_p, boundary_p1, rho, stabilizers=None):
+def phi_betti(boundary_p, boundary_p1, rho):
     """Twisted Betti number nullity(d_p) - rank(d_{p+1}) of one degree of a
-    complex of projective summands, compressed by stabilizer idempotents.
-
-    ``stabilizers`` is an optional triple of summand lists (degrees p-1, p,
-    p+1); each summand is None for a free module or a pair
-    (element_indices, signs) describing the averaging idempotent.  With e_q
-    the block-diagonal idempotent of degree q, the compressed d_p is the
-    group-ring product e_{p-1} d_p e_p: its rank is the rank of d_p on the
-    image of e_p followed by e_{p-1}, and that image has the rank of e_p as
-    dimension.  Ranks are exact on rational representations and counted
-    singular values above a sup-norm-scaled threshold otherwise.
+    complex of free modules under rho.  Ranks are exact on rational
+    representations and counted singular values above a sup-norm-scaled
+    threshold otherwise.
     """
-    stabs = stabilizers or (None, None, None)
     if boundary_p is None and boundary_p1 is None:
         raise SpectralError("at least one boundary required")
     n_p = boundary_p.cols if boundary_p is not None else boundary_p1.rows
-    n_pm1 = boundary_p.rows if boundary_p is not None else 0
-    e_pm1 = _averaging_idempotent(rho.group, stabs[0], n_pm1)
-    e_p = _averaging_idempotent(rho.group, stabs[1], n_p)
-
-    def compress(left, mat, right):
-        if left is not None:
-            mat = left @ mat
-        return mat if right is None else mat @ right
 
     def rank(mat):
         return _operator_rank(mat, rho, boundary_p or boundary_p1)
 
-    dim_wp = n_p * rho.dim if e_p is None else rank(e_p)
     rank_p = rank_p1 = 0
     if boundary_p is not None:
-        d_p = compress(e_pm1, boundary_p, e_p)
-        rank_p = rank(d_p)
+        rank_p = rank(boundary_p)
     if boundary_p1 is not None:
-        e_p1 = _averaging_idempotent(rho.group, stabs[2], boundary_p1.cols)
-        d_p1 = compress(e_p, boundary_p1, e_p1)
-        # e_p is idempotent, so d_p @ d_p1 is the compressed d_p . d_{p+1}
-        if boundary_p is not None and rank(d_p @ d_p1):
-            raise NotAComplex("d_p . d_{p+1} != 0 on the compression")
-        rank_p1 = rank(d_p1)
+        if boundary_p is not None and rank(boundary_p @ boundary_p1):
+            raise NotAComplex("d_p . d_{p+1} != 0")
+        rank_p1 = rank(boundary_p1)
+    dim = n_p * rho.dim - rank_p - rank_p1
     if rho.is_rational:
-        return Fraction(dim_wp - rank_p - rank_p1, rho.dim)
-    return (dim_wp - rank_p - rank_p1) / rho.dim
+        return Fraction(dim, rho.dim)
+    return dim / rho.dim

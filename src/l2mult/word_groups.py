@@ -207,7 +207,9 @@ class FreeGroup(BuiltinGroup):
         return u in {v[i:] + v[:i] for i in range(max(len(v), 1))}
 
     def centralizer_index(self, w):
-        return 1 if not w.data else None
+        """F_1 = Z is abelian; in rank >= 2 a nontrivial word has a cyclic
+        centralizer, of infinite index."""
+        return 1 if not w.data or self.rank == 1 else None
 
     def __repr__(self):
         return f"FreeGroup({self.rank})"

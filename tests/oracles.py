@@ -8,8 +8,10 @@ conjugation action, a Cayley walk with one raw product per pair, a loop
 over coset representatives, a conjugation scan over a whole quotient,
 ordinary induction summed over every conjugator, a dense homology
 computation on a Cayley graph built without the package, a quotient complex
-filled with dict columns one double coset at a time, or a spanning forest
-searched on dict columns.
+filled with dict columns one double coset at a time, a spanning forest
+searched on dict columns, or a permutation representation on cosets found
+by multiplying them out.  Frobenius reciprocity and the pullback of a
+representation along a homomorphism are checked and built here too.
 """
 
 from fractions import Fraction
@@ -20,7 +22,9 @@ import numpy as np
 from l2mult._linalg import SparseCol, axpy, int_entries
 from l2mult.characters import check_normalizes, finite_word_subgroup
 from l2mult.complexes import ComplexError, NotFree, QuotientOrbit
-from l2mult.finite_groups import GroupError, trivial_group
+from l2mult.finite_groups import (GroupError, induce_ordinary, multiplicity,
+                                  restrict_ordinary, trivial_group)
+from l2mult.spectral import Rep
 from l2mult.word_groups import push_matrix
 
 
@@ -291,6 +295,34 @@ def induce_ordinary_oracle(subgroup, chi):
                 total += chi.value(to_local[c])
         values.append(total / subgroup.order)
     return np.array(values)
+
+
+def frobenius_check(subgroup, chi, theta) -> bool:
+    """m(Ind chi, theta) == m(chi, Res theta) for irreducible chi, theta."""
+    induced = induce_ordinary(subgroup, chi)
+    restricted = restrict_ordinary(theta, subgroup)
+    return multiplicity(theta, induced) == multiplicity(chi, restricted)
+
+
+def pullback_rep(hom, rho):
+    """Composition of a representation with a group homomorphism."""
+    return Rep(hom.source, rho.dim, lambda g: rho.pair(hom(g)),
+               rho.is_rational)
+
+
+def coset_rep(group, subgroup):
+    """The permutation representation on the right cosets H x,
+    rho(g) e_{Hx} = e_{H x g^-1}, with each coset multiplied out as the set
+    of products h x."""
+    coset_of, reps = {}, []
+    for x in range(group.order):
+        if x not in coset_of:
+            for h in subgroup.members:
+                coset_of[group.products([h], x)[0]] = len(reps)
+            reps.append(x)
+    return Rep(group, len(reps), lambda g: (np.array(
+        [coset_of[group.products([x], group.inv(g))[0]] for x in reps],
+        dtype=np.int64), None))
 
 
 def freeness_oracle(cw, level):

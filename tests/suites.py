@@ -12,16 +12,16 @@ from l2mult import (FiniteIndexSubgroup, FreeAbelianGroup, FreeByFiniteGroup,
                     abelian_group, builtin_line_Dinf, builtin_line_Z,
                     builtin_rose_free,
                     builtin_tree_free_by_finite, character_table,
-                    cyclic_group, dihedral_group, frobenius_check,
-                    from_generators, irreducible_rep, moments_check,
-                    pullback_rep, quotient_complex, rank_nullity,
-                    regular_rep, spectral_measure, symmetric_group,
-                    semidirect_vector_group)
+                    cyclic_group, dihedral_group, from_generators,
+                    irreducible_rep, moments_check, quotient_complex,
+                    rank_nullity, regular_rep, spectral_measure,
+                    symmetric_group, semidirect_vector_group)
+from l2mult.characters import finite_word_subgroup
 from l2mult.finite_groups import GroupHom
-from l2mult.spectral import coset_rep
 from l2mult.word_groups import FiniteAlgebraMatrix
 
 from conftest import make_rng
+from oracles import coset_rep, frobenius_check, pullback_rep
 
 
 def _group_catalog():
@@ -153,8 +153,8 @@ def _dinf_quotient(m, reflection="b"):
     q = QuotientMap(d, target,
                     [target.index_of((1 % m, 0)), target.index_of((0, 1))])
     level = FiniteIndexSubgroup(q, target.subgroup([0]))
-    return quotient_complex(cw, level,
-                            h_words=[d.identity(), d.word(reflection)])
+    return quotient_complex(cw, level, h_ctx=finite_word_subgroup(
+        [d.identity(), d.word(reflection)]))
 
 
 def _tree_quotient(n):
@@ -168,7 +168,8 @@ def _tree_quotient(n):
               target.index_of(((0, 0), 1))]
     level = FiniteIndexSubgroup(QuotientMap(g, target, images),
                                 target.subgroup([0]))
-    return quotient_complex(cw, level, h_words=[g.identity(), g.word("c")])
+    return quotient_complex(cw, level, h_ctx=finite_word_subgroup(
+        [g.identity(), g.word("c")]))
 
 
 # F_2 : C_4 with c: a -> b, b -> a^-1 on the free group's tree: the vertex

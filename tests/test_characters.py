@@ -7,14 +7,12 @@ import pytest
 from l2mult import (FreeAbelianGroup, InfiniteDihedralGroup, QuotientChain,
                     QuotientMap, character_of, character_table, cyclic_group,
                     dihedral_group, from_generators, induce_ordinary,
-                    induced_value, regular_rep, rel_farber_diagnostic,
-                    rep_from_action, run)
-from l2mult.characters import (HNotNormalizing, NotAnAction, check_action,
-                               check_normalizes, finite_word_subgroup,
-                               fixed_coset_count)
+                    induced_value, regular_rep, rel_farber_diagnostic, run)
+from l2mult.characters import (HNotNormalizing, check_normalizes,
+                               finite_word_subgroup, fixed_coset_count)
 from l2mult.finite_groups import ClosureTooLarge
 from l2mult.runner import ExperimentConfig
-from l2mult.spectral import coset_rep
+from l2mult.spectral import Rep
 from l2mult.word_groups import FiniteIndexSubgroup
 
 S3_GENS = [(1, 0, 2), (0, 2, 1)]
@@ -24,38 +22,30 @@ def s3():
     return from_generators(S3_GENS)
 
 
-def fixed_point_fractions(g, act, n_points):
-    """The fixed-point fractions of a right action, per class: the character
-    of its permutation representation over its degree."""
-    return character_of(rep_from_action(g, act, n_points)).values / n_points
-
-
 def test_perm_character_trivial_action():
+    # every element fixes all five points
     g = cyclic_group(4)
-    values = fixed_point_fractions(g, lambda e, x: x, 5)
+    trivial = Rep(g, 5, lambda e: (np.arange(5), None))
+    values = character_of(trivial).values / 5
     assert np.max(np.abs(values - 1)) < 1e-12
 
 
 def test_perm_character_regular_action():
+    # the regular permutation representation fixes no point off the identity
     g = cyclic_group(5)
-    values = fixed_point_fractions(g, lambda e, x: g.products([x], e)[0], 5)
+    values = character_of(regular_rep(g)).values / g.order
     assert abs(values[0] - 1) < 1e-12
     assert np.max(np.abs(values[1:])) < 1e-12
 
 
 def test_perm_character_coset_action_s3():
+    # the permutation character of S3 on the three cosets of a
+    # transposition's subgroup is the trivial character induced from it
     g = s3()
     sub = g.subgroup_generated([g.index_of((1, 0, 2))])
-    mem = set(sub.members)
-    reps, coset_of = [], {}
-    for x in range(6):
-        if x not in coset_of:
-            idx = len(reps)
-            reps.append(x)
-            for h in mem:
-                coset_of[g.products([h], x)[0]] = idx
-    values = fixed_point_fractions(
-        g, lambda e, x: coset_of[g.right(e)[reps[x]]], 3)
+    h_abs, _ = sub.abstract_group()
+    trivial = character_table(h_abs).irreducibles[0]
+    values = induce_ordinary(sub, trivial).values / 3
     classes = g.conjugacy_classes()
     for c, size in enumerate(classes.sizes):
         if size == 1:
@@ -64,28 +54,6 @@ def test_perm_character_coset_action_s3():
             assert abs(values[c] - Fraction(1, 3)) < 1e-12
         else:                # 3-cycles act freely
             assert abs(values[c]) < 1e-12
-
-
-def test_perm_character_rejects_non_action():
-    g = cyclic_group(4)
-    with pytest.raises(NotAnAction):
-        rep_from_action(g, lambda e, x: (x + e * e) % 3, 3)
-
-
-def test_check_action_reads_every_point():
-    # C6 fixes the points 0..63 and turns 64..69: by e steps it acts, by one
-    # step for every e other than the identity it does not, and only the
-    # points >= 64 show it
-    c6 = cyclic_group(6)
-
-    def turn(steps):
-        return lambda e, x: x if x < 64 else 64 + (x - 64 + steps(e)) % 6
-    with pytest.raises(NotAnAction, match="associativity"):
-        check_action(c6, turn(lambda e: min(e, 1)), 70)
-    assert check_action(c6, turn(lambda e: e), 70).shape == (6, 70)
-    # a point sent off 0..69 would wrap around in the gather
-    with pytest.raises(NotAnAction, match="leaves the points"):
-        check_action(c6, lambda e, x: x - e, 70)
 
 
 def test_i_finite_trivial_subgroup_is_regular():
@@ -137,8 +105,13 @@ def test_induce_via_regular_biset_matches_fixed_points():
     h_abs, _ = sub.abstract_group()
     trivial = character_table(h_abs).irreducibles[0]
     induced = induce_ordinary(sub, trivial)
-    coset_char = character_of(coset_rep(g, sub))
-    assert np.max(np.abs(induced.values - coset_char.values)) < 1e-10
+    # the coset character counts the cosets H x that g fixes: the x with
+    # x g x^-1 in H, over |H|
+    members = set(sub.members)
+    coset_char = [sum(g.products(g.products([x], c), g.inv(x))[0] in members
+                      for x in range(g.order)) / sub.order
+                  for c in g.conjugacy_classes().representatives]
+    assert np.max(np.abs(induced.values - coset_char)) < 1e-10
 
 
 def normalized_induction(g, sub, chi):

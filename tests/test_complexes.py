@@ -9,12 +9,12 @@ from l2mult import (EquivariantCWData, FiniteIndexSubgroup, FreeAbelianGroup,
                     QuotientMap, abelian_group, builtin_line_Dinf,
                     builtin_line_Z, builtin_rose_free,
                     builtin_tree_free_by_finite, character_table,
-                    cw_from_json, cw_to_json, cyclic_group, dihedral_group,
-                    export_boundaries_csv, finite_group_crosscheck,
-                    from_generators, quotient_complex)
+                    cw_from_json, cyclic_group, dihedral_group,
+                    finite_group_crosscheck, from_generators,
+                    quotient_complex)
 from l2mult import _linalg, complexes
 from l2mult._linalg import ColumnStore
-from l2mult.characters import HNotNormalizing
+from l2mult.characters import HNotNormalizing, finite_word_subgroup
 from l2mult.complexes import (ComplexError, FiniteChainComplex, NotFree,
                               galois_orbits, materialize_regular,
                               morse_reduce)
@@ -111,7 +111,9 @@ def test_freeness_from_the_fill_matches_conjugation_oracle():
         fiber = level.fiber.member_set
         expected = freeness_oracle(cw, level)
         try:
-            qc = quotient_complex(cw, level, h_words=h_words)
+            qc = quotient_complex(
+                cw, level,
+                h_ctx=finite_word_subgroup(h_words) if h_words else None)
         except HNotNormalizing:
             # H is checked first; some h must move the fiber
             him = [level.via.evaluate(w) for w in h_words]
@@ -140,7 +142,8 @@ def test_collapsing_symmetry_group_is_rejected():
     c2 = cyclic_group(2)
     level = FiniteIndexSubgroup(QuotientMap(d, c2, [1, 0]), c2.subgroup([0]))
     with pytest.raises(ComplexError) as info:
-        quotient_complex(cw, level, h_words=[d.identity(), d.word("b")])
+        quotient_complex(cw, level, h_ctx=finite_word_subgroup(
+            [d.identity(), d.word("b")]))
     assert type(info.value) is ComplexError
     assert str(info.value) == "symmetry group collapses in the quotient"
 
@@ -167,7 +170,8 @@ def test_dinf_action_traces_and_multiplicities():
         cw, level = dinf_level(m)
         d = cw.group
         qc = quotient_complex(cw, level,
-                              h_words=[d.identity(), d.word("b")])
+                              h_ctx=finite_word_subgroup(
+                                  [d.identity(), d.word("b")]))
         table = character_table(qc.sym_group)
         report = qc.multiplicities(table)
         assert report.traces[(0, 1)] == 1
@@ -192,7 +196,8 @@ def test_exact_traces_match_hodge_oracle_randomized():
             cw, level = dinf_level(m)
             d = cw.group
             qc = quotient_complex(cw, level,
-                                  h_words=[d.identity(), d.word(reflection)])
+                                  h_ctx=finite_word_subgroup(
+                                      [d.identity(), d.word(reflection)]))
             traces = qc.multiplicities(character_table(qc.sym_group)).traces
             for p in (0, 1):
                 for h in range(qc.sym_group.order):
@@ -229,7 +234,8 @@ def test_tree_free_by_finite_quotients():
         level = FiniteIndexSubgroup(QuotientMap(g, target, images),
                                     target.subgroup([0]))
         qc = quotient_complex(cw, level,
-                              h_words=[g.identity(), g.word("c")])
+                              h_ctx=finite_word_subgroup(
+                                  [g.identity(), g.word("c")]))
         assert qc.n_cells == {0: 4 ** n, 1: 2 * 4 ** n}
         assert qc.betti_numbers() == {0: 1, 1: 4 ** n + 1}
         report = qc.multiplicities(character_table(qc.sym_group))
@@ -331,29 +337,32 @@ def test_quotients_without_h_words_carry_the_trivial_group():
     assert report.betti == {0: 1, 1: 1, 2: 0}
 
 
-def test_cw_json_round_trip():
-    cw = builtin_line_Dinf(InfiniteDihedralGroup())
-    data = cw_to_json(cw)
-    again = cw_from_json(cw.group, data)
-    assert cw_to_json(again) == data
+# the JSON of the built-in D_inf line
+DINF_LINE = {
+    "cells": {
+        "0": [{"stabilizer": ["1", "b"], "signs": [1, 1], "label": "v0"},
+              {"stabilizer": ["1", "ab"], "signs": [1, 1], "label": "v1"}],
+        "1": [{"stabilizer": ["1"], "signs": [1], "label": "e"}],
+    },
+    "boundaries": {"1": [["-1*1"], ["1*1"]]},
+}
 
 
-def test_export_boundaries_csv(tmp_path):
-    cw, level = line_z_level(4)
-    qc = quotient_complex(cw, level)
-    paths = export_boundaries_csv(qc, tmp_path)
-    assert len(paths) == 1
-    rows = [line.split(",") for line in paths[0].read_text().splitlines()]
-    assert len(rows) == 4 and len(rows[0]) == 4
-    colsum = [sum(Fraction(rows[r][c]) for r in range(4)) for c in range(4)]
-    assert colsum == [0, 0, 0, 0]
+def test_cw_from_json_reads_the_dinf_line():
+    builtin = builtin_line_Dinf(InfiniteDihedralGroup())
+    cw = cw_from_json(builtin.group, DINF_LINE)
+    assert cw.cells == builtin.cells
+    assert [(p, m.rows, m.cols, m.entries) for p, m in cw.boundaries.items()] \
+        == [(p, m.rows, m.cols, m.entries)
+            for p, m in builtin.boundaries.items()]
 
 
 def test_action_commutes_validation():
     # corrupting an action sign must be caught
     cw, level = dinf_level(4)
     d = cw.group
-    qc = quotient_complex(cw, level, h_words=[d.identity(), d.word("b")])
+    qc = quotient_complex(cw, level, h_ctx=finite_word_subgroup(
+        [d.identity(), d.word("b")]))
     perms, signs = qc.actions[1]
     bad_signs = signs.copy()
     bad_signs[1, 0] = -bad_signs[1, 0]
@@ -365,7 +374,8 @@ def test_action_commutes_validation():
 def test_chain_complex_checks_the_action_arrays():
     cw, level = dinf_level(4)
     d = cw.group
-    qc = quotient_complex(cw, level, h_words=[d.identity(), d.word("b")])
+    qc = quotient_complex(cw, level, h_ctx=finite_word_subgroup(
+        [d.identity(), d.word("b")]))
     assert all(a.shape == (2, qc.n_cells[p]) and a.dtype == np.int64
                for p, arrays in qc.actions.items() for a in arrays)
     perms, signs = qc.actions[1]

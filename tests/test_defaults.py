@@ -18,19 +18,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "l2mult"
 
-# parameters that only tests set: fault tests, and routes that the tests
-# take directly
-SET_ONLY_BY_TESTS = {
-    ("finite_groups", "from_generators", "cap"),
-    ("spectral", "phi_betti", "stabilizers"),
-    ("complexes", "quotient_complex", "h_words"),
-    ("cli", "main", "argv"),
-}
+# parameters that only tests set: ``main`` reads ``sys.argv`` when run as
+# the command, and tests pass its arguments in directly
+SET_ONLY_BY_TESTS = {("cli", "main", "argv")}
 
-# public functions that only tests use: the export and fault-check routes
-# that tests take directly, and representations that tests build as oracles
-USED_ONLY_BY_TESTS = {"cw_to_json", "export_boundaries_csv", "frobenius_check",
-                      "coset_rep", "pullback_rep", "rep_from_action"}
+# public functions that only tests use
+USED_ONLY_BY_TESTS = set()
 
 
 def _defaulted_parameters():

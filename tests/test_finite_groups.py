@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from l2mult import (abelian_group, character_table, cyclic_group,
-                    dihedral_group, frobenius_check, from_generators,
+                    dihedral_group, finite_groups, from_generators,
                     induce_ordinary, multiplicity, restrict_ordinary,
                     symmetric_group, trivial_group)
 from l2mult.finite_groups import (ClosureTooLarge, FiniteGroup, GroupError,
@@ -11,8 +11,8 @@ from l2mult.runner import build_chain, build_group
 
 from conftest import make_rng
 from oracles import (check_axioms, closed_by_scan, conjugacy_classes_by_scan,
-                     induce_ordinary_oracle, inverse_by_scan, tree_by_pairs,
-                     walk_by_pairs)
+                     frobenius_check, induce_ordinary_oracle, inverse_by_scan,
+                     tree_by_pairs, walk_by_pairs)
 
 S3_GENS = [(1, 0, 2), (0, 2, 1)]
 
@@ -34,9 +34,10 @@ def test_from_generators_five_cycle():
     check_axioms(g)
 
 
-def test_from_generators_cap():
-    with pytest.raises(ClosureTooLarge):
-        from_generators([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], cap=10)
+def test_from_generators_cap(monkeypatch):
+    monkeypatch.setattr(finite_groups, "_CLOSURE_CAP", 10)
+    with pytest.raises(ClosureTooLarge, match="closure exceeds cap 10"):
+        from_generators([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])
 
 
 def test_character_table_rejects_orders_past_its_cap():

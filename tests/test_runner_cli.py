@@ -483,6 +483,11 @@ def test_cli_run_bad_configs_print_errors(tmp_path, capsys):
         "orders_bool": dinf_data(chain={"template": "dihedral",
                                         "orders": [True, 2]}),
         "b2_bool": dinf_data(b2={"1": True}),
+        # a number with a fractional part is no integer either
+        "degrees_float": dinf_data(degrees=[1.7]),
+        "char_convergence_float": dinf_data(char_convergence=0.9),
+        "orders_float": dinf_data(chain={"template": "dihedral",
+                                         "orders": [2.5, 4]}),
         "out_int": dinf_data(out=5),
     }
     for name, data in bad_configs.items():

@@ -10,19 +10,19 @@ from l2mult import (FreeAbelianGroup, FreeGroup, GroupRingMatrix,
                     QuotientMap, abelian_group, character_of, character_table,
                     cyclic_group, dihedral_group, fk_det, from_generators,
                     induced_rep, irreducible_rep, luck_bound_check,
-                    moments_check, operator_matrix, phi_betti, pullback_rep,
-                    push_matrix, rank_nullity, regular_rep, rep_from_action,
-                    spectral_measure)
+                    moments_check, operator_matrix, phi_betti, push_matrix,
+                    rank_nullity, regular_rep, spectral_measure)
 from l2mult import _linalg, spectral
 from l2mult._linalg import _components, charpoly_trailing
 from l2mult.finite_groups import GroupHom, induce_ordinary
 from l2mult.spectral import (BoundViolated, NotAComplex, NotHermitian,
                              SpectralMeasure,
-                             SpectralError, UnitaryRep, WordPermRep, coset_rep,
+                             SpectralError, UnitaryRep, WordPermRep,
                              operator_columns_exact)
 from l2mult.word_groups import FiniteAlgebraMatrix
 
 from conftest import make_rng
+from oracles import coset_rep, pullback_rep
 
 S3_GENS = [(1, 0, 2), (0, 2, 1)]
 
@@ -34,17 +34,6 @@ def cycle_gram(n):
     target = cyclic_group(n)
     q = QuotientMap(z, target, [1])
     return push_matrix(q, a.adjoint() @ a), regular_rep(target), q, a
-
-
-def test_rep_from_action_examples():
-    g = from_generators(S3_GENS)
-    reg = rep_from_action(g, lambda e, x: g.products([x], e)[0], g.order)
-    assert reg.dim == 6
-    triv = rep_from_action(g, lambda e, x: x, 1)
-    assert triv.dim == 1
-    sub = g.subgroup_generated([g.index_of((1, 0, 2))])
-    cosets = coset_rep(g, sub)
-    assert cosets.dim == 3
 
 
 def test_induced_rep_regular_and_coset():
@@ -211,7 +200,7 @@ def test_spectral_measure_fourier_route_rejects_as_dense():
     g = abelian_group([2, 3])
     fourier = regular_rep(g)
     # the same representation, unmarked, takes the dense route
-    dense = rep_from_action(g, lambda e, x: g.products([x], e)[0], g.order)
+    dense = coset_rep(g, g.subgroup([0]))
     assert fourier.is_regular and not dense.is_regular
     b = _random_square(g, 2, make_rng(45))
     gram = b.adjoint() @ b
@@ -415,39 +404,6 @@ def test_phi_betti_zero_boundaries_counts_cells():
     rho = regular_rep(g)
     zero = FiniteAlgebraMatrix(g, 2, 3)
     assert phi_betti(zero, None, rho) == 3    # everything is homology
-
-
-def test_phi_betti_stabilizer_compression_dinf():
-    # D_inf line complex under dihedral quotients, the vertex stabilizers
-    # <s> and <ts> acting with signs (1, 1) or (1, -1); the dense copy of the
-    # regular rep takes the numeric route, which must give the exact values
-    from l2mult import InfiniteDihedralGroup
-    d = InfiniteDihedralGroup()
-    expected = {(2, (1, 1)): Fraction(1, 4), (3, (1, 1)): Fraction(1, 6),
-                (4, (1, 1)): Fraction(1, 8), (2, (1, -1)): Fraction(1, 4),
-                (3, (1, -1)): Fraction(0), (4, (1, -1)): Fraction(1, 8)}
-    for (m, signs), value in expected.items():
-        target = dihedral_group(m)
-        q = QuotientMap(d, target, [target.index_of((1 % m, 0)),
-                                    target.index_of((0, 1))])
-        boundary = GroupRingMatrix(d, 2, 1, {
-            (0, 0): {d.identity(): Fraction(-1)},
-            (1, 0): {d.identity(): Fraction(1)}})
-        pushed = push_matrix(q, boundary)
-        rho = regular_rep(target)
-        dense = UnitaryRep(target, {g: rho.matrix(g)
-                                    for g in target.generators})
-        s = q.evaluate(d.word("b"))
-        ts = q.evaluate(d.word("ab"))
-        stabs_c0 = [([0, s], [1, signs[0]]), ([0, ts], [1, signs[1]])]
-        # (b_0, b_1) on the exact route, then on the numeric route
-        exact, numeric = [
-            (phi_betti(None, pushed, r, stabilizers=(None, stabs_c0, None)),
-             phi_betti(pushed, None, r, stabilizers=(stabs_c0, None, None)))
-            for r in (rho, dense)]
-        assert exact == (value, value), (m, signs)
-        assert all(isinstance(b, float) and abs(b - value) < 1e-12
-                   for b in numeric), (m, signs)
 
 
 def test_phi_betti_rejects_non_complex():

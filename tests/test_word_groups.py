@@ -61,6 +61,18 @@ def test_normal_form_idempotent_and_multiplicative(group):
         assert (u * u.inverse()).is_identity()
 
 
+def test_free_group_i_value_at_rank_one():
+    # F_1 = Z is abelian: every element's centralizer is the whole group
+    f1, z = FreeGroup(1), FreeAbelianGroup(1)
+    assert f1.i_value(f1.word("a"), f1.word("a")) == \
+        z.i_value(z.word("a"), z.word("a")) == 1
+    assert f1.i_value(f1.word("a"), f1.word("a'")) == 0
+    # in rank 2 a nontrivial word has an infinite conjugacy class
+    f2 = FreeGroup(2)
+    assert f2.i_value(f2.word("a"), f2.word("a")) == 0
+    assert f2.i_value(f2.identity(), f2.identity()) == 1
+
+
 def test_word_serialization_round_trip():
     f2 = FreeGroup(2)
     for text in ("1", "a", "ab'a", "b'b'a"):
