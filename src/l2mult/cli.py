@@ -92,7 +92,7 @@ def _cmd_farber(args) -> int:
         print(f"{row['level']}\t{row['word']}\t{row['count']}\t{row['fraction']}")
     if ctx.h_abs.order > 1:
         print("level\tg\th\tvalue\tlimit\tdeviation")
-        # no conjugacy oracle, or H not normalizing a fiber: one error row
+        # H not normalizing a fiber: one error row
         for row in ctx.rel_farber():
             print(row["error"] if "error" in row else
                   f"{row['level']}\t{row['g']}\t{row['h']}\t{row['value']}"

@@ -25,9 +25,8 @@ from .complexes import (EquivariantCWData, ComplexError, builtin_line_Dinf,
                         quotient_complex)
 from .word_groups import (BuiltinGroup, FiniteIndexSubgroup, FreeAbelianGroup,
                           FreeGroup, FreeByFiniteGroup, InfiniteDihedralGroup,
-                          QuotientChain, QuotientMap, UnsupportedFamily, Word,
-                          WordGroupError, intersection_heuristic,
-                          validate_chain)
+                          QuotientChain, QuotientMap, Word, WordGroupError,
+                          intersection_heuristic, validate_chain)
 
 
 def _frac(x) -> Fraction:
@@ -332,14 +331,28 @@ def farber_diagnostic(chain: QuotientChain, probe_words: list[Word]):
     return rows
 
 
+def _check_infinite_classes(h_elems: list[Word]):
+    """Refuse the claim that every h != 1 of H has an infinite conjugacy
+    class in G, which ``prediction`` rests on, when G's oracle finds a
+    finite one."""
+    for h in h_elems:
+        if not h.is_identity() and h.group.finite_class(h) is not None:
+            raise ConfigInvalid(f"infinite_centralizers does not hold: "
+                                f"{h} has a finite conjugacy class")
+
+
 def rel_farber_diagnostic(chain: QuotientChain, h_words: list[Word],
                           probe_words: list[Word],
                           assert_infinite: bool = False):
     """Deviation of the biset characters of G/Gamma_n from the limit i_G;
-    ``assert_infinite`` asserts infinite centralizers for h != 1 in place
-    of the family's conjugacy oracle."""
+    ``assert_infinite`` claims an infinite class for every h != 1, and is
+    checked first (``_check_infinite_classes``)."""
     h_abs, h_elems = finite_word_subgroup(h_words)
+    if assert_infinite:
+        _check_infinite_classes(h_elems)
     group = chain.group
+    # the limit does not depend on the level
+    limits = [[group.i_value(w, h) for h in h_elems] for w in probe_words]
     rows = []
     for n, level in enumerate(chain.levels):
         h_images = [level.via.evaluate(w) for w in h_elems]
@@ -348,12 +361,10 @@ def rel_farber_diagnostic(chain: QuotientChain, h_words: list[Word],
         except HNotNormalizing as exc:
             raise HNotNormalizing(
                 f"level {n}: H does not normalize the fiber") from exc
-        for w in probe_words:
+        for w, w_limits in zip(probe_words, limits):
             g = level.via.evaluate(w)
-            for h_word, him in zip(h_elems, h_images):
+            for h_word, him, limit in zip(h_elems, h_images, w_limits):
                 value = Fraction(fixed_coset_count(level, g, him), level.index)
-                limit = (Fraction(w.is_identity() and h_word.is_identity())
-                         if assert_infinite else group.i_value(w, h_word))
                 rows.append({"level": n, "g": str(w), "h": str(h_word),
                              "value": value, "limit": limit,
                              "deviation": abs(value - limit)})
@@ -449,6 +460,8 @@ class ExperimentContext:
             if p not in self.cw.cells:
                 raise ConfigInvalid(f"complex has no cells in degree {p}")
         self.probes = [self.group.word(w) for w in config.probe_words]
+        if config.infinite_centralizers:
+            _check_infinite_classes(self.h_elems)
 
     def norm_index(self, level: FiniteIndexSubgroup) -> int:
         n = level.index
@@ -467,13 +480,11 @@ class ExperimentContext:
 
     def rel_farber(self) -> list[dict]:
         """``rel_farber_diagnostic`` on H and the probes, or one error row
-        for a family without a conjugacy oracle or an H that does not
-        normalize a fiber."""
+        for an H that does not normalize a fiber."""
         try:
-            return rel_farber_diagnostic(
-                self.chain, self.h_elems, self.probes,
-                assert_infinite=self.config.infinite_centralizers)
-        except (UnsupportedFamily, HNotNormalizing) as exc:
+            return rel_farber_diagnostic(self.chain, self.h_elems,
+                                         self.probes)
+        except HNotNormalizing as exc:
             return [{"error": f"{type(exc).__name__}: {exc}"}]
 
     def run_level(self, n: int) -> LevelRecord:
@@ -566,7 +577,9 @@ def _char_convergence_rows(ctx: ExperimentContext, chi_idx: int):
     chi_at = [complex(chi.value(h) / chi.degree)
               for h in range(ctx.h_abs.order)]
     # the limit does not depend on the level
-    limits = [_limit_or_error(ctx, w, chi_at) for w in ctx.probes]
+    limits = [complex(induced_value(ctx.group.i_value, w,
+                                    zip(ctx.h_elems, chi_at)))
+              for w in ctx.probes]
     rows = []
     for n, level in enumerate(ctx.chain.levels):
         h_images = [level.via.evaluate(w) for w in ctx.h_elems]
@@ -580,33 +593,13 @@ def _char_convergence_rows(ctx: ExperimentContext, chi_idx: int):
     return rows
 
 
-def _limit_or_error(ctx: ExperimentContext, w: Word,
-                    chi_at: list[complex]) -> complex | str:
-    """The limit at w, ``induced_value`` with G's i-function, or the error
-    text of a limit that raises, such as a family without a conjugacy
-    oracle.  Asserted infinite centralizers make it 1 at the identity and 0
-    elsewhere, as in ``rel_farber_diagnostic``."""
-    if ctx.config.infinite_centralizers:
-        return complex(w.is_identity())
-    try:
-        return complex(induced_value(ctx.group.i_value, w,
-                                     zip(ctx.h_elems, chi_at)))
-    except L2MultError as exc:
-        return f"{type(exc).__name__}: {exc}"
-
-
 def _char_convergence_row(n: int, level: FiniteIndexSubgroup, w: Word,
-                          pairs, lim: complex | str) -> dict:
-    """One row; a limit that raised is recorded in the row."""
-    row = {"level": n, "word": str(w)}
+                          pairs, lim: complex) -> dict:
     observed = induced_value(level.via.target.i_value, level.via.evaluate(w),
                              pairs)
-    if isinstance(lim, str):
-        row["error"] = lim
-        return row
-    row.update(observed=[observed.real, observed.imag],
-               limit=[lim.real, lim.imag], deviation=abs(observed - lim))
-    return row
+    return {"level": n, "word": str(w),
+            "observed": [observed.real, observed.imag],
+            "limit": [lim.real, lim.imag], "deviation": abs(observed - lim)}
 
 
 # ---------------------------------------------------------------------------

@@ -410,15 +410,8 @@ class SpectralMeasure:
     normalizer: int
     matrix_size: int
 
-    def total_mass(self) -> Fraction:
-        return Fraction(sum(m for _, m in self.atoms), self.normalizer)
-
     def moment(self, k: int) -> float:
         return sum(m * v ** k for v, m in self.atoms) / self.normalizer
-
-    def null_mass(self) -> Fraction:
-        return Fraction(sum(m for v, m in self.atoms if v == 0.0),
-                        self.normalizer)
 
     def to_json(self) -> dict:
         return {"normalizer": self.normalizer, "matrix_size": self.matrix_size,

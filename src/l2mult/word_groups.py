@@ -7,9 +7,10 @@ F_r : H for a finite group H acting on the free generators.  Elements are
 finite groups are built on top.
 
 Each family carries its presentation, ``relators()``, which every quotient
-map and word permutation representation must satisfy, and its conjugacy
-oracle, ``is_conjugate`` and ``centralizer_index``, behind the i-function
-``i_value``; a family without an oracle raises ``UnsupportedFamily``.
+map and word permutation representation must satisfy, and its one conjugacy
+oracle, ``finite_class``: the class of a word when it is finite, else None.
+The i-function ``i_value`` reads only that, as ``FiniteGroup.i_value`` reads
+a finite group's classes.
 
 ``GroupRingMatrix`` is the one sparse matrix class over a rational group
 ring.  It works over a built-in group, with entries keyed by words, and over
@@ -83,20 +84,17 @@ class BuiltinGroup:
         the group."""
         return ()
 
-    def is_conjugate(self, w1: "Word", w2: "Word") -> bool:
-        raise UnsupportedFamily(f"no conjugacy oracle for {self.family}")
-
-    def centralizer_index(self, w: "Word") -> int | None:
-        """[G : C_G(w)]; None encodes infinite index."""
-        raise UnsupportedFamily(f"no centralizer oracle for {self.family}")
+    def finite_class(self, w: "Word") -> frozenset | None:
+        """The conjugacy class of w as a set of words when it is finite,
+        else None; the family's one conjugacy oracle."""
+        raise NotImplementedError
 
     def i_value(self, g: "Word", h: "Word") -> Fraction:
-        """The i-function i_G(g, h) = [G : C_G(h)]^-1 when g ~ h, else 0; an
-        infinite index gives 0."""
-        if not self.is_conjugate(g, h):
-            return Fraction(0)
-        index = self.centralizer_index(h)
-        return Fraction(0) if index is None else Fraction(1, index)
+        """The i-function i_G(g, h) = [G : C_G(h)]^-1 = 1/|cl(h)| when g lies
+        in cl(h), else 0; an infinite class gives 0."""
+        cls = self.finite_class(h)
+        return Fraction(1, len(cls)) if cls is not None and g in cls \
+            else Fraction(0)
 
     # subclasses implement: identity_data, letter_data, mul_data, inv_data,
     # letters_of
@@ -200,26 +198,13 @@ class FreeGroup(BuiltinGroup):
     def letters_of(self, d):
         return d
 
-    def is_conjugate(self, w1, w2):
-        """Cyclically reduced words are conjugate exactly when one is a
-        rotation of the other."""
-        u, v = _cyclic_reduce(w1.data), _cyclic_reduce(w2.data)
-        return u in {v[i:] + v[:i] for i in range(max(len(v), 1))}
-
-    def centralizer_index(self, w):
+    def finite_class(self, w):
         """F_1 = Z is abelian; in rank >= 2 a nontrivial word has a cyclic
         centralizer, of infinite index."""
-        return 1 if not w.data or self.rank == 1 else None
+        return frozenset((w,)) if not w.data or self.rank == 1 else None
 
     def __repr__(self):
         return f"FreeGroup({self.rank})"
-
-
-def _cyclic_reduce(letters):
-    d = list(letters)
-    while len(d) >= 2 and d[0][0] == d[-1][0] and d[0][1] == -d[-1][1]:
-        d = d[1:-1]
-    return tuple(d)
 
 
 class FreeAbelianGroup(BuiltinGroup):
@@ -258,11 +243,8 @@ class FreeAbelianGroup(BuiltinGroup):
         return tuple(((i, 1), (j, 1), (i, -1), (j, -1))
                      for i in range(r) for j in range(i + 1, r))
 
-    def is_conjugate(self, w1, w2):
-        return w1.data == w2.data
-
-    def centralizer_index(self, w):
-        return 1
+    def finite_class(self, w):
+        return frozenset((w,))
 
     def __repr__(self):
         return f"FreeAbelianGroup({self.rank})"
@@ -306,20 +288,11 @@ class InfiniteDihedralGroup(BuiltinGroup):
     def relators(self):
         return ((1, 1), (1, 1)), ((1, 1), (0, 1), (1, 1), (0, 1))
 
-    def is_conjugate(self, w1, w2):
-        """t^k ~ t^-k, and t^k s ~ t^(k+2j) s."""
-        (k1, e1), (k2, e2) = w1.data, w2.data
-        if e1 != e2:
-            return False
-        if e1 == 0:
-            return k1 == k2 or k1 == -k2
-        return (k1 - k2) % 2 == 0
-
-    def centralizer_index(self, w):
+    def finite_class(self, w):
+        """{t^k, t^-k}; a reflection t^k s has the infinite class
+        {t^(k+2j) s}."""
         k, e = w.data
-        if e == 0:
-            return 1 if k == 0 else 2
-        return None
+        return None if e else frozenset((w, Word(self, (-k, 0))))
 
 
 class FreeByFiniteGroup(BuiltinGroup):
@@ -434,6 +407,21 @@ class FreeByFiniteGroup(BuiltinGroup):
                     + inv(self.apply_aut(g, ((i, 1),)))
                     for i in range(self.rank)]
         return tuple(out)
+
+    def finite_class(self, w):
+        """The class of h = (u, k) is finite exactly when psi: x -> u
+        aut_k(x) u^-1 is the identity on the free generators, at every rank.
+
+        If [G : C_G(h)] is finite, psi fixes the finite-index subgroup
+        C_G(h) & F_r pointwise; every x in F_r has a power there, and roots
+        are unique in a free group, so psi = id.  Conversely psi = id means
+        F_r centralizes h, and the class is {j h j^-1 : j in H}.
+        """
+        free_gens = [self.generator(i) for i in range(self.rank)]
+        if any(w * x * w.inverse() != x for x in free_gens):
+            return None
+        h_elems = [Word(self, ((), j)) for j in range(self.h_group.order)]
+        return frozenset(j * w * j.inverse() for j in h_elems)
 
     def __repr__(self):
         return f"FreeByFiniteGroup({self.rank}, {self.h_group.name})"

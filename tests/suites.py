@@ -186,6 +186,16 @@ C4_ROTATION = {
     "chain": {"template": "semidirect_mod", "base": 2, "depth": 3},
     "h_words": ["1", "c"]}
 
+# F_2 : C_4 with c: a -> a^-1, b -> b^-1 on the free group's tree: c^2 acts
+# trivially, so it is central in G and its conjugacy class is {c^2}, while
+# c and c^3 have infinite classes.  H does not act faithfully.
+C4_INVERSION = {
+    "group": {"family": "free_by_finite", "rank": 2, "h": "cyclic:4",
+              "action": {"0": ["a'", "b'"]}},
+    "complex": "tree_semidirect",
+    "chain": {"template": "semidirect_mod", "base": 2, "depth": 3},
+    "h_words": ["1", "c"]}
+
 # F_2 : (C_2 x C_2) with c: a <-> b and d: a -> a^-1, b -> b^-1 on the free
 # group's tree: the edge orbit {1, a^-1 d} with the flip acting by -1.  From
 # level 1 on, the quotient has vertices whose stabilizer is each of the

@@ -1,15 +1,16 @@
 """Every defaulted parameter of a public module-level function of the
 package is one that some caller sets, and every public module-level function
-or class is used by the package, perfbench or the demos.  A default that no
-call overrides is a fixed value, and it belongs at its point of use; a
-function that only tests reach repeats one that the program runs, or is
-dead.
+or class, and every public method of a public class, is used by the package,
+perfbench or the demos.  A default that no call overrides is a fixed value,
+and it belongs at its point of use; a function that only tests reach repeats
+one that the program runs, or is dead.
 
 A call sets a parameter when it names it, passes it by position, or
 unpacks ``*args`` or ``**kwargs``; calls are matched by the function's name
 alone (through ``import ... as``), so a method of the same name counts
 too.  A definition is used where its name is read, as a name or an
-attribute, outside the package's ``__init__``.
+attribute, outside the package's ``__init__``; a method is matched by its
+name alone in the same way.
 """
 
 import ast
@@ -22,7 +23,8 @@ PACKAGE = ROOT / "src" / "l2mult"
 # the command, and tests pass its arguments in directly
 SET_ONLY_BY_TESTS = {("cli", "main", "argv")}
 
-# public functions that only tests use
+# public functions, classes and methods (``Class.method``) that only tests
+# use
 USED_ONLY_BY_TESTS = set()
 
 
@@ -99,10 +101,25 @@ def test_parameters_left_to_tests_are_set_by_tests():
 
 
 def _public_definitions():
-    return {node.name for path in sorted(PACKAGE.glob("*.py"))
-            for node in ast.parse(path.read_text()).body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")}
+    """Public module-level functions and classes, and the public methods of
+    public classes as ``Class.method``."""
+    out = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or \
+                    node.name.startswith("_"):
+                continue
+            out.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                out |= {f"{node.name}.{m.name}" for m in node.body
+                        if isinstance(m, ast.FunctionDef)
+                        and not m.name.startswith("_")}
+    return out
+
+
+def _name(definition):
+    """The name a definition is read by: a method's own name."""
+    return definition.rsplit(".", 1)[-1]
 
 
 def _names_read(*dirs):
@@ -122,11 +139,12 @@ def _names_read(*dirs):
 
 
 def test_every_public_definition_is_used_outside_tests():
-    unused = _public_definitions() - _names_read("src", "perfbench", "demos")
+    names = _names_read("src", "perfbench", "demos")
+    unused = {d for d in _public_definitions() if _name(d) not in names}
     # a new definition that only tests reach fails here, and so does an
     # allowlist entry that the program now uses or that is gone
     assert unused == USED_ONLY_BY_TESTS
 
 
 def test_definitions_left_to_tests_are_used_by_tests():
-    assert USED_ONLY_BY_TESTS <= _names_read("tests")
+    assert {_name(d) for d in USED_ONLY_BY_TESTS} <= _names_read("tests")

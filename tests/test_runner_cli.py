@@ -9,11 +9,13 @@ from l2mult import (FiniteIndexSubgroup, FreeAbelianGroup,
                     InfiniteDihedralGroup, QuotientChain, QuotientMap,
                     centralizer_growth, cyclic_group, emit, farber_diagnostic,
                     rel_farber_diagnostic, run)
-from l2mult.characters import check_normalizes, fixed_coset_count
+from l2mult.characters import (check_normalizes, finite_word_subgroup,
+                               fixed_coset_count)
 from l2mult.cli import main as cli_main
 from l2mult import runner
 from l2mult.runner import (ConfigInvalid, ExperimentConfig, ExperimentContext,
                            LevelRecord, build_chain, build_group)
+from l2mult.word_groups import BuiltinGroup
 
 from conftest import make_rng
 from oracles import fixed_coset_count_oracle
@@ -114,6 +116,65 @@ def test_centralizer_growth():
         "chain": {"template": "cyclic_mod", "base": 2, "depth": 3}})
     z_ctx = ExperimentContext(z_cfg)
     assert centralizer_growth(z_ctx.chain, z_ctx.group.word("a")) == [1, 1, 1]
+
+
+def test_finite_classes_match_the_quotient_classes():
+    # read in the quotients, not from the oracle: the class of each h in H
+    # has a size in Q_n that is constant from some level on when its class
+    # in G is finite, and that grows at every level when it is infinite.
+    # The quotients factor through Z^r : H, so a free word is read only at
+    # rank 1, where F_1 = Z
+    from suites import C4_INVERSION, C4_ROTATION, KLEIN_SWAP, S3_PERMUTING
+    z_by_c2 = {"group": {"family": "free_by_finite", "rank": 1,
+                         "h": "cyclic:2", "action": {"0": ["a'"]}},
+               "chain": {"template": "semidirect_mod", "depth": 4},
+               "h_words": ["1", "b"]}
+    configs = {
+        "fbf": (GOLDEN_CONFIGS["fbf_semidirect_mod"], 4, []),
+        "c4_rotation": (C4_ROTATION, 3, []),
+        "klein_swap": (KLEIN_SWAP, 3, []),
+        "s3_permuting": (S3_PERMUTING, 3, []),
+        "c4_inversion": (C4_INVERSION, 3, []),
+        "z_by_c2": (z_by_c2, 4, ["a", "aa", "ab"]),
+    }
+    sizes, finite = {}, set()
+    for name, (data, depth, extra) in configs.items():
+        group = build_group(data["group"])
+        chain = build_chain(dict(data["chain"], depth=depth), group)
+        _, h_elems = finite_word_subgroup(
+            [group.word(w) for w in data["h_words"]])
+        for w in h_elems + [group.word(x) for x in extra]:
+            sizes[name, str(w)] = growth = centralizer_growth(chain, w)
+            cls = group.finite_class(w)
+            if cls is None:
+                assert all(a < b for a, b in zip(growth, growth[1:])), \
+                    (name, str(w), growth)
+            else:
+                assert growth[-2:] == [len(cls)] * 2, (name, str(w), growth)
+                if not w.is_identity():
+                    finite.add((name, str(w)))
+    assert finite == {("c4_inversion", "cc"), ("z_by_c2", "a"),
+                      ("z_by_c2", "aa")}
+    assert sizes["fbf", "c"] == [1, 4, 16, 64]
+    assert sizes["c4_inversion", "cc"] == [1, 1, 1]
+    assert sizes["z_by_c2", "a"] == [1, 2, 2, 2]
+
+
+def test_a_finite_class_in_h_gives_its_limit_and_refuses_the_flag():
+    # c^2 is central in F_2 : C_4 with c inverting both generators: the
+    # limit at (cc, cc) is 1, which the quotients read at every level, and
+    # a config that asserts infinite classes for H is refused
+    from suites import C4_INVERSION
+    ctx = ExperimentContext(ExperimentConfig.from_json(
+        dict(C4_INVERSION, probe_words=["cc"])))
+    rows = [(r["value"], r["limit"]) for r in ctx.rel_farber()
+            if r["g"] == r["h"] == "cc"]
+    assert rows == [(1, 1)] * 3
+    refused = "infinite_centralizers does not hold: cc has a finite " \
+        "conjugacy class"
+    with pytest.raises(ConfigInvalid, match=refused):
+        rel_farber_diagnostic(ctx.chain, ctx.h_elems, ctx.probes,
+                              assert_infinite=True)
 
 
 FIXED_COSET_CONFIGS = [
@@ -223,14 +284,16 @@ def test_char_convergence_matches_ind_finite():
 
 
 def test_char_convergence_computes_each_limit_once(monkeypatch):
-    # the limit does not depend on the level: one call per probe
+    # the limit does not depend on the level: one induction with G's
+    # i-function per probe
     calls = []
-    limit_or_error = runner._limit_or_error
+    induced_value = runner.induced_value
 
-    def counted(ctx, w, chi_at):
-        calls.append(str(w))
-        return limit_or_error(ctx, w, chi_at)
-    monkeypatch.setattr(runner, "_limit_or_error", counted)
+    def counted(i_value, g, pairs):
+        if isinstance(i_value.__self__, BuiltinGroup):
+            calls.append(str(g))
+        return induced_value(i_value, g, pairs)
+    monkeypatch.setattr(runner, "induced_value", counted)
     config = dinf_config(chain={"template": "dihedral_reflection",
                                 "orders": [2, 4, 8]},
                          probe_words=["1", "a", "b"], char_convergence=1)
@@ -374,24 +437,22 @@ def test_cli_commands(tmp_path, capsys):
     assert cli_main(["run", str(fail_path), "--out",
                      str(tmp_path / "out2")]) == 2
 
-    # a family without a conjugacy oracle is one error row of the
-    # rel-Farber table in both commands, not a configuration error
-    fbf_path = tmp_path / "fbf.json"
-    fbf_path.write_text(json.dumps({
-        "group": {"family": "free_by_finite", "rank": 2, "h": "cyclic:2",
-                  "action": {"0": ["a'", "b'"]}},
-        "complex": "tree_semidirect",
-        "chain": {"template": "semidirect_mod", "base": 2, "depth": 2},
-        "h_words": ["1", "c"], "probe_words": ["a"]}))
+    # an H that does not normalize a fiber is one error row of the
+    # rel-Farber table in both commands, not a configuration error: <ts>
+    # does not normalize <s> in D_4
+    skew = dinf_config(chain={"template": "dihedral_reflection",
+                              "orders": [4, 8]}, h_words=["1", "ab"])
+    skew_path = tmp_path / "skew.json"
+    skew_path.write_text(json.dumps(skew.to_json()))
     capsys.readouterr()
-    error = "UnsupportedFamily: no conjugacy oracle for free_by_finite"
-    assert cli_main(["farber", str(fbf_path)]) == 0
+    error = "HNotNormalizing: level 0: H does not normalize the fiber"
+    assert cli_main(["farber", str(skew_path)]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out.splitlines()[-2:] == [
         "level\tg\th\tvalue\tlimit\tdeviation", error]
-    assert cli_main(["run", str(fbf_path), "--out",
-                     str(tmp_path / "out3")]) == 0
+    assert cli_main(["run", str(skew_path), "--out",
+                     str(tmp_path / "out3")]) == 2
     report = json.loads((tmp_path / "out3" / "report.json").read_text())
     assert report["rel_farber"] == [{"error": error}]
 
@@ -416,7 +477,9 @@ def test_cli_spectral_bad_input_prints_errors(capsys):
 def test_cli_run_bad_configs_print_errors(tmp_path, capsys):
     # failures in and past config parsing: the H closure, the tree builder,
     # non-integer values where the context reads an int, an action on an
-    # H-generator that does not exist, and list fields of the wrong type
+    # H-generator that does not exist, list fields of the wrong type, and
+    # infinite classes claimed for an H with a finite one
+    from suites import C4_INVERSION
     bad_configs = {
         "h_closure": dinf_config(h_words=["a"]).to_json(),
         "tree_action": {
@@ -489,6 +552,8 @@ def test_cli_run_bad_configs_print_errors(tmp_path, capsys):
         "orders_float": dinf_data(chain={"template": "dihedral",
                                          "orders": [2.5, 4]}),
         "out_int": dinf_data(out=5),
+        # c^2 has a finite class, so infinite classes for H do not hold
+        "c4_inversion_flag": dict(C4_INVERSION, infinite_centralizers=True),
     }
     for name, data in bad_configs.items():
         path = tmp_path / f"{name}.json"
@@ -500,6 +565,9 @@ def test_cli_run_bad_configs_print_errors(tmp_path, capsys):
         assert "Traceback" not in err, name
         if name == "semidirect_base_1":
             assert err == "error: chain base must be at least 2, got 1\n"
+        if name == "c4_inversion_flag":
+            assert err == "error: infinite_centralizers does not hold: " \
+                "cc has a finite conjugacy class\n"
     # the out path is checked with the config, not where it is first used
     with pytest.raises(ConfigInvalid, match="out must be a path"):
         ExperimentConfig.from_json(bad_configs["out_int"])
@@ -671,9 +739,9 @@ def _two_levels(data: dict) -> dict:
 def test_run_golden_variants_write_a_report(tmp_path, capsys, name,
                                             infinite_centralizers,
                                             char_convergence):
-    # every level and every character convergence row is a record or a
-    # recorded error; F_2 : C_2 has no conjugacy oracle, so its limits are
-    # error rows unless infinite centralizers are asserted
+    # every level is a record or a recorded error, and every character
+    # convergence row has its observed value and its limit, with or without
+    # asserted infinite centralizers
     data = dict(_two_levels(GOLDEN_CONFIGS[name]),
                 infinite_centralizers=infinite_centralizers,
                 char_convergence=char_convergence)
@@ -687,14 +755,9 @@ def test_run_golden_variants_write_a_report(tmp_path, capsys, name,
     rows = report["char_convergence"]
     assert len(rows) == (0 if char_convergence is None
                          else 2 * len(data["probe_words"]))
-    oracle_missing = name == "fbf_semidirect_mod" and not infinite_centralizers
     for row in rows:
         assert row["word"] in data["probe_words"]
-        if oracle_missing:
-            assert row["error"] == ("UnsupportedFamily: no conjugacy oracle "
-                                    "for free_by_finite")
-        else:
-            assert "error" not in row and len(row["observed"]) == 2
+        assert "error" not in row and len(row["observed"]) == 2
 
 
 # Config mutations: values of the wrong type for any field, and for some

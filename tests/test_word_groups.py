@@ -73,6 +73,30 @@ def test_free_group_i_value_at_rank_one():
     assert f2.i_value(f2.identity(), f2.identity()) == 1
 
 
+def test_finite_class_per_family():
+    # the conjugacy class when it is finite, else None, spelled by hand
+    def classes(group, words):
+        return {w: (None if (cls := group.finite_class(group.word(w))) is None
+                    else {str(u) for u in cls}) for w in words}
+    assert classes(FreeGroup(1), ["a", "a'a'"]) == {"a": {"a"},
+                                                    "a'a'": {"a'a'"}}
+    assert classes(FreeGroup(2), ["1", "a", "aba'"]) == {
+        "1": {"1"}, "a": None, "aba'": None}
+    assert classes(FreeAbelianGroup(2), ["ab'"]) == {"ab'": {"ab'"}}
+    assert classes(InfiniteDihedralGroup(), ["1", "aa", "b", "ab"]) == {
+        "1": {"1"}, "aa": {"aa", "a'a'"}, "b": None, "ab": None}
+    # Z : C_2 with b: a -> a^-1: a^k has the class {a^k, a^-k} at rank 1
+    # too, and b and ab, which invert Z, have infinite classes
+    z_c2 = FreeByFiniteGroup(1, cyclic_group(2), {1: ["a'"]})
+    assert classes(z_c2, ["a", "aa", "b", "ab"]) == {
+        "a": {"a", "a'"}, "aa": {"aa", "a'a'"}, "b": None, "ab": None}
+    # F_2 : C_4 with c inverting both generators: c^2 is central, and a, c
+    # and a c^2 have infinite classes
+    f2_c4 = FreeByFiniteGroup(2, cyclic_group(4), {1: ["a'", "b'"]})
+    assert classes(f2_c4, ["cc", "a", "c", "acc"]) == {
+        "cc": {"cc"}, "a": None, "c": None, "acc": None}
+
+
 def test_word_serialization_round_trip():
     f2 = FreeGroup(2)
     for text in ("1", "a", "ab'a", "b'b'a"):
