@@ -60,6 +60,7 @@ convergence rows) and a built-in infinite group (their limits) alike.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -695,7 +696,10 @@ def character_table(group: FiniteGroup) -> CharacterTable:
     A random combination of the class-multiplication matrices is
     diagonalized; the common eigenvectors give the central characters, from
     which degrees and character values follow.  Up to 12 combinations are
-    tried; a table's orthogonality must hold within 1e-8.
+    tried; a table's orthogonality must hold within 1e-8.  The coefficients
+    are Gaussian draws from the standard library's ``random.Random`` with a
+    fixed seed, so a run is repeatable; any other generic combination gives
+    the same table up to rounding.
     """
     if group._table is not None:
         return group._table
@@ -712,9 +716,9 @@ def character_table(group: FiniteGroup) -> CharacterTable:
             for x in classes.members[i]:
                 # count y with x*y = rep_l  <=>  y = x^-1 rep_l, then tally class
                 a[i][class_of[right[inv[x]]]][l] += 1
-    rng = np.random.default_rng(20240531)
+    rng = random.Random(20240531)
     for attempt in range(12):
-        coeffs = rng.standard_normal(k)
+        coeffs = [rng.gauss(0.0, 1.0) for _ in range(k)]
         # (M w)_j = sum_l (sum_i c_i a[i,j,l]) w_l = (sum_i c_i w_i) w_j,
         # so the central characters w are the eigenvectors of M.
         m = np.tensordot(coeffs, a, axes=(0, 0))

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -199,7 +200,11 @@ def irreducible_rep(group: FiniteGroup, chi: OrdinaryCharacter) -> Rep:
 
     Degree-1 characters are realized directly as 1x1 blocks (rational when
     every value is +-1); higher degrees are cut out of the regular
-    representation by the isotypic projector and a random commutant operator.
+    representation by the isotypic projector and a random commutant operator,
+    made from Gaussian draws of the standard library's ``random.Random`` with
+    a fixed seed.  Any other generic operator gives the same character, and
+    a representation that agrees with this one up to rounding and a change
+    of basis.
     """
     if chi.group is not group:
         raise SpectralError("character of a different group")
@@ -228,9 +233,10 @@ def irreducible_rep(group: FiniteGroup, chi: OrdinaryCharacter) -> Rep:
     if basis.shape[1] != d * d:
         raise SpectralError("isotypic projector has unexpected rank")
     action = {g: basis.conj().T @ reg.matrix(g) @ basis for g in range(n)}
-    rng = np.random.default_rng(97 + group.order)
+    rng = random.Random(97 + group.order)
     for _ in range(10):
-        x = rng.standard_normal((d * d, d * d))
+        x = np.array([rng.gauss(0.0, 1.0)
+                      for _ in range(d ** 4)]).reshape(d * d, d * d)
         x = x + x.T
         t = sum(action[g] @ x @ action[g].conj().T for g in range(n)) / n
         evals, evecs = np.linalg.eigh((t + t.conj().T) / 2)

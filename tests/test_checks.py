@@ -1,7 +1,9 @@
 """Run-time checks proved by a fault they catch: each test injects one
 targeted fault upstream of a check and asserts that the check fires."""
 
+import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,10 +12,12 @@ from l2mult import (FreeAbelianGroup, GroupRingMatrix, QuotientMap,
                     character_of, character_table, cyclic_group,
                     dihedral_group, induced_rep, irreducible_rep,
                     luck_bound_check, moments_check, push_matrix, regular_rep,
-                    spectral_measure, trivial_group, validate_chain)
-from l2mult import complexes, runner, spectral
+                    spectral_measure, symmetric_group, trivial_group,
+                    validate_chain)
+from l2mult import complexes, finite_groups, runner, spectral
 from l2mult.characters import CrossCheckFailed
 from l2mult.complexes import ComplexError
+from l2mult.finite_groups import NumericalDegeneracy
 from l2mult.spectral import (MomentMismatch, NotAComplex, NotHermitian,
                              SpectralError)
 from l2mult.word_groups import ChainBroken
@@ -84,6 +88,34 @@ def test_luck_bound_check_rejects_operator_entries_past_2_31(coeff):
     assert luck_bound_check(scalar(below), rho, 1).char_trailing == below ** 3
     with pytest.raises(SpectralError, match="operator entries too large"):
         luck_bound_check(scalar(coeff), rho, 1)
+
+
+class _ZeroDraws(random.Random):
+    """A generator whose every Gaussian draw is 0: each combination of the
+    class sums, and each commutant operator, is the zero matrix."""
+
+    def gauss(self, mu=0.0, sigma=1.0):
+        return 0.0
+
+
+def test_character_table_retries_catch_degenerate_combinations(monkeypatch):
+    monkeypatch.setattr(finite_groups, "random",
+                        SimpleNamespace(Random=_ZeroDraws))
+    # a fresh group: a table cached on the group would skip the loop
+    s3 = symmetric_group(3)
+    with pytest.raises(NumericalDegeneracy,
+                       match="^class-sum eigenspaces not separated after 12 "
+                             "attempts$"):
+        character_table(s3)
+
+
+def test_irreducible_rep_retries_catch_degenerate_commutants(monkeypatch):
+    s3 = symmetric_group(3)
+    chi = [ch for ch in character_table(s3).irreducibles if ch.degree == 2][0]
+    monkeypatch.setattr(spectral, "random", SimpleNamespace(Random=_ZeroDraws))
+    with pytest.raises(SpectralError,
+                       match="^could not realize irreducible of degree 2$"):
+        irreducible_rep(s3, chi)
 
 
 def _sign_of_reflection():

@@ -1,3 +1,6 @@
+import random
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -132,6 +135,28 @@ def test_character_table_s3_degrees_and_orthogonality():
 def test_column_orthogonality(group_factory):
     table = character_table(group_factory())
     assert table.column_orthogonality_defect() < 1e-8
+
+
+@pytest.mark.parametrize("group_factory", [
+    lambda: cyclic_group(2), lambda: cyclic_group(4),
+    lambda: abelian_group([2, 2]), lambda: from_generators(S3_GENS),
+    lambda: dihedral_group(4), lambda: dihedral_group(6),
+    lambda: symmetric_group(4),
+], ids=["C2", "C4", "C2xC2", "S3", "D4", "D6", "S4"])
+def test_character_table_does_not_depend_on_the_seed(monkeypatch,
+                                                     group_factory):
+    """The seed only picks a generic combination of the class sums: another
+    seed gives the same irreducibles, in the same order, up to rounding."""
+    tables = []
+    for seed in (20240531, 7):
+        monkeypatch.setattr(finite_groups, "random", SimpleNamespace(
+            Random=lambda _fixed, seed=seed: random.Random(seed)))
+        # a fresh group each time: the table is cached on the group
+        tables.append(character_table(group_factory()).irreducibles)
+    first, second = tables
+    assert len(first) == len(second)
+    for a, b in zip(first, second):
+        assert np.max(np.abs(a.values - b.values)) < 1e-9
 
 
 def test_first_irreducible_is_trivial():

@@ -1,5 +1,8 @@
 import copy
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -679,6 +682,47 @@ def test_reports_match_golden(tmp_path):
     for name, data in GOLDEN_CONFIGS.items():
         emitted = emitted_without_timings(data, tmp_path / name)
         assert emitted == golden[name], name
+
+
+# In a fresh interpreter: the golden fbf run, a crosscheck that realizes a
+# degree-2 irreducible (H = S_3, the stabilizer of a point of S_4, on the
+# Cayley complex of S_4) and the table of S_4.  Prints the numpy.random
+# modules they loaded.
+RUN_PATH_SCRIPT = """
+import json, sys
+from fractions import Fraction
+from pathlib import Path
+from l2mult import (ExperimentConfig, FiniteAlgebraMatrix, character_table,
+                    emit, finite_group_crosscheck, run, symmetric_group)
+config, out_dir = json.loads(sys.argv[1]), Path(sys.argv[2])
+emit(*run(ExperimentConfig.from_json(config)), out_dir)
+s4 = symmetric_group(4)
+cols = [{0: Fraction(1), g: Fraction(-1)} for g in s4.generators]
+cayley = {1: FiniteAlgebraMatrix(s4, 1, len(cols),
+                                 {(0, j): c for j, c in enumerate(cols)})}
+sub = s4.subgroup([x for x in range(s4.order) if s4.rows[x, 3] == 3])
+table = character_table(sub.abstract_group()[0])
+assert sorted(ch.degree for ch in table.irreducibles) == [1, 1, 2]
+assert finite_group_crosscheck(s4, sub, cayley, table)
+character_table(s4)
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[:2] == ["numpy", "random"])))
+"""
+
+
+def test_run_path_does_not_load_numpy_random(tmp_path):
+    # a subprocess, because other tests import numpy.random into pytest's
+    # interpreter
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_PATH_SCRIPT,
+         json.dumps(GOLDEN_CONFIGS["fbf_semidirect_mod"]), str(tmp_path)],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "report.json").exists()
+    loaded = json.loads(proc.stdout)
+    assert "numpy.random" not in loaded, loaded
 
 
 # stdout of `l2mult spectral` for three quotients, written before the two
