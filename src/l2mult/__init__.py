@@ -18,7 +18,7 @@ from .spectral import (LuckReport, Rep, SpectralMeasure, UnitaryRep,
                        WordPermRep, character_of, fk_det,
                        induced_rep, irreducible_rep, luck_bound_check,
                        moments_check, operator_matrix, phi_betti,
-                       rank_nullity, regular_rep, spectral_measure)
+                       phi_bettis, rank_nullity, regular_rep, spectral_measure)
 from .complexes import (EquivariantCWData, FiniteChainComplex,
                         HomologyReport, OrbitCell, QuotientComplex,
                         builtin_line_Dinf, builtin_line_Z, builtin_rose_free,

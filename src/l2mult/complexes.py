@@ -66,7 +66,7 @@ from .finite_groups import (CharacterTable, ConfigInvalid, FiniteGroup,
                             NumericalDegeneracy, trivial_group)
 from .characters import CrossCheckFailed, check_normalizes
 from .spectral import (NotAComplex, induced_rep, irreducible_rep,
-                       operator_columns_exact, phi_betti, regular_rep)
+                       operator_columns_exact, phi_bettis, regular_rep)
 from .word_groups import (BuiltinGroup, FiniteIndexSubgroup,
                           FreeAbelianGroup, FreeGroup, FreeByFiniteGroup,
                           GroupRingMatrix, InfiniteDihedralGroup,
@@ -866,10 +866,9 @@ def finite_group_crosscheck(group: FiniteGroup, h_sub: FiniteSubgroup,
     out = {}
     for chi_idx, chi in enumerate(table.irreducibles):
         rho_h = irreducible_rep(h_abs, chi)
-        rho = induced_rep(group, h_sub, rho_h)
+        bettis = phi_bettis(boundaries, induced_rep(group, h_sub, rho_h))
         for p in complex_b.dims():
-            betti_phi = phi_betti(boundaries.get(p), boundaries.get(p + 1), rho)
-            lhs = float(betti_phi) * chi.degree / h_sub.order
+            lhs = float(bettis[p]) * chi.degree / h_sub.order
             rhs = report.multiplicities[(p, chi_idx)] / group.order
             if abs(lhs - rhs) > tol:
                 raise CrossCheckFailed(

@@ -511,7 +511,10 @@ class ExperimentContext:
 
 
 def run(config: ExperimentConfig, levels: int | None = None):
-    """Execute an experiment; returns (records, report_dict)."""
+    """Execute an experiment; returns (records, report_dict).  ``levels``
+    caps the number of chain levels run, and must be at least 1."""
+    if levels is not None and levels < 1:
+        raise ConfigInvalid(f"levels must be at least 1, got {levels}")
     ctx = ExperimentContext(config)
     n_levels = len(ctx.chain.levels)
     if levels is not None:

@@ -29,6 +29,11 @@ gives the dense operator, real when every block of the representation is (a
 permutation, +-1 monomials), solved one support block of
 ``_linalg._components`` at a time, a permutation similarity.  The exact
 route of ``luck_bound_check`` gives those blocks to the CRT pass as well.
+
+``phi_bettis`` gives the twisted Betti numbers of every degree of a free
+complex under rho, taking each boundary's rank once, with a threshold from
+that boundary's own sup-norm bound on the numeric route; ``phi_betti`` reads
+one degree of the complex of the one or two boundaries it is given.
 """
 
 from __future__ import annotations
@@ -512,15 +517,15 @@ def fk_det(mu: SpectralMeasure) -> float:
     return math.exp(log_sum / mu.normalizer)
 
 
-def _operator_rank(a, rho, scale=None) -> int:
+def _operator_rank(a, rho) -> int:
     """Rank of the operator of a under rho: exact on rational
     representations, else the number of singular values above 1e-8 *
-    max(1, sup-norm of ``scale``), which defaults to a."""
+    max(1, sup-norm bound of a)."""
     if rho.is_rational:
         return column_reduce(operator_columns_exact(a, rho)[1]).rank
     op = operator_matrix(a, rho)
     svals = np.linalg.svd(op, compute_uv=False) if op.size else np.array([])
-    norm = float((a if scale is None else scale).sup_norm_bound())
+    norm = float(a.sup_norm_bound())
     return int(np.count_nonzero(svals > 1e-8 * max(1.0, norm)))
 
 
@@ -542,7 +547,10 @@ def moments_check(a, rho, kmax: int, mu: SpectralMeasure | None = None):
     within 1e-6 * max(1, sup-norm bound of a)^k at power k.
 
     ``mu`` is the spectral measure of ``a`` under ``rho`` when the caller
-    has it already, and is computed here when None."""
+    has it already, and is computed here when None.  ``kmax`` must be at
+    least 1."""
+    if kmax < 1:
+        raise SpectralError(f"kmax must be at least 1, got {kmax}")
     if a.rows != a.cols:
         raise SpectralError("moments need a square matrix")
     if mu is None:
@@ -629,27 +637,37 @@ def luck_bound_check(a, rho, d: int) -> LuckReport:
 # Twisted Betti numbers
 # ---------------------------------------------------------------------------
 
-def phi_betti(boundary_p, boundary_p1, rho):
-    """Twisted Betti number nullity(d_p) - rank(d_{p+1}) of one degree of a
-    complex of free modules under rho.  Ranks are exact on rational
-    representations and counted singular values above a sup-norm-scaled
-    threshold otherwise.
+def phi_bettis(boundaries, rho):
+    """Twisted Betti numbers nullity(d_p) - rank(d_{p+1}) under rho of every
+    degree of a complex of free modules, given as {p: d_p}: {p: betti}.
+
+    Each boundary's rank is taken once, and each adjacent pair's product
+    once, to check d_p . d_{p+1} = 0.  Ranks are exact on rational
+    representations, giving Fractions, and otherwise count the singular
+    values above a threshold scaled by the matrix's own sup-norm bound,
+    giving floats.
     """
-    if boundary_p is None and boundary_p1 is None:
+    if not boundaries:
         raise SpectralError("at least one boundary required")
-    n_p = boundary_p.cols if boundary_p is not None else boundary_p1.rows
+    ranks, sizes = {}, {}
+    for p, mat in sorted(boundaries.items()):
+        upper = boundaries.get(p + 1)
+        if upper is not None and _operator_rank(mat @ upper, rho):
+            raise NotAComplex(f"d_{p} . d_{p + 1} != 0")
+        ranks[p] = _operator_rank(mat, rho)
+        sizes[p - 1], sizes[p] = mat.rows, mat.cols
+    bettis = {}
+    for p, n_p in sorted(sizes.items()):
+        dim = n_p * rho.dim - ranks.get(p, 0) - ranks.get(p + 1, 0)
+        bettis[p] = (Fraction(dim, rho.dim) if rho.is_rational
+                     else dim / rho.dim)
+    return bettis
 
-    def rank(mat):
-        return _operator_rank(mat, rho, boundary_p or boundary_p1)
 
-    rank_p = rank_p1 = 0
-    if boundary_p is not None:
-        rank_p = rank(boundary_p)
-    if boundary_p1 is not None:
-        if boundary_p is not None and rank(boundary_p @ boundary_p1):
-            raise NotAComplex("d_p . d_{p+1} != 0")
-        rank_p1 = rank(boundary_p1)
-    dim = n_p * rho.dim - rank_p - rank_p1
-    if rho.is_rational:
-        return Fraction(dim, rho.dim)
-    return dim / rho.dim
+def phi_betti(boundary_p, boundary_p1, rho):
+    """Twisted Betti number nullity(d_p) - rank(d_{p+1}) of one degree:
+    ``phi_bettis`` of the complex of the boundaries given (either may be
+    None), read at that degree."""
+    given = {p: mat for p, mat in ((1, boundary_p), (2, boundary_p1))
+             if mat is not None}
+    return phi_bettis(given, rho)[1]

@@ -12,7 +12,7 @@ from l2mult import (EquivariantCWData, FiniteIndexSubgroup, FreeAbelianGroup,
                     cw_from_json, cyclic_group, dihedral_group,
                     finite_group_crosscheck, from_generators,
                     quotient_complex)
-from l2mult import _linalg, complexes
+from l2mult import _linalg, complexes, spectral
 from l2mult._linalg import ColumnStore
 from l2mult.characters import HNotNormalizing, finite_word_subgroup
 from l2mult.complexes import (ComplexError, FiniteChainComplex, NotFree,
@@ -471,6 +471,28 @@ def test_finite_group_crosscheck_three_term_cyclic():
     table = character_table(h_abs)
     out = finite_group_crosscheck(g, sub, {1: d1, 2: d2}, table)
     assert out
+
+
+def test_finite_group_crosscheck_takes_each_rank_once(monkeypatch):
+    # per irreducible: one twisted rank per boundary and one per adjacent
+    # pair (d_p . d_{p+1} = 0), on every instance of criterion 3's corpus
+    from test_acceptance import _crosscheck_corpus
+    calls = []
+    operator_rank = spectral._operator_rank
+
+    def counting_rank(a, rho):
+        calls.append(a)
+        return operator_rank(a, rho)
+
+    monkeypatch.setattr(spectral, "_operator_rank", counting_rank)
+    for group, members, boundaries in _crosscheck_corpus():
+        sub = group.subgroup(members)
+        table = character_table(sub.abstract_group()[0])
+        pairs = sum(p + 1 in boundaries for p in boundaries)
+        calls.clear()
+        finite_group_crosscheck(group, sub, boundaries, table)
+        assert len(calls) == \
+            (len(boundaries) + pairs) * len(table.irreducibles)
 
 
 def test_quotient_boundaries_and_elimination_stay_in_ints(monkeypatch):

@@ -477,6 +477,24 @@ def test_cli_spectral_bad_input_prints_errors(capsys):
         assert "Traceback" not in err, args
 
 
+def test_cli_refuses_levels_and_kmax_below_one(tmp_path, capsys):
+    # a level cap below 1 would write a report with no level, and kmax
+    # below 1 would print no moment: both are one error line and exit 1
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dinf_data()))
+    for levels in ("0", "-1"):
+        out = tmp_path / f"out{levels}"
+        assert cli_main(["run", str(cfg_path), "--out", str(out),
+                         "--levels", levels]) == 1
+        assert capsys.readouterr().err == \
+            f"error: levels must be at least 1, got {levels}\n"
+        assert not out.exists()
+    for kmax in ("0", "-2"):
+        assert cli_main(["spectral", "1", "cyclic:4", "--kmax", kmax]) == 1
+        assert capsys.readouterr().err == \
+            f"error: kmax must be at least 1, got {kmax}\n"
+
+
 def test_cli_run_bad_configs_print_errors(tmp_path, capsys):
     # failures in and past config parsing: the H closure, the tree builder,
     # non-integer values where the context reads an int, an action on an

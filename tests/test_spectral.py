@@ -10,8 +10,8 @@ from l2mult import (FreeAbelianGroup, FreeGroup, GroupRingMatrix,
                     QuotientMap, abelian_group, character_of, character_table,
                     cyclic_group, dihedral_group, fk_det, from_generators,
                     induced_rep, irreducible_rep, luck_bound_check,
-                    moments_check, operator_matrix, phi_betti, push_matrix,
-                    rank_nullity, regular_rep, spectral_measure)
+                    moments_check, operator_matrix, phi_betti, phi_bettis,
+                    push_matrix, rank_nullity, regular_rep, spectral_measure)
 from l2mult import _linalg, spectral
 from l2mult._linalg import _components, charpoly_trailing
 from l2mult.finite_groups import GroupHom, induce_ordinary
@@ -415,6 +415,32 @@ def test_phi_betti_rejects_non_complex():
                                                 1: Fraction(-1)}})
     with pytest.raises(NotAComplex):
         phi_betti(d1, d1, rho)
+
+
+@pytest.mark.parametrize("group, chi_idx, expected", [
+    (cyclic_group(3), 1, {0: 0.0, 1: 0.0, 2: 1.0}),
+    (from_generators(S3_GENS), 2, {0: 0.5, 1: 0.5, 2: 1.0}),
+])
+def test_phi_betti_thresholds_each_boundary_by_its_own_bound(group, chi_idx,
+                                                            expected):
+    # C_2 --(K N)--> C_1 --(1 - g)--> C_0 over Q[G], N the norm element: a
+    # nontrivial irreducible kills N, and K N's operator is rounding noise
+    # far below 1e-8 of its own bound 6K but above 1e-8 of d_1's bound 2, so
+    # d_2 must have rank 0 in both degrees it enters (the Euler
+    # characteristic stays 1 - 1 + 1, and no Betti number is negative)
+    rho = irreducible_rep(group, character_table(group).irreducibles[chi_idx])
+    assert not rho.is_rational
+    big = 10 ** 9
+    d1 = FiniteAlgebraMatrix(group, 1, 1, {(0, 0): {
+        0: Fraction(1), group.generators[0]: Fraction(-1)}})
+    d2 = FiniteAlgebraMatrix(group, 1, 1, {(0, 0): {
+        x: Fraction(big) for x in range(group.order)}})
+    svals = np.linalg.svd(operator_matrix(d2, rho), compute_uv=False)
+    assert 1e-8 * 2 < svals.max() < 1e-8 * big
+    bettis = phi_bettis({1: d1, 2: d2}, rho)
+    assert bettis == pytest.approx(expected)
+    assert [phi_betti(None, d1, rho), phi_betti(d1, d2, rho),
+            phi_betti(d2, None, rho)] == [bettis[0], bettis[1], bettis[2]]
 
 
 def test_pullback_measure_compatibility():
