@@ -5,12 +5,16 @@ The exact elimination handles matrices column-wise as
 ``dict[row_index, int | Fraction]``, so that the boundary matrices of
 quotient complexes (a handful of entries per column) and operator matrices
 of permutation representations stay cheap.  Integral entries are Python
-``int``: elimination turns them into ints when a column enters and divides
-only by pivots other than +-1, so a Fraction appears only after such a
-pivot, and results stay exact either way.  Boundaries are kept as one
-``ColumnStore`` each, CSC arrays whose entries are int64 when every entry
-is an integer inside int64 and exact Python numbers otherwise; products
-that could leave int64 are taken on Python integers (``exact_mul``).
+``int``, the one convention from the group ring to the columns: the
+coefficients of a ``word_groups.GroupRingMatrix`` are ints when integral, so
+the boundaries and exact operators built from them are too.  Elimination
+turns a sum of Fractions that came out integral into an int when a column
+enters and divides only by pivots other than +-1, so a Fraction appears
+only after such a pivot, and results stay exact either way.  Boundaries
+are kept as one ``ColumnStore`` each, CSC arrays whose entries are int64
+when every entry is an integer inside int64 and exact Python numbers
+otherwise; products that could leave int64 are taken on Python integers
+(``exact_mul``).
 
 Characteristic polynomials of integer matrices are computed exactly by
 Hessenberg reduction modulo word-sized primes followed by CRT

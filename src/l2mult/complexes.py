@@ -60,7 +60,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._linalg import (ColumnReduction, ColumnStore, SparseCol, axpy,
-                      exact_array, exact_mul, int_entries)
+                      exact_array, exact_mul)
 from .finite_groups import (CharacterTable, ConfigInvalid, FiniteGroup,
                             FiniteSubgroup, L2MultError, NotIntegral,
                             NumericalDegeneracy, trivial_group)
@@ -775,9 +775,7 @@ def quotient_complex(cw: EquivariantCWData, gamma: FiniteIndexSubgroup,
     boundaries: dict[int, tuple[int, ColumnStore]] = {}
     lefts: dict[int, np.ndarray] = {}
     for p, mat in cw.boundaries.items():
-        # integral coefficients become ints, so integer boundaries stay ints
-        collected = {key: int_entries(terms) for key, terms
-                     in push_matrix(qmap, mat).entries.items()}
+        collected = push_matrix(qmap, mat).entries
         # every sum is of at most ``terms`` products, so int64 pieces sum
         # exactly; a piece that could leave int64 is an object array
         terms = sum(len(entry) for entry in collected.values())

@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from .finite_groups import (ConfigInvalid, FiniteGroup, L2MultError,
                             abelian_group, character_table, cyclic_group,
-                            dihedral_group, induced_value,
-                            semidirect_vector_group)
+                            dihedral_group, from_generators, induced_value,
+                            semidirect_vector_group, symmetric_group)
 from .characters import (HNotNormalizing, check_normalizes,
                          finite_word_subgroup, fixed_coset_count)
 from .complexes import (EquivariantCWData, ComplexError, builtin_line_Dinf,
@@ -167,20 +167,34 @@ def build_group(spec: dict) -> BuiltinGroup:
 
 
 def finite_group_from_spec(spec) -> FiniteGroup:
-    if isinstance(spec, str):
-        if spec.startswith("cyclic:"):
-            return cyclic_group(_int(spec.split(":")[1], "order"))
-        if spec.startswith("dihedral:"):
-            return dihedral_group(_int(spec.split(":")[1], "order"))
-        if spec.startswith("abelian:"):
-            return abelian_group([_int(x, "modulus")
-                                  for x in spec.split(":")[1].split(",")])
-        if spec.startswith("sym:"):
-            from .finite_groups import symmetric_group
-            return symmetric_group(_int(spec.split(":")[1], "degree"))
-        if spec.startswith("perm:"):
-            from .finite_groups import from_generators
-            return from_generators(json.loads(spec.split(":", 1)[1]))
+    """The finite group of a spec: ``cyclic:N``, ``dihedral:M``,
+    ``abelian:n1,n2,...``, ``sym:N`` with N >= 0, or ``perm:`` and a JSON
+    list of permutations, each a list of integers.  The field after the
+    family is read whole, so an extra ``:`` field is refused."""
+    family, _, arg = spec.partition(":") if isinstance(spec, str) \
+        else (None, "", "")
+    if family == "cyclic":
+        return cyclic_group(_int(arg, "order"))
+    if family == "dihedral":
+        return dihedral_group(_int(arg, "order"))
+    if family == "abelian":
+        return abelian_group([_int(x, "modulus") for x in arg.split(",")])
+    if family == "sym":
+        degree = _int(arg, "degree")
+        if degree < 0:
+            raise ConfigInvalid(f"degree must be non-negative, got {degree}")
+        return symmetric_group(degree)
+    if family == "perm":
+        try:
+            perms = json.loads(arg)
+        except json.JSONDecodeError:
+            perms = None
+        if not isinstance(perms, list) or not all(
+                isinstance(p, list) and all(type(x) is int for x in p)
+                for p in perms):
+            raise ConfigInvalid(f"perm needs a JSON list of permutations, "
+                                f"each a list of integers, got {arg!r}")
+        return from_generators(perms)
     raise ConfigInvalid(f"unknown finite group spec {spec!r}")
 
 

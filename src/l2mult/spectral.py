@@ -15,7 +15,8 @@ Representations of Finite Groups*, 3.3 and 7.1), so each operator is one
 scatter of its blocks.  Exact rational elimination is used whenever the
 representation is rational, i.e. its blocks are +-1 scalars; everything else
 falls back to dense numerics with thresholds tied to the coefficient
-sup-norm bound of the matrix.
+sup-norm bound of the matrix.  That bound must be a float: ``_float_norm``
+refuses coefficients past the float range with ``SpectralError``.
 
 ``spectral_measure`` solves Hermitian blocks, then sorts and clusters all
 their eigenvalues together, relative to the sup-norm bound of the matrix.
@@ -185,11 +186,11 @@ def WordPermRep(group: BuiltinGroup, letter_perms) -> Rep:
 def regular_rep(group: FiniteGroup) -> Rep:
     """The regular representation rho(g) e_x = e_{x g^-1}, marked
     ``is_regular`` so that ``spectral_measure`` may split it by characters.
-    Since x g^-1 = (g x^-1)^-1, each pair array is one gather through the
-    left translation by g."""
-    inv = np.asarray(group.inverses, dtype=np.int64)
+    Each pair array is one right translation: x g^-1 = right(g^-1)[x]."""
+    inv = group.inverses
     rep = Rep(group, group.order,
-              lambda g: (inv[np.asarray(group.left(g))[inv]], None))
+              lambda g: (np.asarray(group.right(inv[g]), dtype=np.int64),
+                         None))
     rep.is_regular = True
     return rep
 
@@ -372,8 +373,9 @@ def operator_columns_exact(a, rho) -> tuple[int, list[SparseCol]]:
     """Sparse exact columns of the operator; requires a rational rep.
 
     The term c g of entry (i, j) adds c * blocks[y] at row i * dim + dest[y]
-    of column j * dim + y.  Entries are ints where c is integral and
-    Fractions only otherwise; entries that cancel are dropped."""
+    of column j * dim + y.  Entries are ints where c is integral (the matrix
+    holds such a c as an int) and Fractions only otherwise; entries that
+    cancel are dropped."""
     _check_compat(a, rho)
     if not rho.is_rational:
         raise SpectralError("exact operator needs a rational representation")
@@ -381,9 +383,6 @@ def operator_columns_exact(a, rho) -> tuple[int, list[SparseCol]]:
     cols: list[SparseCol] = [dict() for _ in range(a.cols * d)]
     for (i, j), terms in a.entries.items():
         for elem, c in terms.items():
-            c = Fraction(c)
-            if c.denominator == 1:
-                c = c.numerator
             dest, blocks = rho.pair(elem)
             rows = (dest + i * d).tolist()
             vals = [c] * d if blocks is None \
@@ -495,6 +494,17 @@ def _measure(a, rho, op: np.ndarray | None, norm: float):
                            rho.dim, a.cols), parts
 
 
+def _float_norm(a, power: int = 1) -> float:
+    """The sup-norm bound of ``a`` to the ``power``, as the float that the
+    numeric thresholds scale with; coefficients whose bound is past the
+    float range are refused."""
+    try:
+        return float(a.sup_norm_bound() ** power)
+    except OverflowError:
+        raise SpectralError("coefficients too large for the numeric "
+                            "route") from None
+
+
 def spectral_measure(a, rho) -> SpectralMeasure:
     """Eigenvalue atoms of the operator of a self-adjoint matrix, normalized
     by the representation dimension: the Fourier blocks in one ``eigvalsh``
@@ -504,7 +514,7 @@ def spectral_measure(a, rho) -> SpectralMeasure:
     closer than 1e-10 * max(1, sup-norm bound of a) share an atom, the mean
     of the cluster, and an atom that close to 0 is 0.
     """
-    return _measure(a, rho, None, float(a.sup_norm_bound()))[0]
+    return _measure(a, rho, None, _float_norm(a))[0]
 
 
 def fk_det(mu: SpectralMeasure) -> float:
@@ -525,7 +535,7 @@ def _operator_rank(a, rho) -> int:
         return column_reduce(operator_columns_exact(a, rho)[1]).rank
     op = operator_matrix(a, rho)
     svals = np.linalg.svd(op, compute_uv=False) if op.size else np.array([])
-    norm = float(a.sup_norm_bound())
+    norm = _float_norm(a)
     return int(np.count_nonzero(svals > 1e-8 * max(1.0, norm)))
 
 
@@ -553,9 +563,12 @@ def moments_check(a, rho, kmax: int, mu: SpectralMeasure | None = None):
         raise SpectralError(f"kmax must be at least 1, got {kmax}")
     if a.rows != a.cols:
         raise SpectralError("moments need a square matrix")
+    # the coefficients of a^k and the moments are at most the bound to the
+    # k, so the bound to the kmax must be a float
+    _float_norm(a, kmax)
     if mu is None:
         mu = spectral_measure(a, rho)
-    c = max(1.0, float(a.sup_norm_bound()))
+    c = max(1.0, _float_norm(a))
     rows = []
     power = a
     for k in range(1, kmax + 1):
@@ -607,7 +620,7 @@ def luck_bound_check(a, rho, d: int) -> LuckReport:
         too_large = max(map(abs, vals), default=0) >= 2 ** 31
         op = np.zeros((size, size))
         op[rows, np.repeat(np.arange(size), [len(col) for col in cols])] = vals
-    c = float(a.sup_norm_bound())
+    c = _float_norm(a)
     mu, parts = _measure(a, rho, op, c)
     det = fk_det(mu)
     bound = c ** (-(d - 1) * a.rows) if c > 0 else 1.0

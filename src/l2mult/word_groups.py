@@ -16,8 +16,12 @@ a finite group's classes.
 ring.  It works over a built-in group, with entries keyed by words, and over
 a finite group, with entries keyed by element indices; products and adjoints
 go through the group's ``products`` and ``inv``, and ``push_matrix`` carries a
-matrix from a built-in group to a finite quotient.  ``FiniteAlgebraMatrix``
-is another name for the same class.
+matrix from a built-in group to a finite quotient.  A coefficient is an int
+when it is integral and a Fraction otherwise, the convention of the exact
+columns of ``_linalg``: the constructor, which every matrix passes through,
+is the one place that normalizes them, so products, adjoints and sums of
+integral matrices run on Python ints.  ``FiniteAlgebraMatrix`` is another
+name for the same class.
 
 Serialization uses the alphabet a, b, c, ... for the generators with a
 trailing apostrophe for inverses ("ab'a"), "1" for the identity, and group
@@ -473,10 +477,20 @@ def ring_mul(group, t1: dict, t2: dict) -> dict:
     return out
 
 
+def _exact(c) -> int | Fraction:
+    """The exact value of the number c: an int when it is integral, else a
+    Fraction."""
+    c = Fraction(c)
+    # int() also for a numpy integer, which a Fraction keeps as it is
+    return int(c.numerator) if c.denominator == 1 else c
+
+
 class GroupRingMatrix:
     """Sparse rectangular matrix over the rational group ring of a built-in
     group (entries keyed by words) or of a finite group (entries keyed by
-    element indices)."""
+    element indices).  The constructor, which every matrix passes through,
+    keeps each integral coefficient as an int and every other one as a
+    Fraction."""
 
     def __init__(self, group: BuiltinGroup | FiniteGroup, rows: int,
                  cols: int, entries=None):
@@ -486,7 +500,8 @@ class GroupRingMatrix:
         self.entries: dict[tuple[int, int], dict] = {}
         if entries:
             for (i, j), terms in entries.items():
-                clean = {w: Fraction(c) for w, c in terms.items() if c}
+                clean = {w: c if type(c) is int else _exact(c)
+                         for w, c in terms.items() if c}
                 if clean:
                     self.entries[(i, j)] = clean
 
@@ -529,7 +544,6 @@ class GroupRingMatrix:
         return GroupRingMatrix(self.group, self.cols, self.rows, out)
 
     def scale(self, c) -> "GroupRingMatrix":
-        c = Fraction(c)
         out = {key: {w: c * v for w, v in terms.items()}
                for key, terms in self.entries.items()}
         return GroupRingMatrix(self.group, self.rows, self.cols, out)
@@ -550,10 +564,11 @@ class GroupRingMatrix:
             and (other.rows, other.cols) == (self.rows, self.cols) \
             and other.entries == self.entries
 
-    def sup_norm_bound(self) -> Fraction:
-        """Sum of |coefficient| over all entries; dominates the operator norm
-        of the matrix in every unitary representation."""
-        total = Fraction(0)
+    def sup_norm_bound(self) -> int | Fraction:
+        """Sum of |coefficient| over all entries, an int when every
+        coefficient is; dominates the operator norm of the matrix in every
+        unitary representation."""
+        total = 0
         for terms in self.entries.values():
             for c in terms.values():
                 total += abs(c)
@@ -626,7 +641,7 @@ def push_matrix(qmap: QuotientMap, a: GroupRingMatrix) -> GroupRingMatrix:
         raise WordGroupError("matrix over a different group")
     out = {}
     for (i, j), terms in a.entries.items():
-        target: dict[int, Fraction] = {}
+        target: dict[int, int | Fraction] = {}
         for w, c in terms.items():
             axpy(target, c, {qmap.evaluate(w): 1})
         if target:

@@ -19,7 +19,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from l2mult._linalg import SparseCol, axpy, int_entries
+from l2mult._linalg import SparseCol, axpy
 from l2mult.characters import check_normalizes, finite_word_subgroup
 from l2mult.complexes import ComplexError, NotFree, QuotientOrbit
 from l2mult.finite_groups import (GroupError, induce_ordinary, multiplicity,
@@ -444,9 +444,7 @@ def quotient_by_dicts(cw, gamma, h_words=None, h_ctx=None):
 
     boundaries: dict[int, tuple[int, list[SparseCol]]] = {}
     for p, mat in cw.boundaries.items():
-        # integral coefficients become ints, so integer boundaries stay ints
-        collected = {key: int_entries(terms) for key, terms
-                     in push_matrix(qmap, mat).entries.items()}
+        collected = push_matrix(qmap, mat).entries
         lefts = {g: q.left(g) for terms in collected.values() for g in terms}
         cols: list[SparseCol] = []
         for j, src_orbit in enumerate(orbits[p]):

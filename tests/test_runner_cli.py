@@ -468,7 +468,9 @@ def test_cli_spectral_bad_input_prints_errors(capsys):
              ("1 + -1*a", "cyclic:1"): 0,
              ("2*1 + -1*a + -1*b", "abelian:1,2"): 0,
              ("x*a", "cyclic:4"): 1,
-             ("1/0*a", "cyclic:4"): 1}
+             ("1/0*a", "cyclic:4"): 1,
+             # A*A has coefficients past the float range
+             ("1e200*a", "cyclic:2"): 1}
     for (matrix, quotient), code in cases.items():
         args = ["spectral", matrix, quotient, "--kmax", "1"]
         assert cli_main(args) == code, args
@@ -498,9 +500,16 @@ def test_cli_refuses_levels_and_kmax_below_one(tmp_path, capsys):
 def test_cli_run_bad_configs_print_errors(tmp_path, capsys):
     # failures in and past config parsing: the H closure, the tree builder,
     # non-integer values where the context reads an int, an action on an
-    # H-generator that does not exist, list fields of the wrong type, and
-    # infinite classes claimed for an H with a finite one
-    from suites import C4_INVERSION
+    # H-generator that does not exist, list fields of the wrong type,
+    # infinite classes claimed for an H with a finite one, and malformed H
+    # specs, each in a config that would run with H read some other way
+    from suites import C4_INVERSION, C4_ROTATION, S3_PERMUTING
+
+    def with_h(config, h, action=None):
+        group = dict(config["group"], h=h)
+        if action is not None:
+            group["action"] = action
+        return dict(config, group=group)
     bad_configs = {
         "h_closure": dinf_config(h_words=["a"]).to_json(),
         "tree_action": {
@@ -575,6 +584,12 @@ def test_cli_run_bad_configs_print_errors(tmp_path, capsys):
         "out_int": dinf_data(out=5),
         # c^2 has a finite class, so infinite classes for H do not hold
         "c4_inversion_flag": dict(C4_INVERSION, infinite_centralizers=True),
+        "h_perm_int": with_h(C4_INVERSION, "perm:5"),
+        "h_perm_int_item": with_h(C4_INVERSION, "perm:[5]"),
+        "h_perm_null": with_h(C4_INVERSION, "perm:null"),
+        "h_sym_extra_field": with_h(S3_PERMUTING, "sym:3:4"),
+        "h_cyclic_extra_field": with_h(C4_ROTATION, "cyclic:4:3"),
+        "h_sym_negative": with_h(C4_INVERSION, "sym:-1", action={}),
     }
     for name, data in bad_configs.items():
         path = tmp_path / f"{name}.json"
@@ -589,6 +604,11 @@ def test_cli_run_bad_configs_print_errors(tmp_path, capsys):
         if name == "c4_inversion_flag":
             assert err == "error: infinite_centralizers does not hold: " \
                 "cc has a finite conjugacy class\n"
+        if name == "h_sym_negative":
+            assert err == "error: degree must be non-negative, got -1\n"
+    assert cli_main(["table", "perm:[5]"]) == 1
+    assert capsys.readouterr().err == "error: perm needs a JSON list of " \
+        "permutations, each a list of integers, got '[5]'\n"
     # the out path is checked with the config, not where it is first used
     with pytest.raises(ConfigInvalid, match="out must be a path"):
         ExperimentConfig.from_json(bad_configs["out_int"])

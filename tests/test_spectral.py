@@ -11,7 +11,8 @@ from l2mult import (FreeAbelianGroup, FreeGroup, GroupRingMatrix,
                     cyclic_group, dihedral_group, fk_det, from_generators,
                     induced_rep, irreducible_rep, luck_bound_check,
                     moments_check, operator_matrix, phi_betti, phi_bettis,
-                    push_matrix, rank_nullity, regular_rep, spectral_measure)
+                    push_matrix, rank_nullity, regular_rep, spectral_measure,
+                    symmetric_group)
 from l2mult import _linalg, spectral
 from l2mult._linalg import _components, charpoly_trailing
 from l2mult.finite_groups import GroupHom, induce_ordinary
@@ -34,6 +35,22 @@ def cycle_gram(n):
     target = cyclic_group(n)
     q = QuotientMap(z, target, [1])
     return push_matrix(q, a.adjoint() @ a), regular_rep(target), q, a
+
+
+def test_regular_rep_pairs_are_right_translations():
+    # rho(g) e_x = e_{x g^-1}: the pairs are those of the permutation rep on
+    # the cosets of the trivial subgroup, and on C_3 the table of x - g
+    for group in (cyclic_group(12), dihedral_group(6), symmetric_group(4),
+                  abelian_group((2, 4))):
+        reg = regular_rep(group)
+        oracle = coset_rep(group, group.subgroup([0]))
+        for g in range(group.order):
+            dest, blocks = reg.pair(g)
+            assert blocks is None and dest.dtype == np.int64
+            assert dest.tolist() == oracle.pair(g)[0].tolist()
+    c3 = regular_rep(cyclic_group(3))
+    assert [c3.pair(g)[0].tolist() for g in range(3)] == \
+        [[0, 1, 2], [2, 0, 1], [1, 2, 0]]
 
 
 def test_induced_rep_regular_and_coset():
@@ -321,6 +338,26 @@ def test_moments_cycle_first_moment():
     gram, rho, _, _ = cycle_gram(9)
     rows = moments_check(gram, rho, 6)
     assert abs(rows[0]["moment"] - 2) < 1e-9
+
+
+def test_moments_of_an_integral_gram_take_no_fraction_product(monkeypatch):
+    # spectral_line's Gram matrix of 1 - a on C_64 has int coefficients, so
+    # its powers in moments_check multiply no Fraction
+    z = FreeAbelianGroup(1)
+    q = QuotientMap(z, cyclic_group(64), [1])
+    pushed = push_matrix(q, GroupRingMatrix.from_strings(z, [["1 + -1*a"]]))
+    gram = pushed.adjoint() @ pushed
+    rho = regular_rep(q.target)
+    calls = collections.Counter()
+    for name in ("__mul__", "__rmul__"):
+        def counted(self, other, _name=name, _mul=getattr(Fraction, name)):
+            calls[_name] += 1
+            return _mul(self, other)
+        monkeypatch.setattr(Fraction, name, counted)
+    rows = moments_check(gram, rho, 4)
+    assert [r["k"] for r in rows] == [1, 2, 3, 4]
+    assert abs(rows[1]["moment"] - 6) < 1e-9
+    assert sum(calls.values()) == 0, calls
 
 
 def test_luck_bound_cycle_integer_determinant():

@@ -157,6 +157,83 @@ def test_adjoint_involution_and_products():
         assert gram.adjoint() == gram
 
 
+def _exact_kinds(m):
+    """The set of coefficient types of ``m``, asserting that each is an int
+    exactly when the coefficient is integral."""
+    kinds = set()
+    for terms in m.entries.values():
+        for c in terms.values():
+            assert type(c) is (int if c.denominator == 1 else Fraction), c
+            kinds.add(type(c))
+    return kinds
+
+
+def test_integral_coefficients_are_ints_on_every_constructor_path():
+    # each path keeps an integral coefficient as an int and any other as a
+    # Fraction, and its result equals its twin computed on Fractions alone
+    f2 = FreeGroup(2)
+    one, a, b = f2.identity(), f2.word("a"), f2.word("b")
+    m = GroupRingMatrix.from_strings(
+        f2, [["2*1 + 3/2*a", "-1*b"], ["4/2*ab'", "1/2*1 + 1/2*1"]])
+    frac = {(0, 0): {one: Fraction(2), a: Fraction(3, 2)},
+            (0, 1): {b: Fraction(-1)},
+            (1, 0): {f2.word("ab'"): Fraction(2)},
+            (1, 1): {one: Fraction(1)}}
+
+    def twin(entries):
+        return {key: {g: c for g, c in terms.items() if c}
+                for key, terms in entries.items()
+                if any(terms.values())}
+
+    def add(x, y, s=Fraction(1)):
+        out = {key: dict(terms) for key, terms in x.items()}
+        for key, terms in y.items():
+            entry = out.setdefault(key, {})
+            for g, c in terms.items():
+                entry[g] = entry.get(g, Fraction(0)) + s * c
+        return out
+
+    adj = {(j, i): {g.inverse(): c for g, c in terms.items()}
+           for (i, j), terms in frac.items()}
+    prod = {}
+    for (i, j), left in frac.items():
+        for (j2, k), right in frac.items():
+            if j2 == j:
+                entry = prod.setdefault((i, k), {})
+                for g1, c1 in left.items():
+                    for g2, c2 in right.items():
+                        entry[g1 * g2] = entry.get(g1 * g2, Fraction(0)) \
+                            + c1 * c2
+    target = cyclic_group(4)
+    q = QuotientMap(f2, target, [1, 2])
+    pushed = {}
+    for key, terms in frac.items():
+        entry = pushed.setdefault(key, {})
+        for g, c in terms.items():
+            entry[q.evaluate(g)] = entry.get(q.evaluate(g), Fraction(0)) + c
+    cases = [
+        (m, frac),
+        (m.adjoint(), adj),
+        (m @ m, prod),
+        (m + m.adjoint(), add(frac, adj)),
+        (m - m.adjoint(), add(frac, adj, Fraction(-1))),
+        (m.scale(2), add({}, frac, Fraction(2))),
+        (m.scale(Fraction(1, 2)), add({}, frac, Fraction(1, 2))),
+        (push_matrix(q, m), pushed),
+        (GroupRingMatrix(target, 1, 1, {(0, 0): {0: Fraction(6, 3),
+                                                 1: Fraction(1, 3)}}),
+         {(0, 0): {0: Fraction(2), 1: Fraction(1, 3)}}),
+    ]
+    seen = set()
+    for result, fractions in cases:
+        seen |= _exact_kinds(result)
+        assert result.entries == twin(fractions)
+    assert seen == {int, Fraction}
+    assert _exact_kinds(m.scale(2)) == {int}
+    assert m.sup_norm_bound() == Fraction(15, 2)
+    assert type(m.scale(2).sup_norm_bound()) is int
+
+
 def test_evaluate_homomorphism():
     rng = make_rng(24)
     d = InfiniteDihedralGroup()
